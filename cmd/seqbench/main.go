@@ -24,11 +24,11 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-size sweeps")
 	list := flag.Bool("list", false, "list experiments and exit")
 	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE a representative query per experiment (per-node metrics)")
-	par := flag.Bool("parallel", false, "sweep span-partitioned worker counts per experiment, writing BENCH_parallel.json")
-	parOut := flag.String("parallel-out", "BENCH_parallel.json", "output path of the -parallel sweep")
+	par := flag.Bool("parallel", false, "sweep span-partitioned worker counts per experiment")
+	parOut := flag.String("parallel-out", "", "also write the -parallel sweep to this file as JSON")
 	parWorkers := flag.Int("parallel-workers", 0, "max workers of the -parallel sweep (0 = GOMAXPROCS)")
-	mv := flag.Bool("matview", false, "measure repeated queries cold vs through a materialized view, writing BENCH_matview.json")
-	mvOut := flag.String("matview-out", "BENCH_matview.json", "output path of the -matview sweep")
+	mv := flag.Bool("matview", false, "measure repeated queries cold vs through a materialized view")
+	mvOut := flag.String("matview-out", "", "also write the -matview sweep to this file as JSON")
 	ro := flag.Bool("reopt", false, "measure mid-run reoptimization on skewed estimates plus a calibration round, writing BENCH_reopt.json")
 	roOut := flag.String("reopt-out", "BENCH_reopt.json", "output path of the -reopt benchmark")
 	dk := flag.Bool("disk", false, "benchmark the durable tier: cold/warm buffer-pool sweeps, a page-file vs LSM-style layout head-to-head and a cold-trace calibration round, writing BENCH_disk.json")
@@ -71,150 +71,58 @@ func main() {
 		}
 	}
 
-	if *par {
+	switch {
+	case *par:
 		points, err := experiments.ParallelSweep(flag.Args(), *quick, *parWorkers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: parallel sweep failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*parOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderParallel(points))
-		fmt.Printf("(wrote %d sweep points to %s)\n", len(points), *parOut)
-		return
-	}
-
-	if *mv {
+		emit("parallel sweep", points, err, experiments.RenderParallel, *parOut)
+	case *mv:
 		points, err := experiments.MatviewSweep(flag.Args(), *quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: matview sweep failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*mvOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderMatview(points))
-		fmt.Printf("(wrote %d sweep points to %s)\n", len(points), *mvOut)
-		return
-	}
-
-	if *ro {
+		emit("matview sweep", points, err, experiments.RenderMatview, *mvOut)
+	case *ro:
 		bench, err := experiments.ReoptBenchmark(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: reopt benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*roOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderReopt(bench))
-		fmt.Printf("(wrote reopt benchmark to %s)\n", *roOut)
-		return
-	}
-
-	if *dk {
+		emit("reopt benchmark", bench, err, experiments.RenderReopt, *roOut)
+	case *dk:
 		bench, err := experiments.DiskBenchmark(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: disk benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*dkOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderDisk(bench))
-		fmt.Printf("(wrote disk benchmark to %s)\n", *dkOut)
-		return
-	}
-
-	if *ba {
+		emit("disk benchmark", bench, err, experiments.RenderDisk, *dkOut)
+	case *ba:
 		bench, err := experiments.BatchBenchmark(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: batch benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*baOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderBatch(bench))
-		fmt.Printf("(wrote batch benchmark to %s)\n", *baOut)
-		return
-	}
-
-	if *iv {
+		emit("batch benchmark", bench, err, experiments.RenderBatch, *baOut)
+	case *iv:
 		points, err := experiments.IVMBenchmark(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: ivm benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*ivOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderIVM(points))
-		fmt.Printf("(wrote %d benchmark points to %s)\n", len(points), *ivOut)
-		return
-	}
-
-	if *sv {
+		emit("ivm benchmark", points, err, experiments.RenderIVM, *ivOut)
+	case *sv:
 		points, err := experiments.ServerSweep(*svAddr, *quick, *svWorkers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: server sweep failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*svOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "seqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderServer(points))
-		fmt.Printf("(wrote %d sweep points to %s)\n", len(points), *svOut)
-		return
+		emit("server sweep", points, err, experiments.RenderServer, *svOut)
+	default:
+		runExperiments(selected, *quick, *analyze)
 	}
+}
 
+// emit finishes a benchmark mode: it writes the result as JSON to out
+// (when one is named), prints the rendered tables, and exits non-zero on
+// any failure.
+func emit[T any](what string, result T, err error, render func(T) string, out string) {
+	if err == nil && out != "" {
+		var data []byte
+		if data, err = json.MarshalIndent(result, "", "  "); err == nil {
+			err = os.WriteFile(out, append(data, '\n'), 0o644)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seqbench: %s failed: %v\n", what, err)
+		os.Exit(1)
+	}
+	fmt.Print(render(result))
+	if out != "" {
+		fmt.Printf("(wrote %s to %s)\n", what, out)
+	}
+}
+
+func runExperiments(selected []experiments.Experiment, quick, analyze bool) {
 	failed := 0
 	for _, e := range selected {
-		if *analyze {
-			text, err := experiments.Analyze(e.ID, *quick)
+		if analyze {
+			text, err := experiments.Analyze(e.ID, quick)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "seqbench: %s analyze failed: %v\n", e.ID, err)
 				failed++
@@ -224,7 +132,7 @@ func main() {
 			continue
 		}
 		run := e.Run
-		if *quick {
+		if quick {
 			run = e.Quick
 		}
 		start := time.Now()

@@ -47,10 +47,10 @@ type Store interface {
 	Probe(pos int) int
 	Stats() *Stats
 }
-type Dense struct{ S Stats }
-func (d *Dense) Scan(span int) int { return span }
-func (d *Dense) Probe(pos int) int { return pos }
-func (d *Dense) Stats() *Stats     { return &d.S }
+type Snapshot struct{ S Stats }
+func (d *Snapshot) Scan(span int) int { return span }
+func (d *Snapshot) Probe(pos int) int { return pos }
+func (d *Snapshot) Stats() *Stats     { return &d.S }
 `
 
 const fakeSeq = `package seq
@@ -232,7 +232,7 @@ func partial(k algebra.Kind) bool {
 func TestRawStoreInExec(t *testing.T) {
 	got := check(t, "repro/internal/exec", `package exec
 import "repro/internal/storage"
-func bad(st storage.Store, d *storage.Dense) int {
+func bad(st storage.Store, d *storage.Snapshot) int {
 	return st.Scan(1) + d.Probe(2)
 }
 func ok(st storage.Store) *storage.Stats {
@@ -241,7 +241,7 @@ func ok(st storage.Store) *storage.Stats {
 `)
 	wantDiags(t, got,
 		"rawstore: Scan on storage.Store bypasses the metered sequence",
-		"rawstore: Probe on storage.Dense bypasses the metered sequence")
+		"rawstore: Probe on storage.Snapshot bypasses the metered sequence")
 }
 
 func TestRawStoreOutsideExec(t *testing.T) {
@@ -257,7 +257,7 @@ func fine(st storage.Store) int { return st.Scan(1) }
 func TestRawStoreSuppression(t *testing.T) {
 	got := check(t, "repro/internal/exec", `package exec
 import "repro/internal/storage"
-func calibrate(d *storage.Dense) int {
+func calibrate(d *storage.Snapshot) int {
 	//seqvet:ignore rawstore calibration loop measures the raw store on purpose
 	return d.Scan(1)
 }

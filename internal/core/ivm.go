@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/matview"
 	"repro/internal/seq"
@@ -146,36 +145,17 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 
 // stitchStore splices the re-evaluated entries over hit into the view's
 // stored data: old records outside hit are kept, everything inside hit
-// is replaced. The storage layer's copy-on-write replacement keeps this
-// O(store) in flat copying rather than re-validation and page packing —
-// the difference between maintenance that scales with the halo and
-// maintenance that silently re-pays the rebuild it was priced against.
+// is replaced. The storage layer's copy-on-write replacement rebuilds
+// only the pages under hit and shares the rest with the generation
+// pinned readers still hold — the difference between maintenance that
+// scales with the halo and maintenance that silently re-pays the rebuild
+// it was priced against.
 func stitchStore(v *matview.View, hit seq.Span, fresh []seq.Entry) (storage.Store, error) {
-	if store, ok, err := storage.Replace(v.Store, hit, fresh); err != nil {
-		return nil, err
-	} else if ok {
-		return store, nil
+	store, ok, err := storage.Replace(v.Store, hit, fresh)
+	if err == nil && !ok {
+		err = fmt.Errorf("view store %T has no region replacement", v.Store)
 	}
-	var merged []seq.Entry
-	before := seq.NewSpan(v.Span.Start, seq.ClampPos(hit.Start-1))
-	if !before.IsEmpty() {
-		kept, err := seq.Collect(v.Store.Scan(before))
-		if err != nil {
-			return nil, err
-		}
-		merged = append(merged, kept...)
-	}
-	merged = append(merged, fresh...)
-	after := seq.NewSpan(seq.ClampPos(hit.End+1), v.Span.End)
-	if !after.IsEmpty() {
-		kept, err := seq.Collect(v.Store.Scan(after))
-		if err != nil {
-			return nil, err
-		}
-		merged = append(merged, kept...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Pos < merged[j].Pos })
-	return buildStore(v.Schema(), merged, v.Span)
+	return store, err
 }
 
 // trimStore rebuilds the view's store restricted to the surviving span.
@@ -184,23 +164,11 @@ func trimStore(v *matview.View, span seq.Span) (storage.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildStore(v.Schema(), kept, span)
-}
-
-func buildStore(schema *seq.Schema, entries []seq.Entry, span seq.Span) (storage.Store, error) {
-	data, err := seq.NewMaterialized(schema, entries)
+	data, err := seq.NewMaterialized(v.Schema(), kept)
 	if err != nil {
 		return nil, err
 	}
-	spanned, err := data.WithSpan(span)
-	if err != nil {
-		return nil, err
-	}
-	kind := storage.KindSparse
-	if spanned.Info().Density >= 0.5 {
-		kind = storage.KindDense
-	}
-	return storage.FromMaterialized(spanned, kind, 0)
+	return matview.NewStore(data, span)
 }
 
 func invalidateView(reg *matview.Registry, v *matview.View, epoch int64) {

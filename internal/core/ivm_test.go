@@ -12,7 +12,7 @@ import (
 
 // ivmBase builds a sparse store named "b" with records at the given
 // positions (v = position) and returns it with its schema.
-func ivmBase(t *testing.T, positions ...int64) (*storage.Sparse, *seq.Schema) {
+func ivmBase(t *testing.T, positions ...int64) (*storage.Snapshot, *seq.Schema) {
 	t.Helper()
 	schema := seq.MustSchema(seq.Field{Name: "v", Type: seq.TInt})
 	entries := make([]seq.Entry, len(positions))
@@ -27,7 +27,7 @@ func ivmBase(t *testing.T, positions ...int64) (*storage.Sparse, *seq.Schema) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.(*storage.Sparse), schema
+	return st, schema
 }
 
 // registerView evaluates block over span against its bound (old) data

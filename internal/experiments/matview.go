@@ -13,8 +13,8 @@ import (
 )
 
 // MatviewPoint is one (experiment, phase) measurement of the
-// materialized-view sweep: seqbench -matview emits these as
-// BENCH_matview.json. Each experiment contributes a cold row (the first
+// materialized-view sweep, as seqbench -matview prints them (and writes
+// them with -matview-out). Each experiment contributes a cold row (the first
 // evaluation, which also materializes the result as a view) and a warm
 // row (the identical query re-optimized against the view registry).
 type MatviewPoint struct {

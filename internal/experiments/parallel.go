@@ -15,7 +15,8 @@ import (
 )
 
 // ParallelPoint is one (experiment, K) measurement of the span-partition
-// sweep: seqbench -parallel emits these as BENCH_parallel.json.
+// sweep, as seqbench -parallel prints them (and writes them with
+// -parallel-out).
 type ParallelPoint struct {
 	Experiment string `json:"experiment"`
 	Query      string `json:"query"`

@@ -109,10 +109,10 @@ func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool)
 		}
 		out := seq.Span{Start: seq.MinPos, End: seq.MaxPos}
 		if !seq.EffectivelyUnbounded(a.Start) {
-			out.Start = floorDiv(a.Start, n.Factor)
+			out.Start = algebra.FloorDiv(a.Start, n.Factor)
 		}
 		if !seq.EffectivelyUnbounded(a.End) {
-			out.End = floorDiv(a.End, n.Factor)
+			out.End = algebra.FloorDiv(a.End, n.Factor)
 		}
 		return normalize(out), true
 	case algebra.KindExpand:
@@ -228,15 +228,6 @@ func normalize(s seq.Span) seq.Span {
 		s.End = seq.MaxPos
 	}
 	return s
-}
-
-// floorDiv divides rounding toward negative infinity.
-func floorDiv(a, k seq.Pos) seq.Pos {
-	q := a / k
-	if a%k != 0 && (a < 0) != (k < 0) {
-		q--
-	}
-	return q
 }
 
 // Rebind returns a copy of the block with every base leaf re-bound to

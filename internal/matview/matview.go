@@ -206,8 +206,7 @@ func New() *Registry {
 // span. The node should be in post-rewrite form (what the optimizer sees
 // when it plans future queries); data's columns must match node's output
 // schema positionally, and span must be bounded and cover data's
-// entries. The storage representation is chosen by density: dense at
-// ≥ half the positions occupied, sparse below.
+// entries. NewStore chooses the storage representation.
 func (r *Registry) Register(name string, node *algebra.Node, data *seq.Materialized, span seq.Span) (*View, error) {
 	return r.RegisterAt(name, node, data, span, 0)
 }
@@ -241,15 +240,7 @@ func (r *Registry) RegisterAt(name string, node *algebra.Node, data *seq.Materia
 	if err != nil {
 		return nil, fmt.Errorf("matview: canonicalize view %q: %w", name, err)
 	}
-	spanned, err := data.WithSpan(span)
-	if err != nil {
-		return nil, fmt.Errorf("matview: view %q: %w", name, err)
-	}
-	kind := storage.KindSparse
-	if spanned.Info().Density >= 0.5 {
-		kind = storage.KindDense
-	}
-	store, err := storage.FromMaterialized(spanned, kind, 0)
+	store, err := NewStore(data, span)
 	if err != nil {
 		return nil, fmt.Errorf("matview: store view %q: %w", name, err)
 	}
@@ -263,6 +254,21 @@ func (r *Registry) RegisterAt(name string, node *algebra.Node, data *seq.Materia
 	r.byName[name] = v
 	r.order = append(r.order, v)
 	return v, nil
+}
+
+// NewStore packs view data valid on span into a store, choosing the
+// representation by density: dense at ≥ half the positions occupied,
+// sparse below.
+func NewStore(data *seq.Materialized, span seq.Span) (storage.Store, error) {
+	spanned, err := data.WithSpan(span)
+	if err != nil {
+		return nil, err
+	}
+	kind := storage.KindSparse
+	if spanned.Info().Density >= 0.5 {
+		kind = storage.KindDense
+	}
+	return storage.FromMaterialized(spanned, kind, 0)
 }
 
 // compatibleSchemas requires positionally equal field types; names are

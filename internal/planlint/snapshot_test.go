@@ -51,12 +51,8 @@ func TestVerifySnapshotClean(t *testing.T) {
 
 func TestVerifySnapshotPinnedLeaf(t *testing.T) {
 	data, _ := snapFixture(t)
-	// A live (non-snapshot) store as a leaf must be rejected.
-	store, err := storage.FromMaterialized(data, storage.KindSparse, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := algebra.Base("s", store)
+	// A live (non-snapshot) sequence as a leaf must be rejected.
+	leaf := algebra.Base("s", data)
 	issues := VerifySnapshot(leaf, nil, 0)
 	if !hasIssue(issues, "snapshot/pinned-leaf", "not an epoch-pinned snapshot") {
 		t.Fatalf("live leaf passed: %v", issues)

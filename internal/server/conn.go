@@ -28,7 +28,14 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) Serve(ln net.Listener) error {
 	s.listenMu.Lock()
 	s.ln = ln
+	// A Close that ran before the listener was registered found nothing
+	// to close; without this re-check Accept would block forever.
+	closed := s.closed.Load()
 	s.listenMu.Unlock()
+	if closed {
+		ln.Close()
+		return nil
+	}
 	if s.cfg.GCInterval > 0 {
 		s.wg.Add(1)
 		go s.gcLoop()

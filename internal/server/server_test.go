@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -390,6 +393,32 @@ func TestCloseUnblocksIdleConnections(t *testing.T) {
 	}
 }
 
+// TestCloseBeforeServe: a Close that wins the race against Serve
+// registering its listener finds nothing to close, so Serve itself must
+// notice and return instead of blocking in Accept forever.
+func TestCloseBeforeServe(t *testing.T) {
+	srv := testServer(t, Config{GCInterval: time.Millisecond}, 10)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve blocked in Accept after Close")
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("Serve left the listener open")
+	}
+}
+
 // TestHostileFrameKeepsServerAlive sends the frame that used to panic
 // the decode path (SetOption with a 2^63-1 string length) straight at a
 // live server: the connection must die with a protocol error while the
@@ -559,4 +588,57 @@ func TestServerGC(t *testing.T) {
 	if len(res.Entries) != 20 {
 		t.Fatalf("post-GC query: %d entries", len(res.Entries))
 	}
+}
+
+// TestAnalyzePartitionPagesExact: a partitioned EXPLAIN ANALYZE over the
+// memory tier meters every worker against a private fork of the pinned
+// snapshot, so the per-partition page counts, the per-leaf attribution
+// and the run's global page movement are one number — also when two
+// sessions analyze the same base at once (run with -race).
+func TestAnalyzePartitionPagesExact(t *testing.T) {
+	srv := testServer(t, Config{}, 40000)
+	defer srv.Close()
+	global := regexp.MustCompile(`\(seqPages=(\d+) randPages=(\d+) `)
+	part := regexp.MustCompile(`partition \d/2 .* pages=(\d+)seq\+(\d+)rand`)
+	leaf := regexp.MustCompile(`scan\(s,.* pages=(\d+)seq\+(\d+)rand`)
+	sum := func(ms [][]string) (seqPages, randPages int) {
+		for _, m := range ms {
+			a, _ := strconv.Atoi(m[1])
+			b, _ := strconv.Atoi(m[2])
+			seqPages, randPages = seqPages+a, randPages+b
+		}
+		return seqPages, randPages
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := srv.NewSession("analyze")
+			if _, err := sess.SetOption("parallelism", "2"); err != nil {
+				t.Error(err)
+				return
+			}
+			text, _, err := sess.Analyze("select(sum(s, v, 5), sum > 10)", seq.NewSpan(1, 40000))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			parts := part.FindAllStringSubmatch(text, -1)
+			if !strings.Contains(text, "parallel K=2") || len(parts) != 2 {
+				t.Errorf("run was not split in two:\n%s", text)
+				return
+			}
+			gs, gr := sum(global.FindAllStringSubmatch(text, -1))
+			ps, pr := sum(parts)
+			ls, lr := sum(leaf.FindAllStringSubmatch(text, -1))
+			// Each worker reads its half plus the 4-position halo: 625
+			// pages of 64 records, one of them entered from both sides.
+			if gs != 626 || ps != gs || pr != gr || ls != gs || lr != gr {
+				t.Errorf("pages: global %d+%d, partitions %d+%d, leaf %d+%d, want 626 sequential in all three\n%s",
+					gs, gr, ps, pr, ls, lr, text)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,11 +1,11 @@
-// Native batch scans for the memory-backed stores. Page and record
+// Native batch scans for the in-memory page store. Page and record
 // accounting is position-for-position identical to the scalar cursors —
 // the same pages are charged in the same order — but the counters are
 // accumulated locally per batch and published with one atomic add per
 // counter per batch, removing the per-record atomic traffic from the
-// hot loop. The MVCC snapshot and disk-backed stores do not implement
-// the batch protocol and are bridged by the execution layer's adapter,
-// which preserves their per-record accounting exactly.
+// hot loop. The disk-backed snapshots do not implement the batch
+// protocol and are bridged by the execution layer's adapter, which
+// preserves their per-record accounting exactly.
 package storage
 
 import (
@@ -14,118 +14,36 @@ import (
 	"repro/internal/seq"
 )
 
-// ScanBatches implements seq.BatchScanner for the dense store: the
-// position walk, page charging (every page entered, holding records or
-// not) and record accounting mirror denseCursor exactly.
-func (d *Dense) ScanBatches(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
-	span = span.Intersect(d.span)
-	if span.IsEmpty() {
+// ScanBatches implements seq.BatchScanner: the walk, the page charging
+// (dense: every page entered, holding records or not; sparse: every page
+// a record is delivered from, plus the index descent for a mid-file
+// start) and the record accounting mirror Scan exactly.
+func (s *Snapshot) ScanBatches(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
+	span = span.Intersect(s.v.span)
+	if span.IsEmpty() || len(s.v.pages) == 0 {
 		return seq.EmptyBatchCursor()
 	}
-	return &denseBatchCursor{d: d, ctx: ctx, pos: span.Start, end: span.End, page: -1}
+	c := &batchCursor{s: s, ctx: ctx, pos: span.Start, end: span.End, page: -1}
+	if s.v.kind == KindSparse {
+		c.pi, c.j = s.seek(span.Start)
+	}
+	return c
 }
 
-type denseBatchCursor struct {
-	d     *Dense
+type batchCursor struct {
+	s     *Snapshot
 	ctx   *seq.BatchCtx
 	batch *seq.Batch
-	ents  []seq.Entry // scratch window, reused per batch
-	pos   seq.Pos
+	ents  []seq.Entry // dense: scratch window, reused per batch
+	pi, j int         // sparse: current page, next entry within it
+	pos   seq.Pos     // start of the next batch's span
 	end   seq.Pos
-	page  int64 // last page charged; -1 before the first touch
+	page  int // last page charged; -1 before the first touch
 	err   error
 	done  bool
 }
 
-func (c *denseBatchCursor) NextBatch() (*seq.Batch, bool) {
-	if c.done || c.err != nil {
-		return nil, false
-	}
-	if c.batch == nil {
-		c.batch = seq.NewBatchFor(c.d.schema, c.ctx.Size)
-		c.ents = make([]seq.Entry, 0, c.ctx.Size)
-	}
-	b := c.batch
-	b.Reset()
-	b.Span = seq.Span{Start: c.pos, End: c.end}
-	first := c.pos
-	ents := c.ents[:0]
-	for c.pos <= c.end && len(ents) < c.ctx.Size {
-		p := c.pos
-		c.pos++
-		off := p - c.d.span.Start //seqvet:ignore spanarith dense spans are bounded at construction
-		if r := c.d.recs[off]; r != nil {
-			ents = append(ents, seq.Entry{Pos: p, Rec: r})
-		}
-	}
-	c.ents = ents
-	// The walk visited the contiguous positions [first, c.pos-1]; charge
-	// one page per distinct page in that range, continuing from the last
-	// page charged — the same pages in the same order as the scalar
-	// cursor's per-position walk.
-	firstPg := (first - c.d.span.Start) / int64(c.d.rpp)  //seqvet:ignore spanarith dense spans are bounded at construction
-	lastPg := (c.pos - 1 - c.d.span.Start) / int64(c.d.rpp) //seqvet:ignore spanarith dense spans are bounded at construction
-	pages := lastPg - firstPg
-	if firstPg != c.page {
-		pages++
-	}
-	c.page = lastPg
-	if pages != 0 {
-		c.d.stats.SeqPages.Add(pages)
-	}
-	if len(ents) != 0 {
-		c.d.stats.SeqRecords.Add(int64(len(ents)))
-	}
-	if err := b.AppendEntryRows(ents, c.ctx.Intern); err != nil {
-		c.err = err
-		return nil, false
-	}
-	if c.pos > c.end {
-		c.done = true
-		return b, true
-	}
-	b.Span.End = c.pos - 1
-	return b, true
-}
-
-func (c *denseBatchCursor) Err() error   { return c.err }
-func (c *denseBatchCursor) Close() error { return nil }
-
-// ScanBatches implements seq.BatchScanner for the sparse store: entry
-// windows decompose into batches; page charges (by entry index, plus
-// the index descent for a mid-file start) mirror sparseCursor exactly.
-func (s *Sparse) ScanBatches(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
-	span = span.Intersect(s.span)
-	if span.IsEmpty() || len(s.entries) == 0 {
-		return seq.EmptyBatchCursor()
-	}
-	lo := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Pos >= span.Start })
-	hi := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Pos > span.End })
-	if lo > 0 {
-		// Entering the middle of the file requires an index descent.
-		s.stats.RandPages.Add(s.probeDepth())
-	}
-	return &sparseBatchCursor{
-		s: s, ctx: ctx, entries: s.entries[lo:hi], base: lo,
-		next: span.Start, end: span.End, page: -1,
-	}
-}
-
-type sparseBatchCursor struct {
-	s       *Sparse
-	ctx     *seq.BatchCtx
-	batch   *seq.Batch
-	entries []seq.Entry
-	base    int // index of entries[0] in s.entries, for page math
-	i       int
-	next    seq.Pos
-	end     seq.Pos
-	page    int64
-	err     error
-	done    bool
-}
-
-func (c *sparseBatchCursor) NextBatch() (*seq.Batch, bool) {
+func (c *batchCursor) NextBatch() (*seq.Batch, bool) {
 	if c.done || c.err != nil {
 		return nil, false
 	}
@@ -134,44 +52,102 @@ func (c *sparseBatchCursor) NextBatch() (*seq.Batch, bool) {
 	}
 	b := c.batch
 	b.Reset()
-	b.Span = seq.Span{Start: c.next, End: c.end}
-	n := len(c.entries) - c.i
-	if n > c.ctx.Size {
-		n = c.ctx.Size
+	b.Span = seq.Span{Start: c.pos, End: c.end}
+	var pages int64
+	var err error
+	if c.s.v.kind == KindDense {
+		pages, err = c.fillDense(b)
+	} else {
+		pages, err = c.fillSparse(b)
 	}
-	if n > 0 {
-		win := c.entries[c.i : c.i+n]
-		// One page per distinct page among the window's entry indexes,
-		// continuing from the last page charged — the same pages in the
-		// same order as the scalar cursor's per-entry walk.
-		firstPg := int64(c.base+c.i) / int64(c.s.rpp)
-		lastPg := int64(c.base+c.i+n-1) / int64(c.s.rpp)
-		pages := lastPg - firstPg
-		if firstPg != c.page {
-			pages++
-		}
-		c.page = lastPg
-		c.i += n
-		if pages != 0 {
-			c.s.stats.SeqPages.Add(pages)
-		}
+	if err != nil {
+		c.err = err
+		return nil, false
+	}
+	if pages != 0 {
+		c.s.stats.SeqPages.Add(pages)
+	}
+	if n := b.Rows(); n != 0 {
 		c.s.stats.SeqRecords.Add(int64(n))
-		if err := b.AppendEntryRows(win, c.ctx.Intern); err != nil {
-			c.err = err
-			return nil, false
-		}
 	}
-	if c.i >= len(c.entries) {
-		c.done = true
-		return b, true
+	if !c.done {
+		// More to come: this batch covers up to where the next resumes.
+		b.Span.End = c.pos - 1
 	}
-	b.Span.End = b.Pos[b.Rows()-1]
-	c.next = b.Span.End + 1 //seqvet:ignore spanarith row positions lie inside the bounded scan span
 	return b, true
 }
 
-func (c *sparseBatchCursor) Err() error   { return c.err }
-func (c *sparseBatchCursor) Close() error { return nil }
+// fillDense walks consecutive positions from c.pos, page by page, until
+// the batch is full or the span ends, and returns the pages entered.
+func (c *batchCursor) fillDense(b *seq.Batch) (pages int64, err error) {
+	if c.ents == nil {
+		// A short scan never fills a batch; do not pay for one.
+		c.ents = make([]seq.Entry, 0, min(int64(c.ctx.Size), c.end-c.pos+1)) //seqvet:ignore spanarith bounded dense span
+	}
+	ents := c.ents[:0]
+	for c.pos <= c.end && len(ents) < c.ctx.Size {
+		pi := c.s.densePage(c.pos)
+		if pi != c.page {
+			c.page = pi
+			pages++
+		}
+		pg := c.s.v.pages[pi]
+		off := c.pos - pg.first
+		lim := min(int64(len(pg.slots)), c.end-pg.first+1)
+		for ; off < lim && len(ents) < c.ctx.Size; off++ {
+			if r := pg.slots[off]; r != nil {
+				ents = append(ents, seq.Entry{Pos: pg.first + off, Rec: r}) //seqvet:ignore spanarith bounded dense span
+			}
+		}
+		c.pos = pg.first + off //seqvet:ignore spanarith bounded dense span
+	}
+	c.ents = ents
+	c.done = c.pos > c.end
+	return pages, b.AppendEntryRows(ents, c.ctx.Intern)
+}
+
+// fillSparse appends page windows until the batch is full or the next
+// entry lies past the span, and returns the pages records came from.
+func (c *batchCursor) fillSparse(b *seq.Batch) (pages int64, err error) {
+	vp := c.s.v.pages
+	for c.pi < len(vp) && b.Rows() < c.ctx.Size {
+		win := vp[c.pi].entries[c.j:]
+		if room := c.ctx.Size - b.Rows(); len(win) > room {
+			win = win[:room]
+		}
+		if n := len(win); n > 0 && win[n-1].Pos > c.end {
+			win = win[:sort.Search(n, func(i int) bool { return win[i].Pos > c.end })]
+			c.done = true
+		}
+		if len(win) > 0 {
+			if c.pi != c.page {
+				c.page = c.pi
+				pages++
+			}
+			if err := b.AppendEntryRows(win, c.ctx.Intern); err != nil {
+				return pages, err
+			}
+			c.j += len(win)
+		}
+		if c.done {
+			return pages, nil
+		}
+		if c.j == len(vp[c.pi].entries) {
+			c.pi, c.j = c.pi+1, 0
+		}
+	}
+	// A full batch ends at its last row; the scan is over when no entry
+	// inside the span follows it.
+	if c.pi == len(vp) || vp[c.pi].entries[c.j].Pos > c.end {
+		c.done = true
+	} else {
+		c.pos = b.Pos[b.Rows()-1] + 1 //seqvet:ignore spanarith row positions lie inside the bounded scan span
+	}
+	return pages, nil
+}
+
+func (c *batchCursor) Err() error   { return c.err }
+func (c *batchCursor) Close() error { return nil }
 
 // ScanBatches implements seq.BatchScanner for the metering wrapper:
 // batch-capable inner stores are delegated to with the shared-counter

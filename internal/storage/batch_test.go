@@ -57,10 +57,7 @@ func checkBatchStatsParity(t *testing.T, st Store, span seq.Span, size int) {
 }
 
 func TestDenseBatchScanStatsParity(t *testing.T) {
-	d, err := NewDense(closeSchema, mkEntries(1, 3, 5, 6, 8, 9, 12), seq.EmptySpan, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mkStore(t, KindDense, mkEntries(1, 3, 5, 6, 8, 9, 12), seq.EmptySpan, 2)
 	spans := []seq.Span{
 		seq.NewSpan(-5, 20), // superset: dense narrows at open
 		seq.NewSpan(1, 12),  // exact
@@ -76,15 +73,13 @@ func TestDenseBatchScanStatsParity(t *testing.T) {
 }
 
 func TestSparseBatchScanStatsParity(t *testing.T) {
-	s, err := NewSparse(closeSchema, mkEntries(1, 3, 5, 6, 8, 9, 12, 20, 21, 30), seq.EmptySpan, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mkStore(t, KindSparse, mkEntries(1, 3, 5, 6, 8, 9, 12, 20, 21, 30), seq.EmptySpan, 2)
 	spans := []seq.Span{
 		seq.NewSpan(-5, 40), // full range from before the first record
 		seq.NewSpan(1, 30),  // exact
 		seq.NewSpan(5, 21),  // mid-span start: charges the binary-search probe
 		seq.NewSpan(7, 7),   // misses every record
+		seq.NewSpan(10, 11), // in the gap behind a page's last record
 		seq.NewSpan(31, 40), // past the data
 	}
 	for _, span := range spans {
@@ -94,11 +89,40 @@ func TestSparseBatchScanStatsParity(t *testing.T) {
 	}
 }
 
-func TestSparseBatchMidSpanChargesProbe(t *testing.T) {
-	s, err := NewSparse(closeSchema, mkEntries(1, 3, 5, 6, 8, 9, 12, 20, 21, 30), seq.EmptySpan, 2)
+// TestBatchScanParityAcrossPageVersions scans snapshots whose pages were
+// written by different versions — appended tail pages, and a spliced
+// region between shared pages — through both planes.
+func TestBatchScanParityAcrossPageVersions(t *testing.T) {
+	m := seq.MustMaterialized(closeSchema, mkEntries(1, 3, 5, 6, 8))
+	v, err := NewVersioned(m, KindSparse, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, p := range []seq.Pos{9, 12, 20, 21} {
+		if err := v.Append(mkEntries(p)[0], int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores := []Store{v.SnapshotAt(2), v.Latest()}
+	for _, kind := range []Kind{KindSparse, KindDense} {
+		old := mkStore(t, kind, mkEntries(seqRange(1, 21)...), seq.EmptySpan, 2)
+		spliced, ok, err := Replace(old, seq.NewSpan(6, 11), mkEntries(7, 10))
+		if err != nil || !ok {
+			t.Fatalf("%v: Replace = ok %v, err %v", kind, ok, err)
+		}
+		stores = append(stores, spliced)
+	}
+	for _, st := range stores {
+		for _, span := range []seq.Span{seq.NewSpan(-5, 40), seq.NewSpan(4, 12), seq.NewSpan(9, 9), seq.NewSpan(13, 19)} {
+			for _, size := range []int{1, 3, 4096} {
+				checkBatchStatsParity(t, st, span, size)
+			}
+		}
+	}
+}
+
+func TestSparseBatchMidSpanChargesProbe(t *testing.T) {
+	s := mkStore(t, KindSparse, mkEntries(1, 3, 5, 6, 8, 9, 12, 20, 21, 30), seq.EmptySpan, 2)
 	s.Stats().Reset()
 	ctx := seq.NewBatchCtx()
 	drainBatches(t, s.ScanBatches(seq.NewSpan(10, 30), ctx))
@@ -155,26 +179,19 @@ func TestMeteredBatchDelegation(t *testing.T) {
 	}
 }
 
+// scalarOnly hides a store's batch interface, standing in for the
+// stores that have none (the disk-backed snapshots).
+type scalarOnly struct{ Store }
+
 // TestMeteredBatchAdapterFallback routes a non-batch-capable inner
-// store (an MVCC snapshot) through the metered wrapper's adapter path
-// and checks the per-record crediting still matches the scalar scan.
+// store through the metered wrapper's adapter path and checks the
+// per-record crediting still matches the scalar scan.
 func TestMeteredBatchAdapterFallback(t *testing.T) {
-	m, err := seq.NewMaterialized(closeSchema, mkEntries(1, 3, 5, 6, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewVersioned(m, KindSparse, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := v.Latest()
-	if _, ok := interface{}(snap).(seq.BatchScanner); ok {
-		t.Fatal("MVCC snapshots are expected to stay on the adapter path")
-	}
+	inner := scalarOnly{mkStore(t, KindSparse, mkEntries(1, 3, 5, 6, 8), seq.EmptySpan, 2)}
 	span := seq.NewSpan(1, 8)
 
 	consumer := &Stats{}
-	wrapped := Metered(snap, consumer)
+	wrapped := Metered(inner, consumer)
 	want := scanPositions(t, wrapped, span)
 	scalarDelta := consumer.SnapshotAndReset()
 
@@ -201,10 +218,7 @@ func TestMeteredBatchAdapterFallback(t *testing.T) {
 // only ever advancing in batch-sized strides. We approximate this by
 // snapshotting between NextBatch calls.
 func TestBatchCounterFlushGranularity(t *testing.T) {
-	d, err := NewDense(closeSchema, mkEntries(1, 2, 3, 4, 5, 6, 7, 8), seq.EmptySpan, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mkStore(t, KindDense, mkEntries(1, 2, 3, 4, 5, 6, 7, 8), seq.EmptySpan, 2)
 	d.Stats().Reset()
 	ctx := seq.NewBatchCtx()
 	ctx.Size = 4

@@ -49,17 +49,9 @@ func (s *Stats) AddSnapshot(d StatsSnapshot) {
 	}
 }
 
-// Fork implements StatsForker: a shallow view over the same pages and
-// records, counting into stats.
-func (d *Dense) Fork(stats *Stats) Store {
-	cp := *d
-	cp.stats = stats
-	return &cp
-}
-
-// Fork implements StatsForker: a shallow view over the same entries,
-// counting into stats.
-func (s *Sparse) Fork(stats *Stats) Store {
+// Fork implements StatsForker: a view over the same version counting
+// into stats.
+func (s *Snapshot) Fork(stats *Stats) Store {
 	cp := *s
 	cp.stats = stats
 	return &cp

@@ -9,14 +9,15 @@ import (
 	"repro/internal/seq"
 )
 
-// Versioned is a multi-version base-sequence store: the MVCC substrate of
-// the seqd server. The store's contents are held in immutable pages;
-// every mutation (Append, Reorganize) publishes a new *version* — a fresh
-// page-pointer slice sharing every untouched page with its predecessor
-// (copy-on-write at page granularity) — tagged with the epoch at which it
-// becomes visible. Readers obtain an immutable Snapshot pinned at their
-// epoch and evaluate against it while writers proceed; a snapshot never
-// observes a concurrent write.
+// Versioned is a multi-version base-sequence store: the only in-memory
+// store, and the MVCC substrate of the seqd server. The store's contents
+// are held in immutable pages; every mutation (Append, Reorganize)
+// publishes a new *version* — a fresh page-pointer slice sharing every
+// untouched page with its predecessor (copy-on-write at page
+// granularity) — tagged with the epoch at which it becomes visible.
+// Readers obtain an immutable Snapshot pinned at their epoch and evaluate
+// against it while writers proceed; a snapshot never observes a
+// concurrent write.
 //
 // An Append copies at most one page (the tail page it extends), so the
 // memory cost of K retained epochs is O(K) extra pages, not O(K) copies
@@ -24,8 +25,8 @@ import (
 // (EpochTracker.MinLive).
 //
 // mu is a leaf in the declared lock order: version-list manipulation
-// under it is pure slice/page work (packVersion, collectEntries) with
-// no calls into locked code.
+// under it is pure slice/page work (packVersion, spliceSparse,
+// collectEntries) with no calls into locked code.
 //
 //seqvet:lockorder leaf storage.Versioned.mu
 type Versioned struct {
@@ -45,12 +46,11 @@ type version struct {
 	count int // non-Null records
 }
 
-// vpage is an immutable page. Sparse-kind versions use entries (sorted,
-// ≤ rpp per page); dense-kind versions use slots (rpp positional slots,
-// nil = Null). epoch records the write that created this page version,
-// for page-version accounting.
+// vpage is an immutable page. Sparse-kind versions use entries (sorted;
+// every page but the last holds exactly rpp, so entry i lives in page
+// i/rpp); dense-kind versions use slots (rpp positional slots, nil =
+// Null, the last page cut to the span).
 type vpage struct {
-	epoch   int64
 	first   seq.Pos // position of entries[0] (sparse) / of slots[0] (dense)
 	entries []seq.Entry
 	slots   []seq.Record
@@ -84,14 +84,7 @@ func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch i
 	ver := &version{epoch: epoch, kind: kind, span: span, count: len(entries)}
 	switch kind {
 	case KindSparse:
-		for i := 0; i < len(entries); i += rpp {
-			hi := i + rpp
-			if hi > len(entries) {
-				hi = len(entries)
-			}
-			pg := entries[i:hi:hi]
-			ver.pages = append(ver.pages, &vpage{epoch: epoch, first: pg[0].Pos, entries: pg})
-		}
+		ver.pages = packSparse(nil, entries, rpp)
 	case KindDense:
 		if span.IsEmpty() {
 			break
@@ -113,7 +106,7 @@ func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch i
 			// Dense spans are bounded at construction, so offset
 			// arithmetic stays representable.
 			first := span.Start + off //seqvet:ignore spanarith bounded dense span
-			pg := &vpage{epoch: epoch, first: first, slots: make([]seq.Record, m)}
+			pg := &vpage{first: first, slots: make([]seq.Record, m)}
 			for next < len(entries) && entries[next].Pos < first+m { //seqvet:ignore spanarith bounded dense span
 				pg.slots[entries[next].Pos-first] = entries[next].Rec
 				next++
@@ -124,6 +117,16 @@ func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch i
 		return nil, fmt.Errorf("storage: unknown kind %v", kind)
 	}
 	return ver, nil
+}
+
+// packSparse appends entries to pages as sparse pages of rpp entries
+// each, the last one possibly short. The pages alias entries.
+func packSparse(pages []*vpage, entries []seq.Entry, rpp int) []*vpage {
+	for i := 0; i < len(entries); i += rpp {
+		hi := min(i+rpp, len(entries))
+		pages = append(pages, &vpage{first: entries[i].Pos, entries: entries[i:hi:hi]})
+	}
+	return pages
 }
 
 func (v *Versioned) latest() *version {
@@ -152,9 +155,9 @@ func (v *Versioned) Kind() Kind {
 // Append publishes a new version holding the latest contents plus the
 // appended entry, visible from the given epoch on. Only sparse-kind
 // versions are appendable (the same rule as the single-session library);
-// the position must lie beyond the current valid range. The tail page is
-// copied (copy-on-write); every other page is shared with the previous
-// version.
+// the position must lie beyond the current valid range. A short tail
+// page is copied (copy-on-write); every other page is shared with the
+// previous version.
 func (v *Versioned) Append(e seq.Entry, epoch int64) error {
 	if e.Rec.IsNull() {
 		return fmt.Errorf("storage: cannot append a Null record")
@@ -174,17 +177,7 @@ func (v *Versioned) Append(e seq.Entry, epoch int64) error {
 	if !cur.span.IsEmpty() && e.Pos <= cur.span.End {
 		return fmt.Errorf("storage: append position %d inside the valid range %v", e.Pos, cur.span)
 	}
-	pages := make([]*vpage, len(cur.pages), len(cur.pages)+1)
-	copy(pages, cur.pages)
-	if n := len(pages); n > 0 && len(pages[n-1].entries) < v.rpp {
-		tail := pages[n-1]
-		ents := make([]seq.Entry, len(tail.entries), len(tail.entries)+1)
-		copy(ents, tail.entries)
-		ents = append(ents, e)
-		pages[n-1] = &vpage{epoch: epoch, first: tail.first, entries: ents}
-	} else {
-		pages = append(pages, &vpage{epoch: epoch, first: e.Pos, entries: []seq.Entry{e}})
-	}
+	pages := spliceSparse(cur.pages, v.rpp, seq.NewSpan(e.Pos, e.Pos), []seq.Entry{e})
 	span := cur.span
 	if span.IsEmpty() {
 		span = seq.NewSpan(e.Pos, e.Pos)
@@ -331,29 +324,36 @@ func (s *Snapshot) Info() seq.Info {
 // Stats implements Store.
 func (s *Snapshot) Stats() *Stats { return s.stats }
 
-// probeDepth mirrors Sparse.probeDepth: the page touches charged per
-// probed descent of the page index.
+// probeDepth is the page touches charged per probed descent of the
+// sparse page index: the height of a binary search over the pages, at
+// least 1 when any page exists.
 func (s *Snapshot) probeDepth() int64 {
 	n := int64(len(s.v.pages))
 	if n <= 1 {
 		return n
 	}
-	return int64(bits.Len64(uint64(n - 1)))
+	return int64(bits.Len64(uint64(n - 1))) // ceil(log2(n))
 }
 
-// AccessCosts implements Store.
+// AccessCosts implements Store: a full scan touches every page (empty
+// dense slots still occupy space); a dense probe touches exactly one
+// page, a sparse probe descends the index.
 func (s *Snapshot) AccessCosts() AccessCosts {
-	if s.v.kind == KindDense {
-		return AccessCosts{StreamPages: int64(len(s.v.pages)), ProbePages: 1, RecordsPerPage: s.rpp}
-	}
-	d := s.probeDepth()
-	if d == 0 {
-		d = 1
+	d := int64(1)
+	if s.v.kind == KindSparse {
+		d = max(s.probeDepth(), 1)
 	}
 	return AccessCosts{StreamPages: int64(len(s.v.pages)), ProbePages: d, RecordsPerPage: s.rpp}
 }
 
-// Probe implements seq.Sequence.
+// densePage returns the index of the dense page holding pos, which must
+// lie inside the version's (bounded) span.
+func (s *Snapshot) densePage(pos seq.Pos) int {
+	return int((pos - s.v.span.Start) / int64(s.rpp)) //seqvet:ignore spanarith bounded dense span
+}
+
+// Probe implements seq.Sequence. A position outside the valid range
+// answers Null without touching a page.
 func (s *Snapshot) Probe(pos seq.Pos) (seq.Record, error) {
 	s.stats.ProbeRecords.Add(1)
 	if !s.v.span.Contains(pos) || len(s.v.pages) == 0 {
@@ -361,8 +361,7 @@ func (s *Snapshot) Probe(pos seq.Pos) (seq.Record, error) {
 	}
 	if s.v.kind == KindDense {
 		s.stats.RandPages.Add(1)
-		pi := int((pos - s.v.span.Start) / int64(s.rpp)) //seqvet:ignore spanarith bounded dense span
-		pg := s.v.pages[pi]
+		pg := s.v.pages[s.densePage(pos)]
 		return pg.slots[pos-pg.first], nil
 	}
 	s.stats.RandPages.Add(s.probeDepth())
@@ -378,6 +377,19 @@ func (s *Snapshot) Probe(pos seq.Pos) (seq.Record, error) {
 	return nil, nil
 }
 
+// seek positions a sparse scan at the first entry at or after start
+// (page index, entry index within it). Entering the middle of the file
+// requires an index descent, charged like a probe.
+func (s *Snapshot) seek(start seq.Pos) (pi, j int) {
+	pi = max(sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].first > start })-1, 0)
+	ents := s.v.pages[pi].entries
+	j = sort.Search(len(ents), func(i int) bool { return ents[i].Pos >= start })
+	if pi > 0 || j > 0 {
+		s.stats.RandPages.Add(s.probeDepth())
+	}
+	return pi, j
+}
+
 // Scan implements seq.Sequence: sequential page touches over the
 // intersection of the requested span with the version's valid range.
 func (s *Snapshot) Scan(span seq.Span) seq.Cursor {
@@ -386,23 +398,19 @@ func (s *Snapshot) Scan(span seq.Span) seq.Cursor {
 		return emptyCursor{}
 	}
 	if s.v.kind == KindDense {
-		return &snapDenseCursor{s: s, pos: span.Start, end: span.End, page: -1}
+		return &denseCursor{s: s, pos: span.Start, end: span.End, page: -1}
 	}
-	pi := sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].first > span.Start }) - 1
-	if pi < 0 {
-		pi = 0
-	}
-	ents := s.v.pages[pi].entries
-	j := sort.Search(len(ents), func(i int) bool { return ents[i].Pos >= span.Start })
-	if pi > 0 || j > 0 {
-		// Entering the middle of the file requires an index descent,
-		// exactly as in Sparse.Scan.
-		s.stats.RandPages.Add(s.probeDepth())
-	}
-	return &snapSparseCursor{s: s, pi: pi, j: j, end: span.End, page: -1}
+	pi, j := s.seek(span.Start)
+	return &sparseCursor{s: s, pi: pi, j: j, end: span.End, page: -1}
 }
 
-type snapSparseCursor struct {
+type emptyCursor struct{}
+
+func (emptyCursor) Next() (seq.Pos, seq.Record, bool) { return 0, nil, false }
+func (emptyCursor) Err() error                        { return nil }
+func (emptyCursor) Close() error                      { return nil }
+
+type sparseCursor struct {
 	s    *Snapshot
 	pi   int // current page index
 	j    int // next entry index within page pi
@@ -410,7 +418,7 @@ type snapSparseCursor struct {
 	page int // last page charged; -1 before the first touch
 }
 
-func (c *snapSparseCursor) Next() (seq.Pos, seq.Record, bool) {
+func (c *sparseCursor) Next() (seq.Pos, seq.Record, bool) {
 	for c.pi < len(c.s.v.pages) {
 		pg := c.s.v.pages[c.pi]
 		if c.j >= len(pg.entries) {
@@ -433,22 +441,24 @@ func (c *snapSparseCursor) Next() (seq.Pos, seq.Record, bool) {
 	return 0, nil, false
 }
 
-func (c *snapSparseCursor) Err() error   { return nil }
-func (c *snapSparseCursor) Close() error { return nil }
+func (c *sparseCursor) Err() error   { return nil }
+func (c *sparseCursor) Close() error { return nil }
 
-type snapDenseCursor struct {
+type denseCursor struct {
 	s    *Snapshot
 	pos  seq.Pos
 	end  seq.Pos
-	page int
+	page int // last page charged; -1 before the first touch
 }
 
-func (c *snapDenseCursor) Next() (seq.Pos, seq.Record, bool) {
+func (c *denseCursor) Next() (seq.Pos, seq.Record, bool) {
 	for c.pos <= c.end {
 		p := c.pos
 		c.pos++
-		// Dense versions have bounded spans at construction.
-		pi := int((p - c.s.v.span.Start) / int64(c.s.rpp)) //seqvet:ignore spanarith bounded dense span
+		// Charge each page the first time the scan enters it, whether or
+		// not it holds any non-Null record: empty slots still occupy
+		// space in a dense layout.
+		pi := c.s.densePage(p)
 		if pi != c.page {
 			c.page = pi
 			c.s.stats.SeqPages.Add(1)
@@ -462,5 +472,5 @@ func (c *snapDenseCursor) Next() (seq.Pos, seq.Record, bool) {
 	return 0, nil, false
 }
 
-func (c *snapDenseCursor) Err() error   { return nil }
-func (c *snapDenseCursor) Close() error { return nil }
+func (c *denseCursor) Err() error   { return nil }
+func (c *denseCursor) Close() error { return nil }

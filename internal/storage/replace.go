@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/seq"
 )
@@ -9,35 +10,46 @@ import (
 // Replace builds a new store whose content equals old everywhere except
 // inside hit, where it is exactly fresh. It is the write path of view
 // stitching: maintenance re-evaluates only the delta halo, and splicing
-// the result must not cost a full rebuild. Unchanged storage is copied
-// flat — Dense slots and Sparse entries are position-validated already,
-// so only the fresh records are checked — making a replacement O(store)
-// in memcpy plus O(|fresh|) in validation instead of O(store) in
-// re-validation, sorting, and page packing. The copy leaves old
-// untouched: pinned readers of the previous generation keep a consistent
-// store.
+// the result must not cost a full rebuild. Only the pages overlapping
+// hit are rebuilt; every other page is shared with old (copy-on-write at
+// page granularity, as between the versions of a Versioned store), so a
+// replacement costs O(pages) in pointer copies plus O(|hit|) in records,
+// and only the fresh records are validated. old is left untouched:
+// pinned readers of the previous generation keep a consistent store.
 //
-// The second return is false when the store kind has no flat replacement
-// path (callers fall back to rebuilding).
+// The second return is false when old is not an in-memory Snapshot.
 func Replace(old Store, hit seq.Span, fresh []seq.Entry) (Store, bool, error) {
-	if err := checkFresh(old.Info().Schema, hit, fresh); err != nil {
+	s, ok := old.(*Snapshot)
+	if !ok {
+		return nil, false, nil
+	}
+	if err := checkFresh(s.schema, s.v.span, hit, fresh); err != nil {
 		return nil, false, err
 	}
-	switch s := old.(type) {
-	case *Dense:
-		return replaceDense(s, hit, fresh)
-	case *Sparse:
-		return replaceSparse(s, hit, fresh)
+	ver := &version{epoch: s.v.epoch, kind: s.v.kind, span: s.v.span, pages: s.v.pages, count: s.v.count}
+	if region := hit.Intersect(s.v.span); !region.IsEmpty() {
+		if s.v.kind == KindDense {
+			ver.pages, ver.count = spliceDense(s, region, fresh)
+		} else {
+			ver.pages = spliceSparse(s.v.pages, s.rpp, region, fresh)
+			ver.count = 0
+			if n := len(ver.pages); n > 0 {
+				ver.count = (n-1)*s.rpp + len(ver.pages[n-1].entries)
+			}
+		}
 	}
-	return nil, false, nil
+	return &Snapshot{at: s.at, v: ver, rpp: s.rpp, schema: s.schema, stats: &Stats{}}, true, nil
 }
 
 // checkFresh validates the replacement region: entries strictly ordered,
-// inside hit, non-Null, and conforming. O(|fresh|).
-func checkFresh(schema *seq.Schema, hit seq.Span, fresh []seq.Entry) error {
+// inside hit and the store's span, non-Null, and conforming. O(|fresh|).
+func checkFresh(schema *seq.Schema, span, hit seq.Span, fresh []seq.Entry) error {
 	for i, e := range fresh {
-		if e.Pos < hit.Start || e.Pos > hit.End {
+		if !hit.Contains(e.Pos) {
 			return fmt.Errorf("storage: replacement entry at %d outside region %v", e.Pos, hit)
+		}
+		if !span.Contains(e.Pos) {
+			return fmt.Errorf("storage: replacement entry at %d outside store span %v", e.Pos, span)
 		}
 		if i > 0 && e.Pos <= fresh[i-1].Pos {
 			return fmt.Errorf("storage: replacement entries not strictly ordered at %d", e.Pos)
@@ -52,67 +64,71 @@ func checkFresh(schema *seq.Schema, hit seq.Span, fresh []seq.Entry) error {
 	return nil
 }
 
-func replaceDense(d *Dense, hit seq.Span, fresh []seq.Entry) (Store, bool, error) {
-	recs := make([]seq.Record, len(d.recs))
-	copy(recs, d.recs)
-	count := d.count
-	if !d.span.Bounded() {
-		// An empty dense store (the only unbounded-span case NewDense
-		// admits) has nothing to clear and no slot for fresh records.
-		if len(fresh) > 0 {
-			return nil, false, fmt.Errorf("storage: replacement entries for an empty dense store")
+// spliceDense copies the positional pages overlapping region (inside
+// the store's span), clears region in the copies and sets fresh.
+func spliceDense(s *Snapshot, region seq.Span, fresh []seq.Entry) ([]*vpage, int) {
+	pages := append([]*vpage(nil), s.v.pages...)
+	count := s.v.count
+	for pi := s.densePage(region.Start); pi <= s.densePage(region.End); pi++ {
+		pg := &vpage{first: pages[pi].first, slots: append([]seq.Record(nil), pages[pi].slots...)}
+		// region lies inside the dense (bounded) span.
+		lo := max(region.Start-pg.first, 0)                    //seqvet:ignore spanarith bounded dense span
+		hi := min(region.End-pg.first, int64(len(pg.slots))-1) //seqvet:ignore spanarith bounded dense span
+		for i := lo; i <= hi; i++ {
+			if pg.slots[i] != nil {
+				pg.slots[i] = nil
+				count--
+			}
 		}
-		return &Dense{schema: d.schema, span: d.span, recs: recs, count: count, rpp: d.rpp, stats: &Stats{}}, true, nil
-	}
-	// An empty intersection leaves the clearing loop body unreached.
-	region := hit.Intersect(d.span)
-	for p := region.Start; p <= region.End; p++ {
-		slot := p - d.span.Start
-		if recs[slot] != nil {
-			count--
-			recs[slot] = nil
-		}
+		pages[pi] = pg
 	}
 	for _, e := range fresh {
-		if e.Pos < d.span.Start || e.Pos > d.span.End {
-			return nil, false, fmt.Errorf("storage: replacement entry at %d outside store span %v", e.Pos, d.span)
-		}
-		recs[e.Pos-d.span.Start] = e.Rec
-		count++
+		pg := pages[s.densePage(e.Pos)]
+		pg.slots[e.Pos-pg.first] = e.Rec
 	}
-	return &Dense{schema: d.schema, span: d.span, recs: recs, count: count, rpp: d.rpp, stats: &Stats{}}, true, nil
+	return pages, count + len(fresh)
 }
 
-func replaceSparse(s *Sparse, hit seq.Span, fresh []seq.Entry) (Store, bool, error) {
-	for _, e := range fresh {
-		if e.Pos < s.span.Start || e.Pos > s.span.End {
-			return nil, false, fmt.Errorf("storage: replacement entry at %d outside store span %v", e.Pos, s.span)
-		}
+// spliceSparse returns pages with the entries inside hit replaced by
+// fresh (sorted, inside hit). Pages wholly before hit are shared. Pages
+// after it are shared too when the record count inside hit is unchanged;
+// otherwise their packing shifts and they are repacked, keeping every
+// page but the last full — the layout, and so the page accounting, of a
+// store packed from scratch.
+func spliceSparse(pages []*vpage, rpp int, hit seq.Span, fresh []seq.Entry) []*vpage {
+	lo := sort.Search(len(pages), func(i int) bool {
+		es := pages[i].entries
+		return es[len(es)-1].Pos >= hit.Start
+	})
+	hi := sort.Search(len(pages), func(i int) bool { return pages[i].first > hit.End })
+	var head, tail []seq.Entry // survivors of the boundary pages
+	held := 0                  // entries in pages[lo:hi]
+	if lo < hi {
+		es := pages[lo].entries
+		head = es[:sort.Search(len(es), func(i int) bool { return es[i].Pos >= hit.Start })]
+		es = pages[hi-1].entries
+		tail = es[sort.Search(len(es), func(i int) bool { return es[i].Pos > hit.End }):]
+		held = (hi-lo-1)*rpp + len(es)
 	}
-	// Binary-search the cut points: entries[:lo] precede hit,
-	// entries[hi:] follow it.
-	lo, hi := 0, len(s.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.entries[mid].Pos < hit.Start {
-			lo = mid + 1
-		} else {
-			hi = mid
+	rest := hi // pages[rest:hi] are repacked whole behind tail
+	if held-len(head)-len(tail) != len(fresh) {
+		hi = len(pages)
+		if lo == hi && lo > 0 && len(pages[lo-1].entries) < rpp {
+			lo-- // extend the short last page instead of opening a new one
+			head = pages[lo].entries
 		}
+	} else if lo == hi {
+		return pages // nothing inside hit, before or after
 	}
-	cut := lo
-	lo, hi = cut, len(s.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.entries[mid].Pos <= hit.End {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := len(head) + len(fresh) + len(tail)
+	if rest < hi {
+		n += (hi-rest-1)*rpp + len(pages[hi-1].entries)
 	}
-	merged := make([]seq.Entry, 0, cut+len(fresh)+len(s.entries)-lo)
-	merged = append(merged, s.entries[:cut]...)
-	merged = append(merged, fresh...)
-	merged = append(merged, s.entries[lo:]...)
-	return &Sparse{schema: s.schema, span: s.span, entries: merged, rpp: s.rpp, stats: &Stats{}}, true, nil
+	mid := append(append(append(make([]seq.Entry, 0, n), head...), fresh...), tail...)
+	for _, pg := range pages[rest:hi] {
+		mid = append(mid, pg.entries...)
+	}
+	out := make([]*vpage, 0, lo+(n+rpp-1)/rpp+len(pages)-hi)
+	out = packSparse(append(out, pages[:lo]...), mid, rpp)
+	return append(out, pages[hi:]...)
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -24,11 +25,15 @@ func replaceEntries(lo, hi int) []seq.Entry {
 	return out
 }
 
-func buildKind(schema *seq.Schema, entries []seq.Entry, span seq.Span, kind Kind) (Store, error) {
-	if kind == KindDense {
-		return NewDense(schema, entries, span, 0)
+func buildKind(schema *seq.Schema, entries []seq.Entry, span seq.Span, kind Kind) (*Snapshot, error) {
+	m, err := seq.NewMaterialized(schema, entries)
+	if err != nil {
+		return nil, err
 	}
-	return NewSparse(schema, entries, span, 0)
+	if m, err = m.WithSpan(span); err != nil {
+		return nil, err
+	}
+	return FromMaterialized(m, kind, 4)
 }
 
 // scanAll collects a store's full content.
@@ -113,6 +118,120 @@ func TestReplaceRejectsBadFresh(t *testing.T) {
 		_, _, err := Replace(old, tc.hit, tc.fresh)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// sharedPages counts the pages of b that are the very pages of a.
+func sharedPages(a, b *Snapshot) int {
+	old := make(map[*vpage]bool, len(a.v.pages))
+	for _, pg := range a.v.pages {
+		old[pg] = true
+	}
+	n := 0
+	for _, pg := range b.v.pages {
+		if old[pg] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplaceSharesPages pins the copy-on-write granularity: only the
+// pages overlapping the region are rebuilt, unless a sparse replacement
+// changes the record count, which shifts the packing behind it.
+func TestReplaceSharesPages(t *testing.T) {
+	schema := replaceSchema(t)
+	cases := []struct {
+		name   string
+		kind   Kind
+		hit    seq.Span
+		fresh  []seq.Entry
+		shared int // of 16 pages of 4
+	}{
+		{"dense interior", KindDense, seq.NewSpan(30, 33), replaceEntries(31, 31), 14},
+		{"dense empty region", KindDense, seq.NewSpan(70, 80), nil, 16},
+		{"sparse interior, same count", KindSparse, seq.NewSpan(30, 33), replaceEntries(30, 33), 14},
+		{"sparse interior, fewer", KindSparse, seq.NewSpan(30, 33), replaceEntries(31, 31), 7},
+		{"sparse tail", KindSparse, seq.NewSpan(62, 64), replaceEntries(62, 63), 15},
+		{"sparse nothing inside", KindSparse, seq.NewSpan(70, 80), nil, 16},
+	}
+	for _, tc := range cases {
+		old, err := buildKind(schema, replaceEntries(1, 64), seq.NewSpan(1, 64), tc.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Replace(old, tc.hit, tc.fresh)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := sharedPages(old, got.(*Snapshot)); n != tc.shared {
+			t.Errorf("%s: %d pages shared with the old store, want %d", tc.name, n, tc.shared)
+		}
+	}
+}
+
+// TestReplaceMatchesRebuild checks replacement against packing the
+// merged content from scratch: same records, count and page accounting,
+// for random regions including ones reaching outside the store's span.
+func TestReplaceMatchesRebuild(t *testing.T) {
+	schema := replaceSchema(t)
+	rng := rand.New(rand.NewSource(12))
+	span := seq.NewSpan(10, 90)
+	for iter := 0; iter < 400; iter++ {
+		kind := Kind(iter % 2)
+		var entries []seq.Entry
+		for p := span.Start; p <= span.End; p++ {
+			if rng.Intn(3) > 0 {
+				entries = append(entries, seq.Entry{Pos: p, Rec: seq.Record{seq.Int(p)}})
+			}
+		}
+		old, err := buildKind(schema, entries, span, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := seq.Pos(rng.Intn(100))
+		hit := seq.NewSpan(a, a+seq.Pos(rng.Intn(30)))
+		var fresh, want []seq.Entry
+		for p := hit.Start; p <= hit.End; p++ {
+			if span.Contains(p) && rng.Intn(2) == 0 {
+				fresh = append(fresh, seq.Entry{Pos: p, Rec: seq.Record{seq.Int(-p)}})
+			}
+		}
+		for _, e := range entries {
+			if !hit.Contains(e.Pos) {
+				want = append(want, e)
+			}
+		}
+		want = append(want, fresh...)
+		ref, err := buildKind(schema, want, span, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _, err := Replace(old, hit, fresh)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		got := st.(*Snapshot)
+		ge, re := scanAll(t, got), scanAll(t, ref)
+		if len(ge) != len(re) || got.Count() != ref.Count() {
+			t.Fatalf("iter %d %v hit %v: %d records (count %d), want %d", iter, kind, hit, len(ge), got.Count(), ref.Count())
+		}
+		for i := range ge {
+			if ge[i].Pos != re[i].Pos || !ge[i].Rec.Equal(re[i].Rec) {
+				t.Fatalf("iter %d %v hit %v: entry %d = %v, want %v", iter, kind, hit, i, ge[i], re[i])
+			}
+		}
+		if got.AccessCosts() != ref.AccessCosts() || got.Info() != ref.Info() {
+			t.Fatalf("iter %d %v hit %v: costs %+v info %+v, rebuilt %+v %+v",
+				iter, kind, hit, got.AccessCosts(), got.Info(), ref.AccessCosts(), ref.Info())
+		}
+		if got.Stats().Snapshot() != ref.Stats().Snapshot() {
+			t.Fatalf("iter %d %v hit %v: a full scan charged %v, rebuilt %v",
+				iter, kind, hit, got.Stats().Snapshot(), ref.Stats().Snapshot())
+		}
+		if n := len(scanAll(t, old)); n != len(entries) {
+			t.Fatalf("iter %d: original store mutated, %d entries", iter, n)
 		}
 	}
 }

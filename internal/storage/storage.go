@@ -9,14 +9,21 @@
 // as a disk-resident store would incur them, so the optimizer's stream
 // vs. probe trade-offs and the span-restriction savings remain observable.
 //
-// Two representations are provided:
+// One in-memory implementation serves every consumer: the versioned
+// page store (Versioned, read through immutable Snapshots). The library,
+// the view registry and the experiments hold single-version stores built
+// by FromMaterialized; seqd publishes a version per write. Pages come in
+// the paper's two physical organisations (§3.4):
 //
-//   - Dense: an array of pages over the valid range with a validity
-//     bitmap; probing is a single page touch (records are addressable by
-//     position directly).
-//   - Sparse: sorted runs of (position, record) entries packed into pages,
+//   - KindDense: positional pages over the valid range, nil slots for
+//     empty positions; probing is a single page touch (records are
+//     addressable by position directly).
+//   - KindSparse: sorted (position, record) entries packed into pages,
 //     with a binary-search index; probing touches ~log2(pages) pages,
 //     modeling a B-tree descent on an unclustered position index.
+//
+// The disk tier (storage/disk) keeps the same page accounting behind a
+// buffer pool.
 package storage
 
 import (
@@ -216,6 +223,37 @@ type SeqSnapshot interface {
 	Kind() Kind
 	// Count is the number of non-Null records.
 	Count() int
+}
+
+// Kind selects a physical representation.
+type Kind int
+
+// The available physical representations.
+const (
+	KindDense Kind = iota
+	KindSparse
+)
+
+// String returns the kind's name.
+func (k Kind) String() string {
+	switch k {
+	case KindDense:
+		return "dense"
+	case KindSparse:
+		return "sparse"
+	default:
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+}
+
+// FromMaterialized packs a materialized sequence into a single-version
+// store of the given kind.
+func FromMaterialized(m *seq.Materialized, kind Kind, recordsPerPage int) (*Snapshot, error) {
+	v, err := NewVersioned(m, kind, recordsPerPage, 0)
+	if err != nil {
+		return nil, err
+	}
+	return v.Latest(), nil
 }
 
 // DefaultRecordsPerPage is used when a store is built without an explicit

@@ -43,11 +43,28 @@ func eqPos(a, b []seq.Pos) bool {
 	return true
 }
 
-func TestDenseBasics(t *testing.T) {
-	d, err := NewDense(closeSchema, mkEntries(1, 3, 5), seq.EmptySpan, 2)
+// mkStore builds a single-version store of the given kind over entries
+// (any order); a non-empty span widens the valid range beyond the hull.
+func mkStore(t *testing.T, kind Kind, entries []seq.Entry, span seq.Span, rpp int) *Snapshot {
+	t.Helper()
+	m, err := seq.NewMaterialized(closeSchema, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !span.IsEmpty() {
+		if m, err = m.WithSpan(span); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := FromMaterialized(m, kind, rpp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestDenseBasics(t *testing.T) {
+	d := mkStore(t, KindDense, mkEntries(1, 3, 5), seq.EmptySpan, 2)
 	info := d.Info()
 	if info.Span != seq.NewSpan(1, 5) {
 		t.Errorf("span = %v", info.Span)
@@ -64,10 +81,7 @@ func TestDenseBasics(t *testing.T) {
 }
 
 func TestDenseProbeCosts(t *testing.T) {
-	d, err := NewDense(closeSchema, mkEntries(1, 2, 3, 4), seq.EmptySpan, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mkStore(t, KindDense, mkEntries(1, 2, 3, 4), seq.EmptySpan, 2)
 	r, err := d.Probe(3)
 	if err != nil || r.IsNull() {
 		t.Fatalf("Probe(3) = %v, %v", r, err)
@@ -87,10 +101,7 @@ func TestDenseProbeCosts(t *testing.T) {
 
 func TestDenseScanCosts(t *testing.T) {
 	// 10 positions, 4 per page -> 3 pages for a full scan.
-	d, err := NewDense(closeSchema, mkEntries(1, 4, 10), seq.NewSpan(1, 10), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mkStore(t, KindDense, mkEntries(1, 4, 10), seq.NewSpan(1, 10), 4)
 	if got := d.AccessCosts(); got.StreamPages != 3 || got.ProbePages != 1 {
 		t.Errorf("AccessCosts = %+v", got)
 	}
@@ -110,30 +121,38 @@ func TestDenseScanCosts(t *testing.T) {
 	}
 }
 
-func TestDenseRejects(t *testing.T) {
-	if _, err := NewDense(nil, nil, seq.EmptySpan, 0); err == nil {
-		t.Error("nil schema must be rejected")
-	}
-	if _, err := NewDense(closeSchema, mkEntries(1, 1), seq.EmptySpan, 0); err == nil {
+// The store is built from a Materialized, which rejects duplicate
+// positions, non-conforming records and a span not covering its entries
+// before storage sees them; what is left for the constructor to refuse
+// is checked here.
+func TestConstructorRejects(t *testing.T) {
+	if _, err := seq.NewMaterialized(closeSchema, mkEntries(1, 1)); err == nil {
 		t.Error("duplicate positions must be rejected")
 	}
-	if _, err := NewDense(closeSchema, mkEntries(5), seq.NewSpan(1, 3), 0); err == nil {
+	if _, err := seq.NewMaterialized(closeSchema, []seq.Entry{{Pos: 1, Rec: seq.Record{seq.Int(1)}}}); err == nil {
+		t.Error("non-conforming record must be rejected")
+	}
+	m := seq.MustMaterialized(closeSchema, mkEntries(5))
+	if _, err := m.WithSpan(seq.NewSpan(1, 3)); err == nil {
 		t.Error("span not covering entries must be rejected")
 	}
-	if _, err := NewDense(closeSchema, mkEntries(1), seq.AllSpan, 0); err == nil {
+	if _, err := FromMaterialized(nil, KindDense, 0); err == nil {
+		t.Error("nil data must be rejected")
+	}
+	all, err := m.WithSpan(seq.AllSpan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromMaterialized(all, KindDense, 0); err == nil {
 		t.Error("unbounded dense span must be rejected")
 	}
-	bad := []seq.Entry{{Pos: 1, Rec: seq.Record{seq.Int(1)}}}
-	if _, err := NewDense(closeSchema, bad, seq.EmptySpan, 0); err == nil {
-		t.Error("non-conforming record must be rejected")
+	if _, err := FromMaterialized(all, KindSparse, 0); err != nil {
+		t.Errorf("unbounded sparse span: %v", err)
 	}
 }
 
 func TestSparseBasics(t *testing.T) {
-	s, err := NewSparse(closeSchema, mkEntries(5, 1, 3), seq.NewSpan(1, 10), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mkStore(t, KindSparse, mkEntries(5, 1, 3), seq.NewSpan(1, 10), 2)
 	if s.Info().Density != 0.3 {
 		t.Errorf("density = %g", s.Info().Density)
 	}
@@ -151,10 +170,7 @@ func TestSparseBasics(t *testing.T) {
 
 func TestSparseProbeCostGrowsLogarithmically(t *testing.T) {
 	// 64 entries, 4 per page -> 16 pages -> depth 4.
-	s, err := NewSparse(closeSchema, mkEntries(seqRange(1, 64)...), seq.EmptySpan, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mkStore(t, KindSparse, mkEntries(seqRange(1, 64)...), seq.EmptySpan, 4)
 	if got := s.AccessCosts().ProbePages; got != 4 {
 		t.Errorf("probe depth = %d, want 4", got)
 	}
@@ -165,10 +181,7 @@ func TestSparseProbeCostGrowsLogarithmically(t *testing.T) {
 }
 
 func TestSparseScanCharges(t *testing.T) {
-	s, err := NewSparse(closeSchema, mkEntries(seqRange(1, 8)...), seq.EmptySpan, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mkStore(t, KindSparse, mkEntries(seqRange(1, 8)...), seq.EmptySpan, 4)
 	scanPositions(t, s, seq.AllSpan)
 	st := s.Stats().Snapshot()
 	if st.SeqPages != 2 {
@@ -187,14 +200,8 @@ func TestSparseLowDensityScanCheaperThanDense(t *testing.T) {
 	// 1000-position span, 10 records: sparse scans 1 page, dense scans 16.
 	entries := mkEntries(seqRange(1, 10)...)
 	span := seq.NewSpan(1, 1000)
-	sp, err := NewSparse(closeSchema, entries, span, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	de, err := NewDense(closeSchema, entries, span, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := mkStore(t, KindSparse, entries, span, 64)
+	de := mkStore(t, KindDense, entries, span, 64)
 	if sp.AccessCosts().StreamPages >= de.AccessCosts().StreamPages {
 		t.Errorf("sparse scan (%d pages) must be cheaper than dense (%d) at low density",
 			sp.AccessCosts().StreamPages, de.AccessCosts().StreamPages)
@@ -210,6 +217,9 @@ func TestFromMaterialized(t *testing.T) {
 		}
 		if got := scanPositions(t, st, seq.AllSpan); !eqPos(got, []seq.Pos{1, 2, 3}) {
 			t.Errorf("%v scan = %v", kind, got)
+		}
+		if st.Kind() != kind || st.SnapshotEpoch() != 0 || st.VersionEpoch() != 0 {
+			t.Errorf("%v: kind %v at epoch %d/%d", kind, st.Kind(), st.SnapshotEpoch(), st.VersionEpoch())
 		}
 	}
 	if _, err := FromMaterialized(m, Kind(99), 0); err == nil {
@@ -260,12 +270,11 @@ func TestStoresAgreeWithReference(t *testing.T) {
 		}
 		entries := mkEntries(positions...)
 		ref := seq.MustMaterialized(closeSchema, entries)
-		span := ref.Info().Span
-		dn, err := NewDense(closeSchema, entries, span, 4)
+		dn, err := FromMaterialized(ref, KindDense, 4)
 		if err != nil {
 			return false
 		}
-		sp, err := NewSparse(closeSchema, entries, span, 4)
+		sp, err := FromMaterialized(ref, KindSparse, 4)
 		if err != nil {
 			return false
 		}

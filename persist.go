@@ -182,10 +182,10 @@ func (db *DB) Checkpoint() error {
 }
 
 // GC reclaims superseded on-disk versions and their page slots. The
-// library's queries read the latest version, so only queries built
-// before the most recent mutation can still reference reclaimed state;
-// re-build those with Query after GC. Returns versions and page slots
-// freed (both 0 for in-memory databases).
+// library's queries resolve the latest version when they run, so none
+// references reclaimed state. Returns versions and page slots freed
+// (both 0 for in-memory databases, which drop superseded versions as
+// they write).
 func (db *DB) GC() (versions, pages int) {
 	if db.disk == nil {
 		return 0, 0

@@ -139,22 +139,29 @@ type DB struct {
 }
 
 type dbSeq struct {
-	name  string
+	name string
+	// store is a snapshot of the latest version, re-forked after every
+	// mutation with the same counters so PageStats accumulates across
+	// versions.
 	store storage.Store
 	stats map[int]expr.ColStats
-	// dseq is the durable sequence behind store (nil in-memory).
-	// store is then a snapshot of its latest version, re-forked after
-	// every mutation with the same counters so PageStats accumulates
-	// across versions.
+	// Exactly one tier holds the versions: mem for New'd databases,
+	// dseq (the durable sequence) for Open'd ones.
+	mem  *storage.Versioned
 	dseq *disk.Seq
 }
 
-// refresh points store at the latest durable version after a mutation,
-// keeping the accumulated page counters.
+// refresh points store at the latest version after a mutation, keeping
+// the accumulated page counters.
 func (s *dbSeq) refresh() {
 	if s.dseq != nil {
 		s.store = s.dseq.Latest().Fork(s.store.Stats())
+		return
 	}
+	// Library queries resolve their leaves when they run, so nothing
+	// reads the superseded versions.
+	s.mem.GC(s.mem.LatestEpoch())
+	s.store = s.mem.Latest().Fork(s.store.Stats())
 }
 
 // node mints a fresh algebra leaf over the stored sequence. Every
@@ -198,14 +205,15 @@ func (db *DB) CreateSequence(name string, data *seq.Materialized, kind StorageKi
 		}
 		return nil
 	}
-	store, err := storage.FromMaterialized(data, kind, 0)
+	mem, err := storage.NewVersioned(data, kind, 0, 0)
 	if err != nil {
 		return err
 	}
 	db.seqs[name] = &dbSeq{
 		name:  name,
-		store: store,
+		store: mem.Latest(),
 		stats: meta.StatsFromMaterialized(data),
+		mem:   mem,
 	}
 	return nil
 }
@@ -269,17 +277,10 @@ func (db *DB) Append(name string, pos Pos, rec Record) error {
 		if _, err := db.disk.Append(name, seq.Entry{Pos: pos, Rec: rec}); err != nil {
 			return err
 		}
-		s.refresh()
-		db.maintainBase(name, seq.NewSpan(pos, pos))
-		return nil
-	}
-	sp, ok := s.store.(*storage.Sparse)
-	if !ok {
-		return fmt.Errorf("seqproc: sequence %q is not appendable (use Sparse storage)", name)
-	}
-	if err := sp.Append(seq.Entry{Pos: pos, Rec: rec}); err != nil {
+	} else if err := s.mem.Append(seq.Entry{Pos: pos, Rec: rec}, s.mem.LatestEpoch()+1); err != nil {
 		return err
 	}
+	s.refresh()
 	// Views over this base are maintained incrementally: the delta halo
 	// of the appended position is re-evaluated and stitched in; views
 	// not worth stitching are shrunk or invalidated.
@@ -297,15 +298,17 @@ func (db *DB) maintainBase(name string, delta Span) {
 		db.views.InvalidateBase(name)
 		return
 	}
-	lookup := func(b string) (seq.Sequence, bool) {
-		s, ok := db.seqs[b]
-		if !ok {
-			return nil, false
-		}
-		return s.store, true
-	}
-	reports, _ := core.MaintainViews(db.views, name, delta, 0, lookup, db.opts)
+	reports, _ := core.MaintainViews(db.views, name, delta, 0, db.sequence, db.opts)
 	db.maintReports = append(db.maintReports, reports...)
+}
+
+// sequence resolves a base name to the latest version of its sequence.
+func (db *DB) sequence(name string) (seq.Sequence, bool) {
+	s, ok := db.seqs[name]
+	if !ok {
+		return nil, false
+	}
+	return s.store, true
 }
 
 // SetViewMaintenance toggles incremental view maintenance (default on).
@@ -336,34 +339,13 @@ func (db *DB) Reorganize(name string, kind StorageKind) error {
 		if _, err := db.disk.Reorganize(name, kind); err != nil {
 			return err
 		}
-		s.refresh()
-		// Reorganization preserves logical content: the delta is empty,
-		// so maintenance keeps every view (or invalidates them all when
-		// maintenance is off).
-		db.maintainBase(name, seq.EmptySpan)
-		return nil
-	}
-	info := s.store.Info()
-	entries, err := seq.Collect(s.store.Scan(seq.AllSpan))
-	if err != nil {
+	} else if err := s.mem.Reorganize(kind, s.mem.LatestEpoch()+1); err != nil {
 		return err
 	}
-	data, err := seq.NewMaterialized(info.Schema, entries)
-	if err != nil {
-		return err
-	}
-	if info.Span.Bounded() {
-		if data, err = data.WithSpan(info.Span); err != nil {
-			return err
-		}
-	}
-	store, err := storage.FromMaterialized(data, kind, 0)
-	if err != nil {
-		return err
-	}
-	s.store = store
-	// Reorganization preserves logical content (empty delta); views
-	// survive it under maintenance.
+	s.refresh()
+	// Reorganization preserves logical content: the delta is empty, so
+	// maintenance keeps every view (or invalidates them all when
+	// maintenance is off).
 	db.maintainBase(name, seq.EmptySpan)
 	return nil
 }
@@ -475,7 +457,8 @@ func (db *DB) DropView(name string) error {
 
 // Query parses a SEQL query against the catalog. The query is not yet
 // optimized; optimization happens per Run/Probe/ExplainSpan, because the
-// chosen plan depends on the requested range.
+// chosen plan depends on the requested range and on the data present
+// when it runs.
 func (db *DB) Query(seql string) (*Query, error) {
 	root, err := parser.Bind(seql, db.catalog())
 	if err != nil {
@@ -517,13 +500,20 @@ func (q *Query) String() string { return q.root.String() }
 
 // optimize runs the §4 pipeline for the given range, matching the
 // query's blocks against the DB's materialized views (§3.4–3.5 of
-// DESIGN.md) unless the options name a registry of their own.
+// DESIGN.md) unless the options name a registry of their own. Base
+// leaves are resolved here, not when the query was built: every write
+// publishes a new version, and a query (or Monitor) bound before it must
+// see it. Leaves of sequences dropped since run against what they held.
 func (q *Query) optimize(span Span) (*core.Result, error) {
 	opts := q.db.opts
 	if opts.Views == nil {
 		opts.Views = q.db.views
 	}
-	return core.Optimize(q.root, span, opts)
+	root, err := matview.Rebind(q.root, q.db.sequence)
+	if err != nil {
+		return nil, err
+	}
+	return core.Optimize(root, span, opts)
 }
 
 // Run optimizes and evaluates the query over the requested range in

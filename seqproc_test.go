@@ -247,8 +247,29 @@ func TestAppendAndMonitor(t *testing.T) {
 	}
 }
 
+// A Monitor is bound before the writes it reports on: on both tiers its
+// leaves must resolve to the version current at each Poll.
 func TestMonitorTrailingAggregate(t *testing.T) {
-	db := New()
+	tiers := []struct {
+		name string
+		open func(t *testing.T) *DB
+	}{
+		{"memory", func(*testing.T) *DB { return New() }},
+		{"durable", func(t *testing.T) *DB {
+			db, err := Open(t.TempDir(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return db
+		}},
+	}
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) { monitorTrailingAggregate(t, tier.open(t)) })
+	}
+}
+
+func monitorTrailingAggregate(t *testing.T, db *DB) {
 	data, err := seq.NewMaterialized(workload.StockSchema, nil)
 	if err != nil {
 		t.Fatal(err)
