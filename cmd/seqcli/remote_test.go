@@ -96,11 +96,11 @@ func TestConnectRepl(t *testing.T) {
 		"epoch 1 (as of the last response)", // epoch command
 		"subscription 1 (v int) at epoch 1; initial content follows",
 		"delta sub=1 epoch=1 region=[1,100]: 6 record(s)", // initial snapshot
-		"no pending deltas",                               // idle deltas command
+		"no pending deltas", // idle deltas command
 		"delta sub=1 epoch=2 region=[22,22]: 1 record(s)", // the append's delta
 		"unsubscribed 1",
-		`error: seqd: not-found`,            // server-side error surfaced
-		"error: expected",                   // local parse error
+		`error: seqd: not-found`, // server-side error surfaced
+		"error: expected",        // local parse error
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("session output missing %q", want)

@@ -1,6 +1,10 @@
 package algebra
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/seq"
+)
 
 // ScopeProps describes the scope of an operator on one of its inputs
 // (§2.3): the set of input positions the operator function reads to
@@ -95,7 +99,7 @@ func (n *Node) Scope(input int) (ScopeProps, error) {
 //	(b) sequential ∘ sequential = sequential
 //	(c) relative ∘ relative     = relative (windows add)
 func ComposeScopes(outer, inner ScopeProps) ScopeProps {
-	win := addWindows(outer.Win, inner.Win)
+	win := outer.Win.Add(inner.Win)
 	out := ScopeProps{
 		FixedSize:  outer.FixedSize && inner.FixedSize,
 		Sequential: outer.Sequential && inner.Sequential,
@@ -112,18 +116,174 @@ func ComposeScopes(outer, inner ScopeProps) ScopeProps {
 	return out
 }
 
-func addWindows(a, b Window) Window {
+// Add composes relative windows (Prop. 2.1(c)): the window an outer
+// operator with window w reads through an inner one with window o.
+// Unbounded sides saturate.
+func (w Window) Add(o Window) Window {
 	out := Window{
-		LoUnbounded: a.LoUnbounded || b.LoUnbounded,
-		HiUnbounded: a.HiUnbounded || b.HiUnbounded,
+		LoUnbounded: w.LoUnbounded || o.LoUnbounded,
+		HiUnbounded: w.HiUnbounded || o.HiUnbounded,
 	}
 	if !out.LoUnbounded {
-		out.Lo = a.Lo + b.Lo
+		out.Lo = w.Lo + o.Lo
 	}
 	if !out.HiUnbounded {
-		out.Hi = a.Hi + b.Hi
+		out.Hi = w.Hi + o.Hi
 	}
 	return out
+}
+
+// Hull returns the smallest window containing both w and o. Unbounded
+// sides saturate.
+func (w Window) Hull(o Window) Window {
+	out := Window{
+		LoUnbounded: w.LoUnbounded || o.LoUnbounded,
+		HiUnbounded: w.HiUnbounded || o.HiUnbounded,
+	}
+	if !out.LoUnbounded {
+		out.Lo = min(w.Lo, o.Lo)
+	}
+	if !out.HiUnbounded {
+		out.Hi = max(w.Hi, o.Hi)
+	}
+	return out
+}
+
+// ReadSpan returns the positions of n's input-th input that n reads to
+// produce its outputs over out: the union of the scopes of out's
+// positions, with a value offset read through its Def. 3.3 effective
+// window. ReachSpan is the inverse map: the outputs whose scope meets
+// in, so for every kind o ∈ ReachSpan({i}) ⇔ i ∈ ReadSpan({o}). Both
+// work in each node's own coordinate frame and saturate at the
+// sentinels: an unbounded side of the argument or of the scope yields
+// seq.MinPos/MaxPos on that side, an empty argument (or a leaf, which
+// has no input) yields the empty span.
+//
+// These are the one copy of the §2.3 per-operator position arithmetic.
+// Step 2.b narrows access spans with ReadSpan; Step 2.a derives output
+// spans and the IVM delta halo (matview.AffectedSpan) pushes a changed
+// span upward with ReachSpan:
+//
+//	kind              ReadSpan(out)                ReachSpan(in)
+//	select, project,  out                          in
+//	compose
+//	offset(o)         out shifted by +o            in shifted by -o
+//	agg[lo,hi]        [out.Start+lo, out.End+hi]   [in.Start-hi, in.End-lo]
+//	voffset(o<0)      (-inf, out.End-1]            [in.Start+1, +inf)
+//	voffset(o>0)      [out.Start+1, +inf)          (-inf, in.End-1]
+//	collapse(k)       [out.Start·k, out.End·k+k-1] [⌊in.Start/k⌋, ⌊in.End/k⌋]
+//	expand(k)         [⌊out.Start/k⌋, ⌊out.End/k⌋] [in.Start·k, in.End·k+k-1]
+//
+// A value offset's true reach stops at the |o|-th non-Null neighbour on
+// its reading side; callers that can see the data (the IVM washout)
+// tighten the open side themselves.
+func (n *Node) ReadSpan(input int, out seq.Span) seq.Span {
+	p, err := n.Scope(input)
+	if err != nil {
+		return seq.EmptySpan
+	}
+	switch n.Kind {
+	case KindSelect, KindProject, KindCompose, KindPosOffset, KindAgg, KindValueOffset:
+		return p.Win.spread(out)
+	case KindCollapse:
+		return members(out, n.Factor)
+	case KindExpand:
+		return groups(out, n.Factor)
+	case KindBase, KindConst:
+		// Unreachable: Scope rejects leaves.
+	}
+	return seq.EmptySpan
+}
+
+// ReachSpan returns the outputs of n whose scope meets input positions
+// in; see ReadSpan.
+func (n *Node) ReachSpan(in seq.Span) seq.Span {
+	p, err := n.Scope(0)
+	if err != nil {
+		return seq.EmptySpan
+	}
+	switch n.Kind {
+	case KindSelect, KindProject, KindCompose, KindPosOffset, KindAgg, KindValueOffset:
+		return p.Win.mirror().spread(in)
+	case KindCollapse:
+		return groups(in, n.Factor)
+	case KindExpand:
+		return members(in, n.Factor)
+	case KindBase, KindConst:
+		// Unreachable: Scope rejects leaves.
+	}
+	return seq.EmptySpan
+}
+
+// ThroughCollapse returns the relative input window a collapse of factor
+// k reads around the bounded relative output window w: ReadSpan's
+// arithmetic applied to window offsets, [w.Lo·k, w.Hi·k+k-1].
+func (w Window) ThroughCollapse(k int64) Window {
+	s := members(seq.Span{Start: w.Lo, End: w.Hi}, k)
+	return Range(s.Start, s.End)
+}
+
+// ThroughExpand returns the relative input window an expand of factor k
+// reads around the bounded relative output window w: ReadSpan's
+// arithmetic plus one position of slack on the right, because
+// ⌊(i+hi)/k⌋ - ⌊i/k⌋ can reach ⌊hi/k⌋+1.
+func (w Window) ThroughExpand(k int64) Window {
+	s := groups(seq.Span{Start: w.Lo, End: w.Hi}, k)
+	return Range(s.Start, seq.ClampPos(s.End+1))
+}
+
+// spread returns the positions within window w of some position of s,
+// [s.Start+w.Lo, s.End+w.Hi], saturating at the sentinels.
+func (w Window) spread(s seq.Span) seq.Span {
+	if s.IsEmpty() {
+		return seq.EmptySpan
+	}
+	r := seq.AllSpan
+	if !w.LoUnbounded && !seq.EffectivelyUnbounded(s.Start) {
+		r.Start = seq.ClampPos(s.Start + w.Lo)
+	}
+	if !w.HiUnbounded && !seq.EffectivelyUnbounded(s.End) {
+		r.End = seq.ClampPos(s.End + w.Hi)
+	}
+	return r
+}
+
+// mirror reflects the window through the current position: i reads
+// i+w exactly when i is read from i-w.
+func (w Window) mirror() Window {
+	return Window{Lo: -w.Hi, Hi: -w.Lo, LoUnbounded: w.HiUnbounded, HiUnbounded: w.LoUnbounded}
+}
+
+// members returns the positions of the factor-k groups s (§5.1), one
+// group per coarse position: [s.Start·k, s.End·k+k-1].
+func members(s seq.Span, k int64) seq.Span {
+	if s.IsEmpty() {
+		return seq.EmptySpan
+	}
+	r := seq.AllSpan
+	if !seq.EffectivelyUnbounded(s.Start) {
+		r.Start = GroupSpan(s.Start, k).Start
+	}
+	if !seq.EffectivelyUnbounded(s.End) {
+		r.End = GroupSpan(s.End, k).End
+	}
+	return r
+}
+
+// groups returns the factor-k groups containing positions s, flooring
+// negative positions: [⌊s.Start/k⌋, ⌊s.End/k⌋].
+func groups(s seq.Span, k int64) seq.Span {
+	if s.IsEmpty() {
+		return seq.EmptySpan
+	}
+	r := seq.AllSpan
+	if !seq.EffectivelyUnbounded(s.Start) {
+		r.Start = FloorDiv(s.Start, k)
+	}
+	if !seq.EffectivelyUnbounded(s.End) {
+		r.End = FloorDiv(s.End, k)
+	}
+	return r
 }
 
 // QueryScopes computes the scope of the whole query (viewed as one

@@ -432,33 +432,13 @@ func scopeHull(root *algebra.Node) algebra.ScopeProps {
 		out.FixedSize = out.FixedSize && s.FixedSize
 		out.Sequential = out.Sequential && s.Sequential
 		out.Relative = out.Relative && s.Relative
-		out.Win = hullWindow(out.Win, s.Win)
+		out.Win = out.Win.Hull(s.Win)
 	}
 	if out.FixedSize {
 		if sz, ok := out.Win.Size(); ok {
 			out.Size = sz
 		} else {
 			out.FixedSize = false
-		}
-	}
-	return out
-}
-
-func hullWindow(a, b algebra.Window) algebra.Window {
-	out := algebra.Window{
-		LoUnbounded: a.LoUnbounded || b.LoUnbounded,
-		HiUnbounded: a.HiUnbounded || b.HiUnbounded,
-	}
-	if !out.LoUnbounded {
-		out.Lo = a.Lo
-		if b.Lo < a.Lo {
-			out.Lo = b.Lo
-		}
-	}
-	if !out.HiUnbounded {
-		out.Hi = a.Hi
-		if b.Hi > a.Hi {
-			out.Hi = b.Hi
 		}
 	}
 	return out

@@ -821,4 +821,3 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 
 func (c *voffsetBatchCursor) Err() error   { return c.err }
 func (c *voffsetBatchCursor) Close() error { return c.in.close() }
-

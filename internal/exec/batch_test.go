@@ -66,11 +66,11 @@ func TestSearchPosFrom(t *testing.T) {
 		want   int
 	}{
 		{0, 1, 0}, {0, 2, 0}, {0, 3, 1}, {1, 5, 2},
-		{1, 100, 4},  // long gallop across the gap
-		{4, 102, 6},  // short hop inside the dense run
-		{0, 501, 8},  // past the end
-		{8, 1, 8},    // lo at len
-		{3, 8, 3},    // immediate hit, no gallop
+		{1, 100, 4}, // long gallop across the gap
+		{4, 102, 6}, // short hop inside the dense run
+		{0, 501, 8}, // past the end
+		{8, 1, 8},   // lo at len
+		{3, 8, 3},   // immediate hit, no gallop
 	}
 	for _, c := range cases {
 		if got := searchPosFrom(s, c.lo, c.target); got != c.want {
@@ -183,10 +183,10 @@ func TestBatchProjectAliasCompiledFallback(t *testing.T) {
 	dbl, _ := expr.NewBin(expr.OpMul, cl, expr.Literal(seq.Float(2)))
 	abs, _ := expr.NewCall(expr.FnAbs, []expr.Expr{cl})
 	p, err := NewProject(in, []ProjExpr{
-		{Expr: vol, Name: "v"},      // column alias
-		{Expr: dbl, Name: "twice"},  // compiled vector expression
-		{Expr: abs, Name: "mag"},    // scalar fallback (Call)
-		{Expr: cl, Name: "close2"},  // second alias of the same input
+		{Expr: vol, Name: "v"},     // column alias
+		{Expr: dbl, Name: "twice"}, // compiled vector expression
+		{Expr: abs, Name: "mag"},   // scalar fallback (Call)
+		{Expr: cl, Name: "close2"}, // second alias of the same input
 	})
 	if err != nil {
 		t.Fatal(err)

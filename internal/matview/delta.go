@@ -9,25 +9,18 @@
 // re-evaluates exactly that interval and stitches it into the view's
 // backing store; everything outside it is provably unchanged.
 //
-// The propagation rules mirror the evaluator's per-operator access
-// pattern (algebra/eval.go), expressed in each node's own coordinate
-// frame with seq.MinPos/MaxPos standing in for unbounded sides:
+// Each operator maps its input's affected span A to its own output
+// frame with the inverse scope map, algebra.Node.ReachSpan (the
+// per-operator table lives there), with seq.MinPos/MaxPos standing in
+// for unbounded sides; a base leaf contributes D when it is the changed
+// sequence, constants contribute nothing, and a compose takes the union
+// of its legs.
 //
-//	base(b)        D if b is the changed sequence, empty otherwise
-//	const          empty
-//	select, project A (position- and Null-preserving)
-//	offset(o)      A shifted by -o          (output j reads input j+o)
-//	agg[lo,hi]     [A.Start-hi, A.End-lo]   (output j reads [j+lo, j+hi])
-//	compose        union of the legs
-//	collapse(k)    [floor(A.Start/k), floor(A.End/k)]
-//	expand(k)      [A.Start*k, A.End*k+k-1]
-//	voffset(o<0)   [A.Start+1, r]   r = |o|-th non-Null above A.End, else +inf
-//	voffset(o>0)   [q, A.End-1]     q = |o|-th non-Null below A.Start, else -inf
-//
-// The value-offset washout bounds (q, r) are data-dependent: a value
-// offset's output changes as far as the |o|-th non-Null neighbour on the
-// unchanged side of the delta, so the halo's width at a density boundary
-// is the width of the gap. They are found by scanning the operator's
+// A value offset's ReachSpan is open-ended (Def. 3.3); the washout bound
+// on the open side is data-dependent: the output changes as far as the
+// |o|-th non-Null neighbour on the unchanged side of the delta, so the
+// halo's width at a density boundary is the width of the gap. The bound
+// is found by scanning the operator's
 // *input* outward from the delta edge — sound because registrable views
 // are universe-insensitive (algebra.UniverseSensitive), which guarantees
 // every value-offset input has finite support and the scan terminates at
@@ -64,108 +57,32 @@ func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool)
 		return seq.EmptySpan, true
 	case algebra.KindConst:
 		return seq.EmptySpan, true
-	case algebra.KindSelect, algebra.KindProject:
-		return AffectedSpan(n.Inputs[0], base, delta)
-	case algebra.KindPosOffset:
-		a, ok := AffectedSpan(n.Inputs[0], base, delta)
-		if !ok {
-			return seq.AllSpan, false
+	case algebra.KindSelect, algebra.KindProject, algebra.KindCompose, algebra.KindPosOffset,
+		algebra.KindAgg, algebra.KindCollapse, algebra.KindExpand, algebra.KindValueOffset:
+		// A compose's legs share its unit scope: their halos unite.
+		a := seq.EmptySpan
+		for _, in := range n.Inputs {
+			s, ok := AffectedSpan(in, base, delta)
+			if !ok {
+				return seq.AllSpan, false
+			}
+			a = a.Union(s)
 		}
-		return a.Shift(-n.Offset), true
-	case algebra.KindCompose:
-		l, ok := AffectedSpan(n.Inputs[0], base, delta)
-		if !ok {
-			return seq.AllSpan, false
+		out := n.ReachSpan(a)
+		if n.Kind != algebra.KindValueOffset || out.IsEmpty() {
+			return out, true
 		}
-		r, ok := AffectedSpan(n.Inputs[1], base, delta)
-		if !ok {
-			return seq.AllSpan, false
-		}
-		return l.Union(r), true
-	case algebra.KindAgg:
-		a, ok := AffectedSpan(n.Inputs[0], base, delta)
-		if !ok {
-			return seq.AllSpan, false
-		}
-		if a.IsEmpty() {
-			return seq.EmptySpan, true
-		}
-		w := n.Agg.Window
-		out := seq.Span{Start: seq.MinPos, End: seq.MaxPos}
-		if !w.HiUnbounded && !seq.EffectivelyUnbounded(a.Start) {
-			out.Start = seq.ClampPos(a.Start - w.Hi)
-		}
-		if !w.LoUnbounded && !seq.EffectivelyUnbounded(a.End) {
-			out.End = seq.ClampPos(a.End - w.Lo)
-		}
-		return normalize(out), true
-	case algebra.KindCollapse:
-		a, ok := AffectedSpan(n.Inputs[0], base, delta)
-		if !ok {
-			return seq.AllSpan, false
-		}
-		if a.IsEmpty() {
-			return seq.EmptySpan, true
-		}
-		out := seq.Span{Start: seq.MinPos, End: seq.MaxPos}
-		if !seq.EffectivelyUnbounded(a.Start) {
-			out.Start = algebra.FloorDiv(a.Start, n.Factor)
-		}
-		if !seq.EffectivelyUnbounded(a.End) {
-			out.End = algebra.FloorDiv(a.End, n.Factor)
-		}
-		return normalize(out), true
-	case algebra.KindExpand:
-		a, ok := AffectedSpan(n.Inputs[0], base, delta)
-		if !ok {
-			return seq.AllSpan, false
-		}
-		if a.IsEmpty() {
-			return seq.EmptySpan, true
-		}
-		out := seq.Span{Start: seq.MinPos, End: seq.MaxPos}
-		if !seq.EffectivelyUnbounded(a.Start) {
-			out.Start = seq.ClampPos(a.Start * n.Factor)
-		}
-		if !seq.EffectivelyUnbounded(a.End) {
-			out.End = seq.ClampPos(a.End*n.Factor + n.Factor - 1)
-		}
-		return normalize(out), true
-	case algebra.KindValueOffset:
-		a, ok := AffectedSpan(n.Inputs[0], base, delta)
-		if !ok {
-			return seq.AllSpan, false
-		}
-		if a.IsEmpty() {
-			return seq.EmptySpan, true
-		}
+		// The effective scope is open on the reading side; the effect
+		// washes out at the |o|-th non-Null beyond the delta on the
+		// other side (that record shields everything further away).
 		if n.Offset < 0 {
-			// Backward-looking: outputs strictly above a changed position
-			// can see it; the effect washes out at the |o|-th non-Null
-			// above the delta (that record shields everything beyond).
-			out := seq.Span{Start: seq.MinPos, End: seq.MaxPos}
-			if !seq.EffectivelyUnbounded(a.Start) {
-				out.Start = seq.ClampPos(a.Start + 1)
+			if r, ok := washout(n.Inputs[0], a.End, -n.Offset, +1); ok {
+				out.End = r
 			}
-			if !seq.EffectivelyUnbounded(a.End) {
-				if r, ok := washout(n.Inputs[0], a.End, -n.Offset, +1); ok {
-					out.End = r
-				}
-			}
-			return normalize(out), true
+		} else if q, ok := washout(n.Inputs[0], a.Start, n.Offset, -1); ok {
+			out.Start = q
 		}
-		// Forward-looking: outputs strictly below a changed position can
-		// see it, down to the |o|-th non-Null below the delta.
-		out := seq.Span{Start: seq.MinPos, End: seq.MaxPos}
-		if !seq.EffectivelyUnbounded(a.End) {
-			out.End = seq.ClampPos(a.End - 1)
-		}
-		if !seq.EffectivelyUnbounded(a.Start) {
-			if q, ok := washout(n.Inputs[0], a.Start, n.Offset, -1); ok {
-				out.Start = q
-			}
-		}
-		return normalize(out), true
+		return out, true
 	default:
 		return seq.AllSpan, false
 	}
@@ -173,9 +90,13 @@ func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool)
 
 // washout finds the position of the count-th non-Null record of node in,
 // scanning from edge (exclusive) in direction dir (+1 above, -1 below).
-// Returns false when fewer than count non-Nulls exist on that side or
-// the scan budget runs out — the caller leaves the side unbounded.
+// Returns false when edge is unbounded, fewer than count non-Nulls exist
+// on that side or the scan budget runs out — the caller leaves the side
+// unbounded.
 func washout(in *algebra.Node, edge seq.Pos, count int64, dir int64) (seq.Pos, bool) {
+	if seq.EffectivelyUnbounded(edge) {
+		return 0, false
+	}
 	hull := algebra.TransformedHull(in)
 	if hull.IsEmpty() {
 		return 0, false
@@ -213,21 +134,6 @@ func washout(in *algebra.Node, edge seq.Pos, count int64, dir int64) (seq.Pos, b
 		}
 	}
 	return 0, false
-}
-
-// normalize snaps effectively unbounded endpoints to the sentinels so
-// downstream arithmetic treats them uniformly.
-func normalize(s seq.Span) seq.Span {
-	if s.IsEmpty() {
-		return seq.EmptySpan
-	}
-	if seq.EffectivelyUnbounded(s.Start) {
-		s.Start = seq.MinPos
-	}
-	if seq.EffectivelyUnbounded(s.End) {
-		s.End = seq.MaxPos
-	}
-	return s
 }
 
 // Rebind returns a copy of the block with every base leaf re-bound to

@@ -82,8 +82,6 @@ func TestAffectedSpan(t *testing.T) {
 	// Post-append data: records at 1..5, 8, and the appended 14. The gap
 	// at 6..7 is the density boundary the value-offset washouts feel.
 	positions := []int64{1, 2, 3, 4, 5, 8, 14}
-	unboundedAbove := seq.Span{Start: 0, End: seq.MaxPos} // Start filled per case
-	_ = unboundedAbove
 
 	cases := []struct {
 		name  string

@@ -10,6 +10,11 @@
 // span propagation of §3.2 (Figure 3): composing sequences with
 // overlapping valid ranges restricts every base-sequence access to the
 // intersection window.
+//
+// Both passes take their per-operator position arithmetic from the §2.3
+// scope map, algebra.Node.ReachSpan (2.a) and ReadSpan (2.b); this package
+// adds densities, statistics, the value-offset support rule, the compose
+// intersection and the universe clamp.
 package meta
 
 import (
@@ -109,9 +114,7 @@ func annotateUniverse(root *algebra.Node, requested, universe seq.Span, override
 	}
 	rootMeta := a.ByNode[root]
 	rootMeta.AccessSpan = rootMeta.Span.Intersect(requested).ClampUnboundedTo(universe)
-	if err := a.topDown(root); err != nil {
-		return nil, err
-	}
+	a.topDown(root)
 	return a, nil
 }
 
@@ -165,33 +168,25 @@ func deriveMeta(n *algebra.Node, ins []*NodeMeta) (*NodeMeta, error) {
 		}
 		return &NodeMeta{Span: in.Span, Density: in.Density, ColStats: stats}, nil
 
-	case algebra.KindPosOffset:
+	case algebra.KindPosOffset, algebra.KindExpand:
+		// Each input record surfaces at its reach: once for an offset,
+		// across its whole group for an expand.
 		in := ins[0]
-		// out(i) = in(i+l): a record at input position j surfaces at
-		// output position j-l.
-		return &NodeMeta{Span: in.Span.Shift(-n.Offset), Density: in.Density, ColStats: in.ColStats}, nil
+		return &NodeMeta{Span: n.ReachSpan(in.Span), Density: in.Density, ColStats: in.ColStats}, nil
 
 	case algebra.KindValueOffset:
 		in := ins[0]
-		m := &NodeMeta{ColStats: in.ColStats}
-		if in.Span.IsEmpty() {
-			m.Span = seq.EmptySpan
+		m := &NodeMeta{Span: n.ReachSpan(in.Span), ColStats: in.ColStats}
+		if m.Span.IsEmpty() {
 			return m, nil
 		}
-		k := n.Offset
-		if k < 0 {
-			// Defined from just after the |k|-th record onward, forever.
-			start := in.Span.Start
-			if start > seq.MinPos {
-				start = seq.ClampPos(start + (-k))
-			}
-			m.Span = seq.Span{Start: start, End: seq.MaxPos}
+		// The reach stops one position inside the input's bounded edge;
+		// the output is defined only from the |k|-th record onward (k < 0)
+		// or up to the |k|-th last (k > 0), so that side moves |k|-1 in.
+		if k := n.Offset; k < 0 {
+			m.Span = m.Span.Grow(k+1, 0)
 		} else {
-			end := in.Span.End
-			if end < seq.MaxPos {
-				end = seq.ClampPos(end - k)
-			}
-			m.Span = seq.Span{Start: seq.MinPos, End: end}
+			m.Span = m.Span.Grow(0, 1-k)
 		}
 		// Once enough records exist, every position maps to one: the
 		// output is dense within its span (up to edge effects).
@@ -201,76 +196,22 @@ func deriveMeta(n *algebra.Node, ins []*NodeMeta) (*NodeMeta, error) {
 		}
 		return m, nil
 
-	case algebra.KindAgg:
+	case algebra.KindAgg, algebra.KindCollapse:
 		in := ins[0]
-		w := n.Agg.Window
-		m := &NodeMeta{ColStats: map[int]expr.ColStats{}}
-		if in.Span.IsEmpty() {
-			m.Span = seq.EmptySpan
+		// Non-Null at i iff some input record lies in i's scope.
+		m := &NodeMeta{Span: n.ReachSpan(in.Span), ColStats: map[int]expr.ColStats{}}
+		if m.Span.IsEmpty() {
 			return m, nil
 		}
-		// Non-Null at i iff some input record lies in [i+Lo, i+Hi]:
-		// span = [inStart-Hi, inEnd-Lo], unbounded sides saturating.
-		start, end := seq.MinPos, seq.MaxPos
-		if !w.HiUnbounded && in.Span.Start > seq.MinPos {
-			start = seq.ClampPos(in.Span.Start - w.Hi)
-		}
-		if !w.LoUnbounded && in.Span.End < seq.MaxPos {
-			end = seq.ClampPos(in.Span.End - w.Lo)
-		}
-		if w.HiUnbounded {
-			start = seq.MinPos
-		}
-		if w.LoUnbounded {
-			end = seq.MaxPos
-		}
-		m.Span = seq.Span{Start: start, End: end}
-		if size, fixed := w.Size(); fixed {
-			// P(window non-empty) = 1 - (1-d)^w under independence.
-			m.Density = 1 - math.Pow(1-clamp01(in.Density), float64(size))
+		if sc, err := n.Scope(0); err == nil && sc.FixedSize {
+			// P(scope non-empty) = 1 - (1-d)^size under independence.
+			m.Density = 1 - math.Pow(1-clamp01(in.Density), float64(sc.Size))
 		} else {
 			m.Density = 1
 			if in.Density == 0 {
 				m.Density = 0
 			}
 		}
-		return m, nil
-
-	case algebra.KindCollapse:
-		in := ins[0]
-		m := &NodeMeta{ColStats: map[int]expr.ColStats{}}
-		if in.Span.IsEmpty() {
-			m.Span = seq.EmptySpan
-			return m, nil
-		}
-		k := n.Factor
-		start, end := seq.MinPos, seq.MaxPos
-		if in.Span.Start > seq.MinPos {
-			start = algebra.FloorDiv(in.Span.Start, k)
-		}
-		if in.Span.End < seq.MaxPos {
-			end = algebra.FloorDiv(in.Span.End, k)
-		}
-		m.Span = seq.Span{Start: start, End: end}
-		m.Density = 1 - math.Pow(1-clamp01(in.Density), float64(k))
-		return m, nil
-
-	case algebra.KindExpand:
-		in := ins[0]
-		m := &NodeMeta{ColStats: in.ColStats, Density: in.Density}
-		if in.Span.IsEmpty() {
-			m.Span = seq.EmptySpan
-			return m, nil
-		}
-		k := n.Factor
-		start, end := seq.MinPos, seq.MaxPos
-		if in.Span.Start > seq.MinPos {
-			start = seq.ClampPos(in.Span.Start * k)
-		}
-		if in.Span.End < seq.MaxPos {
-			end = seq.ClampPos(in.Span.End*k + k - 1)
-		}
-		m.Span = seq.Span{Start: start, End: end}
 		return m, nil
 
 	case algebra.KindCompose:
@@ -308,96 +249,15 @@ func concatStats(n *algebra.Node, l, r *NodeMeta) map[int]expr.ColStats {
 }
 
 // topDown narrows the access spans of n's inputs from n's own access
-// span (Step 2.b), then recurses.
-func (a *Annotation) topDown(n *algebra.Node) error {
+// span (Step 2.b), then recurses. ReadSpan's unbounded sides (unbounded
+// windows, value offsets) fall back to the input's own span through the
+// intersection.
+func (a *Annotation) topDown(n *algebra.Node) {
 	m := a.ByNode[n]
 	for idx, in := range n.Inputs {
 		childMeta := a.ByNode[in]
-		need, err := inputAccessSpan(n, idx, m.AccessSpan, childMeta.Span)
-		if err != nil {
-			return err
-		}
-		childMeta.AccessSpan = need.Intersect(childMeta.Span).ClampUnboundedTo(a.Universe)
-		if err := a.topDown(in); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// inputAccessSpan computes the range of input positions operator n must
-// read from input idx to produce its output over access.
-func inputAccessSpan(n *algebra.Node, idx int, access, childSpan seq.Span) (seq.Span, error) {
-	if access.IsEmpty() {
-		return seq.EmptySpan, nil
-	}
-	switch n.Kind {
-	case algebra.KindBase, algebra.KindConst:
-		return seq.EmptySpan, fmt.Errorf("meta: %s is a leaf and has no input %d", n.Kind, idx)
-
-	case algebra.KindSelect, algebra.KindProject, algebra.KindCompose:
-		return access, nil
-
-	case algebra.KindPosOffset:
-		return access.Shift(n.Offset), nil
-
-	case algebra.KindValueOffset:
-		if n.Offset < 0 {
-			// Need records strictly before access.End; how far back is
-			// data-dependent, so fall back to the input's own span start.
-			end := access.End
-			if end < seq.MaxPos {
-				end--
-			}
-			return seq.Span{Start: childSpan.Start, End: end}, nil
-		}
-		start := access.Start
-		if start > seq.MinPos {
-			start++
-		}
-		return seq.Span{Start: start, End: childSpan.End}, nil
-
-	case algebra.KindAgg:
-		w := n.Agg.Window
-		start, end := seq.MinPos, seq.MaxPos
-		if !w.LoUnbounded && access.Start > seq.MinPos {
-			start = seq.ClampPos(access.Start + w.Lo)
-		}
-		if !w.HiUnbounded && access.End < seq.MaxPos {
-			end = seq.ClampPos(access.End + w.Hi)
-		}
-		if w.LoUnbounded {
-			start = childSpan.Start
-		}
-		if w.HiUnbounded {
-			end = childSpan.End
-		}
-		return seq.Span{Start: start, End: end}, nil
-
-	case algebra.KindCollapse:
-		k := n.Factor
-		start, end := seq.MinPos, seq.MaxPos
-		if access.Start > seq.MinPos {
-			start = seq.ClampPos(access.Start * k)
-		}
-		if access.End < seq.MaxPos {
-			end = seq.ClampPos(access.End*k + k - 1)
-		}
-		return seq.Span{Start: start, End: end}, nil
-
-	case algebra.KindExpand:
-		k := n.Factor
-		start, end := seq.MinPos, seq.MaxPos
-		if access.Start > seq.MinPos {
-			start = algebra.FloorDiv(access.Start, k)
-		}
-		if access.End < seq.MaxPos {
-			end = algebra.FloorDiv(access.End, k)
-		}
-		return seq.Span{Start: start, End: end}, nil
-
-	default:
-		return seq.EmptySpan, fmt.Errorf("meta: node kind %v has no input %d", n.Kind, idx)
+		childMeta.AccessSpan = n.ReadSpan(idx, m.AccessSpan).Intersect(childMeta.Span).ClampUnboundedTo(a.Universe)
+		a.topDown(in)
 	}
 }
 

@@ -93,7 +93,7 @@ func analyzeNode(p exec.Plan, acc algebra.Window, s *Scope) {
 	}
 	switch op := p.(type) {
 	case *exec.Leaf:
-		s.Halo = haloHull(s.Halo, acc)
+		s.Halo = s.Halo.Hull(acc)
 		rpp := int64(storage.DefaultRecordsPerPage)
 		if st, ok := op.Seq.(storage.Store); ok {
 			if c := st.AccessCosts(); c.RecordsPerPage > 0 {
@@ -110,7 +110,7 @@ func analyzeNode(p exec.Plan, acc algebra.Window, s *Scope) {
 	case *exec.ProjectOp:
 		analyzeNode(op.In, acc, s)
 	case *exec.PosOffsetOp:
-		analyzeNode(op.In, addWin(acc, algebra.Range(op.Offset, op.Offset)), s)
+		analyzeNode(op.In, acc.Add(algebra.Range(op.Offset, op.Offset)), s)
 	case *exec.AggNaive:
 		analyzeAgg(op.In, op.Spec.Window, acc, s)
 	case *exec.AggCached:
@@ -133,15 +133,9 @@ func analyzeNode(p exec.Plan, acc algebra.Window, s *Scope) {
 	case *exec.Materialize:
 		s.disqualify("materialization point (per-worker re-materialization)")
 	case *exec.CollapseOp:
-		// Affine scope: output j reads inputs {jk .. jk+k-1}, so a
-		// relative window [lo, hi] around the output maps to the input
-		// hull [lo·k, hi·k+k-1].
-		analyzeNode(op.In, algebra.Range(acc.Lo*op.Factor, acc.Hi*op.Factor+op.Factor-1), s)
+		analyzeNode(op.In, acc.ThroughCollapse(op.Factor), s)
 	case *exec.ExpandOp:
-		// Affine scope {floor(i/k)}: the input hull of a relative output
-		// window shrinks by the factor (one extra position covers the
-		// flooring).
-		analyzeNode(op.In, algebra.Range(algebra.FloorDiv(acc.Lo, op.Factor), algebra.FloorDiv(acc.Hi, op.Factor)+1), s)
+		analyzeNode(op.In, acc.ThroughExpand(op.Factor), s)
 	default:
 		s.disqualify(fmt.Sprintf("unknown operator %s", p.Label()))
 	}
@@ -152,7 +146,7 @@ func analyzeAgg(in exec.Plan, w algebra.Window, acc algebra.Window, s *Scope) {
 		s.disqualify(fmt.Sprintf("aggregate over unbounded window %s", w))
 		return
 	}
-	analyzeNode(in, addWin(acc, w), s)
+	analyzeNode(in, acc.Add(w), s)
 }
 
 func analyzeValueOffset(in exec.Plan, offset int64, acc algebra.Window, s *Scope) {
@@ -179,7 +173,7 @@ func analyzeValueOffset(in exec.Plan, offset int64, acc algebra.Window, s *Scope
 	// probe costs roughly a random page (4 sequential-page units, the
 	// classical gap the cost model uses).
 	s.HaloCost += float64(need) / density * 4.0
-	analyzeNode(in, addWin(acc, win), s)
+	analyzeNode(in, acc.Add(win), s)
 }
 
 func (s *Scope) disqualify(reason string) {
@@ -187,21 +181,6 @@ func (s *Scope) disqualify(reason string) {
 		s.Partitionable = false
 		s.Reason = reason
 	}
-}
-
-func haloHull(a, b algebra.Window) algebra.Window {
-	out := a
-	if b.Lo < out.Lo {
-		out.Lo = b.Lo
-	}
-	if b.Hi > out.Hi {
-		out.Hi = b.Hi
-	}
-	return out
-}
-
-func addWin(a, b algebra.Window) algebra.Window {
-	return algebra.Range(a.Lo+b.Lo, a.Hi+b.Hi)
 }
 
 // Decision is the partition planner's output for one evaluation: the

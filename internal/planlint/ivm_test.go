@@ -11,10 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-// ivmFixture registers a posoffset view over a small base, appends one
-// record, runs real maintenance, and hands back everything the verifier
-// needs.
-func ivmFixture(t *testing.T, epoch int64) (*matview.Registry, func(string) (seq.Sequence, bool), []matview.MaintenanceReport) {
+// ivmFixture registers a posoffset view over a small base, adds records
+// at the given positions, runs real maintenance for delta, and hands back
+// everything the verifier needs.
+func ivmFixture(t *testing.T, epoch int64, delta seq.Span, added ...int64) (*matview.Registry, func(string) (seq.Sequence, bool), []matview.MaintenanceReport) {
 	t.Helper()
 	schema := seq.MustSchema(seq.Field{Name: "v", Type: seq.TInt})
 	mk := func(positions ...int64) seq.Sequence {
@@ -32,7 +32,7 @@ func ivmFixture(t *testing.T, epoch int64) (*matview.Registry, func(string) (seq
 		}
 		return st
 	}
-	oldData, newData := mk(0, 1, 2), mk(0, 1, 2, 5)
+	oldData, newData := mk(0, 1, 2), mk(append([]int64{0, 1, 2}, added...)...)
 	block, err := algebra.PosOffset(algebra.Base("b", oldData), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func ivmFixture(t *testing.T, epoch int64) (*matview.Registry, func(string) (seq
 		}
 		return nil, false
 	}
-	reports, err := core.MaintainViews(reg, "b", seq.NewSpan(5, 5), epoch, lookup, core.Options{})
+	reports, err := core.MaintainViews(reg, "b", delta, epoch, lookup, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func ivmFixture(t *testing.T, epoch int64) (*matview.Registry, func(string) (seq
 
 func TestVerifyMaintenanceClean(t *testing.T) {
 	for _, epoch := range []int64{0, 3} {
-		reg, lookup, reports := ivmFixture(t, epoch)
+		reg, lookup, reports := ivmFixture(t, epoch, seq.NewSpan(5, 5), 5)
 		if issues := planlint.VerifyMaintenance(reg, lookup, reports); len(issues) != 0 {
 			t.Fatalf("epoch %d: clean maintenance flagged:\n%v", epoch, planlint.Error(issues))
 		}
@@ -73,15 +73,14 @@ func TestVerifyMaintenanceClean(t *testing.T) {
 }
 
 func TestVerifyMaintenanceCatchesViolations(t *testing.T) {
-	reg, lookup, reports := ivmFixture(t, 0)
+	reg, lookup, reports := ivmFixture(t, 0, seq.NewSpan(5, 5), 5)
 	if len(reports) != 1 || reports[0].Action != matview.MaintainStitch {
 		t.Fatalf("fixture did not stitch: %v", reports)
 	}
 
-	// A report whose recorded halo disagrees with re-derivation.
+	// A report whose recorded halo disagrees with the stitch it ran.
 	lied := reports[0]
 	lied.Affected = seq.NewSpan(7, 7)
-	lied.StitchSpan = seq.NewSpan(7, 7)
 	issues := planlint.VerifyMaintenance(reg, lookup, []matview.MaintenanceReport{lied})
 	if !hasInvariant(issues, "ivm/halo-coverage") {
 		t.Fatalf("halo disagreement not reported:\n%v", planlint.Error(issues))
@@ -125,5 +124,24 @@ func TestVerifyMaintenanceCatchesViolations(t *testing.T) {
 	issues = planlint.VerifyMaintenance(reg, lookup, []matview.MaintenanceReport{a, b})
 	if !hasInvariant(issues, "ivm/epoch-monotone") {
 		t.Fatalf("epoch regression not reported:\n%v", planlint.Error(issues))
+	}
+}
+
+// TestVerifyMaintenanceCatchesMissedHalo: the data changes at positions 5
+// and 7 but maintenance is told only about [5,5]. The halo analysis is
+// right about the delta it was given, so re-running it agrees with the
+// report and the stitch over [5,5] is exact; only comparing the whole
+// maintained view with post-write data exposes the stale position 7.
+func TestVerifyMaintenanceCatchesMissedHalo(t *testing.T) {
+	reg, lookup, reports := ivmFixture(t, 0, seq.NewSpan(5, 5), 5, 7)
+	if len(reports) != 1 || reports[0].StitchSpan != seq.NewSpan(5, 5) {
+		t.Fatalf("fixture did not stitch [5,5]: %v", reports)
+	}
+	issues := planlint.VerifyMaintenance(reg, lookup, reports)
+	if !hasInvariant(issues, "ivm/halo-coverage") {
+		t.Fatalf("stale record outside the stitch not reported:\n%v", planlint.Error(issues))
+	}
+	if hasInvariant(issues, "ivm/stitch-exact") {
+		t.Fatalf("the stitched region itself is exact:\n%v", planlint.Error(issues))
 	}
 }

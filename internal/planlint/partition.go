@@ -113,7 +113,7 @@ func partitionScope(p exec.Plan, acc algebra.Window) (algebra.Window, string) {
 	case *exec.ProjectOp:
 		return partitionScope(op.In, acc)
 	case *exec.PosOffsetOp:
-		return partitionScope(op.In, algebra.Range(acc.Lo+op.Offset, acc.Hi+op.Offset))
+		return partitionScope(op.In, sumWindows(acc, algebra.Range(op.Offset, op.Offset)))
 	case *exec.AggNaive:
 		return scopeThroughWindow(op.In, op.Spec.Window, acc)
 	case *exec.AggCached:
@@ -154,7 +154,7 @@ func scopeThroughWindow(in exec.Plan, w algebra.Window, acc algebra.Window) (alg
 	if w.LoUnbounded || w.HiUnbounded {
 		return acc, fmt.Sprintf("aggregate over unbounded window %s", w)
 	}
-	return partitionScope(in, algebra.Range(acc.Lo+w.Lo, acc.Hi+w.Hi))
+	return partitionScope(in, sumWindows(acc, w))
 }
 
 func scopeThroughValueOffset(in exec.Plan, offset int64, acc algebra.Window) (algebra.Window, string) {
@@ -171,7 +171,7 @@ func scopeThroughValueOffset(in exec.Plan, offset int64, acc algebra.Window) (al
 	if offset > 0 {
 		w = algebra.Range(0, est)
 	}
-	return partitionScope(in, algebra.Range(acc.Lo+w.Lo, acc.Hi+w.Hi))
+	return partitionScope(in, sumWindows(acc, w))
 }
 
 func hullWindow(a, b algebra.Window) algebra.Window {
