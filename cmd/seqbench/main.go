@@ -6,7 +6,9 @@
 //	seqbench [-quick] [experiment ids...]
 //
 // With no ids, every experiment runs in order. -quick selects the
-// reduced CI-sized parameter sweeps.
+// reduced CI-sized parameter sweeps. The end-to-end benchmark of seqd is
+// bench/ (BENCHMARK.json); the -reopt, -disk, -ivm and -server modes
+// keep only what it does not measure.
 package main
 
 import (
@@ -14,6 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -24,17 +28,10 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-size sweeps")
 	list := flag.Bool("list", false, "list experiments and exit")
 	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE a representative query per experiment (per-node metrics)")
-	par := flag.Bool("parallel", false, "sweep span-partitioned worker counts per experiment")
-	parOut := flag.String("parallel-out", "", "also write the -parallel sweep to this file as JSON")
-	parWorkers := flag.Int("parallel-workers", 0, "max workers of the -parallel sweep (0 = GOMAXPROCS)")
-	mv := flag.Bool("matview", false, "measure repeated queries cold vs through a materialized view")
-	mvOut := flag.String("matview-out", "", "also write the -matview sweep to this file as JSON")
 	ro := flag.Bool("reopt", false, "measure mid-run reoptimization on skewed estimates plus a calibration round, writing BENCH_reopt.json")
 	roOut := flag.String("reopt-out", "BENCH_reopt.json", "output path of the -reopt benchmark")
-	dk := flag.Bool("disk", false, "benchmark the durable tier: cold/warm buffer-pool sweeps, a page-file vs LSM-style layout head-to-head and a cold-trace calibration round, writing BENCH_disk.json")
+	dk := flag.Bool("disk", false, "benchmark the durable tier: a page-file vs LSM-style layout head-to-head and a cold-trace calibration round, writing BENCH_disk.json")
 	dkOut := flag.String("disk-out", "BENCH_disk.json", "output path of the -disk benchmark")
-	ba := flag.Bool("batch", false, "benchmark the vectorized batch plane against the scalar interpreter on the E1/E4 hot paths plus an intern-table hit-rate sweep, writing BENCH_batch.json")
-	baOut := flag.String("batch-out", "BENCH_batch.json", "output path of the -batch benchmark")
 	iv := flag.Bool("ivm", false, "benchmark incremental view maintenance against invalidate-and-recompute across 0/10/100 standing views under an append stream, writing BENCH_ivm.json")
 	ivOut := flag.String("ivm-out", "BENCH_ivm.json", "output path of the -ivm benchmark")
 	sv := flag.Bool("server", false, "sweep concurrent seqd client connections with a live append stream, writing BENCH_server.json")
@@ -42,7 +39,7 @@ func main() {
 	svAddr := flag.String("server-addr", "", "drive an already-running seqd at this address instead of an in-process one")
 	svWorkers := flag.Int("server-workers", 0, "worker pool size of the in-process -server daemon (0 = GOMAXPROCS)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: seqbench [-quick] [-analyze] [-parallel] [-matview] [-reopt] [-disk] [-batch] [-ivm] [-server] [-list] [experiment ids...]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: seqbench [-quick] [-analyze] [-reopt] [-disk] [-ivm] [-server] [-list] [experiment ids...]\n\nexperiments:\n")
 		for _, e := range experiments.All() {
 			fmt.Fprintf(os.Stderr, "  %s  %s\n", e.ID, e.Name)
 		}
@@ -72,21 +69,12 @@ func main() {
 	}
 
 	switch {
-	case *par:
-		points, err := experiments.ParallelSweep(flag.Args(), *quick, *parWorkers)
-		emit("parallel sweep", points, err, experiments.RenderParallel, *parOut)
-	case *mv:
-		points, err := experiments.MatviewSweep(flag.Args(), *quick)
-		emit("matview sweep", points, err, experiments.RenderMatview, *mvOut)
 	case *ro:
 		bench, err := experiments.ReoptBenchmark(*quick)
 		emit("reopt benchmark", bench, err, experiments.RenderReopt, *roOut)
 	case *dk:
 		bench, err := experiments.DiskBenchmark(*quick)
 		emit("disk benchmark", bench, err, experiments.RenderDisk, *dkOut)
-	case *ba:
-		bench, err := experiments.BatchBenchmark(*quick)
-		emit("batch benchmark", bench, err, experiments.RenderBatch, *baOut)
 	case *iv:
 		points, err := experiments.IVMBenchmark(*quick)
 		emit("ivm benchmark", points, err, experiments.RenderIVM, *ivOut)
@@ -98,13 +86,51 @@ func main() {
 	}
 }
 
-// emit finishes a benchmark mode: it writes the result as JSON to out
-// (when one is named), prints the rendered tables, and exits non-zero on
-// any failure.
+// benchEnv is the machine and build a BENCH_*.json result was measured
+// on.
+type benchEnv struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// Commit is the VCS revision the binary was built from, "+dirty"
+	// when the tree had uncommitted changes, "unknown" under go run.
+	Commit string `json:"commit"`
+}
+
+func currentEnv() benchEnv {
+	commit, dirty := "unknown", false
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				commit = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+	}
+	if dirty {
+		commit += "+dirty"
+	}
+	return benchEnv{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     commit,
+	}
+}
+
+// emit finishes a benchmark mode: it writes {"env": …, "result": …} as
+// JSON to out, prints the rendered tables, and exits non-zero on any
+// failure.
 func emit[T any](what string, result T, err error, render func(T) string, out string) {
-	if err == nil && out != "" {
+	if err == nil {
 		var data []byte
-		if data, err = json.MarshalIndent(result, "", "  "); err == nil {
+		data, err = json.MarshalIndent(struct {
+			Env    benchEnv `json:"env"`
+			Result T        `json:"result"`
+		}{currentEnv(), result}, "", "  ")
+		if err == nil {
 			err = os.WriteFile(out, append(data, '\n'), 0o644)
 		}
 	}
@@ -113,9 +139,7 @@ func emit[T any](what string, result T, err error, render func(T) string, out st
 		os.Exit(1)
 	}
 	fmt.Print(render(result))
-	if out != "" {
-		fmt.Printf("(wrote %s to %s)\n", what, out)
-	}
+	fmt.Printf("(wrote %s to %s)\n", what, out)
 }
 
 func runExperiments(selected []experiments.Experiment, quick, analyze bool) {

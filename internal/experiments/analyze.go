@@ -6,283 +6,79 @@ import (
 
 	seqproc "repro"
 	"repro/internal/exec"
-	"repro/internal/seq"
-	"repro/internal/workload"
 )
 
-// Analyze runs a representative query of the experiment under EXPLAIN
-// ANALYZE and returns the per-node predicted-vs-actual report (see
-// OBSERVABILITY.md). Where the experiment compares strategies, every
-// strategy is analyzed — E3 shows all three compose strategies plus the
-// optimizer's own pick, E4/E5 show the naive and cached evaluators —
-// so the page-access difference the experiment measures is visible
-// operator by operator.
-func Analyze(id string, quick bool) (string, error) {
-	f, ok := analyzers[strings.ToLower(id)]
-	if !ok {
-		return "", fmt.Errorf("experiments: no analyzer for %q", id)
-	}
-	return f(quick)
+// analyzeVariant is one option set Analyze runs an experiment's
+// representative query under.
+type analyzeVariant struct {
+	label string
+	opts  seqproc.Options
 }
 
-var analyzers = map[string]func(quick bool) (string, error){
-	"e1": analyzeE1,
-	"e2": analyzeE2,
-	"e3": analyzeE3,
-	"e4": analyzeE4,
-	"e5": analyzeE5,
-	"e6": analyzeE6,
-	"e7": analyzeE7,
-	"e8": analyzeE8,
-}
-
-// section renders one analyzed variant with a heading.
-func section(b *strings.Builder, label string, db *seqproc.DB, query string, span seqproc.Span) error {
-	q, err := db.Query(query)
-	if err != nil {
-		return err
-	}
-	text, err := q.ExplainAnalyze(span)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(b, "-- %s --\n%s\n%s\n\n", label, query, text)
-	return nil
-}
-
-func analyzeE1(quick bool) (string, error) {
-	n := 4000
-	if quick {
-		n = 500
-	}
-	span := seq.NewSpan(1, int64(n)*4)
-	quakes, volcanos, err := workload.Monitoring(span, n, n/10, int64(n))
-	if err != nil {
-		return "", err
-	}
-	db := seqproc.New()
-	db.MustCreateSequence("quakes", quakes, seqproc.Sparse)
-	db.MustCreateSequence("volcanos", volcanos, seqproc.Sparse)
-	var b strings.Builder
-	err = section(&b, "E1: Example 1.1 volcano/earthquake query", db,
-		"project(select(compose(volcanos, prev(quakes)), strength > 7.0), name)", span)
-	return b.String(), err
-}
-
-func analyzeE2(quick bool) (string, error) {
-	scale := int64(40)
-	if quick {
-		scale = 4
-	}
-	span := seqproc.NewSpan(1, 750*scale)
-	const query = "project(compose(dec, select(compose(ibm, hp), ibm.close > hp.close) as ih), dec.close)"
-	lock := exec.ComposeLockStep
-	var b strings.Builder
-	for _, v := range []struct {
-		label   string
-		disable bool
-	}{
-		{"E2: span propagation disabled (Figure 3.A, full scans)", true},
-		{"E2: span propagation enabled (Figure 3.B, restricted scans)", false},
-	} {
-		db, err := table1DB(scale)
-		if err != nil {
-			return "", err
-		}
-		db.SetOptions(seqproc.Options{DisableSpanPropagation: v.disable, ForceComposeStrategy: &lock})
-		if err := section(&b, v.label, db, query, span); err != nil {
-			return "", err
-		}
-	}
-	return b.String(), nil
-}
-
-func analyzeE3(quick bool) (string, error) {
-	n := int64(50_000)
-	d1 := 0.02
-	if quick {
-		n = 4_000
-		d1 = 0.05
-	}
-	span := seq.NewSpan(1, n)
-	left, err := workload.Stock(workload.StockConfig{Name: "left", Span: span, Density: d1, Seed: 11})
-	if err != nil {
-		return "", err
-	}
-	right, err := workload.Stock(workload.StockConfig{Name: "right", Span: span, Density: 1.0, Seed: 12})
-	if err != nil {
-		return "", err
-	}
-	const query = "select(compose(l, r), l.close > r.close)"
-	var b strings.Builder
-	variants := []struct {
-		label string
-		force *exec.ComposeStrategy
-	}{
-		{"E3: forced stream-left (stream sparse, probe dense)", strategyPtr(exec.ComposeStreamLeft)},
-		{"E3: forced stream-right (stream dense, probe sparse)", strategyPtr(exec.ComposeStreamRight)},
-		{"E3: forced lockstep (stream both)", strategyPtr(exec.ComposeLockStep)},
-		{"E3: optimizer choice", nil},
-	}
-	for _, v := range variants {
-		db := seqproc.New()
-		if err := db.CreateSequence("l", left, seqproc.Sparse); err != nil {
-			return "", err
-		}
-		if err := db.CreateSequence("r", right, seqproc.Dense); err != nil {
-			return "", err
-		}
-		db.SetOptions(seqproc.Options{ForceComposeStrategy: v.force})
-		if err := section(&b, v.label, db, query, span); err != nil {
-			return "", err
-		}
-	}
-	return b.String(), nil
+// analyzeVariants lists, per experiment, the strategies the experiment
+// compares: E3 shows all three compose strategies plus the optimizer's
+// own pick, E4/E5 show the naive and cached evaluators, so the
+// page-access difference the experiment measures is visible operator by
+// operator.
+var analyzeVariants = map[string][]analyzeVariant{
+	"e1": {{"E1: Example 1.1 volcano/earthquake query", seqproc.Options{}}},
+	"e2": {
+		{"E2: span propagation disabled (Figure 3.A, full scans)",
+			seqproc.Options{DisableSpanPropagation: true, ForceComposeStrategy: strategyPtr(exec.ComposeLockStep)}},
+		{"E2: span propagation enabled (Figure 3.B, restricted scans)",
+			seqproc.Options{ForceComposeStrategy: strategyPtr(exec.ComposeLockStep)}},
+	},
+	"e3": {
+		{"E3: forced stream-left (stream sparse, probe dense)", seqproc.Options{ForceComposeStrategy: strategyPtr(exec.ComposeStreamLeft)}},
+		{"E3: forced stream-right (stream dense, probe sparse)", seqproc.Options{ForceComposeStrategy: strategyPtr(exec.ComposeStreamRight)}},
+		{"E3: forced lockstep (stream both)", seqproc.Options{ForceComposeStrategy: strategyPtr(exec.ComposeLockStep)}},
+		{"E3: optimizer choice", seqproc.Options{}},
+	},
+	"e4": {
+		{"E4: naive windowed aggregate (forced)", seqproc.Options{ForceNaiveAggregates: true}},
+		{"E4: Cache-Strategy-A (forced, sliding disabled)", seqproc.Options{DisableSlidingAggregates: true}},
+		{"E4: optimizer choice", seqproc.Options{}},
+	},
+	"e5": {
+		{"E5: naive backward walk (forced)", seqproc.Options{ForceNaiveValueOffsets: true}},
+		{"E5: Cache-Strategy-B", seqproc.Options{}},
+	},
+	"e6": {{"E6: four-way join block (DP-chosen order and strategies)", seqproc.Options{}}},
+	"e7": {{"E7: stream-access pipeline (bounded caches over one scan)", seqproc.Options{}}},
+	"e8": {
+		{"E8: rewrites enabled", seqproc.Options{}},
+		{"E8: rewrites disabled", seqproc.Options{DisableRewrites: true}},
+	},
 }
 
 func strategyPtr(s exec.ComposeStrategy) *exec.ComposeStrategy { return &s }
 
-func analyzeE4(quick bool) (string, error) {
-	n := int64(50_000)
-	if quick {
-		n = 4_000
+// Analyze runs the experiment's representative query (setups) under
+// EXPLAIN ANALYZE once per variant, each over a freshly built database,
+// and returns the per-node predicted-vs-actual reports (see
+// OBSERVABILITY.md).
+func Analyze(id string, quick bool) (string, error) {
+	id = strings.ToLower(id)
+	setup, ok := setups[id]
+	if !ok {
+		return "", fmt.Errorf("experiments: no analyzer for %q", id)
 	}
-	span := seq.NewSpan(1, n)
-	data, err := workload.Stock(workload.StockConfig{Name: "ibm", Span: span, Density: 1, Seed: 21})
-	if err != nil {
-		return "", err
-	}
-	const query = "sum(ibm, close, 32)"
 	var b strings.Builder
-	for _, v := range []struct {
-		label string
-		opts  seqproc.Options
-	}{
-		{"E4: naive windowed aggregate (forced)", seqproc.Options{ForceNaiveAggregates: true}},
-		{"E4: Cache-Strategy-A (forced, sliding disabled)", seqproc.Options{DisableSlidingAggregates: true}},
-		{"E4: optimizer choice", seqproc.Options{}},
-	} {
-		db := seqproc.New()
-		if err := db.CreateSequence("ibm", data, seqproc.Dense); err != nil {
-			return "", err
-		}
-		db.SetOptions(v.opts)
-		if err := section(&b, v.label, db, query, span); err != nil {
-			return "", err
-		}
-	}
-	return b.String(), nil
-}
-
-func analyzeE5(quick bool) (string, error) {
-	n := int64(20_000)
-	if quick {
-		n = 2_000
-	}
-	span := seq.NewSpan(1, n)
-	l, err := workload.Stock(workload.StockConfig{Name: "l", Span: span, Density: 1, Seed: 51})
-	if err != nil {
-		return "", err
-	}
-	r, err := workload.Stock(workload.StockConfig{Name: "r", Span: span, Density: 1, Seed: 52})
-	if err != nil {
-		return "", err
-	}
-	const query = "prev(select(compose(l, r), l.close > r.close))"
-	var b strings.Builder
-	for _, v := range []struct {
-		label string
-		opts  seqproc.Options
-	}{
-		{"E5: naive backward walk (forced)", seqproc.Options{ForceNaiveValueOffsets: true}},
-		{"E5: Cache-Strategy-B", seqproc.Options{}},
-	} {
-		db := seqproc.New()
-		if err := db.CreateSequence("l", l, seqproc.Dense); err != nil {
-			return "", err
-		}
-		if err := db.CreateSequence("r", r, seqproc.Dense); err != nil {
-			return "", err
-		}
-		db.SetOptions(v.opts)
-		if err := section(&b, v.label, db, query, span); err != nil {
-			return "", err
-		}
-	}
-	return b.String(), nil
-}
-
-func analyzeE6(quick bool) (string, error) {
-	span := seq.NewSpan(1, 64)
-	db := seqproc.New()
-	for _, name := range []string{"a", "b", "c", "d"} {
-		data, err := workload.Stock(workload.StockConfig{Name: name, Span: span, Density: 1, Seed: 31})
+	for _, v := range analyzeVariants[id] {
+		db, query, span, err := setup(quick)
 		if err != nil {
 			return "", err
 		}
-		if err := db.CreateSequence(name, data, seqproc.Dense); err != nil {
-			return "", err
-		}
-	}
-	var b strings.Builder
-	err := section(&b, "E6: four-way join block (DP-chosen order and strategies)", db,
-		"compose(a, compose(b, compose(c, d)))", span)
-	return b.String(), err
-}
-
-func analyzeE7(quick bool) (string, error) {
-	n := int64(20_000)
-	if quick {
-		n = 2_000
-	}
-	span := seq.NewSpan(1, n)
-	a, err := workload.Stock(workload.StockConfig{Name: "a", Span: span, Density: 0.9, Seed: 41})
-	if err != nil {
-		return "", err
-	}
-	bb, err := workload.Stock(workload.StockConfig{Name: "b", Span: span, Density: 0.9, Seed: 42})
-	if err != nil {
-		return "", err
-	}
-	db := seqproc.New()
-	if err := db.CreateSequence("a", a, seqproc.Sparse); err != nil {
-		return "", err
-	}
-	if err := db.CreateSequence("b", bb, seqproc.Sparse); err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	err = section(&b, "E7: stream-access pipeline (bounded caches over one scan)", db,
-		"sum(prev(select(compose(a, b), a.close > b.close)), a.close, 16)", span)
-	return b.String(), err
-}
-
-func analyzeE8(quick bool) (string, error) {
-	scale := int64(40)
-	if quick {
-		scale = 4
-	}
-	db, err := table1DB(scale)
-	if err != nil {
-		return "", err
-	}
-	span := seqproc.NewSpan(1, 750*scale)
-	const query = `project(
-	    select(offset(compose(dec, compose(ibm, hp) as ih), -3),
-	           ibm.close > hp.close and dec.close > 103.0),
-	    dec.close)`
-	var b strings.Builder
-	for _, v := range []struct {
-		label string
-		opts  seqproc.Options
-	}{
-		{"E8: rewrites enabled", seqproc.Options{}},
-		{"E8: rewrites disabled", seqproc.Options{DisableRewrites: true}},
-	} {
 		db.SetOptions(v.opts)
-		if err := section(&b, v.label, db, query, span); err != nil {
+		q, err := db.Query(query)
+		if err != nil {
 			return "", err
 		}
+		text, err := q.ExplainAnalyze(span)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "-- %s --\n%s\n%s\n\n", v.label, query, text)
 	}
-	return b.String(), err
+	return b.String(), nil
 }

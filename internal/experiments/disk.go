@@ -20,13 +20,10 @@ import (
 )
 
 // The durable-tier benchmark (seqbench -disk, BENCH_disk.json) answers
-// three questions about the disk subsystem of docs/STORAGE.md:
+// two questions about the disk subsystem of docs/STORAGE.md (what the
+// buffer pool buys is bench/'s disk_mixed workload):
 //
-//  1. What does the buffer pool buy? A cold/warm sweep runs the same
-//     scans and probes against an empty pool (Checkpoint + DropCaches)
-//     and a fully resident one, reporting wall time and the
-//     hit/miss/page counters per run.
-//  2. Does positional clustering beat an append-friendly layout for
+//  1. Does positional clustering beat an append-friendly layout for
 //     sequence access? A dense sequence is stored both ways — the
 //     page-file layout (records addressable by position, one page per
 //     probe) against an experiments-local LSM-style layout of K sorted
@@ -34,7 +31,7 @@ import (
 //     land in whichever run was open). The LSM probe must consult a
 //     page per candidate run; the head-to-head measures that read
 //     amplification directly.
-//  3. Do cold traces calibrate the cost model? EXPLAIN ANALYZE runs
+//  2. Do cold traces calibrate the cost model? EXPLAIN ANALYZE runs
 //     over cold disk-backed stores feed a reopt.Calibration; the
 //     regressed seq/rand constants are compared against the §4
 //     defaults on held-out runs.
@@ -43,8 +40,9 @@ import (
 // touches hundreds of them.
 const diskBenchPageSize = 4096
 
-// diskBenchPoolPages holds the largest sweep resident so the warm
-// rounds measure pure pool hits (16 MiB at 4 KiB pages).
+// diskBenchPoolPages holds the largest data set resident, so no run
+// evicts and every pool miss is a page's first read (16 MiB at 4 KiB
+// pages).
 const diskBenchPoolPages = 4096
 
 // diskLayoutRuns is K, the sorted-run count of the LSM-style layout.
@@ -53,27 +51,6 @@ const diskLayoutRuns = 8
 // diskProbeStride scatters probe positions; prime, so the positions are
 // distinct for every sweep size used here.
 const diskProbeStride = 9973
-
-// DiskPoint is one access pattern of the cold/warm sweep at one size.
-// Ns values are per-operation (the whole run for a scan, one probe for
-// probes); counters are totals over the run.
-type DiskPoint struct {
-	N      int64  `json:"n"`
-	Access string `json:"access"` // "scan" | "probe"
-	Ops    int    `json:"ops"`
-
-	ColdNsPerOp int64 `json:"cold_ns_per_op"`
-	WarmNsPerOp int64 `json:"warm_ns_per_op"`
-	// Pages is the page touches of one run (sequential for scans,
-	// random for probes) — identical cold and warm by construction.
-	Pages      int64 `json:"pages"`
-	ColdHits   int64 `json:"cold_pool_hits"`
-	ColdMisses int64 `json:"cold_pool_misses"`
-	WarmHits   int64 `json:"warm_pool_hits"`
-	WarmMisses int64 `json:"warm_pool_misses"`
-	// WarmSpeedup is cold-ns / warm-ns.
-	WarmSpeedup float64 `json:"warm_speedup"`
-}
 
 // DiskLayoutPoint is the dense-sequence head-to-head at one size:
 // the page-file layout against the K-run LSM-style append layout.
@@ -119,14 +96,13 @@ type DiskBench struct {
 	PageSize    int               `json:"page_size"`
 	PoolPages   int               `json:"pool_pages"`
 	Quick       bool              `json:"quick"`
-	Sweep       []DiskPoint       `json:"cold_warm_sweep"`
 	Layout      []DiskLayoutPoint `json:"layout_head_to_head"`
 	Calibration *DiskCalibration  `json:"calibration"`
 }
 
 // diskBenchConfig is every benchmark database's configuration: small
 // pages, a pool that holds the working set, no background checkpointer
-// (the sweeps checkpoint explicitly to make DropCaches total).
+// (the runs checkpoint explicitly to make DropCaches total).
 func diskBenchConfig() disk.Config {
 	return disk.Config{
 		PageSize:           diskBenchPageSize,
@@ -166,106 +142,11 @@ func diskCold(db *disk.DB) error {
 	return nil
 }
 
-// DiskSweep measures cold-vs-warm scans and probes per size.
-func DiskSweep(quick bool) ([]DiskPoint, error) {
-	sizes, ops := diskSizes(quick)
-	var out []DiskPoint
-	for _, n := range sizes {
-		pts, err := diskSweepOne(n, ops)
-		if err != nil {
-			return nil, fmt.Errorf("disk sweep n=%d: %w", n, err)
-		}
-		out = append(out, pts...)
-	}
-	return out, nil
-}
-
 func diskSizes(quick bool) ([]int64, int) {
 	if quick {
 		return []int64{5_000}, 64
 	}
 	return []int64{50_000, 200_000}, 512
-}
-
-func diskSweepOne(n int64, ops int) ([]DiskPoint, error) {
-	dir, err := os.MkdirTemp("", "seqbench-disk-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	db, err := disk.Open(dir, diskBenchConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	data, err := diskDenseData(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.CreateSequence("d", data, storage.KindDense); err != nil {
-		return nil, err
-	}
-	ds, ok := db.Seq("d")
-	if !ok {
-		return nil, fmt.Errorf("sequence vanished after create")
-	}
-	stats := &storage.Stats{}
-	st := ds.Latest().Fork(stats)
-	span := seq.NewSpan(1, seq.Pos(n))
-
-	scan := func() error {
-		rows, err := drainCursor(st.Scan(span))
-		if err != nil {
-			return err
-		}
-		if rows != n {
-			return fmt.Errorf("scan returned %d of %d records", rows, n)
-		}
-		return nil
-	}
-	positions := diskProbePositions(n, ops)
-	probe := func() error {
-		for _, p := range positions {
-			if _, err := st.Probe(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var out []DiskPoint
-	for _, a := range []struct {
-		access string
-		ops    int
-		run    func() error
-	}{{"scan", 1, scan}, {"probe", ops, probe}} {
-		pt := DiskPoint{N: n, Access: a.access, Ops: a.ops}
-		if err := diskCold(db); err != nil {
-			return nil, err
-		}
-		stats.SnapshotAndReset()
-		coldNs, err := timeRun(a.run)
-		if err != nil {
-			return nil, err
-		}
-		cold := stats.SnapshotAndReset()
-		// The cold run left the pool resident: measure warm directly.
-		warmNs, err := timeRun(a.run)
-		if err != nil {
-			return nil, err
-		}
-		warm := stats.SnapshotAndReset()
-		pt.ColdNsPerOp = coldNs / int64(a.ops)
-		pt.WarmNsPerOp = warmNs / int64(a.ops)
-		pt.Pages = warm.Pages()
-		pt.ColdHits, pt.ColdMisses = cold.PoolHits, cold.PoolMisses
-		pt.WarmHits, pt.WarmMisses = warm.PoolHits, warm.PoolMisses
-		if warmNs > 0 {
-			pt.WarmSpeedup = float64(coldNs) / float64(warmNs)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
 }
 
 // drainCursor counts a cursor's entries without retaining them, so
@@ -765,10 +646,6 @@ func DiskCalibrationRound(quick bool) (*DiskCalibration, error) {
 
 // DiskBenchmark runs the full -disk artifact.
 func DiskBenchmark(quick bool) (*DiskBench, error) {
-	sweep, err := DiskSweep(quick)
-	if err != nil {
-		return nil, err
-	}
 	layout, err := DiskLayoutSweep(quick)
 	if err != nil {
 		return nil, err
@@ -781,7 +658,6 @@ func DiskBenchmark(quick bool) (*DiskBench, error) {
 		PageSize:    diskBenchPageSize,
 		PoolPages:   diskBenchPoolPages,
 		Quick:       quick,
-		Sweep:       sweep,
 		Layout:      layout,
 		Calibration: cal,
 	}, nil
@@ -791,14 +667,8 @@ func DiskBenchmark(quick bool) (*DiskBench, error) {
 // the JSON.
 func RenderDisk(b *DiskBench) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "cold vs warm (page size %d, pool %d pages)\n", b.PageSize, b.PoolPages)
-	fmt.Fprintf(&sb, "%-9s %-6s %-6s %-12s %-12s %-8s %-8s %-8s %s\n",
-		"n", "access", "ops", "cold-ns/op", "warm-ns/op", "pages", "misses", "hits", "speedup")
-	for _, p := range b.Sweep {
-		fmt.Fprintf(&sb, "%-9d %-6s %-6d %-12d %-12d %-8d %-8d %-8d %.1f\n",
-			p.N, p.Access, p.Ops, p.ColdNsPerOp, p.WarmNsPerOp, p.Pages, p.ColdMisses, p.WarmHits, p.WarmSpeedup)
-	}
-	fmt.Fprintf(&sb, "layout head-to-head: page file vs %d-run LSM-style append layout\n", diskLayoutRuns)
+	fmt.Fprintf(&sb, "layout head-to-head (page size %d, pool %d pages): page file vs %d-run LSM-style append layout\n",
+		b.PageSize, b.PoolPages, diskLayoutRuns)
 	fmt.Fprintf(&sb, "%-9s %-14s %-14s %-10s %-10s %-9s %-12s %s\n",
 		"n", "page-probe-ns", "lsm-probe-ns", "pg-pages", "lsm-pages", "read-amp", "page-scan-ns", "lsm-scan-ns")
 	for _, p := range b.Layout {

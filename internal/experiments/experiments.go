@@ -10,6 +10,10 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	seqproc "repro"
+	"repro/internal/seq"
+	"repro/internal/workload"
 )
 
 // Table is one experiment's result: a titled grid of rows.
@@ -98,14 +102,131 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// timed runs f and returns its duration.
-func timed(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), nil2(err)
+// setups builds each experiment's representative query as (db, query
+// text, span): the query EXPLAIN ANALYZE shows (Analyze) and the
+// calibration round prices (ReoptCalibrationRound).
+var setups = map[string]func(quick bool) (*seqproc.DB, string, seq.Span, error){
+	"e1": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		n := 4000
+		if quick {
+			n = 500
+		}
+		span := seq.NewSpan(1, int64(n)*4)
+		quakes, volcanos, err := workload.Monitoring(span, n, n/10, int64(n))
+		if err != nil {
+			return nil, "", span, err
+		}
+		db := seqproc.New()
+		db.MustCreateSequence("quakes", quakes, seqproc.Sparse)
+		db.MustCreateSequence("volcanos", volcanos, seqproc.Sparse)
+		return db, "project(select(compose(volcanos, prev(quakes)), strength > 7.0), name)", span, nil
+	},
+	"e2": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		scale := int64(40)
+		if quick {
+			scale = 4
+		}
+		db, err := table1DB(scale)
+		return db, "project(compose(dec, select(compose(ibm, hp), ibm.close > hp.close) as ih), dec.close)",
+			seq.NewSpan(1, 750*scale), err
+	},
+	"e3": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		n := int64(50_000)
+		d1 := 0.02
+		if quick {
+			n = 4_000
+			d1 = 0.05
+		}
+		span := seq.NewSpan(1, n)
+		left, err := workload.Stock(workload.StockConfig{Name: "left", Span: span, Density: d1, Seed: 11})
+		if err != nil {
+			return nil, "", span, err
+		}
+		right, err := workload.Stock(workload.StockConfig{Name: "right", Span: span, Density: 1.0, Seed: 12})
+		if err != nil {
+			return nil, "", span, err
+		}
+		db := seqproc.New()
+		db.MustCreateSequence("l", left, seqproc.Sparse)
+		db.MustCreateSequence("r", right, seqproc.Dense)
+		return db, "select(compose(l, r), l.close > r.close)", span, nil
+	},
+	"e4": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		n := int64(50_000)
+		if quick {
+			n = 4_000
+		}
+		span := seq.NewSpan(1, n)
+		data, err := workload.Stock(workload.StockConfig{Name: "ibm", Span: span, Density: 1, Seed: 21})
+		if err != nil {
+			return nil, "", span, err
+		}
+		db := seqproc.New()
+		db.MustCreateSequence("ibm", data, seqproc.Dense)
+		return db, "sum(ibm, close, 32)", span, nil
+	},
+	"e5": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		n := int64(20_000)
+		if quick {
+			n = 2_000
+		}
+		span := seq.NewSpan(1, n)
+		l, err := workload.Stock(workload.StockConfig{Name: "l", Span: span, Density: 1, Seed: 51})
+		if err != nil {
+			return nil, "", span, err
+		}
+		r, err := workload.Stock(workload.StockConfig{Name: "r", Span: span, Density: 1, Seed: 52})
+		if err != nil {
+			return nil, "", span, err
+		}
+		db := seqproc.New()
+		db.MustCreateSequence("l", l, seqproc.Dense)
+		db.MustCreateSequence("r", r, seqproc.Dense)
+		return db, "prev(select(compose(l, r), l.close > r.close))", span, nil
+	},
+	"e6": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		span := seq.NewSpan(1, 64)
+		db := seqproc.New()
+		for _, name := range []string{"a", "b", "c", "d"} {
+			data, err := workload.Stock(workload.StockConfig{Name: name, Span: span, Density: 1, Seed: 31})
+			if err != nil {
+				return nil, "", span, err
+			}
+			db.MustCreateSequence(name, data, seqproc.Dense)
+		}
+		return db, "compose(a, compose(b, compose(c, d)))", span, nil
+	},
+	"e7": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		n := int64(20_000)
+		if quick {
+			n = 2_000
+		}
+		span := seq.NewSpan(1, n)
+		a, err := workload.Stock(workload.StockConfig{Name: "a", Span: span, Density: 0.9, Seed: 41})
+		if err != nil {
+			return nil, "", span, err
+		}
+		b, err := workload.Stock(workload.StockConfig{Name: "b", Span: span, Density: 0.9, Seed: 42})
+		if err != nil {
+			return nil, "", span, err
+		}
+		db := seqproc.New()
+		db.MustCreateSequence("a", a, seqproc.Sparse)
+		db.MustCreateSequence("b", b, seqproc.Sparse)
+		return db, "sum(prev(select(compose(a, b), a.close > b.close)), a.close, 16)", span, nil
+	},
+	"e8": func(quick bool) (*seqproc.DB, string, seq.Span, error) {
+		scale := int64(40)
+		if quick {
+			scale = 4
+		}
+		db, err := table1DB(scale)
+		return db, `project(
+	    select(offset(compose(dec, compose(ibm, hp) as ih), -3),
+	           ibm.close > hp.close and dec.close > 103.0),
+	    dec.close)`, seq.NewSpan(1, 750*scale), err
+	},
 }
-
-func nil2(err error) error { return err }
 
 // ms formats a duration in milliseconds.
 func ms(d time.Duration) string {

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestIVMRunCell drives one small benchmark cell in each mode and checks
 // the accounting: incremental mode must stitch every (append, view)
@@ -30,6 +33,33 @@ func TestIVMRunCell(t *testing.T) {
 	}
 	if incr.Appends != rounds*perRound || inval.Appends != rounds*perRound {
 		t.Errorf("append counts = %d/%d, want %d", incr.Appends, inval.Appends, rounds*perRound)
+	}
+
+	// The quick seqbench -ivm run: an (invalidate, incremental) pair per
+	// view count, with the same exact stitch accounting, rendered as a
+	// header plus one line per point.
+	points, err := IVMBenchmark(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2*len(ivmViewCounts) {
+		t.Fatalf("got %d points, want %d", len(points), 2*len(ivmViewCounts))
+	}
+	for i := 0; i < len(points); i += 2 {
+		inval, incr := points[i], points[i+1]
+		if inval.Mode != "invalidate" || incr.Mode != "incremental" || inval.Views != incr.Views {
+			t.Fatalf("points not paired per view count: %+v / %+v", inval, incr)
+		}
+		if incr.Stitches != incr.Views*incr.Appends {
+			t.Errorf("%d views: %d stitches, want %d", incr.Views, incr.Stitches, incr.Views*incr.Appends)
+		}
+		if incr.SpeedupEndToEnd <= 0 {
+			t.Errorf("%d views: no end-to-end speedup computed", incr.Views)
+		}
+	}
+	table := RenderIVM(points)
+	if lines := strings.Count(table, "\n"); lines != len(points)+1 {
+		t.Errorf("RenderIVM printed %d lines, want %d:\n%s", lines, len(points)+1, table)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -312,15 +313,15 @@ func reoptSweepOne(n int64, reps int) (*ReoptSkewPoint, error) {
 // constants supplied through Options.Calibration. It reports the
 // predicted-vs-actual error of both rounds.
 func ReoptCalibrationRound(quick bool) (*ReoptCalibration, error) {
-	ids := make([]string, 0, len(parallelSetups))
-	for id := range parallelSetups {
+	ids := make([]string, 0, len(setups))
+	for id := range setups {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 
 	cal := &reopt.Calibration{}
 	run := func(id string, opts seqproc.Options) (*seqproc.Analysis, error) {
-		db, query, span, err := parallelSetups[id](quick)
+		db, query, span, err := setups[id](quick)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}
@@ -419,17 +420,10 @@ func scaledRelErr(pred, act []float64) float64 {
 	var sum float64
 	for i := range pred {
 		if act[i] > 0 {
-			sum += abs(s*pred[i]-act[i]) / act[i]
+			sum += math.Abs(s*pred[i]-act[i]) / act[i]
 		}
 	}
 	return sum / float64(len(pred))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ReoptBenchmark runs the full -reopt artifact: the skewed-estimate

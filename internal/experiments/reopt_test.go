@@ -41,9 +41,10 @@ func TestReoptSweepQuick(t *testing.T) {
 
 // The calibration round's deterministic shape: every experiment feeds
 // the regression, the derived constants are finite and positive, and
-// both rounds produce a measurable per-operator error. Whether the
-// calibrated error is lower is asserted only by the full bench (quick
-// traces are too small for the fit to be meaningful).
+// both rounds produce a measurable per-operator error. Nothing asserts
+// that the calibrated error is lower: the recorded full run
+// (BENCH_reopt.json) reports improved=false on this engine, and making
+// calibration pay is ROADMAP item 10.
 func TestReoptCalibrationRoundQuick(t *testing.T) {
 	c, err := ReoptCalibrationRound(true)
 	if err != nil {
@@ -52,8 +53,8 @@ func TestReoptCalibrationRoundQuick(t *testing.T) {
 	if c.Samples < 8 {
 		t.Errorf("only %d samples observed across E1-E8", c.Samples)
 	}
-	if len(c.Points) != len(parallelSetups) {
-		t.Errorf("got %d calibration points, want %d", len(c.Points), len(parallelSetups))
+	if len(c.Points) != len(setups) {
+		t.Errorf("got %d calibration points, want %d", len(c.Points), len(setups))
 	}
 	for _, name := range []string{"rand_page", "per_record", "cache_access", "ns_per_unit"} {
 		v, ok := c.Constants[name]

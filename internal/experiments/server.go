@@ -279,8 +279,8 @@ func RenderServer(points []ServerPoint) string {
 		fmt.Fprintf(&b, "%-6d %-8d %-9.0f %-9.2f %-9.2f %-9.2f %-10.2f %-8d %d\n",
 			p.Conns, p.Queries, p.QPS, p.P50Ms, p.P99Ms, p.MaxMs, p.QueueP99Ms, p.Appends, p.Epoch)
 	}
-	b.WriteString("finding: QPS should rise with connections until the worker pool saturates,\n")
-	b.WriteString("after which p99 latency grows with queue wait while p50 holds — snapshot\n")
-	b.WriteString("isolation keeps readers running at full speed throughout the append stream.\n")
+	b.WriteString("finding: QPS should rise with connections until the worker pool saturates\n")
+	b.WriteString("and then hold, while p50 and p99 latency grow with queue wait — and snapshot\n")
+	b.WriteString("isolation keeps readers answering throughout the append stream.\n")
 	return b.String()
 }
