@@ -169,7 +169,7 @@ func benchE4(b *testing.B, w int64, mk func(in exec.Plan, spec algebra.AggSpec, 
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := exec.Run(plan, outSpan); err != nil {
+		if _, err := exec.Run(plan, outSpan, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func benchE5(b *testing.B, matchProb float64, incremental bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := exec.Run(prev, outSpan); err != nil {
+		if _, err := exec.Run(prev, outSpan, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

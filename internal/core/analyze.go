@@ -71,101 +71,83 @@ type Analysis struct {
 // returns the output together with the metrics. The plan is deep-copied
 // before wrapping, so the Result stays reusable; operator caches in the
 // instrumented copy are fresh, so cache counters describe this run only.
-func (r *Result) RunAnalyze() (*Analysis, error) {
+// With Options.Reopt enabled it is RunAnalyzeReopt.
+func (r *Result) RunAnalyze() (*Analysis, error) { return r.run(r.opts.Reopt, true) }
+
+// run is the one run path behind Run, RunAnalyze and the reopt entries.
+// Options.Batch picks the data plane; cfg.Enabled monitors the run for
+// mid-run splices; otherwise a partitioned decision fans out through
+// internal/parallel. analyze instruments the plan and accounts the
+// run's page movement; without it only Output (and Reopt) are set.
+func (r *Result) run(cfg reopt.Config, analyze bool) (*Analysis, error) {
 	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
 		return nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
 	}
-	if r.opts.Reopt.Enabled {
-		return r.RunAnalyzeReopt()
-	}
-	pred := r.predFn()
-	var bctx *seq.BatchCtx
+	var ctx *seq.BatchCtx
 	if r.opts.Batch.Enabled() {
-		bctx = seq.NewBatchCtx()
+		ctx = seq.NewBatchCtx()
 	}
-	if r.Parallel.Parallel() {
-		start := time.Now()
-		var out *seq.Materialized
-		var root *exec.NodeMetrics
-		var parts []parallel.PartitionMetrics
-		var err error
-		if bctx != nil {
-			out, root, parts, err = parallel.RunAnalyzeBatch(r.Plan, r.RunSpan, r.Parallel, pred, bctx)
-		} else {
-			out, root, parts, err = parallel.RunAnalyze(r.Plan, r.RunSpan, r.Parallel, pred)
+	a := &Analysis{Span: r.RunSpan, Predicted: r.Cost, Params: r.Params}
+	var stores []storage.Store
+	var before []storage.StatsSnapshot
+	if analyze {
+		stores = exec.PlanStores(r.Plan)
+		for _, st := range stores {
+			before = append(before, st.Stats().Snapshot())
 		}
-		elapsed := time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		// Each worker metered private store forks, so the per-partition
-		// page counters are exact and their sum is the run's global page
-		// movement.
-		var global storage.StatsSnapshot
-		for _, pm := range parts {
-			global = global.Add(pm.Pages)
-		}
-		a := &Analysis{
-			Output:      out,
-			Root:        root,
-			Span:        r.RunSpan,
-			Elapsed:     elapsed,
-			Predicted:   r.Cost,
-			GlobalPages: global,
-			Params:      r.Params,
-			Decision:    r.Parallel,
-			Partitions:  parts,
-			Views:       r.viewCounters(),
-		}
-		a.absorbBatch(bctx)
-		return a, nil
-	}
-	instr, root := exec.Instrument(r.Plan, pred)
-	stores := exec.PlanStores(r.Plan)
-	before := make([]storage.StatsSnapshot, len(stores))
-	for i, st := range stores {
-		before[i] = st.Stats().Snapshot()
 	}
 	start := time.Now()
-	var out *seq.Materialized
 	var err error
-	if bctx != nil {
-		out, err = exec.RunBatch(instr, r.RunSpan, bctx)
-	} else {
-		out, err = exec.Run(instr, r.RunSpan)
+	switch {
+	case cfg.Enabled:
+		// The monitored run's instrumentation doubles as the analysis:
+		// Root is the metrics tree of the last monitored segment (a
+		// parallel tail contributes its decision through the report).
+		a.Output, a.Reopt, err = r.runReopt(cfg, ctx)
+		if err == nil {
+			for _, s := range a.Reopt.Segments {
+				if s.Metrics != nil {
+					a.Root = s.Metrics
+				}
+			}
+		}
+	case !analyze:
+		a.Output, err = parallel.Run(r.Plan, r.RunSpan, r.Parallel, ctx)
+	case r.Parallel.Parallel():
+		a.Decision = r.Parallel
+		a.Output, a.Root, a.Partitions, err = parallel.RunAnalyze(r.Plan, r.RunSpan, r.Parallel, r.predFn(), ctx)
+	default:
+		instr, root := exec.Instrument(r.Plan, r.predFn())
+		a.Output, err = exec.Run(instr, r.RunSpan, ctx)
+		root.Finalize()
+		a.Root = root
 	}
-	elapsed := time.Since(start)
+	a.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	root.Finalize()
-	var global storage.StatsSnapshot
-	for i, st := range stores {
-		global = global.Add(st.Stats().Snapshot().Sub(before[i]))
+	if !analyze {
+		return a, nil
 	}
-	a := &Analysis{
-		Output:      out,
-		Root:        root,
-		Span:        r.RunSpan,
-		Elapsed:     elapsed,
-		Predicted:   r.Cost,
-		GlobalPages: global,
-		Params:      r.Params,
-		Views:       r.viewCounters(),
+	if a.Partitions != nil {
+		// Each worker metered private store forks, so the per-partition
+		// page counters are exact — also under concurrent runs — and
+		// their sum is the run's global page movement.
+		for _, pm := range a.Partitions {
+			a.GlobalPages = a.GlobalPages.Add(pm.Pages)
+		}
+	} else {
+		for i, st := range stores {
+			a.GlobalPages = a.GlobalPages.Add(st.Stats().Snapshot().Sub(before[i]))
+		}
 	}
-	a.absorbBatch(bctx)
+	a.Views = r.viewCounters()
+	// Scalar runs leave the batch counters zero, keeping their reports
+	// byte-identical to a build without the batch subsystem.
+	if ctx != nil {
+		a.Batches, a.BatchRows, a.Intern = ctx.Batches, ctx.Rows, ctx.Intern.Stats()
+	}
 	return a, nil
-}
-
-// absorbBatch copies a completed batch context's run counters into the
-// analysis (no-op for scalar runs, keeping their reports unchanged).
-func (a *Analysis) absorbBatch(ctx *seq.BatchCtx) {
-	if ctx == nil {
-		return
-	}
-	a.Batches = ctx.Batches
-	a.BatchRows = ctx.Rows
-	a.Intern = ctx.Intern.Stats()
 }
 
 // viewCounters snapshots the registry's per-view counters (nil when the

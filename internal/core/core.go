@@ -74,9 +74,7 @@ type Options struct {
 	// zero value (BatchAuto) drives converted operators through columnar
 	// batches with value interning, BatchOff forces the record-at-a-time
 	// scalar interpreter — the semantic ground truth the differential
-	// tests compare against. Reoptimized runs always execute scalar:
-	// mid-run splicing needs record-granular checkpoints, which batch
-	// boundaries do not provide.
+	// tests compare against.
 	Batch exec.BatchMode
 }
 
@@ -176,24 +174,11 @@ type Result struct {
 // output (the Start operator of Figure 6). With Options.Reopt enabled
 // the run is monitored and may splice in a replanned tail (RunReopt).
 func (r *Result) Run() (*seq.Materialized, error) {
-	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
-		return nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
+	a, err := r.run(r.opts.Reopt, false)
+	if err != nil {
+		return nil, err
 	}
-	if r.opts.Reopt.Enabled {
-		out, _, err := r.RunReoptWith(r.opts.Reopt)
-		return out, err
-	}
-	if r.opts.Batch.Enabled() {
-		ctx := seq.NewBatchCtx()
-		if r.Parallel.Parallel() {
-			return parallel.RunBatch(r.Plan, r.RunSpan, r.Parallel, ctx)
-		}
-		return exec.RunBatch(r.Plan, r.RunSpan, ctx)
-	}
-	if r.Parallel.Parallel() {
-		return parallel.Run(r.Plan, r.RunSpan, r.Parallel)
-	}
-	return exec.Run(r.Plan, r.RunSpan)
+	return a.Output, nil
 }
 
 // Probe evaluates the query at specific positions using the probed plan

@@ -199,7 +199,7 @@ func TestSpanPropagationReducesPages(t *testing.T) {
 
 	q2, stores2 := build()
 	res2 := optimize(t, q2, seq.NewSpan(1, 750), Options{DisableSpanPropagation: true})
-	if _, err := exec.Run(res2.Plan, seq.NewSpan(1, 750)); err != nil {
+	if _, err := exec.Run(res2.Plan, seq.NewSpan(1, 750), nil); err != nil {
 		t.Fatal(err)
 	}
 	withoutSpans := totalPages(stores2)

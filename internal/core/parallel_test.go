@@ -81,7 +81,7 @@ func TestParallelRunMatchesReference(t *testing.T) {
 		t.Fatalf("expected the big scan to partition, got %s", res.Parallel)
 	}
 	// And agree with the serial engine run on the same physical plan.
-	serial, err := exec.Run(res.Plan, res.RunSpan)
+	serial, err := exec.Run(res.Plan, res.RunSpan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

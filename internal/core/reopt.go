@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/meta"
@@ -11,7 +8,6 @@ import (
 	"repro/internal/planlint"
 	"repro/internal/reopt"
 	"repro/internal/seq"
-	"repro/internal/storage"
 )
 
 // predFn returns the PlanCosts lookup as the instrumentation-layer
@@ -55,9 +51,26 @@ func (r *Result) RunReopt() (*seq.Materialized, *reopt.Report, error) {
 // checks at splice time, and the executed segments pass the reopt/*
 // splice invariants afterwards.
 func (r *Result) RunReoptWith(cfg reopt.Config) (*seq.Materialized, *reopt.Report, error) {
-	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
-		return nil, nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
+	cfg.Enabled = true
+	a, err := r.run(cfg, false)
+	if err != nil {
+		return nil, nil, err
 	}
+	return a.Output, a.Reopt, nil
+}
+
+// RunAnalyzeReopt is RunAnalyze under mid-run reoptimization: the
+// Analysis carries the reoptimization report, and Root is the metrics
+// tree of the last monitored segment.
+func (r *Result) RunAnalyzeReopt() (*Analysis, error) {
+	cfg := r.opts.Reopt
+	cfg.Enabled = true
+	return r.run(cfg, true)
+}
+
+// runReopt drives reopt.Run on the run's data plane with a replanner
+// over this result and, in verify mode, checks the executed segments.
+func (r *Result) runReopt(cfg reopt.Config, ctx *seq.BatchCtx) (*seq.Materialized, *reopt.Report, error) {
 	rp := &replanner{
 		res:       r,
 		plan:      r.Plan,
@@ -68,7 +81,7 @@ func (r *Result) RunReoptWith(cfg reopt.Config) (*seq.Materialized, *reopt.Repor
 		tailK:     cfg.TailK,
 		verify:    r.verifyOn(),
 	}
-	out, rep, err := reopt.Run(r.Plan, r.RunSpan, cfg, r.predFn(), r.costWeights(), rp)
+	out, rep, err := reopt.Run(r.Plan, r.RunSpan, cfg, r.predFn(), r.costWeights(), rp, ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,46 +247,4 @@ func observedDensity(access seq.Span, m *exec.NodeMetrics, frac float64) (float6
 		}
 	}
 	return 0, false
-}
-
-// RunAnalyzeReopt is RunAnalyze under mid-run reoptimization: the
-// monitored run's instrumentation doubles as the analysis, the
-// Analysis carries the reoptimization report, and Root is the metrics
-// tree of the last monitored segment (a parallel tail contributes its
-// partition decision through the report, not a merged tree).
-func (r *Result) RunAnalyzeReopt() (*Analysis, error) {
-	cfg := r.opts.Reopt
-	cfg.Enabled = true
-	stores := exec.PlanStores(r.Plan)
-	before := make([]storage.StatsSnapshot, len(stores))
-	for i, st := range stores {
-		before[i] = st.Stats().Snapshot()
-	}
-	start := time.Now()
-	out, rep, err := r.RunReoptWith(cfg)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	var global storage.StatsSnapshot
-	for i, st := range stores {
-		global = global.Add(st.Stats().Snapshot().Sub(before[i]))
-	}
-	var root *exec.NodeMetrics
-	for _, s := range rep.Segments {
-		if s.Metrics != nil {
-			root = s.Metrics
-		}
-	}
-	return &Analysis{
-		Output:      out,
-		Root:        root,
-		Span:        r.RunSpan,
-		Elapsed:     elapsed,
-		Predicted:   r.Cost,
-		GlobalPages: global,
-		Params:      r.Params,
-		Views:       r.viewCounters(),
-		Reopt:       rep,
-	}, nil
 }

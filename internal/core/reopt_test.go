@@ -2,6 +2,7 @@ package core
 
 import (
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -209,6 +210,43 @@ func TestReoptThroughRunHook(t *testing.T) {
 	}
 }
 
+// TestReoptRunsBatched: turning reopt on keeps the run on the data plane
+// Options.Batch selects. Under zero Options the monitored run consumes
+// batches and still splices at a batch boundary; under BatchOff it
+// drains the scalar interpreter and its report has no batch line.
+// Both match the static batch run.
+func TestReoptRunsBatched(t *testing.T) {
+	const n = 4000
+	span := seq.NewSpan(0, n-1)
+	qs, _, _ := skewedComposeQuery(t, n, 0.002)
+	want, err := optimize(t, qs, span, Options{}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []exec.BatchMode{exec.BatchAuto, exec.BatchOff} {
+		q, _, _ := skewedComposeQuery(t, n, 0.002)
+		res := optimize(t, q, span, Options{Batch: mode, Reopt: reopt.Config{Enabled: true}})
+		a, err := res.RunAnalyze()
+		if err != nil {
+			t.Fatalf("batch=%v: %v", mode.Enabled(), err)
+		}
+		render := a.RenderStable()
+		if a.Reopt == nil || !a.Reopt.Switched() {
+			t.Errorf("batch=%v: monitored run did not splice:\n%s", mode.Enabled(), render)
+		}
+		if mode.Enabled() {
+			if a.Batches == 0 {
+				t.Errorf("reopt run consumed no batches under zero Options:\n%s", render)
+			}
+		} else if a.Batches != 0 || strings.Contains(render, "batch:") {
+			t.Errorf("BatchOff reopt run reports batches=%d:\n%s", a.Batches, render)
+		}
+		if !testgen.EntriesApproxEqual(a.Output.Entries(), want.Entries()) {
+			t.Errorf("batch=%v: reopt output differs from the static batch run", mode.Enabled())
+		}
+	}
+}
+
 // TestReoptForcedMidpointSegments: a forced trigger at an adversarial
 // midpoint splices exactly there and the segment spans partition the
 // run span.
@@ -222,8 +260,10 @@ func TestReoptForcedMidpointSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := seq.Pos(n / 2)
+	// Checkpoints never trigger on an infinite threshold; the interval
+	// only keeps batches short enough to leave a boundary after mid.
 	out, rep, err := res.RunReoptWith(reopt.Config{
-		Enabled: true, CheckEvery: 1 << 30, Threshold: 8, ForceAt: &mid,
+		Enabled: true, CheckEvery: 128, Threshold: math.Inf(1), ForceAt: &mid,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +329,7 @@ func TestAnalyzeReoptGolden(t *testing.T) {
 	mid := seq.Pos(n / 2)
 	res := optimize(t, q, span, Options{
 		Verify: true,
-		Reopt:  reopt.Config{Enabled: true, CheckEvery: 1 << 30, Threshold: 8, ForceAt: &mid},
+		Reopt:  reopt.Config{Enabled: true, CheckEvery: 256, Threshold: math.Inf(1), ForceAt: &mid},
 	})
 	a, err := res.RunAnalyzeReopt()
 	if err != nil {

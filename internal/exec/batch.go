@@ -28,38 +28,12 @@ const (
 // Enabled reports whether the mode uses the vectorized data plane.
 func (m BatchMode) Enabled() bool { return m == BatchAuto }
 
-// String returns the mode name.
-func (m BatchMode) String() string {
-	if m == BatchOff {
-		return "off"
-	}
-	return "auto"
-}
-
-// RunBatch drains the plan in batch mode over the given bounded span and
-// materializes the result — the vectorized counterpart of Run. Batch
-// producers emit entries in strictly ascending position order, so the
-// result skips NewMaterialized's sort and is assembled with a single
-// verification pass.
-func RunBatch(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
-	entries, err := CollectBatchesIn(BatchScanOf(p, span, ctx), ctx, span)
-	if err != nil {
-		return nil, err
-	}
-	return seq.FromSortedEntries(p.Info().Schema, entries)
-}
-
-// CollectBatches drains a batch cursor into entries, closing it. The
+// CollectBatchesIn drains a batch cursor into entries, closing it. The
 // context's run counters account the consumed batches and valid rows.
-func CollectBatches(cur seq.BatchCursor, ctx *seq.BatchCtx) ([]seq.Entry, error) {
-	return CollectBatchesIn(cur, ctx, seq.EmptySpan)
-}
-
-// CollectBatchesIn is CollectBatches with the scan's total span supplied
-// as a sizing hint: the result slice is presized by extrapolating the
-// first non-empty batch's row density across the whole span, replacing
-// the append-doubling growth (and its copying) with one allocation on
-// uniform outputs.
+// The scan's total span is a sizing hint: the result slice is presized
+// by extrapolating the first non-empty batch's row density across the
+// whole span, replacing the append-doubling growth (and its copying)
+// with one allocation on uniform outputs.
 func CollectBatchesIn(cur seq.BatchCursor, ctx *seq.BatchCtx, span seq.Span) ([]seq.Entry, error) {
 	defer cur.Close()
 	var out []seq.Entry

@@ -17,13 +17,13 @@ import (
 // root collector consumed.
 func batchVsScalar(t *testing.T, p Plan, span seq.Span, size int) int64 {
 	t.Helper()
-	want, err := Run(p, span)
+	want, err := Run(p, span, nil)
 	if err != nil {
 		t.Fatalf("scalar run: %v", err)
 	}
 	ctx := seq.NewBatchCtx()
 	ctx.Size = size
-	got, err := RunBatch(p, span, ctx)
+	got, err := Run(p, span, ctx)
 	if err != nil {
 		t.Fatalf("batch run (size %d): %v", size, err)
 	}
@@ -109,7 +109,7 @@ func TestBatchLeafSparseAndDense(t *testing.T) {
 func TestBatchEmptySpan(t *testing.T) {
 	p := leaf(t, map[seq.Pos]float64{1: 1, 2: 2})
 	ctx := seq.NewBatchCtx()
-	got, err := RunBatch(p, seq.EmptySpan, ctx)
+	got, err := Run(p, seq.EmptySpan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestBatchProjectErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serr := Run(p, seq.NewSpan(0, 5))
+	_, serr := Run(p, seq.NewSpan(0, 5), nil)
 	if serr == nil {
 		t.Fatal("scalar run must fail on integer division by zero")
 	}
-	_, berr := RunBatch(p, seq.NewSpan(0, 5), seq.NewBatchCtx())
+	_, berr := Run(p, seq.NewSpan(0, 5), seq.NewBatchCtx())
 	if berr == nil {
 		t.Fatal("batch run must fail on integer division by zero")
 	}
@@ -400,7 +400,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 
 	sp, sstats := build()
 	sinstr, sroot := Instrument(sp, nil)
-	if _, err := Run(sinstr, span); err != nil {
+	if _, err := Run(sinstr, span, nil); err != nil {
 		t.Fatal(err)
 	}
 	sroot.Finalize()
@@ -410,7 +410,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 	binstr, broot := Instrument(bp, nil)
 	ctx := seq.NewBatchCtx()
 	ctx.Size = 2
-	if _, err := RunBatch(binstr, span, ctx); err != nil {
+	if _, err := Run(binstr, span, ctx); err != nil {
 		t.Fatal(err)
 	}
 	broot.Finalize()
@@ -549,12 +549,12 @@ func TestBatchStringInterning(t *testing.T) {
 	p := NewSelect(in, pred)
 	span := seq.NewSpan(1, 100)
 
-	want, err := Run(p, span)
+	want, err := Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := seq.NewBatchCtx()
-	got, err := RunBatch(p, span, ctx)
+	got, err := Run(p, span, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,9 +574,6 @@ func TestBatchStringInterning(t *testing.T) {
 }
 
 func TestBatchModeString(t *testing.T) {
-	if BatchAuto.String() != "auto" || BatchOff.String() != "off" {
-		t.Errorf("mode strings: %q %q", BatchAuto.String(), BatchOff.String())
-	}
 	if !BatchAuto.Enabled() || BatchOff.Enabled() {
 		t.Error("enabled flags wrong")
 	}

@@ -110,7 +110,7 @@ func TestInstrumentShardsMergeConcurrently(t *testing.T) {
 	// Serial reference: one shard draining every span in turn.
 	refInstr, refRoot := Instrument(p, nil)
 	for _, s := range spans {
-		if _, err := Run(refInstr, s); err != nil {
+		if _, err := Run(refInstr, s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestInstrumentShardsMergeConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(s seq.Span) {
 			defer wg.Done()
-			if _, err := Run(instr, s); err != nil {
+			if _, err := Run(instr, s, nil); err != nil {
 				t.Error(err)
 			}
 		}(s)

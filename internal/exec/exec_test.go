@@ -41,7 +41,7 @@ func gt(t *testing.T, schema *seq.Schema, col string, v float64) expr.Expr {
 // runPlan drains the plan over span and returns pos -> first column float.
 func runPlan(t *testing.T, p Plan, span seq.Span) map[seq.Pos]float64 {
 	t.Helper()
-	m, err := Run(p, span)
+	m, err := Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestAggCachedResidencyBounded(t *testing.T) {
 	}
 	spec := algebra.AggSpec{Func: algebra.AggSum, Arg: 0, Window: algebra.Trailing(8), As: "v"}
 	cached, _ := NewAggCached(leaf(t, pairs), spec, seq.NewSpan(1, 507))
-	if _, err := Run(cached, seq.AllSpan); err != nil {
+	if _, err := Run(cached, seq.AllSpan, nil); err != nil {
 		t.Fatal(err)
 	}
 	if peak := PeakCacheResidency(cached); peak > 8 {
@@ -386,7 +386,7 @@ func TestComposeStrategiesAgree(t *testing.T) {
 	lp := map[seq.Pos]float64{1: 10, 2: 20, 3: 30, 5: 50}
 	rp := map[seq.Pos]float64{2: 19, 3: 31, 5: 10, 7: 70}
 	plans := composePlans(t, lp, rp, 0)
-	want, err := Run(plans[0], seq.AllSpan)
+	want, err := Run(plans[0], seq.AllSpan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestComposeStrategiesAgree(t *testing.T) {
 		t.Fatalf("lockstep result = %v", want.Entries())
 	}
 	for _, p := range plans[1:] {
-		got, err := Run(p, seq.AllSpan)
+		got, err := Run(p, seq.AllSpan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,16 +79,27 @@ func PeakCacheResidency(p Plan) int {
 	return total
 }
 
-// Run drains the plan in stream mode over the given bounded span and
-// materializes the result. This is the Start operator of §4 (Figure 6):
-// it "initiates query evaluation by invoking a stream access on its
-// input".
-func Run(p Plan, span seq.Span) (*seq.Materialized, error) {
-	entries, err := seq.Collect(p.Scan(span))
+// Run drains the plan over the given bounded span and materializes the
+// result. This is the Start operator of §4 (Figure 6): it "initiates
+// query evaluation by invoking a stream access on its input". ctx picks
+// the data plane: nil drains the record-at-a-time scalar cursor, the
+// semantic ground truth; otherwise the batch pipeline runs under ctx,
+// whose counters account the consumed batches. Batch producers emit
+// entries in strictly ascending position order, so that result skips
+// NewMaterialized's sort and is assembled with one verification pass.
+func Run(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
+	if ctx == nil {
+		entries, err := seq.Collect(p.Scan(span))
+		if err != nil {
+			return nil, err
+		}
+		return seq.NewMaterialized(p.Info().Schema, entries)
+	}
+	entries, err := CollectBatchesIn(BatchScanOf(p, span, ctx), ctx, span)
 	if err != nil {
 		return nil, err
 	}
-	return seq.NewMaterialized(p.Info().Schema, entries)
+	return seq.FromSortedEntries(p.Info().Schema, entries)
 }
 
 // RunProbes evaluates the plan in probed mode at each given position (the

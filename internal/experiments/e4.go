@@ -62,7 +62,7 @@ func e4(n int64, windows []int64) (*Table, error) {
 				return 0, 0, 0, err
 			}
 			start := time.Now()
-			out, err := exec.Run(plan, outSpan)
+			out, err := exec.Run(plan, outSpan, nil)
 			if err != nil {
 				return 0, 0, 0, err
 			}

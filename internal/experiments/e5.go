@@ -94,7 +94,7 @@ func e5(n int64, matchProbs []float64) (*Table, error) {
 				return 0, 0, 0, 0, err
 			}
 			start := time.Now()
-			out, err := exec.Run(prev, outSpan)
+			out, err := exec.Run(prev, outSpan, nil)
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}

@@ -54,12 +54,12 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(p, span, d)
+		want, err := Run(p, span, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := seq.NewBatchCtx()
-		got, err := RunBatch(p, span, d, ctx)
+		got, err := Run(p, span, d, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	n := int64(2048)
 	span := seq.NewSpan(1, n)
 	p := symPlan(t, n)
-	want, err := exec.Run(p, span)
+	want, err := exec.Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		ctx := seq.NewBatchCtx()
-		got, err := RunBatch(p, span, d, ctx)
+		got, err := Run(p, span, d, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,12 +110,12 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span)
+	want, err := exec.Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := seq.NewBatchCtx()
-	out, root, parts, err := RunAnalyzeBatch(p, span, d, nil, ctx)
+	out, root, parts, err := RunAnalyze(p, span, d, nil, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 		t.Errorf("run counters batches=%d rows=%d, output rows %d", ctx.Batches, ctx.Rows, out.Count())
 	}
 	// A serial decision is the caller's bug.
-	if _, _, _, err := RunAnalyzeBatch(p, span, &Decision{}, nil, ctx); err == nil {
+	if _, _, _, err := RunAnalyze(p, span, &Decision{}, nil, ctx); err == nil {
 		t.Error("serial decision accepted")
 	}
 }

@@ -292,7 +292,7 @@ func TestRunMatchesSerial(t *testing.T) {
 	n := int64(4096)
 	p := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	want, err := exec.Run(p, span)
+	want, err := exec.Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestRunMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(p, span, d)
+		got, err := Run(p, span, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +314,11 @@ func TestRunFallsBackOnSerialDecision(t *testing.T) {
 	p := fixture(t, n)
 	span := seq.NewSpan(1, n)
 	d := Plan(p, span, 1.0, 8, DefaultParams()) // cost model says serial
-	got, err := Run(p, span, d)
+	got, err := Run(p, span, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span)
+	want, err := exec.Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span)
+	want, err := exec.Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	}
 	before := stores[0].Stats().Snapshot()
 
-	out, root, parts, err := RunAnalyze(p, span, d, nil)
+	out, root, parts, err := RunAnalyze(p, span, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

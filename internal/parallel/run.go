@@ -29,45 +29,22 @@ func CloneWorkers(p exec.Plan, k int) ([]exec.Plan, error) {
 // Run evaluates the plan over the decision's partitions on one worker
 // goroutine per partition and concatenates the per-partition results —
 // in partition order, so the merged output is exactly the serial
-// Scan(span) stream — into one materialized result. A serial decision
-// (or a plan that turns out not to be clonable) falls back to exec.Run.
-func Run(p exec.Plan, span seq.Span, d *Decision) (*seq.Materialized, error) {
+// Scan(span) stream — into one materialized result. ctx picks the data
+// plane as in exec.Run; on the batch plane each worker runs under a
+// private fork of ctx (same batch size, its own intern table, so handle
+// spaces never cross goroutines) whose counters fold back into ctx. A
+// serial decision (or a plan that turns out not to be clonable) falls
+// back to exec.Run.
+func Run(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx) (*seq.Materialized, error) {
 	if !d.Parallel() {
-		return exec.Run(p, span)
+		return exec.Run(p, span, ctx)
 	}
 	clones, err := CloneWorkers(p, len(d.Partitions))
 	if err != nil {
-		return exec.Run(p, span)
+		return exec.Run(p, span, ctx)
 	}
-	results := make([][]seq.Entry, len(d.Partitions))
-	errs := make([]error, len(d.Partitions))
-	var wg sync.WaitGroup
-	for i, part := range d.Partitions {
-		wg.Add(1)
-		go func(i int, part seq.Span) {
-			defer wg.Done()
-			results[i], errs[i] = seq.Collect(clones[i].Scan(part))
-		}(i, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergeEntries(p, results)
-}
-
-func mergeEntries(p exec.Plan, results [][]seq.Entry) (*seq.Materialized, error) {
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	all := make([]seq.Entry, 0, total)
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	return seq.NewMaterialized(p.Info().Schema, all)
+	out, _, err := fanOut(p, clones, d.Partitions, ctx)
+	return out, err
 }
 
 // PartitionMetrics is the execution record of one partition worker in
@@ -91,16 +68,15 @@ type statsFork struct {
 	priv   *storage.Stats
 }
 
-// RunAnalyze evaluates the decision's partitions with per-worker
-// exec.Instrument shards and merges them deterministically: the result
-// entries concatenate in partition order, the per-node metric shards
-// sum into one tree mirroring the plan, and each worker's page accesses
-// — metered against worker-private forks of the base stores, so
-// concurrent attribution stays exact — are folded back into the shared
-// store counters at completion. pred supplies the optimizer's per-node
-// estimates keyed by the ORIGINAL plan's nodes; the clone mapping
-// carries them onto each shard.
-func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.PredictedCost) (*seq.Materialized, *exec.NodeMetrics, []PartitionMetrics, error) {
+// RunAnalyze is Run with per-worker exec.Instrument shards, merged
+// deterministically: the result entries concatenate in partition order,
+// the per-node metric shards sum into one tree mirroring the plan, and
+// each worker's page accesses — metered against worker-private forks of
+// the base stores, so concurrent attribution stays exact — are folded
+// back into the shared store counters at completion. pred supplies the
+// optimizer's per-node estimates keyed by the ORIGINAL plan's nodes;
+// the clone mapping carries them onto each shard.
+func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.PredictedCost, ctx *seq.BatchCtx) (*seq.Materialized, *exec.NodeMetrics, []PartitionMetrics, error) {
 	if !d.Parallel() {
 		return nil, nil, nil, fmt.Errorf("parallel: RunAnalyze requires a parallel decision")
 	}
@@ -108,13 +84,10 @@ func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) ex
 		pred = func(exec.Plan) exec.PredictedCost { return exec.PredictedCost{} }
 	}
 	k := len(d.Partitions)
-	results := make([][]seq.Entry, k)
-	errs := make([]error, k)
+	workers := make([]exec.Plan, k)
 	roots := make([]*exec.NodeMetrics, k)
-	parts := make([]PartitionMetrics, k)
 	forks := make([][]statsFork, k)
-	var wg sync.WaitGroup
-	for i, part := range d.Partitions {
+	for i := range workers {
 		clone, orig, err := exec.ClonePlan(p)
 		if err != nil {
 			return nil, nil, nil, err
@@ -135,33 +108,20 @@ func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) ex
 			}
 			return exec.PredictedCost{}
 		}
-		instr, root := exec.Instrument(clone, predClone)
-		roots[i] = root
-		wg.Add(1)
-		go func(i int, part seq.Span) {
-			defer wg.Done()
-			start := time.Now()
-			results[i], errs[i] = seq.Collect(instr.Scan(part))
-			parts[i] = PartitionMetrics{Span: part, Rows: int64(len(results[i])), Elapsed: time.Since(start)}
-		}(i, part)
+		workers[i], roots[i] = exec.Instrument(clone, predClone)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	out, parts, err := fanOut(p, workers, d.Partitions, ctx)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	// Merge step: fold worker fork counters back into the shared store
-	// statistics, finalize and sum the metric shards, concatenate the
-	// partition outputs in order.
+	// statistics, finalize and sum the metric shards.
 	for i := range parts {
-		var pages storage.StatsSnapshot
 		for _, f := range forks[i] {
 			snap := f.priv.Snapshot()
-			pages = pages.Add(snap)
+			parts[i].Pages = parts[i].Pages.Add(snap)
 			f.shared.AddSnapshot(snap)
 		}
-		parts[i].Pages = pages
 		roots[i].Finalize()
 	}
 	merged := roots[0]
@@ -170,9 +130,53 @@ func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) ex
 			return nil, nil, nil, err
 		}
 	}
-	out, err := mergeEntries(p, results)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	return out, merged, parts, nil
+}
+
+// fanOut is the one partitioned evaluation loop: workers[i] drains
+// parts[i] through exec.Run on its own goroutine (under a fork of ctx
+// on the batch plane), the forks' counters fold back into ctx, and the
+// partition outputs concatenate in order. They are disjoint ascending
+// sub-spans, so the concatenation is already sorted.
+func fanOut(p exec.Plan, workers []exec.Plan, parts []seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, []PartitionMetrics, error) {
+	k := len(parts)
+	results := make([]*seq.Materialized, k)
+	errs := make([]error, k)
+	metrics := make([]PartitionMetrics, k)
+	wctxs := make([]*seq.BatchCtx, k)
+	var wg sync.WaitGroup
+	for i, part := range parts {
+		if ctx != nil {
+			wctxs[i] = ctx.Fork()
+		}
+		wg.Add(1)
+		go func(i int, part seq.Span) {
+			defer wg.Done()
+			start := time.Now()
+			results[i], errs[i] = exec.Run(workers[i], part, wctxs[i])
+			metrics[i] = PartitionMetrics{Span: part, Elapsed: time.Since(start)}
+		}(i, part)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if ctx != nil {
+		for _, w := range wctxs {
+			ctx.AbsorbCounters(w)
+		}
+	}
+	total := 0
+	for i, r := range results {
+		metrics[i].Rows = int64(r.Count())
+		total += r.Count()
+	}
+	all := make([]seq.Entry, 0, total)
+	for _, r := range results {
+		all = append(all, r.Entries()...)
+	}
+	out, err := seq.FromSortedEntries(p.Info().Schema, all)
+	return out, metrics, err
 }

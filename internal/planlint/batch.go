@@ -45,7 +45,7 @@ func VerifyBatches(p exec.Plan, span seq.Span) []Issue {
 		// The scalar run fails; the batch run must fail too, not
 		// silently produce rows.
 		ctx := seq.NewBatchCtx()
-		if got, berr := exec.CollectBatches(exec.BatchScanOf(p, span, ctx), ctx); berr == nil {
+		if got, berr := exec.CollectBatchesIn(exec.BatchScanOf(p, span, ctx), ctx, span); berr == nil {
 			c.reportPlan("batch/validity", "§2.3", p,
 				"scalar scan fails (%v) but the batch scan returned %d rows", err, len(got))
 		}
@@ -183,7 +183,7 @@ func (c *checker) checkInternIsolation(p exec.Plan, span seq.Span, serial []seq.
 			return
 		}
 		seen[fork.Intern] = true
-		entries, err := exec.CollectBatches(exec.BatchScanOf(clones[i], part, fork), fork)
+		entries, err := exec.CollectBatchesIn(exec.BatchScanOf(clones[i], part, fork), fork, part)
 		if err != nil {
 			c.reportPlan("batch/intern-isolation", "Thm. 3.1", p,
 				"partition %d batch scan failed under a forked context: %v", i, err)

@@ -94,12 +94,12 @@ func TestBatchDiskDifferential(t *testing.T) {
 			t.Fatalf("seed %d: disk-backed batch verification:\n%v\nquery:\n%s\nplan:\n%s",
 				seed, planlint.Error(issues), q, res.Explain())
 		}
-		sgot, err := exec.Run(res.Plan, res.RunSpan)
+		sgot, err := exec.Run(res.Plan, res.RunSpan, nil)
 		if err != nil {
 			t.Fatalf("seed %d: scalar run: %v\nplan:\n%s", seed, err, res.Explain())
 		}
 		ctx := seq.NewBatchCtx()
-		bgot, err := exec.RunBatch(res.Plan, res.RunSpan, ctx)
+		bgot, err := exec.Run(res.Plan, res.RunSpan, ctx)
 		if err != nil {
 			t.Fatalf("seed %d: batch run: %v\nplan:\n%s", seed, err, res.Explain())
 		}

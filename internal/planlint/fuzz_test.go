@@ -2,10 +2,10 @@ package planlint_test
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
-
-	"fmt"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -88,11 +88,11 @@ func TestDifferentialFuzz(t *testing.T) {
 		}
 		if res.RunSpan.Bounded() && !res.RunSpan.IsEmpty() {
 			bctx := seq.NewBatchCtx()
-			bgot, err := exec.RunBatch(res.Plan, res.RunSpan, bctx)
+			bgot, err := exec.Run(res.Plan, res.RunSpan, bctx)
 			if err != nil {
 				t.Fatalf("seed %d: batch run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
 			}
-			sgot, err := exec.Run(res.Plan, res.RunSpan)
+			sgot, err := exec.Run(res.Plan, res.RunSpan, nil)
 			if err != nil {
 				t.Fatalf("seed %d: scalar run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
 			}
@@ -115,7 +115,7 @@ func TestDifferentialFuzz(t *testing.T) {
 				t.Fatalf("seed %d: K=%d partition verification:\n%v\nplan:\n%s",
 					seed, k, planlint.Error(issues), res.Explain())
 			}
-			pgot, err := parallel.Run(res.Plan, res.RunSpan, dec)
+			pgot, err := parallel.Run(res.Plan, res.RunSpan, dec, nil)
 			if err != nil {
 				t.Fatalf("seed %d: K=%d partitioned run: %v\nquery:\n%s\nplan:\n%s",
 					seed, k, err, q, res.Explain())
@@ -127,7 +127,7 @@ func TestDifferentialFuzz(t *testing.T) {
 			// The partitioned batch plane must agree too: per-worker
 			// forked intern tables, concatenated in partition order.
 			bctx := seq.NewBatchCtx()
-			pbgot, err := parallel.RunBatch(res.Plan, res.RunSpan, dec, bctx)
+			pbgot, err := parallel.Run(res.Plan, res.RunSpan, dec, bctx)
 			if err != nil {
 				t.Fatalf("seed %d: K=%d partitioned batch run: %v\nquery:\n%s\nplan:\n%s",
 					seed, k, err, q, res.Explain())
@@ -143,39 +143,54 @@ func TestDifferentialFuzz(t *testing.T) {
 		}
 		// Mid-run reoptimization differential: splice forcibly at every
 		// checkpoint (threshold 0), at an adversarial single midpoint,
-		// and with forced tail parallelism at K in {2,3,7}. Verify mode
-		// re-runs the planlint physical/cost/partition checks on every
-		// spliced plan and the reopt/* splice invariants on the executed
-		// segments; the output must match the static plan and the
-		// reference record for record regardless.
+		// and with forced tail parallelism at K in {2,3,7}, each on the
+		// batch plane and on the scalar one. Verify mode re-runs the
+		// planlint physical/cost/partition checks on every spliced plan
+		// and the reopt/* splice invariants on the executed segments; the
+		// output must match the static plan and the reference record for
+		// record regardless.
 		if res.RunSpan.Bounded() && !res.RunSpan.IsEmpty() {
+			scalarOpts := opts
+			scalarOpts.Batch = exec.BatchOff
+			sres, err := core.Optimize(q, span, scalarOpts)
+			if err != nil {
+				t.Fatalf("seed %d: optimize (scalar plane): %v\nquery:\n%s", seed, err, q)
+			}
 			mid := res.RunSpan.Start + res.RunSpan.Len()/2
 			reoptCfgs := []reopt.Config{
 				{Enabled: true, CheckEvery: 16, Threshold: 0},
-				{Enabled: true, CheckEvery: 1 << 30, Threshold: 8, ForceAt: &mid},
+				// Only the forced trigger fires; the interval keeps
+				// batches short enough to leave a boundary after mid.
+				{Enabled: true, CheckEvery: 8, Threshold: math.Inf(1), ForceAt: &mid},
 			}
 			for _, k := range []int{2, 3, 7} {
 				reoptCfgs = append(reoptCfgs,
 					reopt.Config{Enabled: true, CheckEvery: 16, Threshold: 0, TailK: k})
 			}
-			for ci, rcfg := range reoptCfgs {
-				rgot, rep, err := res.RunReoptWith(rcfg)
-				if err != nil {
-					t.Fatalf("seed %d: reopt cfg %d: %v\nquery:\n%s\nplan:\n%s",
-						seed, ci, err, q, res.Explain())
+			for _, r := range []*core.Result{res, sres} {
+				plane := "batch"
+				if r == sres {
+					plane = "scalar"
 				}
-				if !testgen.EntriesApproxEqual(rgot.Entries(), got.Entries()) {
-					t.Fatalf("seed %d: reopt cfg %d disagrees with the static plan\nquery:\n%s\nplan:\n%s\nreport:\n%s",
-						seed, ci, q, res.Explain(), rep.Render())
-				}
-				if !testgen.EntriesApproxEqual(rgot.Entries(), want) {
-					t.Fatalf("seed %d: reopt cfg %d disagrees with the reference\nquery:\n%s\nplan:\n%s\nreport:\n%s",
-						seed, ci, q, res.Explain(), rep.Render())
-				}
-				respliced += len(rep.Switches)
-				for _, s := range rep.Segments {
-					if s.K > 1 {
-						reoptTails++
+				for ci, rcfg := range reoptCfgs {
+					rgot, rep, err := r.RunReoptWith(rcfg)
+					if err != nil {
+						t.Fatalf("seed %d: %s reopt cfg %d: %v\nquery:\n%s\nplan:\n%s",
+							seed, plane, ci, err, q, res.Explain())
+					}
+					if !testgen.EntriesApproxEqual(rgot.Entries(), got.Entries()) {
+						t.Fatalf("seed %d: %s reopt cfg %d disagrees with the static plan\nquery:\n%s\nplan:\n%s\nreport:\n%s",
+							seed, plane, ci, q, res.Explain(), rep.Render())
+					}
+					if !testgen.EntriesApproxEqual(rgot.Entries(), want) {
+						t.Fatalf("seed %d: %s reopt cfg %d disagrees with the reference\nquery:\n%s\nplan:\n%s\nreport:\n%s",
+							seed, plane, ci, q, res.Explain(), rep.Render())
+					}
+					respliced += len(rep.Switches)
+					for _, s := range rep.Segments {
+						if s.K > 1 {
+							reoptTails++
+						}
 					}
 				}
 			}

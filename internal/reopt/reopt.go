@@ -3,15 +3,17 @@
 // access mode for the remaining span".
 //
 // A monitored run drains the stream plan through the EXPLAIN ANALYZE
-// instrumentation layer and, at every checkpoint interval of consumed
-// positions, compares each node's accumulated actual cost (pages, cache
-// operations, records — exec.NodeMetrics.ActualCost) against its
-// §4.1.2/§4.1.3 prediction pro-rated to the span consumed. When the
-// relative error exceeds the configured threshold the run stops, asks a
-// Planner (implemented by internal/core) to re-run the per-block plan
-// generator for the *remaining* span with observed densities substituted
-// for the estimates, and splices the new plan in: a stream↔probed,
-// Cache-Strategy-A↔B or parallelism-K switch realized mid-run.
+// instrumentation layer, one batch at a time on either data plane, and,
+// at the first batch boundary past every checkpoint interval of
+// consumed positions, compares each node's accumulated actual cost
+// (pages, cache operations, records — exec.NodeMetrics.ActualCost)
+// against its §4.1.2/§4.1.3 prediction pro-rated to the span consumed.
+// When the relative error exceeds the configured threshold the run
+// stops, asks a Planner (implemented by internal/core) to re-run the
+// per-block plan generator for the *remaining* span with observed
+// densities substituted for the estimates, and splices the new plan in:
+// a stream↔probed, Cache-Strategy-A↔B or parallelism-K switch realized
+// mid-run.
 //
 // The splice is legal by the stream-access property (Thm. 3.1): a scan
 // of a sub-span equals the restriction of the full scan to that
@@ -51,14 +53,17 @@ type Config struct {
 	// Enabled turns mid-run reoptimization on (core.Options.Reopt).
 	Enabled bool
 	// CheckEvery is the checkpoint interval in consumed positions;
-	// <= 0 selects DefaultCheckEvery.
+	// <= 0 selects DefaultCheckEvery. A checkpoint lands on the first
+	// batch boundary at or after each multiple of the interval, and the
+	// run's batches hold at most min(seq.DefaultBatchSize, CheckEvery)
+	// rows.
 	CheckEvery int64
 	// Threshold is the relative error |actual − prediction·frac| /
 	// max(prediction·frac, 1) beyond which a node triggers a replan.
 	// Zero triggers at every checkpoint (the forced-reopt fuzz mode).
 	Threshold float64
-	// ForceAt, when set, forces one replan decision at the first
-	// consumed position ≥ *ForceAt, regardless of interval or
+	// ForceAt, when set, forces one replan decision at the first batch
+	// boundary at or after *ForceAt, regardless of interval or
 	// threshold — the adversarial-midpoint test hook.
 	ForceAt *seq.Pos
 	// MaxSwitches caps the number of splices per run; 0 is unlimited.
@@ -217,24 +222,33 @@ func StrategySignature(p exec.Plan) string {
 // splicing in the planner's replacements when triggers fire, and
 // returns the materialized output with the reoptimization report. pred
 // supplies the optimizer's per-node estimates for the initial plan; w
-// prices the observed counters in the same units.
+// prices the observed counters in the same units. ctx picks the data
+// plane as in exec.Run; the scalar plane is drained through the
+// row-to-batch adapter, so either way the monitor reads one batch
+// stream, and a batch holds at most min(DefaultBatchSize, CheckEvery)
+// rows.
 //
-// Checkpoints land exactly after an emitted entry, so a splice always
-// divides the segment span into [start, p] (consumed, already emitted)
-// and [p+1, end] (handed to the new plan): by Thm. 3.1 the
-// concatenation is record-for-record the static evaluation.
+// Checkpoints land at the end of a batch, so a splice always divides
+// the segment span into [start, p] (consumed, already emitted) and
+// [p+1, end] (handed to the new plan): batch spans tile the scan span,
+// so by Thm. 3.1 the concatenation is record-for-record the static
+// evaluation.
 func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.PredictedCost,
-	w exec.CostWeights, planner Planner) (*seq.Materialized, *Report, error) {
+	w exec.CostWeights, planner Planner, ctx *seq.BatchCtx) (*seq.Materialized, *Report, error) {
 	rep := &Report{}
-	schema := p.Info().Schema
 	if span.IsEmpty() {
-		out, err := exec.Run(p, span)
+		out, err := exec.Run(p, span, ctx)
 		return out, rep, err
 	}
 	if !span.Bounded() {
 		return nil, nil, fmt.Errorf("reopt: monitored run over unbounded span %v", span)
 	}
 	interval := cfg.interval()
+	bctx := ctx
+	if bctx == nil {
+		bctx = seq.NewBatchCtx() // the adapter's; its counters are not reported
+	}
+	bctx.Size = int(min(int64(seq.DefaultBatchSize), interval))
 	var entries []seq.Entry
 	curPlan, curSpan, curPred := p, span, pred
 	curMode := StrategySignature(p)
@@ -242,20 +256,27 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 
 	for {
 		instr, root := exec.Instrument(curPlan, curPred)
-		cur := instr.Scan(curSpan)
+		var cur seq.BatchCursor
+		if ctx != nil {
+			cur = exec.BatchScanOf(instr, curSpan, bctx)
+		} else {
+			cur = seq.BatchCursorFrom(instr.Scan(curSpan), curSpan, instr.Info().Schema, bctx)
+		}
 		consumed := curSpan.Start - 1
 		nextCheck := curSpan.Start + interval - 1
 		segStartRows := len(entries)
 		var spliced *Segment
 		var trig Trigger
 		for {
-			pos, rec, ok := cur.Next()
+			b, ok := cur.NextBatch()
 			if !ok {
 				break
 			}
-			entries = append(entries, seq.Entry{Pos: pos, Rec: rec.Clone()})
-			consumed = pos
-			force := forcedPending && pos >= *cfg.ForceAt
+			bctx.Batches++
+			bctx.Rows += int64(b.ValidRows())
+			entries = b.AppendEntries(entries, bctx.Intern)
+			consumed = b.Span.End
+			force := forcedPending && consumed >= *cfg.ForceAt
 			check := consumed >= nextCheck
 			if !force && !check {
 				continue
@@ -326,7 +347,7 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 			// A revised-parallelism switch: the tail runs span-partitioned
 			// on workers; monitoring ends (workers have private metric
 			// shards, not a single live tree to checkpoint).
-			out, err := parallel.Run(spliced.Plan, spliced.Span, spliced.Decision)
+			out, err := parallel.Run(spliced.Plan, spliced.Span, spliced.Decision, ctx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -340,19 +361,19 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 		}
 		curPlan, curSpan, curPred, curMode = spliced.Plan, spliced.Span, spliced.Pred, spliced.Mode
 	}
-	out, err := seq.NewMaterialized(schema, entries)
+	out, err := seq.FromSortedEntries(p.Info().Schema, entries)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, rep, nil
 }
 
-// evaluate walks the live metrics tree and returns the worst-error
-// trigger at or beyond the threshold. The prediction side is each
-// node's cumulative predicted stream cost pro-rated to the fraction of
-// the segment span consumed; the actual side prices the node's
-// accumulated counters. A zero threshold always triggers (on the node
-// with the largest relative error).
+// evaluate walks the live metrics tree and returns the node with the
+// worst relative error, and whether that error is beyond the threshold.
+// The prediction side is each node's cumulative predicted stream cost
+// pro-rated to the fraction of the segment span consumed; the actual
+// side prices the node's accumulated counters. A zero threshold always
+// triggers; a forced checkpoint reports the worst node either way.
 func evaluate(root *exec.NodeMetrics, span seq.Span, consumed seq.Pos,
 	w exec.CostWeights, threshold float64) (Trigger, bool) {
 	if threshold < 0 {
@@ -364,7 +385,7 @@ func evaluate(root *exec.NodeMetrics, span seq.Span, consumed seq.Pos,
 		frac = 1
 	}
 	var best Trigger
-	hit := false
+	found := false
 	root.Walk(func(n *exec.NodeMetrics, _ int) {
 		if !n.Predicted.Known {
 			return
@@ -376,12 +397,10 @@ func evaluate(root *exec.NodeMetrics, span seq.Span, consumed seq.Pos,
 			denom = 1
 		}
 		rel := math.Abs(actual-predFrac) / denom
-		if rel > threshold || threshold == 0 {
-			if !hit || rel > best.RelErr {
-				best = Trigger{Node: n.Label, Predicted: predFrac, Actual: actual, RelErr: rel}
-				hit = true
-			}
+		if !found || rel > best.RelErr {
+			best = Trigger{Node: n.Label, Predicted: predFrac, Actual: actual, RelErr: rel}
+			found = true
 		}
 	})
-	return best, hit
+	return best, found && (best.RelErr > threshold || threshold == 0)
 }
