@@ -19,10 +19,10 @@ import (
 // every base sequence living on the durable disk tier: random queries
 // are generated as usual, their in-memory bases are persisted into a
 // disk DB (alternating dense and sparse layouts), and the plans execute
-// over buffer-pool-backed snapshots. Disk snapshots do not implement
-// the native batch protocol, so this exercises the adapter bridge end
-// to end — including its interaction with the metering wrapper — and
-// the batch/* invariants on top of it.
+// over buffer-pool-backed snapshots. Those are storage.Snapshots whose
+// pages come through the pool, so every disk leaf scans natively on the
+// batch plane — through the metering wrapper, with the batch/*
+// invariants on top — and none reaches the row-to-batch adapter.
 func TestBatchDiskDifferential(t *testing.T) {
 	db, err := disk.Open(t.TempDir(), disk.Config{
 		PageSize: 512, RecordsPerPage: 4, PoolPages: 64, CheckpointInterval: -1,
@@ -77,7 +77,12 @@ func TestBatchDiskDifferential(t *testing.T) {
 				swapErr = fmt.Errorf("sequence %s vanished after create", name)
 				return
 			}
-			n.Seq = s.Latest()
+			var leaf seq.Sequence = s.Latest()
+			if _, ok := leaf.(seq.BatchScanner); !ok {
+				swapErr = fmt.Errorf("disk leaf %s (%T) does not scan in batches", name, leaf)
+				return
+			}
+			n.Seq = leaf
 		}
 		walk(q)
 		if swapErr != nil {

@@ -1,16 +1,16 @@
-// Disk attachment: the server's storage tier behind serverSeq is an
-// interface with two implementations — the memory-backed
-// storage.Versioned the server has always used, and the durable
-// disk.DB (page files + WAL + buffer pool, internal/storage/disk).
-// AttachDisk swaps the tier: existing sequences and persisted views are
-// loaded, the epoch tracker is seeded from the database's recovered
-// epoch, and every subsequent write (create, append, reorganize,
-// materialize, drop view) follows write-ahead discipline through the
-// disk layer before it publishes in memory. The read path is untouched:
-// both tiers hand out epoch-pinned storage.SeqSnapshot leaves, so
-// snapshot isolation, planlint verification and EXPLAIN ANALYZE page
-// attribution work identically — disk snapshots merely add buffer-pool
-// counters to the same storage.Stats blocks.
+// Disk attachment: the server's storage tier behind serverSeq is either
+// the memory-backed storage.Versioned the server has always used, or the
+// durable disk.DB (page files + WAL + buffer pool,
+// internal/storage/disk). AttachDisk swaps the tier: existing sequences
+// and persisted views are loaded, the epoch tracker is seeded from the
+// database's recovered epoch, and every subsequent write (create,
+// append, reorganize, materialize, drop view) follows write-ahead
+// discipline through the disk layer before it publishes in memory. Reads
+// are the same on both tiers: each hands out epoch-pinned
+// *storage.Snapshot leaves — a disk snapshot's pages are fetched through
+// the buffer pool — so snapshot isolation, planlint verification and
+// EXPLAIN ANALYZE page attribution work identically, disk snapshots
+// merely adding buffer-pool counters to the same storage.Stats blocks.
 package server
 
 import (
@@ -27,10 +27,11 @@ import (
 // versionedSeq is one multi-version base sequence as the server sees
 // it: epoch-pinned snapshot reads plus epoch-explicit writes. Writes
 // are only ever called under Server.wmu, matching the
-// publish-then-advance protocol; SnapshotAt must return an untyped nil
-// when the store has no version at or below the epoch.
+// publish-then-advance protocol; SnapshotAt returns nil when the store
+// has no version at or below the epoch. *storage.Versioned implements
+// it directly.
 type versionedSeq interface {
-	SnapshotAt(epoch int64) storage.SeqSnapshot
+	SnapshotAt(epoch int64) *storage.Snapshot
 	LatestEpoch() int64
 	Versions() int
 	PageVersions() int
@@ -39,49 +40,22 @@ type versionedSeq interface {
 	Reorganize(kind storage.Kind, epoch int64) error
 }
 
-// memSeq adapts the memory-backed storage.Versioned. The only work is
-// nil conversion: a typed-nil *storage.Snapshot must become an untyped
-// nil interface so the catalog's visibility check fires.
-type memSeq struct{ v *storage.Versioned }
-
-func (m memSeq) SnapshotAt(epoch int64) storage.SeqSnapshot {
-	if s := m.v.SnapshotAt(epoch); s != nil {
-		return s
-	}
-	return nil
-}
-func (m memSeq) LatestEpoch() int64                           { return m.v.LatestEpoch() }
-func (m memSeq) Versions() int                                { return m.v.Versions() }
-func (m memSeq) PageVersions() int                            { return m.v.PageVersions() }
-func (m memSeq) GC(minLive int64) int                         { return m.v.GC(minLive) }
-func (m memSeq) Append(e seq.Entry, epoch int64) error        { return m.v.Append(e, epoch) }
-func (m memSeq) Reorganize(k storage.Kind, epoch int64) error { return m.v.Reorganize(k, epoch) }
-
-// diskSeq adapts one sequence of an attached disk.DB. Mutations go
-// through the database's epoch-explicit entry points so they are
-// WAL-logged and durable before publication; the database's own epoch
-// follows the server's epochs because every write carries the epoch the
-// server chose under wmu.
+// diskSeq adapts one sequence of an attached disk.DB: reads, GC and
+// version counts are the sequence's own; mutations go through the
+// database's epoch-explicit entry points so they are WAL-logged and
+// durable before publication. The database's own epoch follows the
+// server's epochs because every write carries the epoch the server
+// chose under wmu.
 type diskSeq struct {
+	*disk.Seq
 	db *disk.DB
-	s  *disk.Seq
 }
 
-func (d diskSeq) SnapshotAt(epoch int64) storage.SeqSnapshot {
-	if s := d.s.SnapshotAt(epoch); s != nil {
-		return s
-	}
-	return nil
-}
-func (d diskSeq) LatestEpoch() int64   { return d.s.LatestEpoch() }
-func (d diskSeq) Versions() int        { return d.s.Versions() }
-func (d diskSeq) PageVersions() int    { return d.s.PageVersions() }
-func (d diskSeq) GC(minLive int64) int { return d.s.GC(minLive) }
 func (d diskSeq) Append(e seq.Entry, epoch int64) error {
-	return d.db.AppendAt(d.s.Name(), e, epoch)
+	return d.db.AppendAt(d.Name(), e, epoch)
 }
 func (d diskSeq) Reorganize(k storage.Kind, epoch int64) error {
-	return d.db.ReorganizeAt(d.s.Name(), k, epoch)
+	return d.db.ReorganizeAt(d.Name(), k, epoch)
 }
 
 // AttachDisk makes the database the server's storage tier. Call it
@@ -119,7 +93,7 @@ func (s *Server) AttachDisk(db *disk.DB) error {
 		if err != nil {
 			return fmt.Errorf("server: load sequence %q: %w", name, err)
 		}
-		ss := &serverSeq{name: name, v: diskSeq{db: db, s: ds}, stats: meta.StatsFromMaterialized(m)}
+		ss := &serverSeq{name: name, v: diskSeq{Seq: ds, db: db}, stats: meta.StatsFromMaterialized(m)}
 		s.mu.Lock()
 		s.seqs[name] = ss
 		s.mu.Unlock()

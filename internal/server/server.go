@@ -90,8 +90,9 @@ func errf(code wire.ErrorCode, format string, args ...any) *Error {
 
 // serverSeq is one versioned base sequence plus its frozen column
 // statistics (computed at load; appends do not refresh them — the
-// optimizer treats them as estimates). v is memory-backed (memSeq) or,
-// with an attached database, disk-backed (diskSeq); see disk.go.
+// optimizer treats them as estimates). v is memory-backed (a
+// storage.Versioned) or, with an attached database, disk-backed
+// (diskSeq); see disk.go.
 type serverSeq struct {
 	name  string
 	v     versionedSeq
@@ -220,13 +221,13 @@ func (s *Server) CreateSequence(name string, data *seq.Materialized, kind storag
 		if !ok {
 			return errf(wire.CodeInternal, "sequence %q vanished after durable create", name)
 		}
-		vs = diskSeq{db: s.disk, s: ds}
+		vs = diskSeq{Seq: ds, db: s.disk}
 	} else {
 		v, err := storage.NewVersioned(data, kind, 0, s.epochs.Current())
 		if err != nil {
 			return &Error{Code: wire.CodeAppend, Err: err}
 		}
-		vs = memSeq{v}
+		vs = v
 	}
 	ss := &serverSeq{name: name, v: vs, stats: meta.StatsFromMaterialized(data)}
 	s.mu.Lock()

@@ -1,11 +1,9 @@
-// Native batch scans for the in-memory page store. Page and record
-// accounting is position-for-position identical to the scalar cursors —
-// the same pages are charged in the same order — but the counters are
-// accumulated locally per batch and published with one atomic add per
-// counter per batch, removing the per-record atomic traffic from the
-// hot loop. The disk-backed snapshots do not implement the batch
-// protocol and are bridged by the execution layer's adapter, which
-// preserves their per-record accounting exactly.
+// Native batch scans for the page store. Page and record accounting is
+// position-for-position identical to the scalar cursors — the same
+// pages are charged in the same order, and each page is fetched once as
+// the scan enters it — but the counters are accumulated locally per
+// batch and published with one atomic add per counter per batch,
+// removing the per-record atomic traffic from the hot loop.
 package storage
 
 import (
@@ -25,7 +23,7 @@ func (s *Snapshot) ScanBatches(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor
 	}
 	c := &batchCursor{s: s, ctx: ctx, pos: span.Start, end: span.End, page: -1}
 	if s.v.kind == KindSparse {
-		c.pi, c.j = s.seek(span.Start)
+		c.pi, c.j, c.pg, c.err = s.seek(span.Start)
 	}
 	return c
 }
@@ -35,6 +33,7 @@ type batchCursor struct {
 	ctx   *seq.BatchCtx
 	batch *seq.Batch
 	ents  []seq.Entry // dense: scratch window, reused per batch
+	pg    *Page       // the page the scan is on; sparse: nil until entered
 	pi, j int         // sparse: current page, next entry within it
 	pos   seq.Pos     // start of the next batch's span
 	end   seq.Pos
@@ -86,20 +85,22 @@ func (c *batchCursor) fillDense(b *seq.Batch) (pages int64, err error) {
 	}
 	ents := c.ents[:0]
 	for c.pos <= c.end && len(ents) < c.ctx.Size {
-		pi := c.s.densePage(c.pos)
-		if pi != c.page {
+		if pi := c.s.densePage(c.pos); pi != c.page {
 			c.page = pi
 			pages++
-		}
-		pg := c.s.v.pages[pi]
-		off := c.pos - pg.first
-		lim := min(int64(len(pg.slots)), c.end-pg.first+1)
-		for ; off < lim && len(ents) < c.ctx.Size; off++ {
-			if r := pg.slots[off]; r != nil {
-				ents = append(ents, seq.Entry{Pos: pg.first + off, Rec: r}) //seqvet:ignore spanarith bounded dense span
+			if c.pg, err = c.s.page(pi); err != nil {
+				return pages, err
 			}
 		}
-		c.pos = pg.first + off //seqvet:ignore spanarith bounded dense span
+		pg := c.pg
+		off := c.pos - pg.First
+		lim := min(int64(len(pg.Slots)), c.end-pg.First+1)
+		for ; off < lim && len(ents) < c.ctx.Size; off++ {
+			if r := pg.Slots[off]; r != nil {
+				ents = append(ents, seq.Entry{Pos: pg.First + off, Rec: r}) //seqvet:ignore spanarith bounded dense span
+			}
+		}
+		c.pos = pg.First + off //seqvet:ignore spanarith bounded dense span
 	}
 	c.ents = ents
 	c.done = c.pos > c.end
@@ -111,7 +112,17 @@ func (c *batchCursor) fillDense(b *seq.Batch) (pages int64, err error) {
 func (c *batchCursor) fillSparse(b *seq.Batch) (pages int64, err error) {
 	vp := c.s.v.pages
 	for c.pi < len(vp) && b.Rows() < c.ctx.Size {
-		win := vp[c.pi].entries[c.j:]
+		if c.pg == nil {
+			// Enter the next page only if it starts inside the span.
+			if vp[c.pi].First > c.end {
+				c.done = true
+				return pages, nil
+			}
+			if c.pg, err = c.s.page(c.pi); err != nil {
+				return pages, err
+			}
+		}
+		win := c.pg.Entries[c.j:]
 		if room := c.ctx.Size - b.Rows(); len(win) > room {
 			win = win[:room]
 		}
@@ -132,36 +143,38 @@ func (c *batchCursor) fillSparse(b *seq.Batch) (pages int64, err error) {
 		if c.done {
 			return pages, nil
 		}
-		if c.j == len(vp[c.pi].entries) {
-			c.pi, c.j = c.pi+1, 0
+		if c.j == len(c.pg.Entries) {
+			c.pi, c.j, c.pg = c.pi+1, 0, nil
 		}
 	}
 	// A full batch ends at its last row; the scan is over when no entry
-	// inside the span follows it.
-	if c.pi == len(vp) || vp[c.pi].entries[c.j].Pos > c.end {
-		c.done = true
-	} else {
-		c.pos = b.Pos[b.Rows()-1] + 1 //seqvet:ignore spanarith row positions lie inside the bounded scan span
+	// inside the span follows it. A page not yet entered starts at its
+	// First, so deciding does not fetch it.
+	if c.pi < len(vp) {
+		next := vp[c.pi].First
+		if c.pg != nil {
+			next = c.pg.Entries[c.j].Pos
+		}
+		if next <= c.end {
+			c.pos = b.Pos[b.Rows()-1] + 1 //seqvet:ignore spanarith row positions lie inside the bounded scan span
+			return pages, nil
+		}
 	}
+	c.done = true
 	return pages, nil
 }
 
 func (c *batchCursor) Err() error   { return c.err }
 func (c *batchCursor) Close() error { return nil }
 
-// ScanBatches implements seq.BatchScanner for the metering wrapper:
-// batch-capable inner stores are delegated to with the shared-counter
-// movement credited to the consumer around the open and around each
-// batch; anything else is bridged through the wrapper's own scalar Scan,
-// preserving its per-record crediting.
+// ScanBatches implements seq.BatchScanner for the metering wrapper: the
+// inner store's batch scan, with the shared-counter movement credited to
+// the consumer around the open and around each batch.
 func (m *metered) ScanBatches(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
-	if bs, ok := m.inner.(seq.BatchScanner); ok {
-		before := m.inner.Stats().Snapshot()
-		cur := bs.ScanBatches(span, ctx)
-		m.credit(before)
-		return &meteredBatchCursor{m: m, in: cur}
-	}
-	return seq.BatchCursorFrom(m.Scan(span), span, m.inner.Info().Schema, ctx)
+	before := m.inner.Stats().Snapshot()
+	cur := m.inner.ScanBatches(span, ctx)
+	m.credit(before)
+	return &meteredBatchCursor{m: m, in: cur}
 }
 
 type meteredBatchCursor struct {

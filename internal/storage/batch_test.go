@@ -6,21 +6,17 @@ import (
 	"repro/internal/seq"
 )
 
-// drainBatches consumes a batch cursor and returns the valid positions.
-func drainBatches(t *testing.T, cur seq.BatchCursor) []seq.Pos {
+// drainBatches consumes a batch cursor and returns the valid rows.
+func drainBatches(t *testing.T, cur seq.BatchCursor) []seq.Entry {
 	t.Helper()
 	defer cur.Close()
-	var out []seq.Pos
+	var out []seq.Entry
 	for {
 		b, ok := cur.NextBatch()
 		if !ok {
 			break
 		}
-		for i := 0; i < b.Rows(); i++ {
-			if b.Valid.Get(i) {
-				out = append(out, b.Pos[i])
-			}
-		}
+		out = b.AppendEntries(out, nil)
 	}
 	if err := cur.Err(); err != nil {
 		t.Fatal(err)
@@ -28,66 +24,100 @@ func drainBatches(t *testing.T, cur seq.BatchCursor) []seq.Pos {
 	return out
 }
 
-// checkBatchStatsParity scans the store through both planes over the
-// same span and requires identical positions AND identical page/record
-// accounting: the batch cursors flush their locally accumulated
-// counters batch by batch, but the totals must be position-for-position
-// what the scalar cursor would have charged.
-func checkBatchStatsParity(t *testing.T, st Store, span seq.Span, size int) {
-	t.Helper()
-	st.Stats().Reset()
-	want := scanPositions(t, st, span)
-	scalarDelta := st.Stats().SnapshotAndReset()
-
-	bs, ok := st.(seq.BatchScanner)
-	if !ok {
-		t.Fatalf("%T does not implement seq.BatchScanner", st)
+func eqEntries(a, b []seq.Entry) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if a[i].Pos != b[i].Pos || !a[i].Rec.Equal(b[i].Rec) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBatchStatsParity scans the store through both planes over the
+// same span and requires identical entries AND identical accounting —
+// pages, records and buffer-pool lookups: the batch cursors flush their
+// locally accumulated counters batch by batch, but the totals must be
+// position-for-position what the scalar cursor would have charged.
+// prepare, when non-nil, runs before each pass (a cold pool-backed store
+// drops its caches there). It returns the accounting of one pass.
+func checkBatchStatsParity(t *testing.T, st Store, span seq.Span, size int, prepare func()) StatsSnapshot {
+	t.Helper()
+	pass := func(scan func() []seq.Entry) ([]seq.Entry, StatsSnapshot) {
+		if prepare != nil {
+			prepare()
+		}
+		st.Stats().Reset()
+		got := scan()
+		return got, st.Stats().SnapshotAndReset()
+	}
+	want, scalarDelta := pass(func() []seq.Entry { return collect(t, st, span) })
 	ctx := seq.NewBatchCtx()
 	ctx.Size = size
-	got := drainBatches(t, bs.ScanBatches(span, ctx))
-	batchDelta := st.Stats().SnapshotAndReset()
+	got, batchDelta := pass(func() []seq.Entry { return drainBatches(t, st.ScanBatches(span, ctx)) })
 
-	if !eqPos(got, want) {
-		t.Fatalf("span %v size %d: batch positions %v, scalar %v", span, size, got, want)
+	if !eqEntries(got, want) {
+		t.Fatalf("span %v size %d: batch entries %v, scalar %v", span, size, got, want)
 	}
 	if scalarDelta != batchDelta {
 		t.Fatalf("span %v size %d: batch accounting %+v, scalar %+v", span, size, batchDelta, scalarDelta)
 	}
+	return scalarDelta
 }
 
-func TestDenseBatchScanStatsParity(t *testing.T) {
-	d := mkStore(t, KindDense, mkEntries(1, 3, 5, 6, 8, 9, 12), seq.EmptySpan, 2)
-	spans := []seq.Span{
-		seq.NewSpan(-5, 20), // superset: dense narrows at open
-		seq.NewSpan(1, 12),  // exact
-		seq.NewSpan(4, 9),   // interior, starts on an empty slot
-		seq.NewSpan(6, 6),   // single position
-		seq.NewSpan(13, 20), // entirely past the data
-	}
-	for _, span := range spans {
-		for _, size := range []int{1, 2, 3, 4096} {
-			checkBatchStatsParity(t, d, span, size)
+// parityRPP is the page capacity the parity layouts are packed with;
+// batch sizes below it end batches mid-page.
+const parityRPP = 2
+
+// parityLayout is one store the batch/scalar parity tests scan: its
+// records' positions, the spans scanned and the batch sizes. Memory and
+// pool-backed snapshots run the same table.
+type parityLayout struct {
+	Positions []seq.Pos
+	Spans     []seq.Span
+	Sizes     []int
+}
+
+var parityLayouts = map[Kind]parityLayout{
+	KindDense: {
+		Positions: []seq.Pos{1, 3, 5, 6, 8, 9, 12},
+		Spans: []seq.Span{
+			seq.NewSpan(-5, 20), // superset: dense narrows at open
+			seq.NewSpan(1, 12),  // exact
+			seq.NewSpan(4, 9),   // interior, starts on an empty slot
+			seq.NewSpan(6, 6),   // single position
+			seq.NewSpan(13, 20), // entirely past the data
+		},
+		Sizes: []int{1, 2, 3, 4096},
+	},
+	KindSparse: {
+		Positions: []seq.Pos{1, 3, 5, 6, 8, 9, 12, 20, 21, 30},
+		Spans: []seq.Span{
+			seq.NewSpan(-5, 40), // full range from before the first record
+			seq.NewSpan(1, 30),  // exact
+			seq.NewSpan(5, 21),  // mid-span start: charges the binary-search probe
+			seq.NewSpan(7, 7),   // misses every record
+			seq.NewSpan(10, 11), // in the gap behind a page's last record
+			seq.NewSpan(31, 40), // past the data
+		},
+		Sizes: []int{1, 2, 4, 4096},
+	},
+}
+
+func checkLayoutParity(t *testing.T, kind Kind) {
+	l := parityLayouts[kind]
+	st := mkStore(t, kind, mkEntries(l.Positions...), seq.EmptySpan, parityRPP)
+	for _, span := range l.Spans {
+		for _, size := range l.Sizes {
+			checkBatchStatsParity(t, st, span, size, nil)
 		}
 	}
 }
 
-func TestSparseBatchScanStatsParity(t *testing.T) {
-	s := mkStore(t, KindSparse, mkEntries(1, 3, 5, 6, 8, 9, 12, 20, 21, 30), seq.EmptySpan, 2)
-	spans := []seq.Span{
-		seq.NewSpan(-5, 40), // full range from before the first record
-		seq.NewSpan(1, 30),  // exact
-		seq.NewSpan(5, 21),  // mid-span start: charges the binary-search probe
-		seq.NewSpan(7, 7),   // misses every record
-		seq.NewSpan(10, 11), // in the gap behind a page's last record
-		seq.NewSpan(31, 40), // past the data
-	}
-	for _, span := range spans {
-		for _, size := range []int{1, 2, 4, 4096} {
-			checkBatchStatsParity(t, s, span, size)
-		}
-	}
-}
+func TestDenseBatchScanStatsParity(t *testing.T)  { checkLayoutParity(t, KindDense) }
+func TestSparseBatchScanStatsParity(t *testing.T) { checkLayoutParity(t, KindSparse) }
 
 // TestBatchScanParityAcrossPageVersions scans snapshots whose pages were
 // written by different versions — appended tail pages, and a spliced
@@ -115,7 +145,7 @@ func TestBatchScanParityAcrossPageVersions(t *testing.T) {
 	for _, st := range stores {
 		for _, span := range []seq.Span{seq.NewSpan(-5, 40), seq.NewSpan(4, 12), seq.NewSpan(9, 9), seq.NewSpan(13, 19)} {
 			for _, size := range []int{1, 3, 4096} {
-				checkBatchStatsParity(t, st, span, size)
+				checkBatchStatsParity(t, st, span, size, nil)
 			}
 		}
 	}
@@ -138,9 +168,9 @@ func TestSparseBatchMidSpanChargesProbe(t *testing.T) {
 	}
 }
 
-// TestMeteredBatchDelegation checks both metered paths: a batch-capable
-// inner store is scanned natively with the consumer credited per batch,
-// and the credited deltas equal what the scalar metered scan charges.
+// TestMeteredBatchDelegation checks the metered batch path: the inner
+// store is scanned natively with the consumer credited per batch, and
+// the credited deltas equal what the scalar metered scan charges.
 func TestMeteredBatchDelegation(t *testing.T) {
 	for _, kind := range []Kind{KindSparse, KindDense} {
 		m, err := seq.NewMaterialized(closeSchema, mkEntries(1, 3, 5, 6, 8, 9, 12))
@@ -155,20 +185,16 @@ func TestMeteredBatchDelegation(t *testing.T) {
 
 		consumer := &Stats{}
 		wrapped := Metered(st, consumer)
-		want := scanPositions(t, wrapped, span)
+		want := collect(t, wrapped, span)
 		scalarDelta := consumer.SnapshotAndReset()
 
-		bs, ok := wrapped.(seq.BatchScanner)
-		if !ok {
-			t.Fatalf("metered %v store does not implement seq.BatchScanner", kind)
-		}
 		ctx := seq.NewBatchCtx()
 		ctx.Size = 3
-		got := drainBatches(t, bs.ScanBatches(span, ctx))
+		got := drainBatches(t, wrapped.ScanBatches(span, ctx))
 		batchDelta := consumer.SnapshotAndReset()
 
-		if !eqPos(got, want) {
-			t.Fatalf("%v: metered batch positions %v, scalar %v", kind, got, want)
+		if !eqEntries(got, want) {
+			t.Fatalf("%v: metered batch entries %v, scalar %v", kind, got, want)
 		}
 		if scalarDelta != batchDelta {
 			t.Fatalf("%v: metered batch credited %+v, scalar %+v", kind, batchDelta, scalarDelta)
@@ -176,39 +202,6 @@ func TestMeteredBatchDelegation(t *testing.T) {
 		if batchDelta.SeqRecords == 0 {
 			t.Fatalf("%v: metered batch scan credited no records", kind)
 		}
-	}
-}
-
-// scalarOnly hides a store's batch interface, standing in for the
-// stores that have none (the disk-backed snapshots).
-type scalarOnly struct{ Store }
-
-// TestMeteredBatchAdapterFallback routes a non-batch-capable inner
-// store through the metered wrapper's adapter path and checks the
-// per-record crediting still matches the scalar scan.
-func TestMeteredBatchAdapterFallback(t *testing.T) {
-	inner := scalarOnly{mkStore(t, KindSparse, mkEntries(1, 3, 5, 6, 8), seq.EmptySpan, 2)}
-	span := seq.NewSpan(1, 8)
-
-	consumer := &Stats{}
-	wrapped := Metered(inner, consumer)
-	want := scanPositions(t, wrapped, span)
-	scalarDelta := consumer.SnapshotAndReset()
-
-	bs, ok := wrapped.(seq.BatchScanner)
-	if !ok {
-		t.Fatal("metered wrapper lost its batch interface")
-	}
-	ctx := seq.NewBatchCtx()
-	ctx.Size = 2
-	got := drainBatches(t, bs.ScanBatches(span, ctx))
-	batchDelta := consumer.SnapshotAndReset()
-
-	if !eqPos(got, want) {
-		t.Fatalf("adapter batch positions %v, scalar %v", got, want)
-	}
-	if scalarDelta != batchDelta {
-		t.Fatalf("adapter batch credited %+v, scalar %+v", batchDelta, scalarDelta)
 	}
 }
 

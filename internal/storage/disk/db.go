@@ -245,10 +245,8 @@ func (db *DB) loadSeq(cs *catSeq) error {
 	if err != nil {
 		return err
 	}
-	s := &Seq{
-		name: cs.name, fileID: cs.fileID, schema: cs.schema, rpp: cs.rpp, file: file, db: db,
-		versions: []*dversion{{epoch: cs.epoch, kind: cs.kind, span: cs.span, count: cs.count, table: table}},
-	}
+	s := &Seq{name: cs.name, fileID: cs.fileID, schema: cs.schema, rpp: cs.rpp, file: file, db: db}
+	s.versions = []*dversion{s.newVersion(cs.epoch, cs.kind, cs.span, cs.count, table)}
 	db.seqs[cs.name] = s
 	db.byID[cs.fileID] = s
 	if cs.fileID >= db.nextFile {
@@ -724,7 +722,7 @@ func (db *DB) applyCreate(m createMeta, entries []seq.Entry) error {
 		return err
 	}
 	s := &Seq{name: m.name, fileID: m.fileID, schema: m.schema, rpp: m.rpp, file: file, db: db}
-	v, frames, err := packFrames(entries, m.span, m.kind, m.rpp, m.epoch, db.cfg.PageSize)
+	v, frames, err := s.pack(entries, m.span, m.kind, m.epoch)
 	if err != nil {
 		file.close()
 		os.Remove(file.path)
@@ -837,8 +835,9 @@ func (db *DB) CreateSequenceAt(name string, data *seq.Materialized, kind storage
 	entries := data.Entries()
 	// Validate the pack — including every page's encoded size — before
 	// logging anything: a too-large record must fail cleanly, not poison
-	// the WAL.
-	if _, _, err := packFrames(entries, m.span, kind, m.rpp, epoch, db.cfg.PageSize); err != nil {
+	// the WAL. The sequence is not registered yet; a detached Seq packs.
+	detached := &Seq{schema: m.schema, rpp: m.rpp, db: db}
+	if _, _, err := detached.pack(entries, m.span, kind, epoch); err != nil {
 		return err
 	}
 	db.nextFile++
@@ -1190,8 +1189,8 @@ func (db *DB) Checkpoint() error {
 	sort.Slice(caps, func(i, j int) bool { return caps[i].s.name < caps[j].s.name })
 	for _, c := range caps {
 		cs := catSeq{
-			name: c.s.name, fileID: c.s.fileID, kind: c.v.kind, rpp: c.s.rpp,
-			schema: c.s.schema, span: c.v.span, count: c.v.count, epoch: c.v.epoch,
+			name: c.s.name, fileID: c.s.fileID, kind: c.v.snap.Kind(), rpp: c.s.rpp,
+			schema: c.s.schema, span: c.v.snap.Info().Span, count: c.v.snap.Count(), epoch: c.v.epoch(),
 		}
 		for _, ref := range c.v.table {
 			phys := ref.phys.Load()
@@ -1199,7 +1198,7 @@ func (db *DB) Checkpoint() error {
 				requeue()
 				return db.fail(fmt.Errorf("disk: internal: unflushed page survived checkpoint flush"))
 			}
-			cs.table = append(cs.table, catRef{phys: phys, epoch: ref.epoch, first: ref.first, n: ref.n})
+			cs.table = append(cs.table, catRef{phys: phys, epoch: ref.epoch, first: ref.head.First, n: ref.n})
 		}
 		cat.seqs = append(cat.seqs, cs)
 	}

@@ -38,30 +38,14 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frame is one decoded page resident in the buffer pool: the in-memory
-// image of a pageRef. Sparse pages hold sorted entries; dense pages hold
-// positional slots (nil = Null record). Frames are immutable once
-// published — a write that would touch a page produces a new ref and a
-// new frame (copy-on-write), so readers never observe mutation.
+// image of a pageRef. Frames are immutable once published — a write that
+// would touch a page produces a new ref and a new frame (copy-on-write),
+// so readers never observe mutation — and hand their Page to readers in
+// place.
 type frame struct {
-	kind    storage.Kind
-	epoch   int64   // epoch of the write that created this page version
-	first   seq.Pos // position of entries[0] / slots[0]
-	entries []seq.Entry
-	slots   []seq.Record
-}
-
-// records returns the number of non-Null records in the frame.
-func (f *frame) records() int {
-	if f.entries != nil {
-		return len(f.entries)
-	}
-	n := 0
-	for _, r := range f.slots {
-		if r != nil {
-			n++
-		}
-	}
-	return n
+	kind  storage.Kind
+	epoch int64 // epoch of the write that created this page version
+	storage.Page
 }
 
 // encodePageInto serializes a frame's header-prefixed encoding into w
@@ -73,11 +57,11 @@ func encodePageInto(w *writer, f *frame, pageSize int) error {
 	w.varint(f.epoch)
 	switch f.kind {
 	case storage.KindSparse:
-		w.entries(f.entries)
+		w.entries(f.Entries)
 	case storage.KindDense:
-		w.varint(f.first)
-		w.uvarint(uint64(len(f.slots)))
-		for _, r := range f.slots {
+		w.varint(f.First)
+		w.uvarint(uint64(len(f.Slots)))
+		for _, r := range f.Slots {
 			w.record(r)
 		}
 	default:
@@ -134,16 +118,16 @@ func decodePage(page []byte) (*frame, error) {
 	f.epoch = r.varint()
 	switch f.kind {
 	case storage.KindSparse:
-		f.entries = r.entriesRun(1 << 24)
-		if len(f.entries) > 0 {
-			f.first = f.entries[0].Pos
+		f.Entries = r.entriesRun(1 << 24)
+		if len(f.Entries) > 0 {
+			f.First = f.Entries[0].Pos
 		}
 	case storage.KindDense:
-		f.first = r.varint()
+		f.First = r.varint()
 		nslots := r.count("slot", 1<<24)
-		f.slots = make([]seq.Record, nslots)
-		for i := range f.slots {
-			f.slots[i] = r.record()
+		f.Slots = make([]seq.Record, nslots)
+		for i := range f.Slots {
+			f.Slots[i] = r.record()
 		}
 	default:
 		return nil, fmt.Errorf("disk: unknown page kind %d", uint8(f.kind))

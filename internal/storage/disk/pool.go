@@ -18,12 +18,15 @@ import (
 type pageRef struct {
 	phys  atomic.Int64 // physical slot in the owning file; −1 until written back
 	epoch int64        // epoch of the write that created this page version
-	first int64        // position of the first entry/slot (seq.Pos)
 	n     int          // entries (sparse) or slots (dense) on the page
+	// head is the page as a version's index sees it: its First (the
+	// position of the first entry/slot) and no records, which are
+	// fetched through the pool.
+	head storage.Page
 }
 
 func newRef(epoch int64, first int64, n int) *pageRef {
-	r := &pageRef{epoch: epoch, first: first, n: n}
+	r := &pageRef{epoch: epoch, n: n, head: storage.Page{First: first}}
 	r.phys.Store(-1)
 	return r
 }
@@ -107,9 +110,9 @@ func (p *pool) get(sq *Seq, ref *pageRef, st *storage.Stats) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fr.epoch != ref.epoch || fr.first != ref.first {
+	if fr.epoch != ref.epoch || fr.First != ref.head.First {
 		return nil, fmt.Errorf("disk: %s: page %d does not match its reference (epoch %d/%d, first %d/%d)",
-			sq.file.path, phys, fr.epoch, ref.epoch, fr.first, ref.first)
+			sq.file.path, phys, fr.epoch, ref.epoch, fr.First, ref.head.First)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

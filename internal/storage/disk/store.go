@@ -14,9 +14,9 @@ import (
 // addressed by pageRefs; every mutation publishes a new version — a
 // fresh ref table sharing every untouched page with its predecessor
 // (copy-on-write at page granularity) — tagged with the epoch at which
-// it becomes visible. Readers obtain an epoch-pinned Snapshot whose page
-// fetches go through the DB's buffer pool; writers log to the WAL before
-// publishing.
+// it becomes visible. Readers obtain an epoch-pinned storage.Snapshot
+// whose page fetches go through the DB's buffer pool; writers log to the
+// WAL before publishing.
 //
 // An Append copies at most one page (the tail it extends), so K retained
 // epochs cost O(K) extra pages. GC drops versions older than every live
@@ -39,14 +39,39 @@ type Seq struct {
 	versions []*dversion // ascending by epoch; last is latest
 }
 
-// dversion is one immutable published state of a Seq.
+// dversion is one immutable published state of a Seq: its page table,
+// and the storage snapshot reading it, pinned at the version's epoch.
+// The dversion is that snapshot's page source: page i is table[i],
+// fetched through the DB's buffer pool.
 type dversion struct {
-	epoch int64
-	kind  storage.Kind
-	span  seq.Span
-	count int // non-Null records
+	sq    *Seq
 	table []*pageRef
+	snap  *storage.Snapshot
 }
+
+// newVersion builds the version over a page table.
+func (s *Seq) newVersion(epoch int64, kind storage.Kind, span seq.Span, count int, table []*pageRef) *dversion {
+	v := &dversion{sq: s, table: table}
+	heads := make([]*storage.Page, len(table))
+	for i, ref := range table {
+		heads[i] = &ref.head
+	}
+	v.snap = storage.NewSourced(s.schema, kind, s.rpp, span, count, epoch, heads, v)
+	return v
+}
+
+// Page implements storage.PageSource: the frame of table[i], handed to
+// the reader in place.
+func (v *dversion) Page(i int, st *storage.Stats) (*storage.Page, error) {
+	fr, err := v.sq.db.pool.get(v.sq, v.table[i], st)
+	if err != nil {
+		return nil, err
+	}
+	return &fr.Page, nil
+}
+
+// epoch is the epoch the version became visible at.
+func (v *dversion) epoch() int64 { return v.snap.VersionEpoch() }
 
 // Name returns the sequence name.
 func (s *Seq) Name() string { return s.name }
@@ -60,14 +85,14 @@ func (s *Seq) latest() *dversion { return s.versions[len(s.versions)-1] }
 func (s *Seq) LatestEpoch() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.latest().epoch
+	return s.latest().epoch()
 }
 
 // Kind returns the physical representation of the newest version.
 func (s *Seq) Kind() storage.Kind {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.latest().kind
+	return s.latest().snap.Kind()
 }
 
 // Versions returns the number of retained versions.
@@ -94,46 +119,42 @@ func (s *Seq) PageVersions() int {
 // SnapshotAt returns an immutable snapshot of the newest version
 // published at or before the given epoch, with fresh access counters, or
 // nil when the store has no version that old.
-func (s *Seq) SnapshotAt(epoch int64) *Snapshot {
+func (s *Seq) SnapshotAt(epoch int64) *storage.Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].epoch > epoch })
+	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].epoch() > epoch })
 	if i == 0 {
 		return nil
 	}
-	return &Snapshot{sq: s, at: epoch, v: s.versions[i-1], stats: &storage.Stats{}}
+	return s.versions[i-1].snap.Pin(epoch)
 }
 
 // Latest returns a snapshot of the newest published version.
-func (s *Seq) Latest() *Snapshot {
+func (s *Seq) Latest() *storage.Snapshot {
 	s.mu.RLock()
 	cur := s.latest()
 	s.mu.RUnlock()
-	return &Snapshot{sq: s, at: cur.epoch, v: cur, stats: &storage.Stats{}}
+	return cur.snap.Pin(cur.epoch())
 }
 
-// packFrames builds the page versions of one full sequence state:
-// entries must be sorted by position, unique and non-Null. The frames
-// are returned alongside their refs for the caller to register with the
-// pool as dirty pages. Every frame is checked to encode within pageSize,
-// so callers can reject oversized records before WAL-logging them.
-func packFrames(entries []seq.Entry, span seq.Span, kind storage.Kind, rpp int, epoch int64, pageSize int) (*dversion, []*frame, error) {
+// pack builds the page versions of one full sequence state: entries
+// must be sorted by position, unique and non-Null. The frames are
+// returned alongside the version for the caller to register with the
+// pool as dirty pages. Every frame is checked to encode within the page
+// size, so callers can reject oversized records before WAL-logging them.
+func (s *Seq) pack(entries []seq.Entry, span seq.Span, kind storage.Kind, epoch int64) (*dversion, []*frame, error) {
 	if span.IsEmpty() && len(entries) > 0 {
 		span = seq.NewSpan(entries[0].Pos, entries[len(entries)-1].Pos)
 	}
-	v := &dversion{epoch: epoch, kind: kind, span: span, count: len(entries)}
+	var table []*pageRef
 	var frames []*frame
 	switch kind {
 	case storage.KindSparse:
-		for i := 0; i < len(entries); i += rpp {
-			hi := i + rpp
-			if hi > len(entries) {
-				hi = len(entries)
-			}
+		for i := 0; i < len(entries); i += s.rpp {
+			hi := min(i+s.rpp, len(entries))
 			pg := entries[i:hi:hi]
-			fr := &frame{kind: kind, epoch: epoch, first: pg[0].Pos, entries: pg}
-			v.table = append(v.table, newRef(epoch, pg[0].Pos, len(pg)))
-			frames = append(frames, fr)
+			frames = append(frames, &frame{kind: kind, epoch: epoch, Page: storage.Page{First: pg[0].Pos, Entries: pg}})
+			table = append(table, newRef(epoch, pg[0].Pos, len(pg)))
 		}
 	case storage.KindDense:
 		if span.IsEmpty() {
@@ -148,29 +169,26 @@ func packFrames(entries []seq.Entry, span seq.Span, kind storage.Kind, rpp int, 
 			return nil, nil, fmt.Errorf("disk: dense span of %d positions too large", n)
 		}
 		next := 0
-		for off := int64(0); off < n; off += int64(rpp) {
-			m := n - off
-			if m > int64(rpp) {
-				m = int64(rpp)
-			}
+		for off := int64(0); off < n; off += int64(s.rpp) {
+			m := min(n-off, int64(s.rpp))
 			first := span.Start + off //seqvet:ignore spanarith bounded dense span
-			fr := &frame{kind: kind, epoch: epoch, first: first, slots: make([]seq.Record, m)}
+			fr := &frame{kind: kind, epoch: epoch, Page: storage.Page{First: first, Slots: make([]seq.Record, m)}}
 			for next < len(entries) && entries[next].Pos < first+m { //seqvet:ignore spanarith bounded dense span
-				fr.slots[entries[next].Pos-first] = entries[next].Rec
+				fr.Slots[entries[next].Pos-first] = entries[next].Rec
 				next++
 			}
-			v.table = append(v.table, newRef(epoch, first, int(m)))
 			frames = append(frames, fr)
+			table = append(table, newRef(epoch, first, int(m)))
 		}
 	default:
 		return nil, nil, fmt.Errorf("disk: unknown kind %v", kind)
 	}
 	for _, fr := range frames {
-		if err := checkPageFits(fr, pageSize); err != nil {
+		if err := checkPageFits(fr, s.db.cfg.PageSize); err != nil {
 			return nil, nil, err
 		}
 	}
-	return v, frames, nil
+	return s.newVersion(epoch, kind, span, len(entries), table), frames, nil
 }
 
 // install registers packed frames with the pool and publishes the
@@ -188,16 +206,13 @@ func (s *Seq) install(v *dversion, frames []*frame) error {
 }
 
 // pendingAppend is a fully validated append that has not been published
-// yet: the new page version, the copied ref table, and the resulting
-// version metadata. prepareAppend builds it before the WAL record is
-// written; commitAppend publishes it afterwards.
+// yet: the new page version and the version holding it. prepareAppend
+// builds it before the WAL record is written; commitAppend publishes it
+// afterwards.
 type pendingAppend struct {
-	ref   *pageRef
-	fr    *frame
-	table []*pageRef
-	span  seq.Span
-	count int
-	epoch int64
+	ref *pageRef
+	fr  *frame
+	v   *dversion
 }
 
 // prepareAppend validates an append — including that the resulting tail
@@ -215,46 +230,40 @@ func (s *Seq) prepareAppend(e seq.Entry, epoch int64) (*pendingAppend, error) {
 	s.mu.RLock()
 	cur := s.latest()
 	s.mu.RUnlock()
-	if epoch <= cur.epoch {
-		return nil, fmt.Errorf("disk: append epoch %d does not advance version epoch %d", epoch, cur.epoch)
+	if epoch <= cur.epoch() {
+		return nil, fmt.Errorf("disk: append epoch %d does not advance version epoch %d", epoch, cur.epoch())
 	}
-	if cur.kind != storage.KindSparse {
+	if cur.snap.Kind() != storage.KindSparse {
 		return nil, fmt.Errorf("disk: version is not appendable (reorganize to sparse first)")
 	}
-	if !cur.span.IsEmpty() && e.Pos <= cur.span.End {
-		return nil, fmt.Errorf("disk: append position %d inside the valid range %v", e.Pos, cur.span)
+	span := cur.snap.Info().Span
+	if !span.IsEmpty() && e.Pos <= span.End {
+		return nil, fmt.Errorf("disk: append position %d inside the valid range %v", e.Pos, span)
 	}
 	table := make([]*pageRef, len(cur.table), len(cur.table)+1)
 	copy(table, cur.table)
-	var ref *pageRef
-	var fr *frame
+	ents := []seq.Entry{e}
 	if n := len(table); n > 0 && table[n-1].n < s.rpp {
-		tailRef := table[n-1]
-		tailFr, err := s.db.pool.get(s, tailRef, nil)
+		tail, err := s.db.pool.get(s, table[n-1], nil)
 		if err != nil {
 			return nil, err
 		}
-		ents := make([]seq.Entry, len(tailFr.entries), len(tailFr.entries)+1)
-		copy(ents, tailFr.entries)
-		ents = append(ents, e)
-		ref = newRef(epoch, tailFr.first, len(ents))
-		fr = &frame{kind: storage.KindSparse, epoch: epoch, first: tailFr.first, entries: ents}
-		table[n-1] = ref
-	} else {
-		ref = newRef(epoch, e.Pos, 1)
-		fr = &frame{kind: storage.KindSparse, epoch: epoch, first: e.Pos, entries: []seq.Entry{e}}
-		table = append(table, ref)
+		ents = append(append(make([]seq.Entry, 0, len(tail.Entries)+1), tail.Entries...), e)
+		table = table[:n-1]
 	}
+	fr := &frame{kind: storage.KindSparse, epoch: epoch, Page: storage.Page{First: ents[0].Pos, Entries: ents}}
 	if err := checkPageFits(fr, s.db.cfg.PageSize); err != nil {
 		return nil, err
 	}
-	span := cur.span
+	ref := newRef(epoch, fr.First, len(ents))
+	table = append(table, ref)
 	if span.IsEmpty() {
 		span = seq.NewSpan(e.Pos, e.Pos)
 	} else {
 		span.End = e.Pos
 	}
-	return &pendingAppend{ref: ref, fr: fr, table: table, span: span, count: cur.count + 1, epoch: epoch}, nil
+	v := s.newVersion(epoch, storage.KindSparse, span, cur.snap.Count()+1, table)
+	return &pendingAppend{ref: ref, fr: fr, v: v}, nil
 }
 
 // commitAppend registers the prepared page version with the pool and
@@ -265,9 +274,7 @@ func (s *Seq) commitAppend(p *pendingAppend) error {
 		return err
 	}
 	s.mu.Lock()
-	s.versions = append(s.versions, &dversion{
-		epoch: p.epoch, kind: storage.KindSparse, span: p.span, count: p.count, table: p.table,
-	})
+	s.versions = append(s.versions, p.v)
 	s.mu.Unlock()
 	return nil
 }
@@ -280,14 +287,14 @@ func (s *Seq) prepareReorganize(kind storage.Kind, epoch int64) (*dversion, []*f
 	s.mu.RLock()
 	cur := s.latest()
 	s.mu.RUnlock()
-	if epoch <= cur.epoch {
-		return nil, nil, fmt.Errorf("disk: reorganize epoch %d does not advance version epoch %d", epoch, cur.epoch)
+	if epoch <= cur.epoch() {
+		return nil, nil, fmt.Errorf("disk: reorganize epoch %d does not advance version epoch %d", epoch, cur.epoch())
 	}
-	entries, err := s.collect(cur)
+	entries, err := seq.Collect(cur.snap.Scan(seq.AllSpan))
 	if err != nil {
 		return nil, nil, err
 	}
-	return packFrames(entries, cur.span, kind, s.rpp, epoch, s.db.cfg.PageSize)
+	return s.pack(entries, cur.snap.Info().Span, kind, epoch)
 }
 
 // reorganizeLocked repacks the latest contents into the given kind and
@@ -299,28 +306,6 @@ func (s *Seq) reorganizeLocked(kind storage.Kind, epoch int64) error {
 		return err
 	}
 	return s.install(v, frames)
-}
-
-// collect flattens a version's pages into sorted entries, fetching
-// frames through the pool.
-func (s *Seq) collect(v *dversion) ([]seq.Entry, error) {
-	out := make([]seq.Entry, 0, v.count)
-	for _, ref := range v.table {
-		fr, err := s.db.pool.get(s, ref, nil)
-		if err != nil {
-			return nil, err
-		}
-		if fr.entries != nil {
-			out = append(out, fr.entries...)
-			continue
-		}
-		for i, r := range fr.slots {
-			if r != nil {
-				out = append(out, seq.Entry{Pos: fr.first + seq.Pos(i), Rec: r}) //seqvet:ignore spanarith bounded dense span
-			}
-		}
-	}
-	return out, nil
 }
 
 // GC drops this sequence's versions superseded at or before minLive and
@@ -341,7 +326,7 @@ func (s *Seq) GC(minLive int64) int {
 // disk page slots freed.
 func (s *Seq) gcLocked(minLive int64) (versions, pages int) {
 	s.mu.Lock()
-	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].epoch > minLive })
+	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].epoch() > minLive })
 	if i <= 1 {
 		s.mu.Unlock()
 		return 0, 0

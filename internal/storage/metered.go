@@ -34,31 +34,7 @@ func (m *metered) AccessCosts() AccessCosts { return m.inner.AccessCosts() }
 
 // credit adds the shared-counter movement since before to the consumer.
 func (m *metered) credit(before StatsSnapshot) {
-	d := m.inner.Stats().Snapshot().Sub(before)
-	if d.SeqPages != 0 {
-		m.consumer.SeqPages.Add(d.SeqPages)
-	}
-	if d.RandPages != 0 {
-		m.consumer.RandPages.Add(d.RandPages)
-	}
-	if d.SeqRecords != 0 {
-		m.consumer.SeqRecords.Add(d.SeqRecords)
-	}
-	if d.ProbeRecords != 0 {
-		m.consumer.ProbeRecords.Add(d.ProbeRecords)
-	}
-	if d.PoolHits != 0 {
-		m.consumer.PoolHits.Add(d.PoolHits)
-	}
-	if d.PoolMisses != 0 {
-		m.consumer.PoolMisses.Add(d.PoolMisses)
-	}
-	if d.PoolEvictions != 0 {
-		m.consumer.PoolEvictions.Add(d.PoolEvictions)
-	}
-	if d.DirtyWrites != 0 {
-		m.consumer.DirtyWrites.Add(d.DirtyWrites)
-	}
+	m.consumer.AddSnapshot(m.inner.Stats().Snapshot().Sub(before))
 }
 
 // Probe implements seq.Sequence.

@@ -37,23 +37,45 @@ type Versioned struct {
 	versions []*version // ascending by epoch; versions[len-1] is latest
 }
 
-// version is one immutable published state of a Versioned store.
+// version is one immutable published state of a store: a Versioned
+// version (resident pages) or a disk-tier one (pages behind src).
 type version struct {
 	epoch int64
 	kind  Kind
 	span  seq.Span
-	pages []*vpage
+	pages []*Page
 	count int // non-Null records
+	// src fetches the pages of a version that is not resident; pages
+	// then carry only each page's First, the index a sparse search
+	// descends. nil for memory versions.
+	src PageSource
 }
 
-// vpage is an immutable page. Sparse-kind versions use entries (sorted;
+// Page is an immutable page. Sparse-kind versions use Entries (sorted;
 // every page but the last holds exactly rpp, so entry i lives in page
-// i/rpp); dense-kind versions use slots (rpp positional slots, nil =
+// i/rpp); dense-kind versions use Slots (rpp positional slots, nil =
 // Null, the last page cut to the span).
-type vpage struct {
-	first   seq.Pos // position of entries[0] (sparse) / of slots[0] (dense)
-	entries []seq.Entry
-	slots   []seq.Record
+type Page struct {
+	First   seq.Pos // position of Entries[0] (sparse) / of Slots[0] (dense)
+	Entries []seq.Entry
+	Slots   []seq.Record
+}
+
+// PageSource fetches the pages of a version that is not held in memory:
+// the disk tier's buffer pool. Page returns page i, charging the fetch
+// (pool hits, misses, and the evictions and writebacks it forced) to st.
+type PageSource interface {
+	Page(i int, st *Stats) (*Page, error)
+}
+
+// NewSourced returns a snapshot, pinned at epoch, of a version whose
+// pages are fetched through src. heads[i] carries page i's First only;
+// count is the number of non-Null records. Page touches are charged
+// exactly as for a resident version, so plans cost the same on either
+// tier.
+func NewSourced(schema *seq.Schema, kind Kind, rpp int, span seq.Span, count int, epoch int64, heads []*Page, src PageSource) *Snapshot {
+	v := &version{epoch: epoch, kind: kind, span: span, pages: heads, count: count, src: src}
+	return &Snapshot{at: epoch, v: v, rpp: rpp, schema: schema, stats: &Stats{}}
 }
 
 // NewVersioned builds a versioned store from materialized data, published
@@ -106,9 +128,9 @@ func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch i
 			// Dense spans are bounded at construction, so offset
 			// arithmetic stays representable.
 			first := span.Start + off //seqvet:ignore spanarith bounded dense span
-			pg := &vpage{first: first, slots: make([]seq.Record, m)}
+			pg := &Page{First: first, Slots: make([]seq.Record, m)}
 			for next < len(entries) && entries[next].Pos < first+m { //seqvet:ignore spanarith bounded dense span
-				pg.slots[entries[next].Pos-first] = entries[next].Rec
+				pg.Slots[entries[next].Pos-first] = entries[next].Rec
 				next++
 			}
 			ver.pages = append(ver.pages, pg)
@@ -121,10 +143,10 @@ func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch i
 
 // packSparse appends entries to pages as sparse pages of rpp entries
 // each, the last one possibly short. The pages alias entries.
-func packSparse(pages []*vpage, entries []seq.Entry, rpp int) []*vpage {
+func packSparse(pages []*Page, entries []seq.Entry, rpp int) []*Page {
 	for i := 0; i < len(entries); i += rpp {
 		hi := min(i+rpp, len(entries))
-		pages = append(pages, &vpage{first: entries[i].Pos, entries: entries[i:hi:hi]})
+		pages = append(pages, &Page{First: entries[i].Pos, Entries: entries[i:hi:hi]})
 	}
 	return pages
 }
@@ -213,13 +235,13 @@ func (v *Versioned) Reorganize(kind Kind, epoch int64) error {
 func collectEntries(ver *version) []seq.Entry {
 	out := make([]seq.Entry, 0, ver.count)
 	for _, pg := range ver.pages {
-		if pg.entries != nil {
-			out = append(out, pg.entries...)
+		if pg.Entries != nil {
+			out = append(out, pg.Entries...)
 			continue
 		}
-		for i, r := range pg.slots {
+		for i, r := range pg.Slots {
 			if r != nil {
-				out = append(out, seq.Entry{Pos: pg.first + seq.Pos(i), Rec: r}) //seqvet:ignore spanarith bounded dense span
+				out = append(out, seq.Entry{Pos: pg.First + seq.Pos(i), Rec: r}) //seqvet:ignore spanarith bounded dense span
 			}
 		}
 	}
@@ -259,7 +281,7 @@ func (v *Versioned) Versions() int {
 func (v *Versioned) PageVersions() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	distinct := make(map[*vpage]bool)
+	distinct := make(map[*Page]bool)
 	for _, ver := range v.versions {
 		for _, pg := range ver.pages {
 			distinct[pg] = true
@@ -285,16 +307,23 @@ func (v *Versioned) GC(minLive int64) int {
 	return dropped
 }
 
-// Snapshot is an immutable view of one version of a Versioned store,
-// pinned at a reader epoch. It implements Store, so the optimizer and
-// executor treat it exactly like a base store; its counters are private
-// to the snapshot (per-reader attribution).
+// Snapshot is an immutable view of one version of a store, pinned at a
+// reader epoch: a Versioned version, or a disk-tier one whose pages are
+// fetched through the buffer pool (NewSourced). It implements Store, so
+// the optimizer and executor treat it exactly like a base store; its
+// counters are private to the snapshot (per-reader attribution).
 type Snapshot struct {
 	at     int64 // the reader epoch the snapshot was pinned at
 	v      *version
 	rpp    int
 	schema *seq.Schema
 	stats  *Stats
+}
+
+// Pin returns a snapshot of the same version pinned at reader epoch at,
+// with fresh access counters.
+func (s *Snapshot) Pin(at int64) *Snapshot {
+	return &Snapshot{at: at, v: s.v, rpp: s.rpp, schema: s.schema, stats: &Stats{}}
 }
 
 // SnapshotEpoch returns the reader epoch the snapshot is pinned at. The
@@ -352,6 +381,16 @@ func (s *Snapshot) densePage(pos seq.Pos) int {
 	return int((pos - s.v.span.Start) / int64(s.rpp)) //seqvet:ignore spanarith bounded dense span
 }
 
+// page returns page i of the version: the resident page, or the one the
+// version's source fetches, charged to the snapshot's counters. Every
+// page read goes through here, once per page a reader enters.
+func (s *Snapshot) page(i int) (*Page, error) {
+	if s.v.src == nil {
+		return s.v.pages[i], nil
+	}
+	return s.v.src.Page(i, s.stats)
+}
+
 // Probe implements seq.Sequence. A position outside the valid range
 // answers Null without touching a page.
 func (s *Snapshot) Probe(pos seq.Pos) (seq.Record, error) {
@@ -361,15 +400,22 @@ func (s *Snapshot) Probe(pos seq.Pos) (seq.Record, error) {
 	}
 	if s.v.kind == KindDense {
 		s.stats.RandPages.Add(1)
-		pg := s.v.pages[s.densePage(pos)]
-		return pg.slots[pos-pg.first], nil
+		pg, err := s.page(s.densePage(pos))
+		if err != nil {
+			return nil, err
+		}
+		return pg.Slots[pos-pg.First], nil
 	}
 	s.stats.RandPages.Add(s.probeDepth())
-	pi := sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].first > pos }) - 1
+	pi := sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].First > pos }) - 1
 	if pi < 0 {
 		return nil, nil
 	}
-	ents := s.v.pages[pi].entries
+	pg, err := s.page(pi)
+	if err != nil {
+		return nil, err
+	}
+	ents := pg.Entries
 	j := sort.Search(len(ents), func(i int) bool { return ents[i].Pos >= pos })
 	if j < len(ents) && ents[j].Pos == pos {
 		return ents[j].Rec, nil
@@ -377,21 +423,25 @@ func (s *Snapshot) Probe(pos seq.Pos) (seq.Record, error) {
 	return nil, nil
 }
 
-// seek positions a sparse scan at the first entry at or after start
-// (page index, entry index within it). Entering the middle of the file
-// requires an index descent, charged like a probe.
-func (s *Snapshot) seek(start seq.Pos) (pi, j int) {
-	pi = max(sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].first > start })-1, 0)
-	ents := s.v.pages[pi].entries
-	j = sort.Search(len(ents), func(i int) bool { return ents[i].Pos >= start })
+// seek positions a sparse scan at the first entry at or after start: the
+// page holding it (fetched), its index, and the entry index within it.
+// Entering the middle of the file requires an index descent, charged
+// like a probe.
+func (s *Snapshot) seek(start seq.Pos) (pi, j int, pg *Page, err error) {
+	pi = max(sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].First > start })-1, 0)
+	if pg, err = s.page(pi); err != nil {
+		return 0, 0, nil, err
+	}
+	j = sort.Search(len(pg.Entries), func(i int) bool { return pg.Entries[i].Pos >= start })
 	if pi > 0 || j > 0 {
 		s.stats.RandPages.Add(s.probeDepth())
 	}
-	return pi, j
+	return pi, j, pg, nil
 }
 
 // Scan implements seq.Sequence: sequential page touches over the
 // intersection of the requested span with the version's valid range.
+// A page fetch that fails ends the scan and is reported by Err.
 func (s *Snapshot) Scan(span seq.Span) seq.Cursor {
 	span = span.Intersect(s.v.span)
 	if span.IsEmpty() || len(s.v.pages) == 0 {
@@ -400,8 +450,9 @@ func (s *Snapshot) Scan(span seq.Span) seq.Cursor {
 	if s.v.kind == KindDense {
 		return &denseCursor{s: s, pos: span.Start, end: span.End, page: -1}
 	}
-	pi, j := s.seek(span.Start)
-	return &sparseCursor{s: s, pi: pi, j: j, end: span.End, page: -1}
+	c := &sparseCursor{s: s, end: span.End, page: -1}
+	c.pi, c.j, c.pg, c.err = s.seek(span.Start)
+	return c
 }
 
 type emptyCursor struct{}
@@ -412,23 +463,32 @@ func (emptyCursor) Close() error                      { return nil }
 
 type sparseCursor struct {
 	s    *Snapshot
-	pi   int // current page index
-	j    int // next entry index within page pi
+	pg   *Page // page pi; nil until the scan enters it
+	pi   int   // current page index
+	j    int   // next entry index within page pi
 	end  seq.Pos
 	page int // last page charged; -1 before the first touch
+	err  error
 }
 
 func (c *sparseCursor) Next() (seq.Pos, seq.Record, bool) {
-	for c.pi < len(c.s.v.pages) {
-		pg := c.s.v.pages[c.pi]
-		if c.j >= len(pg.entries) {
-			c.pi++
-			c.j = 0
+	for c.err == nil && c.pi < len(c.s.v.pages) {
+		if c.pg == nil {
+			// Enter the next page only if it starts inside the span.
+			if c.s.v.pages[c.pi].First > c.end {
+				break
+			}
+			if c.pg, c.err = c.s.page(c.pi); c.err != nil {
+				break
+			}
+		}
+		if c.j == len(c.pg.Entries) {
+			c.pi, c.j, c.pg = c.pi+1, 0, nil
 			continue
 		}
-		e := pg.entries[c.j]
+		e := c.pg.Entries[c.j]
 		if e.Pos > c.end {
-			return 0, nil, false
+			break
 		}
 		if c.pi != c.page {
 			c.page = c.pi
@@ -441,30 +501,33 @@ func (c *sparseCursor) Next() (seq.Pos, seq.Record, bool) {
 	return 0, nil, false
 }
 
-func (c *sparseCursor) Err() error   { return nil }
+func (c *sparseCursor) Err() error   { return c.err }
 func (c *sparseCursor) Close() error { return nil }
 
 type denseCursor struct {
 	s    *Snapshot
+	pg   *Page // the page the scan is on
 	pos  seq.Pos
 	end  seq.Pos
-	page int // last page charged; -1 before the first touch
+	page int // index of pg; -1 before the first touch
+	err  error
 }
 
 func (c *denseCursor) Next() (seq.Pos, seq.Record, bool) {
-	for c.pos <= c.end {
+	for c.err == nil && c.pos <= c.end {
 		p := c.pos
 		c.pos++
 		// Charge each page the first time the scan enters it, whether or
 		// not it holds any non-Null record: empty slots still occupy
 		// space in a dense layout.
-		pi := c.s.densePage(p)
-		if pi != c.page {
+		if pi := c.s.densePage(p); pi != c.page {
 			c.page = pi
 			c.s.stats.SeqPages.Add(1)
+			if c.pg, c.err = c.s.page(pi); c.err != nil {
+				break
+			}
 		}
-		pg := c.s.v.pages[pi]
-		if r := pg.slots[p-pg.first]; r != nil {
+		if r := c.pg.Slots[p-c.pg.First]; r != nil {
 			c.s.stats.SeqRecords.Add(1)
 			return p, r, true
 		}
@@ -472,5 +535,5 @@ func (c *denseCursor) Next() (seq.Pos, seq.Record, bool) {
 	return 0, nil, false
 }
 
-func (c *denseCursor) Err() error   { return nil }
+func (c *denseCursor) Err() error   { return c.err }
 func (c *denseCursor) Close() error { return nil }

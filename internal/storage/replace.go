@@ -20,7 +20,7 @@ import (
 // The second return is false when old is not an in-memory Snapshot.
 func Replace(old Store, hit seq.Span, fresh []seq.Entry) (Store, bool, error) {
 	s, ok := old.(*Snapshot)
-	if !ok {
+	if !ok || s.v.src != nil {
 		return nil, false, nil
 	}
 	if err := checkFresh(s.schema, s.v.span, hit, fresh); err != nil {
@@ -34,7 +34,7 @@ func Replace(old Store, hit seq.Span, fresh []seq.Entry) (Store, bool, error) {
 			ver.pages = spliceSparse(s.v.pages, s.rpp, region, fresh)
 			ver.count = 0
 			if n := len(ver.pages); n > 0 {
-				ver.count = (n-1)*s.rpp + len(ver.pages[n-1].entries)
+				ver.count = (n-1)*s.rpp + len(ver.pages[n-1].Entries)
 			}
 		}
 	}
@@ -66,17 +66,17 @@ func checkFresh(schema *seq.Schema, span, hit seq.Span, fresh []seq.Entry) error
 
 // spliceDense copies the positional pages overlapping region (inside
 // the store's span), clears region in the copies and sets fresh.
-func spliceDense(s *Snapshot, region seq.Span, fresh []seq.Entry) ([]*vpage, int) {
-	pages := append([]*vpage(nil), s.v.pages...)
+func spliceDense(s *Snapshot, region seq.Span, fresh []seq.Entry) ([]*Page, int) {
+	pages := append([]*Page(nil), s.v.pages...)
 	count := s.v.count
 	for pi := s.densePage(region.Start); pi <= s.densePage(region.End); pi++ {
-		pg := &vpage{first: pages[pi].first, slots: append([]seq.Record(nil), pages[pi].slots...)}
+		pg := &Page{First: pages[pi].First, Slots: append([]seq.Record(nil), pages[pi].Slots...)}
 		// region lies inside the dense (bounded) span.
-		lo := max(region.Start-pg.first, 0)                    //seqvet:ignore spanarith bounded dense span
-		hi := min(region.End-pg.first, int64(len(pg.slots))-1) //seqvet:ignore spanarith bounded dense span
+		lo := max(region.Start-pg.First, 0)                    //seqvet:ignore spanarith bounded dense span
+		hi := min(region.End-pg.First, int64(len(pg.Slots))-1) //seqvet:ignore spanarith bounded dense span
 		for i := lo; i <= hi; i++ {
-			if pg.slots[i] != nil {
-				pg.slots[i] = nil
+			if pg.Slots[i] != nil {
+				pg.Slots[i] = nil
 				count--
 			}
 		}
@@ -84,7 +84,7 @@ func spliceDense(s *Snapshot, region seq.Span, fresh []seq.Entry) ([]*vpage, int
 	}
 	for _, e := range fresh {
 		pg := pages[s.densePage(e.Pos)]
-		pg.slots[e.Pos-pg.first] = e.Rec
+		pg.Slots[e.Pos-pg.First] = e.Rec
 	}
 	return pages, count + len(fresh)
 }
@@ -95,40 +95,40 @@ func spliceDense(s *Snapshot, region seq.Span, fresh []seq.Entry) ([]*vpage, int
 // otherwise their packing shifts and they are repacked, keeping every
 // page but the last full — the layout, and so the page accounting, of a
 // store packed from scratch.
-func spliceSparse(pages []*vpage, rpp int, hit seq.Span, fresh []seq.Entry) []*vpage {
+func spliceSparse(pages []*Page, rpp int, hit seq.Span, fresh []seq.Entry) []*Page {
 	lo := sort.Search(len(pages), func(i int) bool {
-		es := pages[i].entries
+		es := pages[i].Entries
 		return es[len(es)-1].Pos >= hit.Start
 	})
-	hi := sort.Search(len(pages), func(i int) bool { return pages[i].first > hit.End })
+	hi := sort.Search(len(pages), func(i int) bool { return pages[i].First > hit.End })
 	var head, tail []seq.Entry // survivors of the boundary pages
 	held := 0                  // entries in pages[lo:hi]
 	if lo < hi {
-		es := pages[lo].entries
+		es := pages[lo].Entries
 		head = es[:sort.Search(len(es), func(i int) bool { return es[i].Pos >= hit.Start })]
-		es = pages[hi-1].entries
+		es = pages[hi-1].Entries
 		tail = es[sort.Search(len(es), func(i int) bool { return es[i].Pos > hit.End }):]
 		held = (hi-lo-1)*rpp + len(es)
 	}
 	rest := hi // pages[rest:hi] are repacked whole behind tail
 	if held-len(head)-len(tail) != len(fresh) {
 		hi = len(pages)
-		if lo == hi && lo > 0 && len(pages[lo-1].entries) < rpp {
+		if lo == hi && lo > 0 && len(pages[lo-1].Entries) < rpp {
 			lo-- // extend the short last page instead of opening a new one
-			head = pages[lo].entries
+			head = pages[lo].Entries
 		}
 	} else if lo == hi {
 		return pages // nothing inside hit, before or after
 	}
 	n := len(head) + len(fresh) + len(tail)
 	if rest < hi {
-		n += (hi-rest-1)*rpp + len(pages[hi-1].entries)
+		n += (hi-rest-1)*rpp + len(pages[hi-1].Entries)
 	}
 	mid := append(append(append(make([]seq.Entry, 0, n), head...), fresh...), tail...)
 	for _, pg := range pages[rest:hi] {
-		mid = append(mid, pg.entries...)
+		mid = append(mid, pg.Entries...)
 	}
-	out := make([]*vpage, 0, lo+(n+rpp-1)/rpp+len(pages)-hi)
+	out := make([]*Page, 0, lo+(n+rpp-1)/rpp+len(pages)-hi)
 	out = packSparse(append(out, pages[:lo]...), mid, rpp)
 	return append(out, pages[hi:]...)
 }

@@ -124,7 +124,7 @@ func TestReplaceRejectsBadFresh(t *testing.T) {
 
 // sharedPages counts the pages of b that are the very pages of a.
 func sharedPages(a, b *Snapshot) int {
-	old := make(map[*vpage]bool, len(a.v.pages))
+	old := make(map[*Page]bool, len(a.v.pages))
 	for _, pg := range a.v.pages {
 		old[pg] = true
 	}

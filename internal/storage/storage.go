@@ -4,16 +4,18 @@
 // The paper's cost model (§4.1.1) prices a base sequence by the number of
 // pages touched and the kind of access: a *stream* access reads pages
 // sequentially, a *probed* access fetches the page holding one position
-// (random I/O). This package keeps everything in memory — the substitution
-// for disk I/O documented in DESIGN.md — but counts page touches exactly
-// as a disk-resident store would incur them, so the optimizer's stream
-// vs. probe trade-offs and the span-restriction savings remain observable.
+// (random I/O). Page touches are counted exactly as a disk-resident store
+// incurs them, so the optimizer's stream vs. probe trade-offs and the
+// span-restriction savings remain observable.
 //
-// One in-memory implementation serves every consumer: the versioned
-// page store (Versioned, read through immutable Snapshots). The library,
-// the view registry and the experiments hold single-version stores built
-// by FromMaterialized; seqd publishes a version per write. Pages come in
-// the paper's two physical organisations (§3.4):
+// One read path serves every consumer: the immutable Snapshot of one
+// version of the page store. A version's pages are either resident — the
+// versioned in-memory store (Versioned), from which the library, the view
+// registry and the experiments hold single-version stores built by
+// FromMaterialized, and seqd publishes a version per write — or fetched
+// through a PageSource the version carries: the disk tier's buffer pool
+// (storage/disk), which credits its hits and misses to the same Stats.
+// Pages come in the paper's two physical organisations (§3.4):
 //
 //   - KindDense: positional pages over the valid range, nil slots for
 //     empty positions; probing is a single page touch (records are
@@ -21,9 +23,6 @@
 //   - KindSparse: sorted (position, record) entries packed into pages,
 //     with a binary-search index; probing touches ~log2(pages) pages,
 //     modeling a B-tree descent on an unclustered position index.
-//
-// The disk tier (storage/disk) keeps the same page accounting behind a
-// buffer pool.
 package storage
 
 import (
@@ -186,9 +185,11 @@ func (s StatsSnapshot) String() string {
 		s.PoolHits, s.PoolMisses, s.PoolEvictions, s.DirtyWrites)
 }
 
-// Store is a base-sequence store: a Sequence whose accesses are metered.
+// Store is a base-sequence store: a Sequence whose accesses are metered,
+// scanned natively on either execution plane.
 type Store interface {
 	seq.Sequence
+	seq.BatchScanner
 	// Stats returns the store's counter block (shared, live).
 	Stats() *Stats
 	// AccessCosts describes the store to the optimizer: the number of
@@ -206,12 +207,9 @@ type AccessCosts struct {
 	RecordsPerPage int
 }
 
-// SeqSnapshot is an immutable, epoch-pinned view of one version of a
-// multi-version store: what a reader evaluates against. Both the
-// memory-backed *Snapshot and the disk-backed store's snapshots satisfy
-// it, so the server's read path is representation-agnostic. The planlint
-// snapshot/* invariants need only SnapshotEpoch (checked structurally);
-// the rest is what the server's catalog and describe paths consume.
+// SeqSnapshot is the method set of an epoch-pinned *Snapshot. Both tiers
+// now hand out *Snapshot itself; the interface stays only because the
+// benchmark's replay mirror (bench/replay.go) names it.
 type SeqSnapshot interface {
 	Store
 	// SnapshotEpoch is the reader epoch the snapshot is pinned at.
