@@ -29,33 +29,18 @@ import (
 // are only ever called under Server.wmu, matching the
 // publish-then-advance protocol; SnapshotAt returns nil when the store
 // has no version at or below the epoch. *storage.Versioned implements
-// it directly.
+// it for the memory tier, *disk.Seq for the disk tier, whose writes are
+// WAL-logged and durable before they publish. The database's own epoch
+// follows the server's epochs because every write carries the epoch the
+// server chose under wmu.
 type versionedSeq interface {
 	SnapshotAt(epoch int64) *storage.Snapshot
 	LatestEpoch() int64
 	Versions() int
 	PageVersions() int
-	GC(minLive int64) int
+	GC(minLive int64) (versions, pages int)
 	Append(e seq.Entry, epoch int64) error
 	Reorganize(kind storage.Kind, epoch int64) error
-}
-
-// diskSeq adapts one sequence of an attached disk.DB: reads, GC and
-// version counts are the sequence's own; mutations go through the
-// database's epoch-explicit entry points so they are WAL-logged and
-// durable before publication. The database's own epoch follows the
-// server's epochs because every write carries the epoch the server
-// chose under wmu.
-type diskSeq struct {
-	*disk.Seq
-	db *disk.DB
-}
-
-func (d diskSeq) Append(e seq.Entry, epoch int64) error {
-	return d.db.AppendAt(d.Name(), e, epoch)
-}
-func (d diskSeq) Reorganize(k storage.Kind, epoch int64) error {
-	return d.db.ReorganizeAt(d.Name(), k, epoch)
 }
 
 // AttachDisk makes the database the server's storage tier. Call it
@@ -93,7 +78,7 @@ func (s *Server) AttachDisk(db *disk.DB) error {
 		if err != nil {
 			return fmt.Errorf("server: load sequence %q: %w", name, err)
 		}
-		ss := &serverSeq{name: name, v: diskSeq{Seq: ds, db: db}, stats: meta.StatsFromMaterialized(m)}
+		ss := &serverSeq{name: name, v: ds, stats: meta.StatsFromMaterialized(m)}
 		s.mu.Lock()
 		s.seqs[name] = ss
 		s.mu.Unlock()

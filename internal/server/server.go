@@ -111,8 +111,8 @@ type serverSeq struct {
 //
 // With an attached disk database, writes nest the database's own
 // writer lock (and, transitively, its pool and file locks) under wmu;
-// reads nest the sequence version lock under mu the same way the
-// memory tier nests Versioned.mu.
+// reads nest Versioned.mu under mu on both tiers, a disk sequence's
+// versions living in a storage.Versioned too.
 //
 //seqvet:lockorder server.Server.wmu < server.Server.mu
 //seqvet:lockorder server.Server.wmu < storage.EpochTracker.mu
@@ -121,7 +121,6 @@ type serverSeq struct {
 //seqvet:lockorder server.Server.wmu < disk.DB.wmu
 //seqvet:lockorder server.Server.wmu < reopt.Calibration.mu
 //seqvet:lockorder server.Server.mu < storage.Versioned.mu
-//seqvet:lockorder server.Server.mu < disk.Seq.mu
 //seqvet:lockorder leaf server.Server.connMu
 //seqvet:lockorder leaf server.Server.listenMu
 //seqvet:epochpin advance-under server.Server.wmu
@@ -221,7 +220,7 @@ func (s *Server) CreateSequence(name string, data *seq.Materialized, kind storag
 		if !ok {
 			return errf(wire.CodeInternal, "sequence %q vanished after durable create", name)
 		}
-		vs = diskSeq{Seq: ds, db: s.disk}
+		vs = ds
 	} else {
 		v, err := storage.NewVersioned(data, kind, 0, s.epochs.Current())
 		if err != nil {
@@ -397,7 +396,8 @@ func (s *Server) GCOnce() (versions int, views []string) {
 	}
 	s.mu.RUnlock()
 	for _, ss := range seqs {
-		versions += ss.v.GC(minLive)
+		v, _ := ss.v.GC(minLive)
+		versions += v
 	}
 	return versions, s.views.GC(minLive)
 }

@@ -36,6 +36,15 @@ func eqEntries(a, b []seq.Entry) bool {
 	return true
 }
 
+func collect(t *testing.T, s seq.Sequence, span seq.Span) []seq.Entry {
+	t.Helper()
+	es, err := seq.Collect(s.Scan(span))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return es
+}
+
 // checkBatchStatsParity scans the store through both planes over the
 // same span and requires identical entries AND identical accounting —
 // pages, records and buffer-pool lookups: the batch cursors flush their

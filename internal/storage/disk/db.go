@@ -73,8 +73,8 @@ func (c Config) withDefaults() Config {
 // WAL record is durable (or queued for the group-commit fsync) before
 // the in-memory state changes; pages reach their files lazily, via
 // eviction writebacks and checkpoints. Reads are epoch-pinned snapshots
-// and run concurrently with writers, exactly like the memory-backed
-// Versioned store.
+// of each sequence's storage.Versioned and run concurrently with
+// writers, exactly as on the memory tier.
 //
 // Once a durability-relevant I/O fails, the DB is failed: every
 // subsequent mutation and checkpoint errors, reads keep serving from
@@ -89,11 +89,11 @@ func (c Config) withDefaults() Config {
 //seqvet:lockorder disk.DB.cpMu < disk.pageFile.mu
 //seqvet:lockorder disk.DB.cpMu < disk.wal.mu
 //seqvet:lockorder disk.DB.wmu < disk.DB.mu
-//seqvet:lockorder disk.DB.wmu < disk.Seq.mu
+//seqvet:lockorder disk.DB.wmu < storage.Versioned.mu
 //seqvet:lockorder disk.DB.wmu < disk.pool.mu
 //seqvet:lockorder disk.DB.wmu < disk.pageFile.mu
 //seqvet:lockorder disk.DB.wmu < disk.wal.mu
-//seqvet:lockorder disk.DB.mu < disk.Seq.mu
+//seqvet:lockorder disk.DB.mu < storage.Versioned.mu
 //seqvet:lockorder disk.DB.mu < disk.pageFile.mu
 type DB struct {
 	dir  string
@@ -225,7 +225,7 @@ func (db *DB) loadSeq(cs *catSeq) error {
 		nextPhys = 0
 	}
 	used := make(map[int64]bool, len(cs.table))
-	table := make([]*pageRef, len(cs.table))
+	heads := make([]*storage.Page, len(cs.table))
 	for i, cr := range cs.table {
 		if cr.phys >= nextPhys {
 			return fmt.Errorf("disk: sequence %q references page %d beyond file end %d", cs.name, cr.phys, nextPhys)
@@ -233,7 +233,7 @@ func (db *DB) loadSeq(cs *catSeq) error {
 		used[cr.phys] = true
 		ref := newRef(cr.epoch, cr.first, cr.n)
 		ref.phys.Store(cr.phys)
-		table[i] = ref
+		heads[i] = &ref.head
 	}
 	var free []int64
 	for p := int64(0); p < nextPhys; p++ {
@@ -245,8 +245,12 @@ func (db *DB) loadSeq(cs *catSeq) error {
 	if err != nil {
 		return err
 	}
-	s := &Seq{name: cs.name, fileID: cs.fileID, schema: cs.schema, rpp: cs.rpp, file: file, db: db}
-	s.versions = []*dversion{s.newVersion(cs.epoch, cs.kind, cs.span, cs.count, table)}
+	s := db.newSeq(cs.name, cs.fileID, cs.schema, cs.rpp)
+	s.file = file
+	if err := s.v.Restore(cs.kind, cs.span, cs.count, cs.epoch, heads); err != nil {
+		file.close()
+		return err
+	}
 	db.seqs[cs.name] = s
 	db.byID[cs.fileID] = s
 	if cs.fileID >= db.nextFile {
@@ -598,7 +602,11 @@ func (db *DB) applyWAL(payload []byte, rs *replayState) error {
 			return fmt.Errorf("disk: commit for unknown pending create %d", fileID)
 		}
 		delete(rs.pendingSeq, fileID)
-		if err := db.applyCreate(pc.meta, pc.entries); err != nil {
+		s, p, err := db.prepareCreate(pc.meta, pc.entries)
+		if err != nil {
+			return err
+		}
+		if err := db.applyCreate(s, p); err != nil {
 			return err
 		}
 	case walAppend:
@@ -616,11 +624,7 @@ func (db *DB) applyWAL(payload []byte, rs *replayState) error {
 		if epoch <= s.LatestEpoch() {
 			return nil // captured by the checkpoint already
 		}
-		p, err := s.prepareAppend(seq.Entry{Pos: pos, Rec: rec}, epoch)
-		if err != nil {
-			return err
-		}
-		if err := s.commitAppend(p); err != nil {
+		if err := s.v.Append(seq.Entry{Pos: pos, Rec: rec}, epoch); err != nil {
 			return err
 		}
 		db.dropViewsReadingLocked(s.name)
@@ -639,7 +643,7 @@ func (db *DB) applyWAL(payload []byte, rs *replayState) error {
 		if epoch <= s.LatestEpoch() {
 			return nil
 		}
-		if err := s.reorganizeLocked(kind, epoch); err != nil {
+		if err := s.v.Reorganize(kind, epoch); err != nil {
 			return err
 		}
 		db.bumpEpoch(epoch)
@@ -711,38 +715,37 @@ func (db *DB) bumpEpoch(epoch int64) {
 	}
 }
 
-// applyCreate builds a sequence from committed create metadata: page
-// file, packed frames (dirty, in the pool), version table, registration.
-func (db *DB) applyCreate(m createMeta, entries []seq.Entry) error {
-	if _, exists := db.seqs[m.name]; exists {
-		return fmt.Errorf("disk: sequence %q already exists", m.name)
+// prepareCreate builds an unregistered sequence from create metadata and
+// prepares its first version, page sizes included; nothing is published.
+func (db *DB) prepareCreate(m createMeta, entries []seq.Entry) (*Seq, *storage.Pending, error) {
+	s := db.newSeq(m.name, m.fileID, m.schema, m.rpp)
+	p, err := s.v.Prepare(entries, m.span, m.kind, m.epoch)
+	return s, p, err
+}
+
+// applyCreate gives a prepared sequence its page file, publishes its
+// first version (dirty frames in the pool) and registers it.
+func (db *DB) applyCreate(s *Seq, p *storage.Pending) error {
+	if _, exists := db.seqs[s.name]; exists {
+		return fmt.Errorf("disk: sequence %q already exists", s.name)
 	}
-	file, err := createPageFile(filepath.Join(db.dir, seqFileName(m.fileID)), db.cfg.PageSize, db.cfg.Hook)
+	file, err := createPageFile(filepath.Join(db.dir, seqFileName(s.fileID)), db.cfg.PageSize, db.cfg.Hook)
 	if err != nil {
 		return err
 	}
-	s := &Seq{name: m.name, fileID: m.fileID, schema: m.schema, rpp: m.rpp, file: file, db: db}
-	v, frames, err := s.pack(entries, m.span, m.kind, m.epoch)
-	if err != nil {
+	s.file = file
+	if err := s.v.Publish(p); err != nil {
 		file.close()
-		os.Remove(file.path)
 		return err
-	}
-	s.versions = []*dversion{v}
-	for i, fr := range frames {
-		if err := db.pool.put(s, v.table[i], fr, nil); err != nil {
-			file.close()
-			return err
-		}
 	}
 	db.mu.Lock()
-	db.seqs[m.name] = s
-	db.byID[m.fileID] = s
+	db.seqs[s.name] = s
+	db.byID[s.fileID] = s
 	db.mu.Unlock()
-	if m.fileID >= db.nextFile {
-		db.nextFile = m.fileID + 1
+	if s.fileID >= db.nextFile {
+		db.nextFile = s.fileID + 1
 	}
-	db.bumpEpoch(m.epoch)
+	db.bumpEpoch(s.LatestEpoch())
 	return nil
 }
 
@@ -753,7 +756,7 @@ func (db *DB) applyDrop(s *Seq) {
 	delete(db.seqs, s.name)
 	delete(db.byID, s.fileID)
 	db.mu.Unlock()
-	s.dropAllPages()
+	s.v.Drop()
 	db.dropped = append(db.dropped, s.file)
 	db.dropViewsReadingLocked(s.name)
 }
@@ -822,9 +825,6 @@ func (db *DB) CreateSequenceAt(name string, data *seq.Materialized, kind storage
 	if exists {
 		return fmt.Errorf("disk: sequence %q already exists", name)
 	}
-	if kind != storage.KindDense && kind != storage.KindSparse {
-		return fmt.Errorf("disk: unknown kind %v", kind)
-	}
 	if epoch < 0 {
 		return fmt.Errorf("disk: negative epoch %d", epoch)
 	}
@@ -833,11 +833,10 @@ func (db *DB) CreateSequenceAt(name string, data *seq.Materialized, kind storage
 		schema: data.Info().Schema, span: data.Info().Span, epoch: epoch,
 	}
 	entries := data.Entries()
-	// Validate the pack — including every page's encoded size — before
-	// logging anything: a too-large record must fail cleanly, not poison
-	// the WAL. The sequence is not registered yet; a detached Seq packs.
-	detached := &Seq{schema: m.schema, rpp: m.rpp, db: db}
-	if _, _, err := detached.pack(entries, m.span, kind, epoch); err != nil {
+	// Prepare — including every page's encoded size — before logging
+	// anything: a too-large record must fail cleanly, not poison the WAL.
+	s, p, err := db.prepareCreate(m, entries)
+	if err != nil {
 		return err
 	}
 	db.nextFile++
@@ -853,7 +852,7 @@ func (db *DB) CreateSequenceAt(name string, data *seq.Materialized, kind storage
 	if err := db.logGroup(group...); err != nil {
 		return err
 	}
-	if err := db.applyCreate(m, entries); err != nil {
+	if err := db.applyCreate(s, p); err != nil {
 		return db.fail(err)
 	}
 	return nil
@@ -883,14 +882,14 @@ func (db *DB) appendAtLocked(name string, e seq.Entry, epoch int64) error {
 	if !ok {
 		return fmt.Errorf("disk: unknown sequence %q", name)
 	}
-	p, err := s.prepareAppend(e, epoch)
+	p, err := s.v.PrepareAppend(e, epoch)
 	if err != nil {
 		return err
 	}
 	if err := db.w.append(encAppend(s.fileID, epoch, e), !db.cfg.BatchFsync); err != nil {
 		return db.fail(err)
 	}
-	if err := s.commitAppend(p); err != nil {
+	if err := s.v.Publish(p); err != nil {
 		return db.fail(err)
 	}
 	db.dropViewsReadingLocked(name)
@@ -929,19 +928,16 @@ func (db *DB) reorganizeAtLocked(name string, kind storage.Kind, epoch int64) er
 	if !ok {
 		return fmt.Errorf("disk: unknown sequence %q", name)
 	}
-	if kind != storage.KindDense && kind != storage.KindSparse {
-		return fmt.Errorf("disk: unknown kind %v", kind)
-	}
 	// Prepare (collect, repack, size-check) before logging: an
 	// unencodable repack must fail the call, not poison the WAL.
-	v, frames, err := s.prepareReorganize(kind, epoch)
+	p, err := s.v.PrepareReorganize(kind, epoch)
 	if err != nil {
 		return err
 	}
 	if err := db.w.append(encReorg(s.fileID, epoch, kind), true); err != nil {
 		return db.fail(err)
 	}
-	if err := s.install(v, frames); err != nil {
+	if err := s.v.Publish(p); err != nil {
 		return db.fail(err)
 	}
 	db.bumpEpoch(epoch)
@@ -1050,7 +1046,7 @@ func (db *DB) DropViewAt(name string, epoch int64) error {
 
 // GC drops versions superseded at or before minLive on every sequence
 // and frees unreachable page versions' disk slots (quarantined until the
-// next checkpoint). It returns versions dropped and page slots freed.
+// next checkpoint). It returns versions dropped and pages released.
 func (db *DB) GC(minLive int64) (versions, pages int) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -1061,7 +1057,7 @@ func (db *DB) GC(minLive int64) (versions, pages int) {
 	}
 	db.mu.RUnlock()
 	for _, s := range seqs {
-		v, p := s.gcLocked(minLive)
+		v, p := s.v.GC(minLive)
 		versions += v
 		pages += p
 	}
@@ -1073,18 +1069,20 @@ func (db *DB) GC(minLive int64) (versions, pages int) {
 // cpSeq is the per-sequence state a checkpoint captures under wmu.
 type cpSeq struct {
 	s     *Seq
-	v     *dversion
-	toPro []int64 // quarantined slots to promote after the catalog lands
+	snap  *storage.Snapshot // the latest version
+	toPro []int64           // quarantined slots to promote after the catalog lands
 }
 
+// ref returns the page reference behind page i of the captured version.
+func (c cpSeq) ref(i int) *pageRef { return c.snap.Pages()[i].Handle.(*pageRef) }
+
 // deferredForget is a pool forget that a drop or GC deferred because the
-// ref was captured by the in-flight checkpoint. free says whether the
-// ref's disk slot should be quarantined for reuse afterwards (GC on a
-// live sequence) or left alone (the whole file is parked for removal).
+// ref was captured by the in-flight checkpoint. The ref's slot is then
+// quarantined like any released slot, which is moot for a dropped
+// sequence: its whole file is parked for removal.
 type deferredForget struct {
 	file *pageFile
 	ref  *pageRef
-	free bool
 }
 
 // finishCheckpoint unpins the captured refs and processes the forgets
@@ -1099,7 +1097,7 @@ func (db *DB) finishCheckpoint() {
 	db.cpDeferred = nil
 	db.wmu.Unlock()
 	for _, d := range deferred {
-		if phys := db.pool.forget(d.ref); phys >= 0 && d.free {
+		if phys := db.pool.forget(d.ref); phys >= 0 {
 			d.file.freeSlot(phys)
 		}
 	}
@@ -1133,10 +1131,7 @@ func (db *DB) Checkpoint() error {
 	db.mu.RLock()
 	caps := make([]cpSeq, 0, len(db.seqs))
 	for _, s := range db.seqs {
-		s.mu.RLock()
-		v := s.latest()
-		s.mu.RUnlock()
-		caps = append(caps, cpSeq{s: s, v: v, toPro: s.file.takePending()})
+		caps = append(caps, cpSeq{s: s, snap: s.Latest(), toPro: s.file.takePending()})
 	}
 	views := make([]*View, 0, len(db.views))
 	for _, v := range db.views {
@@ -1145,8 +1140,8 @@ func (db *DB) Checkpoint() error {
 	db.mu.RUnlock()
 	pins := make(map[*pageRef]bool)
 	for _, c := range caps {
-		for _, ref := range c.v.table {
-			pins[ref] = true
+		for i := range c.snap.Pages() {
+			pins[c.ref(i)] = true
 		}
 	}
 	db.cpPins = pins
@@ -1167,8 +1162,8 @@ func (db *DB) Checkpoint() error {
 	// Flush dirty frames and fsync the files, outside every lock but the
 	// pool's own.
 	for _, c := range caps {
-		for _, ref := range c.v.table {
-			if err := db.pool.flush(ref); err != nil {
+		for i := range c.snap.Pages() {
+			if err := db.pool.flush(c.ref(i)); err != nil {
 				requeue()
 				return db.fail(err)
 			}
@@ -1189,10 +1184,11 @@ func (db *DB) Checkpoint() error {
 	sort.Slice(caps, func(i, j int) bool { return caps[i].s.name < caps[j].s.name })
 	for _, c := range caps {
 		cs := catSeq{
-			name: c.s.name, fileID: c.s.fileID, kind: c.v.snap.Kind(), rpp: c.s.rpp,
-			schema: c.s.schema, span: c.v.snap.Info().Span, count: c.v.snap.Count(), epoch: c.v.epoch(),
+			name: c.s.name, fileID: c.s.fileID, kind: c.snap.Kind(), rpp: c.snap.AccessCosts().RecordsPerPage,
+			schema: c.s.Schema(), span: c.snap.Info().Span, count: c.snap.Count(), epoch: c.snap.VersionEpoch(),
 		}
-		for _, ref := range c.v.table {
+		for i := range c.snap.Pages() {
+			ref := c.ref(i)
 			phys := ref.phys.Load()
 			if phys < 0 {
 				requeue()

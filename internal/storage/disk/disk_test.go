@@ -146,42 +146,6 @@ func TestCreateScanProbe(t *testing.T) {
 	}
 }
 
-func TestAppendSnapshotIsolation(t *testing.T) {
-	db := openTest(t, t.TempDir(), testConfig())
-	defer db.Close()
-	schema := testSchema(t)
-	if err := db.CreateSequence("a", testData(t, schema, 10), storage.KindSparse); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := db.Seq("a")
-	pinned := s.SnapshotAt(db.Epoch())
-	if pinned == nil {
-		t.Fatal("no snapshot at current epoch")
-	}
-	for i := 0; i < 20; i++ {
-		pos := seq.Pos(11 + i)
-		if _, err := db.Append("a", seq.Entry{Pos: pos, Rec: seq.Record{seq.Int(int64(pos))}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(collect(t, pinned, seq.AllSpan)); got != 10 {
-		t.Fatalf("pinned snapshot sees %d records after appends, want 10", got)
-	}
-	if got := len(collect(t, s.Latest(), seq.AllSpan)); got != 30 {
-		t.Fatalf("latest sees %d records, want 30", got)
-	}
-	if s.Versions() != 21 {
-		t.Fatalf("retained %d versions, want 21", s.Versions())
-	}
-	// Appends must reject stale epochs, dense targets, in-range positions.
-	if err := db.AppendAt("a", seq.Entry{Pos: 100, Rec: seq.Record{seq.Int(1)}}, db.Epoch()); err == nil {
-		t.Fatal("append at stale epoch succeeded")
-	}
-	if err := db.AppendAt("a", seq.Entry{Pos: 5, Rec: seq.Record{seq.Int(1)}}, db.Epoch()+1); err == nil {
-		t.Fatal("append inside the valid range succeeded")
-	}
-}
-
 func TestReopenAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema(t)

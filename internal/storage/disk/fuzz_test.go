@@ -2,6 +2,7 @@ package disk
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -21,6 +22,8 @@ import (
 // "maybe": its WAL record may or may not have become durable before the
 // "crash", so recovery may surface either the pre-op or post-op state —
 // both are accepted, anything else is a bug.
+
+var recoverySeeds = flag.Int("disk.seeds", 60, "number of random seeds (kill-point schedules) for the recovery fuzz harness")
 
 // shadowSeq mirrors one sequence's acked logical state.
 type shadowSeq struct {
@@ -240,7 +243,7 @@ func matches(t *testing.T, db *DB, s *shadowDB) (bool, string) {
 }
 
 func TestRecoveryFuzz(t *testing.T) {
-	iters := 60
+	iters := *recoverySeeds
 	if testing.Short() {
 		iters = 12
 	}

@@ -20,13 +20,14 @@ type pageRef struct {
 	epoch int64        // epoch of the write that created this page version
 	n     int          // entries (sparse) or slots (dense) on the page
 	// head is the page as a version's index sees it: its First (the
-	// position of the first entry/slot) and no records, which are
-	// fetched through the pool.
+	// position of the first entry/slot), no records, which are fetched
+	// through the pool, and this ref as its Handle.
 	head storage.Page
 }
 
 func newRef(epoch int64, first int64, n int) *pageRef {
 	r := &pageRef{epoch: epoch, n: n, head: storage.Page{First: first}}
+	r.head.Handle = r
 	r.phys.Store(-1)
 	return r
 }

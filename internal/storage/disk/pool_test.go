@@ -29,7 +29,7 @@ func TestPoolColdWarmMetering(t *testing.T) {
 	}
 
 	s := mustSeq(t, db, "a")
-	pages := int64(len(s.latest().table))
+	pages := int64(len(s.Latest().Pages()))
 	cold := s.Latest()
 	if got := len(collect(t, cold, seq.AllSpan)); got != 100 {
 		t.Fatalf("cold scan returned %d records", got)

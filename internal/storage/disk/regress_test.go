@@ -141,13 +141,11 @@ func TestGCDefersCheckpointCapturedRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := db.Seq("a")
-	s.mu.RLock()
-	captured := s.latest()
-	s.mu.RUnlock()
+	captured := cpSeq{s: s, snap: s.Latest()}
 	// Pin the latest version's refs exactly as Checkpoint's capture does.
 	pins := make(map[*pageRef]bool)
-	for _, ref := range captured.table {
-		pins[ref] = true
+	for i := range captured.snap.Pages() {
+		pins[captured.ref(i)] = true
 	}
 	db.wmu.Lock()
 	db.cpPins = pins
@@ -160,8 +158,8 @@ func TestGCDefersCheckpointCapturedRefs(t *testing.T) {
 
 	// Every captured ref must still be flushable — the review's failure
 	// mode was "dirty page version not resident at flush" here.
-	for _, ref := range captured.table {
-		if err := db.pool.flush(ref); err != nil {
+	for i := range captured.snap.Pages() {
+		if err := db.pool.flush(captured.ref(i)); err != nil {
 			t.Fatalf("captured ref forgotten during GC: %v", err)
 		}
 	}
@@ -174,83 +172,91 @@ func TestGCDefersCheckpointCapturedRefs(t *testing.T) {
 	}
 }
 
-// Records too large for the page size must be rejected before their WAL
-// record is written: once logged, every checkpoint (and every recovery)
-// would recreate the unencodable frame and the DB could never truncate
-// its WAL again.
+// Every write the store rejects must be rejected before its WAL record
+// is written: once logged, every recovery would replay it, and a page
+// too large for the page size would also fail every later writeback and
+// checkpoint, so the DB could never truncate its WAL again. Each
+// rejection leaves the WAL and the DB's health exactly as they were.
 func TestOversizedRecordRejectedBeforeLogging(t *testing.T) {
 	dir := t.TempDir()
-	db := openTest(t, dir, testConfig()) // 512-byte pages
+	db := openTest(t, dir, testConfig()) // 512-byte pages, 4 records per page
 	schema, err := seq.NewSchema(seq.Field{Name: "s", Type: seq.TString})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := seq.Record{seq.Str(strings.Repeat("x", 2048))}
-
-	// Create with an oversized record fails cleanly.
-	m, err := seq.NewMaterialized(schema, []seq.Entry{{Pos: 1, Rec: big}})
-	if err != nil {
+	str := func(s string) seq.Record { return seq.Record{seq.Str(s)} }
+	big := str(strings.Repeat("x", 2048))
+	create := func(name string, kind storage.Kind, entries ...seq.Entry) error {
+		m, err := seq.NewMaterialized(schema, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.CreateSequence(name, m, kind)
+	}
+	if err := create("a", storage.KindSparse, seq.Entry{Pos: 1, Rec: str("one")}, seq.Entry{Pos: 2, Rec: str("two")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSequence("big", m, storage.KindSparse); err == nil {
-		t.Fatal("create with an oversized record was accepted")
-	}
-	if db.failed.Load() {
-		t.Fatal("oversized create poisoned the DB")
-	}
-
-	// Append of an oversized record to a healthy sequence fails cleanly.
-	small, err := seq.NewMaterialized(schema, []seq.Entry{
-		{Pos: 1, Rec: seq.Record{seq.Str("one")}},
-		{Pos: 2, Rec: seq.Record{seq.Str("two")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateSequence("a", small, storage.KindSparse); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Append("a", seq.Entry{Pos: 3, Rec: big}); err == nil {
-		t.Fatal("oversized append was accepted")
-	}
-	if db.failed.Load() {
-		t.Fatal("oversized append poisoned the DB")
-	}
-
-	// A reorganize that would overflow a page is rejected before logging:
-	// dense pages holding one record each compact into sparse pages of
+	// Dense pages holding one record each compact into sparse pages of
 	// four records that no longer fit.
-	wide := make([]seq.Entry, 0, 4)
+	var wide []seq.Entry
 	for i := 0; i < 4; i++ {
-		wide = append(wide, seq.Entry{
-			Pos: seq.Pos(1 + 4*i), Rec: seq.Record{seq.Str(strings.Repeat("y", 150))},
-		})
+		wide = append(wide, seq.Entry{Pos: seq.Pos(1 + 4*i), Rec: str(strings.Repeat("y", 150))})
 	}
-	mw, err := seq.NewMaterialized(schema, wide)
-	if err != nil {
+	if err := create("wide", storage.KindDense, wide...); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateSequence("wide", mw, storage.KindDense); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Reorganize("wide", storage.KindSparse); err == nil {
-		t.Fatal("overflowing reorganize was accepted")
-	}
-	if db.failed.Load() {
-		t.Fatal("overflowing reorganize poisoned the DB")
+
+	next := func() int64 { return db.Epoch() + 1 }
+	for _, c := range []struct {
+		name  string
+		write func() error
+	}{
+		{"oversized create", func() error { return create("big", storage.KindSparse, seq.Entry{Pos: 1, Rec: big}) }},
+		{"Null record", func() error { return db.AppendAt("a", seq.Entry{Pos: 3}, next()) }},
+		{"non-conforming record", func() error {
+			return db.AppendAt("a", seq.Entry{Pos: 3, Rec: seq.Record{seq.Int(3)}}, next())
+		}},
+		{"stale append epoch", func() error { return db.AppendAt("a", seq.Entry{Pos: 3, Rec: str("three")}, db.Epoch()) }},
+		{"dense target", func() error { return db.AppendAt("wide", seq.Entry{Pos: 100, Rec: str("z")}, next()) }},
+		{"position inside the valid range", func() error { return db.AppendAt("a", seq.Entry{Pos: 1, Rec: str("z")}, next()) }},
+		{"oversized append", func() error { return db.AppendAt("a", seq.Entry{Pos: 3, Rec: big}, next()) }},
+		{"stale reorganize epoch", func() error { return db.ReorganizeAt("a", storage.KindDense, db.Epoch()) }},
+		{"unknown kind", func() error { return db.ReorganizeAt("a", storage.Kind(9), next()) }},
+		{"oversized reorganize", func() error { return db.ReorganizeAt("wide", storage.KindSparse, next()) }},
+	} {
+		segment := filepath.Join(dir, walName(db.w.seq))
+		before, err := os.Stat(segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged := db.WALBytes()
+		if err := c.write(); err == nil {
+			t.Fatalf("%s was accepted", c.name)
+		}
+		after, err := os.Stat(segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Size() != before.Size() || db.WALBytes() != logged {
+			t.Errorf("%s reached the WAL: file %d -> %d bytes, logged %d -> %d",
+				c.name, before.Size(), after.Size(), logged, db.WALBytes())
+		}
+		if db.failed.Load() {
+			t.Fatalf("%s poisoned the DB", c.name)
+		}
 	}
 
 	// The DB keeps working, checkpoints, and recovers cleanly.
-	if _, err := db.Append("a", seq.Entry{Pos: 3, Rec: seq.Record{seq.Str("three")}}); err != nil {
+	if _, err := db.Append("a", seq.Entry{Pos: 3, Rec: str("three")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint failed after oversized rejections: %v", err)
+		t.Fatalf("checkpoint failed after rejected writes: %v", err)
 	}
 	kill(db)
 	db2, err := Open(dir, testConfig())
 	if err != nil {
-		t.Fatalf("recovery failed after oversized rejections: %v", err)
+		t.Fatalf("recovery failed after rejected writes: %v", err)
 	}
 	defer db2.Close()
 	s, ok := db2.Seq("a")
@@ -262,5 +268,8 @@ func TestOversizedRecordRejectedBeforeLogging(t *testing.T) {
 	}
 	if s, ok := db2.Seq("wide"); !ok || s.Kind() != storage.KindDense {
 		t.Fatal("rejected reorganize leaked into durable state")
+	}
+	if _, ok := db2.Seq("big"); ok {
+		t.Fatal("rejected create leaked into durable state")
 	}
 }

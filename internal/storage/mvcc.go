@@ -9,46 +9,55 @@ import (
 	"repro/internal/seq"
 )
 
-// Versioned is a multi-version base-sequence store: the only in-memory
-// store, and the MVCC substrate of the seqd server. The store's contents
-// are held in immutable pages; every mutation (Append, Reorganize)
-// publishes a new *version* — a fresh page-pointer slice sharing every
-// untouched page with its predecessor (copy-on-write at page
-// granularity) — tagged with the epoch at which it becomes visible.
+// Versioned is a multi-version base-sequence store: the one page store
+// of both residencies, and the MVCC substrate of the seqd server. The
+// store's contents are held in immutable pages; every mutation (Append,
+// Reorganize) publishes a new *version* — a fresh page-pointer slice
+// sharing every untouched page with its predecessor (copy-on-write at
+// page granularity) — tagged with the epoch at which it becomes visible.
 // Readers obtain an immutable Snapshot pinned at their epoch and evaluate
 // against it while writers proceed; a snapshot never observes a
 // concurrent write.
+//
+// A store holds its pages in memory (NewVersioned) or has a Residency
+// place them (NewVersionedIn: the disk tier's buffer pool over a page
+// file). The version list, the packing, the validation of writes and GC
+// are the same for both. Writes are two-phase: a prepare (Prepare, PrepareAppend,
+// PrepareReorganize) validates the write and builds its version without
+// mutating anything; Publish registers the new pages with the residency
+// and appends the version. Append and Reorganize are the two in a row;
+// the disk tier logs its WAL record between them, so a rejected write
+// never reaches the log. Writers are serialized by their caller.
 //
 // An Append copies at most one page (the tail page it extends), so the
 // memory cost of K retained epochs is O(K) extra pages, not O(K) copies
 // of the sequence. GC reclaims versions older than every live reader
 // (EpochTracker.MinLive).
 //
-// mu is a leaf in the declared lock order: version-list manipulation
-// under it is pure slice/page work (packVersion, spliceSparse,
-// collectEntries) with no calls into locked code.
+// mu is a leaf in the declared lock order: it guards the version list
+// only; packing, page fetches and residency calls happen outside it.
 //
 //seqvet:lockorder leaf storage.Versioned.mu
 type Versioned struct {
 	schema *seq.Schema
 	rpp    int
+	res    Residency // nil: every page is held in memory
 
 	mu       sync.RWMutex
 	versions []*version // ascending by epoch; versions[len-1] is latest
 }
 
-// version is one immutable published state of a store: a Versioned
-// version (resident pages) or a disk-tier one (pages behind src).
+// version is one immutable published state of a store.
 type version struct {
 	epoch int64
 	kind  Kind
 	span  seq.Span
 	pages []*Page
 	count int // non-Null records
-	// src fetches the pages of a version that is not resident; pages
-	// then carry only each page's First, the index a sparse search
-	// descends. nil for memory versions.
-	src PageSource
+	// res resolves the pages of a sourced version, which are heads: each
+	// page's First, the index a sparse search descends, and a Handle.
+	// nil for memory versions.
+	res Residency
 }
 
 // Page is an immutable page. Sparse-kind versions use Entries (sorted;
@@ -59,23 +68,37 @@ type Page struct {
 	First   seq.Pos // position of Entries[0] (sparse) / of Slots[0] (dense)
 	Entries []seq.Entry
 	Slots   []seq.Record
+	// Handle identifies a head — a page carrying only First — to the
+	// residency that resolves it; nil for pages held in memory.
+	Handle any
 }
 
-// PageSource fetches the pages of a version that is not held in memory:
-// the disk tier's buffer pool. Page returns page i, charging the fetch
-// (pool hits, misses, and the evictions and writebacks it forced) to st.
-type PageSource interface {
-	Page(i int, st *Stats) (*Page, error)
+// Residency places the pages of a store that does not hold them in
+// memory: the disk tier's buffer pool over a page file. The store hands
+// it every page a write packs and indexes the page by the head Admit
+// returns; readers resolve heads through Page.
+type Residency interface {
+	// Page returns the page head stands for, charging the fetch (pool
+	// hits, misses, and the evictions and writebacks it forced) to st.
+	Page(head *Page, st *Stats) (*Page, error)
+	// Admit checks that pg, packed by a write at epoch into a version of
+	// the given kind, can be stored, and returns its head. It registers
+	// nothing: the write may still be rejected.
+	Admit(pg *Page, kind Kind, epoch int64) (*Page, error)
+	// Publish registers the contents of an admitted page, making its
+	// head resolvable, before any version holding it is visible.
+	Publish(head, pg *Page, kind Kind) error
+	// Release drops pages no retained version references any more.
+	Release(heads []*Page)
 }
 
-// NewSourced returns a snapshot, pinned at epoch, of a version whose
-// pages are fetched through src. heads[i] carries page i's First only;
-// count is the number of non-Null records. Page touches are charged
-// exactly as for a resident version, so plans cost the same on either
-// tier.
-func NewSourced(schema *seq.Schema, kind Kind, rpp int, span seq.Span, count int, epoch int64, heads []*Page, src PageSource) *Snapshot {
-	v := &version{epoch: epoch, kind: kind, span: span, pages: heads, count: count, src: src}
-	return &Snapshot{at: epoch, v: v, rpp: rpp, schema: schema, stats: &Stats{}}
+// Pending is a write a store has prepared — validated and packed into
+// the version it would publish — but not published. Preparing mutates
+// nothing, so a rejected write leaves no trace.
+type Pending struct {
+	from  *version // the latest version when prepared; nil for a first version
+	ver   *version
+	fresh []*Page // the pages the write created, indexed by ver.pages' last len(fresh)
 }
 
 // NewVersioned builds a versioned store from materialized data, published
@@ -88,17 +111,29 @@ func NewVersioned(data *seq.Materialized, kind Kind, recordsPerPage int, epoch i
 		recordsPerPage = DefaultRecordsPerPage
 	}
 	v := &Versioned{schema: data.Info().Schema, rpp: recordsPerPage}
-	ver, err := packVersion(data.Entries(), data.Info().Span, kind, recordsPerPage, epoch)
-	if err != nil {
+	if err := v.publish(v.Prepare(data.Entries(), data.Info().Span, kind, epoch)); err != nil {
 		return nil, err
 	}
-	v.versions = []*version{ver}
 	return v, nil
+}
+
+// NewVersionedIn returns a store without versions whose pages res places,
+// rpp records to a page. Its first version comes from Restore (pages res
+// already holds) or from Publish of a Prepare.
+func NewVersionedIn(schema *seq.Schema, rpp int, res Residency) *Versioned {
+	return &Versioned{schema: schema, rpp: rpp, res: res}
+}
+
+// Restore publishes a version over pages the residency already holds —
+// recovery of a checkpointed page table. heads[i] carries page i's First
+// and Handle; count is the number of non-Null records.
+func (v *Versioned) Restore(kind Kind, span seq.Span, count int, epoch int64, heads []*Page) error {
+	return v.Publish(&Pending{ver: &version{epoch: epoch, kind: kind, span: span, pages: heads, count: count, res: v.res}})
 }
 
 // packVersion builds the immutable page set of one version. Entries must
 // be sorted by position, unique and non-Null (a Materialized guarantees
-// this; Reorganize passes a snapshot's own entries).
+// this; Reorganize passes a version's own entries).
 func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch int64) (*version, error) {
 	if span.IsEmpty() && len(entries) > 0 {
 		span = seq.NewSpan(entries[0].Pos, entries[len(entries)-1].Pos)
@@ -121,10 +156,7 @@ func packVersion(entries []seq.Entry, span seq.Span, kind Kind, rpp int, epoch i
 		}
 		next := 0
 		for off := int64(0); off < n; off += int64(rpp) {
-			m := n - off
-			if m > int64(rpp) {
-				m = int64(rpp)
-			}
+			m := min(n-off, int64(rpp))
 			// Dense spans are bounded at construction, so offset
 			// arithmetic stays representable.
 			first := span.Start + off //seqvet:ignore spanarith bounded dense span
@@ -151,8 +183,20 @@ func packSparse(pages []*Page, entries []seq.Entry, rpp int) []*Page {
 	return pages
 }
 
+// latest returns the newest version, nil before the first one. Called
+// with mu held.
 func (v *Versioned) latest() *version {
+	if len(v.versions) == 0 {
+		return nil
+	}
 	return v.versions[len(v.versions)-1]
+}
+
+// current returns the newest version, nil before the first one.
+func (v *Versioned) current() *version {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.latest()
 }
 
 // LatestEpoch returns the epoch of the newest published version — the
@@ -174,78 +218,173 @@ func (v *Versioned) Kind() Kind {
 	return v.latest().kind
 }
 
-// Append publishes a new version holding the latest contents plus the
-// appended entry, visible from the given epoch on. Only sparse-kind
-// versions are appendable (the same rule as the single-session library);
-// the position must lie beyond the current valid range. A short tail
-// page is copied (copy-on-write); every other page is shared with the
-// previous version.
-func (v *Versioned) Append(e seq.Entry, epoch int64) error {
+// advances rejects a write at epoch that does not advance cur.
+func advances(cur *version, epoch int64, op string) error {
+	if cur != nil && epoch <= cur.epoch {
+		return fmt.Errorf("storage: %s epoch %d does not advance version epoch %d", op, epoch, cur.epoch)
+	}
+	return nil
+}
+
+// Prepare packs entries — sorted by position, unique and non-Null — as
+// the whole contents of the version a write at epoch publishes: a
+// store's first version, or a repack.
+func (v *Versioned) Prepare(entries []seq.Entry, span seq.Span, kind Kind, epoch int64) (*Pending, error) {
+	cur := v.current()
+	if err := advances(cur, epoch, "write"); err != nil {
+		return nil, err
+	}
+	ver, err := packVersion(entries, span, kind, v.rpp, epoch)
+	if err != nil {
+		return nil, err
+	}
+	return v.admit(cur, ver, nil, ver.pages)
+}
+
+// PrepareAppend prepares a version holding the latest contents plus the
+// appended entry. Only sparse-kind versions are appendable (the same
+// rule as the single-session library); the position must lie beyond the
+// current valid range. A short tail page is copied (copy-on-write);
+// every other page is shared with the previous version.
+func (v *Versioned) PrepareAppend(e seq.Entry, epoch int64) (*Pending, error) {
 	if e.Rec.IsNull() {
-		return fmt.Errorf("storage: cannot append a Null record")
+		return nil, fmt.Errorf("storage: cannot append a Null record")
 	}
 	if !e.Rec.Conforms(v.schema) {
-		return fmt.Errorf("storage: record %v does not conform to %v", e.Rec, v.schema)
+		return nil, fmt.Errorf("storage: record %v does not conform to %v", e.Rec, v.schema)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	cur := v.latest()
-	if epoch <= cur.epoch {
-		return fmt.Errorf("storage: append epoch %d does not advance version epoch %d", epoch, cur.epoch)
+	cur := v.current()
+	if err := advances(cur, epoch, "append"); err != nil {
+		return nil, err
 	}
 	if cur.kind != KindSparse {
-		return fmt.Errorf("storage: version is not appendable (reorganize to sparse first)")
+		return nil, fmt.Errorf("storage: version is not appendable (reorganize to sparse first)")
 	}
 	if !cur.span.IsEmpty() && e.Pos <= cur.span.End {
-		return fmt.Errorf("storage: append position %d inside the valid range %v", e.Pos, cur.span)
+		return nil, fmt.Errorf("storage: append position %d inside the valid range %v", e.Pos, cur.span)
 	}
-	pages := spliceSparse(cur.pages, v.rpp, seq.NewSpan(e.Pos, e.Pos), []seq.Entry{e})
-	span := cur.span
-	if span.IsEmpty() {
-		span = seq.NewSpan(e.Pos, e.Pos)
-	} else {
-		span.End = e.Pos
-	}
-	v.versions = append(v.versions, &version{
-		epoch: epoch, kind: KindSparse, span: span, pages: pages, count: cur.count + 1,
-	})
-	return nil
-}
-
-// Reorganize publishes a new version repacking the latest contents into
-// the given physical representation, visible from the given epoch on.
-// Snapshots pinned at earlier epochs keep reading the old layout.
-func (v *Versioned) Reorganize(kind Kind, epoch int64) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	cur := v.latest()
-	if epoch <= cur.epoch {
-		return fmt.Errorf("storage: reorganize epoch %d does not advance version epoch %d", epoch, cur.epoch)
-	}
-	entries := collectEntries(cur)
-	ver, err := packVersion(entries, cur.span, kind, v.rpp, epoch)
-	if err != nil {
-		return err
-	}
-	v.versions = append(v.versions, ver)
-	return nil
-}
-
-// collectEntries flattens a version's pages into sorted entries.
-func collectEntries(ver *version) []seq.Entry {
-	out := make([]seq.Entry, 0, ver.count)
-	for _, pg := range ver.pages {
-		if pg.Entries != nil {
-			out = append(out, pg.Entries...)
-			continue
+	// Every sparse page but the last is full, so only a short tail
+	// changes; a sourced one is fetched to be copied.
+	keep := len(cur.pages)
+	var tail []*Page
+	if keep > 0 && cur.count-(keep-1)*v.rpp < v.rpp {
+		keep--
+		pg, err := cur.page(keep, nil)
+		if err != nil {
+			return nil, err
 		}
-		for i, r := range pg.Slots {
-			if r != nil {
-				out = append(out, seq.Entry{Pos: pg.First + seq.Pos(i), Rec: r}) //seqvet:ignore spanarith bounded dense span
+		tail = []*Page{pg}
+	}
+	span := cur.span.Union(seq.NewSpan(e.Pos, e.Pos))
+	ver := &version{epoch: epoch, kind: KindSparse, span: span, count: cur.count + 1}
+	fresh := spliceSparse(tail, v.rpp, seq.NewSpan(e.Pos, e.Pos), []seq.Entry{e})
+	return v.admit(cur, ver, cur.pages[:keep], fresh)
+}
+
+// PrepareReorganize prepares a version repacking the latest contents
+// into the given physical representation. Snapshots pinned at earlier
+// epochs keep reading the old layout.
+func (v *Versioned) PrepareReorganize(kind Kind, epoch int64) (*Pending, error) {
+	cur := v.current()
+	if err := advances(cur, epoch, "reorganize"); err != nil {
+		return nil, err
+	}
+	entries, err := cur.entries()
+	if err != nil {
+		return nil, err
+	}
+	return v.Prepare(entries, cur.span, kind, epoch)
+}
+
+// admit completes a prepared version: its pages are kept (shared with
+// from) followed by fresh ones, which a sourced store admits into its
+// residency and indexes by head.
+func (v *Versioned) admit(from, ver *version, kept, fresh []*Page) (*Pending, error) {
+	ver.res = v.res
+	ver.pages = append(make([]*Page, 0, len(kept)+len(fresh)), kept...)
+	for _, pg := range fresh {
+		if v.res != nil {
+			h, err := v.res.Admit(pg, ver.kind, ver.epoch)
+			if err != nil {
+				return nil, err
+			}
+			pg = h
+		}
+		ver.pages = append(ver.pages, pg)
+	}
+	return &Pending{from: from, ver: ver, fresh: fresh}, nil
+}
+
+// Publish makes a prepared write visible: its fresh pages are registered
+// with the residency, then the version is appended. It fails when
+// another write was published since the prepare.
+func (v *Versioned) Publish(p *Pending) error {
+	if v.res != nil {
+		heads := p.ver.pages[len(p.ver.pages)-len(p.fresh):]
+		for i, pg := range p.fresh {
+			if err := v.res.Publish(heads[i], pg, p.ver.kind); err != nil {
+				return err
 			}
 		}
 	}
-	return out
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.latest() != p.from {
+		return fmt.Errorf("storage: a concurrent write was published since this one was prepared")
+	}
+	v.versions = append(v.versions, p.ver)
+	return nil
+}
+
+// publish publishes a write its prepare did not reject.
+func (v *Versioned) publish(p *Pending, err error) error {
+	if err != nil {
+		return err
+	}
+	return v.Publish(p)
+}
+
+// Append publishes a new version holding the latest contents plus the
+// appended entry, visible from the given epoch on (PrepareAppend).
+func (v *Versioned) Append(e seq.Entry, epoch int64) error {
+	return v.publish(v.PrepareAppend(e, epoch))
+}
+
+// Reorganize publishes a new version repacking the latest contents into
+// the given physical representation, visible from the given epoch on
+// (PrepareReorganize).
+func (v *Versioned) Reorganize(kind Kind, epoch int64) error {
+	return v.publish(v.PrepareReorganize(kind, epoch))
+}
+
+// page returns page i of the version: the resident page, or the one the
+// residency fetches, charged to st.
+func (ver *version) page(i int, st *Stats) (*Page, error) {
+	if ver.res == nil {
+		return ver.pages[i], nil
+	}
+	return ver.res.Page(ver.pages[i], st)
+}
+
+// entries flattens the version's pages into sorted entries.
+func (ver *version) entries() ([]seq.Entry, error) {
+	out := make([]seq.Entry, 0, ver.count)
+	for i := range ver.pages {
+		pg, err := ver.page(i, nil)
+		if err != nil {
+			return nil, err
+		}
+		if ver.kind == KindSparse {
+			out = append(out, pg.Entries...)
+			continue
+		}
+		for j, r := range pg.Slots {
+			if r != nil {
+				out = append(out, seq.Entry{Pos: pg.First + seq.Pos(j), Rec: r}) //seqvet:ignore spanarith bounded dense span
+			}
+		}
+	}
+	return out, nil
 }
 
 // SnapshotAt returns an immutable snapshot of the newest version
@@ -292,26 +431,64 @@ func (v *Versioned) PageVersions() int {
 
 // GC drops every version superseded at or before minLive: the newest
 // version with epoch ≤ minLive must stay (a reader pinned at minLive
-// reads it), everything older is unreachable. It returns the number of
-// versions dropped.
-func (v *Versioned) GC(minLive int64) int {
+// reads it), everything older is unreachable. The pages only dropped
+// versions referenced go to the residency's Release, outside mu. It
+// returns the versions dropped and the pages released; a store without
+// a residency releases none (the Go collector reclaims its pages).
+func (v *Versioned) GC(minLive int64) (versions, pages int) {
 	v.mu.Lock()
-	defer v.mu.Unlock()
 	i := sort.Search(len(v.versions), func(i int) bool { return v.versions[i].epoch > minLive })
 	if i <= 1 {
+		v.mu.Unlock()
+		return 0, 0
+	}
+	dropped := v.versions[:i-1]
+	v.versions = append(make([]*version, 0, len(v.versions)-i+1), v.versions[i-1:]...)
+	kept := v.versions
+	v.mu.Unlock()
+	return len(dropped), v.release(dropped, kept)
+}
+
+// Drop removes every version and releases all their pages: the store of
+// a dropped sequence. The store must not be read or written afterwards.
+func (v *Versioned) Drop() {
+	v.mu.Lock()
+	dropped := v.versions
+	v.versions = nil
+	v.mu.Unlock()
+	v.release(dropped, nil)
+}
+
+// release hands the residency the pages of dropped that no version of
+// kept references, and returns how many it handed over.
+func (v *Versioned) release(dropped, kept []*version) int {
+	if v.res == nil {
 		return 0
 	}
-	keep := v.versions[i-1:]
-	dropped := i - 1
-	v.versions = append(make([]*version, 0, len(keep)), keep...)
-	return dropped
+	seen := make(map[*Page]bool)
+	for _, ver := range kept {
+		for _, pg := range ver.pages {
+			seen[pg] = true
+		}
+	}
+	var out []*Page
+	for _, ver := range dropped {
+		for _, pg := range ver.pages {
+			if !seen[pg] {
+				seen[pg] = true
+				out = append(out, pg)
+			}
+		}
+	}
+	v.res.Release(out)
+	return len(out)
 }
 
 // Snapshot is an immutable view of one version of a store, pinned at a
-// reader epoch: a Versioned version, or a disk-tier one whose pages are
-// fetched through the buffer pool (NewSourced). It implements Store, so
-// the optimizer and executor treat it exactly like a base store; its
-// counters are private to the snapshot (per-reader attribution).
+// reader epoch, whose pages are resident or fetched through the store's
+// residency. It implements Store, so the optimizer and executor treat it
+// exactly like a base store; its counters are private to the snapshot
+// (per-reader attribution).
 type Snapshot struct {
 	at     int64 // the reader epoch the snapshot was pinned at
 	v      *version
@@ -320,11 +497,9 @@ type Snapshot struct {
 	stats  *Stats
 }
 
-// Pin returns a snapshot of the same version pinned at reader epoch at,
-// with fresh access counters.
-func (s *Snapshot) Pin(at int64) *Snapshot {
-	return &Snapshot{at: at, v: s.v, rpp: s.rpp, schema: s.schema, stats: &Stats{}}
-}
+// Pages returns the version's page index: the pages of a resident
+// version, the heads of a sourced one. Callers must not modify it.
+func (s *Snapshot) Pages() []*Page { return s.v.pages }
 
 // SnapshotEpoch returns the reader epoch the snapshot is pinned at. The
 // planlint snapshot/* invariants use it to check that a reader plan
@@ -381,15 +556,10 @@ func (s *Snapshot) densePage(pos seq.Pos) int {
 	return int((pos - s.v.span.Start) / int64(s.rpp)) //seqvet:ignore spanarith bounded dense span
 }
 
-// page returns page i of the version: the resident page, or the one the
-// version's source fetches, charged to the snapshot's counters. Every
-// page read goes through here, once per page a reader enters.
-func (s *Snapshot) page(i int) (*Page, error) {
-	if s.v.src == nil {
-		return s.v.pages[i], nil
-	}
-	return s.v.src.Page(i, s.stats)
-}
+// page returns page i of the version, charged to the snapshot's
+// counters. Every page read goes through here, once per page a reader
+// enters.
+func (s *Snapshot) page(i int) (*Page, error) { return s.v.page(i, s.stats) }
 
 // Probe implements seq.Sequence. A position outside the valid range
 // answers Null without touching a page.

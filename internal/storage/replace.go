@@ -20,7 +20,7 @@ import (
 // The second return is false when old is not an in-memory Snapshot.
 func Replace(old Store, hit seq.Span, fresh []seq.Entry) (Store, bool, error) {
 	s, ok := old.(*Snapshot)
-	if !ok || s.v.src != nil {
+	if !ok || s.v.res != nil {
 		return nil, false, nil
 	}
 	if err := checkFresh(s.schema, s.v.span, hit, fresh); err != nil {

@@ -8,13 +8,13 @@
 // incurs them, so the optimizer's stream vs. probe trade-offs and the
 // span-restriction savings remain observable.
 //
-// One read path serves every consumer: the immutable Snapshot of one
-// version of the page store. A version's pages are either resident — the
-// versioned in-memory store (Versioned), from which the library, the view
-// registry and the experiments hold single-version stores built by
-// FromMaterialized, and seqd publishes a version per write — or fetched
-// through a PageSource the version carries: the disk tier's buffer pool
-// (storage/disk), which credits its hits and misses to the same Stats.
+// One page store serves every consumer: the versioned store (Versioned),
+// read through the immutable Snapshot of one of its versions. Its pages
+// are either resident — the library, the view registry and the
+// experiments hold single-version stores built by FromMaterialized, and
+// seqd publishes a version per write — or placed by a Residency: the
+// disk tier's buffer pool (storage/disk), which credits its hits and
+// misses to the same Stats.
 // Pages come in the paper's two physical organisations (§3.4):
 //
 //   - KindDense: positional pages over the valid range, nil slots for

@@ -183,9 +183,9 @@ func (db *DB) Checkpoint() error {
 
 // GC reclaims superseded on-disk versions and their page slots. The
 // library's queries resolve the latest version when they run, so none
-// references reclaimed state. Returns versions and page slots freed
-// (both 0 for in-memory databases, which drop superseded versions as
-// they write).
+// references reclaimed state. Returns versions dropped and pages
+// released, their slots freed (both 0 for in-memory databases, which
+// drop superseded versions as they write).
 func (db *DB) GC() (versions, pages int) {
 	if db.disk == nil {
 		return 0, 0
