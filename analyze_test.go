@@ -125,7 +125,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 
 // TestAnalyzeMatchesEvalRange checks that the instrumented run is the
 // real evaluation: its output is entry-identical to the reference
-// interpreter (algebra.EvalRange) and to an uninstrumented Run.
+// interpreter (algebra.EvalRange) and to a plain Run.
 func TestAnalyzeMatchesEvalRange(t *testing.T) {
 	for _, tc := range []struct {
 		label string

@@ -13,9 +13,10 @@ const (
 // RawStore reports data accesses (Scan, Probe) performed on a
 // storage-package value inside the execution engine. Plan leaves must
 // read base sequences through the seq.Sequence handed to them at build
-// time — which the builder wraps with storage.Metered for per-node page
-// attribution (EXPLAIN ANALYZE) — never by reaching down to the raw
-// store, which would bypass the metering and silently undercount pages.
+// time — which exec.Instrument re-points at a fork of the store counting
+// into the leaf's own node (EXPLAIN ANALYZE page attribution) — never by
+// reaching down to the raw store, which would bypass the metering and
+// silently undercount pages.
 var RawStore = &Analyzer{
 	Name: "rawstore",
 	Doc:  "internal/exec must not scan or probe storage values directly",

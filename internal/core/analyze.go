@@ -25,16 +25,17 @@ type Analysis struct {
 	Root *exec.NodeMetrics
 	// Span is the evaluated position range.
 	Span seq.Span
-	// Elapsed is the wall-clock time of the run (instrumented; per-node
-	// timers add overhead, so compare against predictions, not against
-	// uninstrumented runs).
+	// Elapsed is the wall-clock time of the run, per-node timers
+	// included.
 	Elapsed time.Duration
 	// Predicted is the optimizer's root estimate for the plan.
 	Predicted Cost
-	// GlobalPages is the movement of the shared storage counters over
-	// the run, summed across the plan's base stores. By construction it
-	// equals Root.TotalPages() when nothing else touches the stores
-	// concurrently.
+	// GlobalPages is the page movement of the run, summed across the
+	// plan's base stores and, under reoptimization, across its segments.
+	// Every leaf reads a private fork of its store, so it equals the
+	// movement of the shared storage counters over the run when nothing
+	// else touches the stores concurrently, and Root.TotalPages() for an
+	// unmonitored run.
 	GlobalPages storage.StatsSnapshot
 	// Params are the cost-model weights, used to convert page counters
 	// into cost units for the predicted-vs-actual comparison.
@@ -53,8 +54,8 @@ type Analysis struct {
 	Views []matview.Counters
 	// Reopt is the mid-run reoptimization record of the run: checkpoint
 	// count, splice decisions (trigger node, observed vs. predicted,
-	// old→new mode) and executed segments. Nil for unmonitored runs
-	// (see Result.RunAnalyzeReopt).
+	// old→new mode) and executed segments. Nil unless Options.Reopt is
+	// enabled.
 	Reopt *reopt.Report
 	// Batches and BatchRows count the batches and valid rows the run's
 	// root collector consumed; both zero for scalar runs, which also
@@ -67,19 +68,28 @@ type Analysis struct {
 	Intern seq.InternStats
 }
 
-// RunAnalyze executes the stream plan with per-node instrumentation and
-// returns the output together with the metrics. The plan is deep-copied
-// before wrapping, so the Result stays reusable; operator caches in the
+// RunAnalyze executes the stream plan and returns the output together
+// with the metrics every run records. The plan is deep-copied before
+// wrapping, so the Result stays reusable; operator caches in the
 // instrumented copy are fresh, so cache counters describe this run only.
-// With Options.Reopt enabled it is RunAnalyzeReopt.
-func (r *Result) RunAnalyze() (*Analysis, error) { return r.run(r.opts.Reopt, true) }
+// With Options.Reopt enabled the run is monitored, Reopt carries the
+// report and Root is the metrics tree of the last segment.
+func (r *Result) RunAnalyze() (*Analysis, error) {
+	a, err := r.run(r.opts.Reopt)
+	if err != nil {
+		return nil, err
+	}
+	a.Views = r.viewCounters()
+	return a, nil
+}
 
-// run is the one run path behind Run, RunAnalyze and the reopt entries.
+// run is the one run path behind Run, RunAnalyze and RunReoptWith.
 // Options.Batch picks the data plane; cfg.Enabled monitors the run for
-// mid-run splices; otherwise a partitioned decision fans out through
-// internal/parallel. analyze instruments the plan and accounts the
-// run's page movement; without it only Output (and Reopt) are set.
-func (r *Result) run(cfg reopt.Config, analyze bool) (*Analysis, error) {
+// mid-run splices; otherwise parallel.Run evaluates the plan under its
+// partition decision. Either way every leaf counts its pages into a
+// private store fork, which folds back into the shared counters before
+// run returns.
+func (r *Result) run(cfg reopt.Config) (*Analysis, error) {
 	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
 		return nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
 	}
@@ -88,60 +98,28 @@ func (r *Result) run(cfg reopt.Config, analyze bool) (*Analysis, error) {
 		ctx = seq.NewBatchCtx()
 	}
 	a := &Analysis{Span: r.RunSpan, Predicted: r.Cost, Params: r.Params}
-	var stores []storage.Store
-	var before []storage.StatsSnapshot
-	if analyze {
-		stores = exec.PlanStores(r.Plan)
-		for _, st := range stores {
-			before = append(before, st.Stats().Snapshot())
-		}
-	}
 	start := time.Now()
 	var err error
-	switch {
-	case cfg.Enabled:
-		// The monitored run's instrumentation doubles as the analysis:
-		// Root is the metrics tree of the last monitored segment (a
-		// parallel tail contributes its decision through the report).
+	if cfg.Enabled {
 		a.Output, a.Reopt, err = r.runReopt(cfg, ctx)
-		if err == nil {
-			for _, s := range a.Reopt.Segments {
-				if s.Metrics != nil {
-					a.Root = s.Metrics
-				}
-			}
-		}
-	case !analyze:
-		a.Output, err = parallel.Run(r.Plan, r.RunSpan, r.Parallel, ctx)
-	case r.Parallel.Parallel():
-		a.Decision = r.Parallel
-		a.Output, a.Root, a.Partitions, err = parallel.RunAnalyze(r.Plan, r.RunSpan, r.Parallel, r.predFn(), ctx)
-	default:
-		instr, root := exec.Instrument(r.Plan, r.predFn())
-		a.Output, err = exec.Run(instr, r.RunSpan, ctx)
-		root.Finalize()
-		a.Root = root
+	} else {
+		a.Output, a.Root, a.Partitions, err = parallel.Run(r.Plan, r.RunSpan, r.Parallel, r.predFn(), ctx)
 	}
 	a.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	if !analyze {
-		return a, nil
-	}
-	if a.Partitions != nil {
-		// Each worker metered private store forks, so the per-partition
-		// page counters are exact — also under concurrent runs — and
-		// their sum is the run's global page movement.
-		for _, pm := range a.Partitions {
-			a.GlobalPages = a.GlobalPages.Add(pm.Pages)
+	if a.Reopt != nil {
+		for _, s := range a.Reopt.Segments {
+			a.Root = s.Metrics
+			a.GlobalPages = a.GlobalPages.Add(s.Metrics.TotalPages())
 		}
 	} else {
-		for i, st := range stores {
-			a.GlobalPages = a.GlobalPages.Add(st.Stats().Snapshot().Sub(before[i]))
-		}
+		a.GlobalPages = a.Root.TotalPages()
 	}
-	a.Views = r.viewCounters()
+	if a.Partitions != nil {
+		a.Decision = r.Parallel
+	}
 	// Scalar runs leave the batch counters zero, keeping their reports
 	// byte-identical to a build without the batch subsystem.
 	if ctx != nil {

@@ -63,7 +63,7 @@ type Options struct {
 	// Reopt configures mid-run adaptive reoptimization: when Enabled,
 	// Run monitors predicted-vs-actual per-node costs at checkpoint
 	// intervals and replans the remaining span on divergence (see
-	// internal/reopt and Result.RunReopt).
+	// internal/reopt and Result.RunReoptWith).
 	Reopt reopt.Config
 	// Calibration, when non-nil and Params is nil, supplies cost
 	// constants regressed from completed runs' EXPLAIN ANALYZE traces
@@ -171,10 +171,11 @@ type Result struct {
 }
 
 // Run executes the stream plan over the run span and materializes the
-// output (the Start operator of Figure 6). With Options.Reopt enabled
-// the run is monitored and may splice in a replanned tail (RunReopt).
+// output (the Start operator of Figure 6): RunAnalyze without the
+// metrics. With Options.Reopt enabled the run is monitored and may
+// splice in a replanned tail.
 func (r *Result) Run() (*seq.Materialized, error) {
-	a, err := r.run(r.opts.Reopt, false)
+	a, err := r.run(r.opts.Reopt)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/matview"
 	"repro/internal/seq"
@@ -190,6 +191,56 @@ func TestViewSpanPrefixIsPartialMatch(t *testing.T) {
 	if !testgen.EntriesApproxEqual(warmOut.Entries(), want) {
 		t.Fatalf("partial-match run differs from recomputation\ngot  %v\nwant %v",
 			warmOut.Entries(), want)
+	}
+
+	// The splice is copied and metered like any other operator: both of
+	// its sides appear in the metrics tree, and the pages they attribute
+	// are the whole movement of the shared store counters.
+	if _, err := exec.ClonePlan(warm.Plan); err != nil {
+		t.Fatalf("partial-match plan does not clone: %v", err)
+	}
+	var concat *exec.Concat
+	var find func(p exec.Plan)
+	find = func(p exec.Plan) {
+		if c, ok := p.(*exec.Concat); ok {
+			concat = c
+		}
+		for _, c := range p.Children() {
+			find(c)
+		}
+	}
+	find(warm.Plan)
+	stores := exec.PlanStores(warm.Plan)
+	var before storage.StatsSnapshot
+	for _, st := range stores {
+		before = before.Add(st.Stats().Snapshot())
+	}
+	a, err := warm.RunAnalyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after storage.StatsSnapshot
+	for _, st := range stores {
+		after = after.Add(st.Stats().Snapshot())
+	}
+	var metered *exec.NodeMetrics
+	a.Root.Walk(func(n *exec.NodeMetrics, _ int) {
+		if n.Label == concat.Label() {
+			metered = n
+		}
+	})
+	if concat == nil || metered == nil || len(metered.Children) != 2 {
+		t.Fatalf("concat sides missing from the metrics tree:\n%s", a.RenderStable())
+	}
+	for i, c := range concat.Children() {
+		if side := metered.Children[i]; side.Label != c.Label() || side.ScanCalls == 0 {
+			t.Errorf("concat side %d metered as %q with %d scans, plan has %q",
+				i, side.Label, side.ScanCalls, c.Label())
+		}
+	}
+	moved := after.Sub(before)
+	if total := a.Root.TotalPages(); total != moved || moved.Pages() == 0 {
+		t.Errorf("metrics tree attributes %v, shared stores moved %v", total, moved)
 	}
 }
 

@@ -35,37 +35,22 @@ func (r *Result) costWeights() exec.CostWeights {
 
 func (r *Result) verifyOn() bool { return r.opts.Verify || VerifyAll }
 
-// RunReopt executes the stream plan under mid-run adaptive
-// reoptimization with the configuration of Options.Reopt (Enabled is
-// implied by calling it directly) and returns the output together with
-// the reoptimization report.
-func (r *Result) RunReopt() (*seq.Materialized, *reopt.Report, error) {
-	return r.RunReoptWith(r.opts.Reopt)
-}
-
-// RunReoptWith is RunReopt under an explicit configuration — the test
-// and fuzz entry point (forced checkpoints, adversarial midpoints,
-// forced tail parallelism). The monitored head segments run serially;
-// a replanned tail may still run span-partitioned per its decision. In
-// verify mode every spliced plan passes the planlint physical and cost
-// checks at splice time, and the executed segments pass the reopt/*
-// splice invariants afterwards.
+// RunReoptWith runs the stream plan under mid-run adaptive
+// reoptimization with an explicit configuration (Enabled is implied) —
+// the test and fuzz entry point (forced checkpoints, adversarial
+// midpoints, forced tail parallelism) — and returns the output together
+// with the reoptimization report. The monitored head segments run
+// serially; a replanned tail may still run span-partitioned per its
+// decision. In verify mode every spliced plan passes the planlint
+// physical and cost checks at splice time, and the executed segments
+// pass the reopt/* splice invariants afterwards.
 func (r *Result) RunReoptWith(cfg reopt.Config) (*seq.Materialized, *reopt.Report, error) {
 	cfg.Enabled = true
-	a, err := r.run(cfg, false)
+	a, err := r.run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return a.Output, a.Reopt, nil
-}
-
-// RunAnalyzeReopt is RunAnalyze under mid-run reoptimization: the
-// Analysis carries the reoptimization report, and Root is the metrics
-// tree of the last monitored segment.
-func (r *Result) RunAnalyzeReopt() (*Analysis, error) {
-	cfg := r.opts.Reopt
-	cfg.Enabled = true
-	return r.run(cfg, true)
 }
 
 // runReopt drives reopt.Run on the run's data plane with a replanner

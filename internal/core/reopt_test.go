@@ -288,7 +288,7 @@ func TestReoptForcedMidpointSegments(t *testing.T) {
 
 // TestReoptParallelTail: TailK forces the spliced remainder onto a
 // span-partitioned parallel run; output must still match the static
-// plan record for record.
+// plan record for record, and the tail's metrics sum its workers.
 func TestReoptParallelTail(t *testing.T) {
 	const n = 2000
 	span := seq.NewSpan(0, n-1)
@@ -312,6 +312,9 @@ func TestReoptParallelTail(t *testing.T) {
 		if last.K != k {
 			t.Errorf("K=%d: tail ran with K=%d:\n%s", k, last.K, rep.Render())
 		}
+		if m := last.Metrics; m == nil || m.ScanCalls != int64(k) || m.Rows() != last.Rows {
+			t.Errorf("K=%d: tail metrics %+v do not sum %d workers of %d rows", k, m, k, last.Rows)
+		}
 		if !testgen.EntriesApproxEqual(out.Entries(), want.Entries()) {
 			t.Errorf("K=%d: partitioned tail output differs from static run", k)
 		}
@@ -331,7 +334,7 @@ func TestAnalyzeReoptGolden(t *testing.T) {
 		Verify: true,
 		Reopt:  reopt.Config{Enabled: true, CheckEvery: 256, Threshold: math.Inf(1), ForceAt: &mid},
 	})
-	a, err := res.RunAnalyzeReopt()
+	a, err := res.RunAnalyze()
 	if err != nil {
 		t.Fatal(err)
 	}

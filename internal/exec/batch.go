@@ -7,8 +7,6 @@
 package exec
 
 import (
-	"time"
-
 	"repro/internal/expr"
 	"repro/internal/seq"
 )
@@ -115,9 +113,9 @@ func (l *Leaf) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 func (w *Metered) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	w.M.ScanCalls++
 	w.M.BatchCalls++
-	start := time.Now()
+	start := clock()
 	cur := BatchScanOf(w.Inner, span, ctx)
-	w.M.ScanTime += time.Since(start)
+	w.M.ScanTime += clock() - start
 	return &meteredBatchCursor{in: cur, m: w.M}
 }
 
@@ -127,9 +125,9 @@ type meteredBatchCursor struct {
 }
 
 func (c *meteredBatchCursor) NextBatch() (*seq.Batch, bool) {
-	start := time.Now()
+	start := clock()
 	b, ok := c.in.NextBatch()
-	c.m.ScanTime += time.Since(start)
+	c.m.ScanTime += clock() - start
 	if ok {
 		rows := int64(b.ValidRows())
 		c.m.Batches++

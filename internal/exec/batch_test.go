@@ -399,7 +399,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 	span := seq.NewSpan(1, 10)
 
 	sp, sstats := build()
-	sinstr, sroot := Instrument(sp, nil)
+	sinstr, sroot := mustInstrument(t, sp)
 	if _, err := Run(sinstr, span, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 	scalarPages := sstats.Snapshot()
 
 	bp, bstats := build()
-	binstr, broot := Instrument(bp, nil)
+	binstr, broot := mustInstrument(t, bp)
 	ctx := seq.NewBatchCtx()
 	ctx.Size = 2
 	if _, err := Run(binstr, span, ctx); err != nil {
@@ -471,7 +471,7 @@ func TestClonePlanBatchIsolation(t *testing.T) {
 	p := NewSelect(NewLeaf("s", st, seq.AllSpan), pred)
 	span := seq.NewSpan(1, 30)
 
-	cp, _, err := ClonePlan(p)
+	cp, err := ClonePlan(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,31 +9,35 @@ import (
 // ClonePlan deep-copies a physical plan so the copy can run concurrently
 // with (or independently of) the original. Stateful operators get fresh
 // private state: cache-strategy operators receive new FIFO caches of the
-// same capacity, and materialization points drop their lazily built
-// result so the copy re-materializes through its own inputs. Leaves share
-// the underlying base sequence — base stores are safe for concurrent
-// scans (their Stats counters are atomic) — but every mutable operator
-// structure above them is duplicated.
-//
-// The returned mapping takes each node of the clone to the original node
-// it was copied from, so per-node metadata keyed by plan identity (e.g.
-// the optimizer's recorded cost estimates) can be carried over to the
-// copy.
+// same capacity, materialization points drop their lazily built result
+// so the copy re-materializes through its own inputs, and compiled
+// batch-mode scratch is reset. Leaves share the underlying base sequence
+// — base stores are safe for concurrent scans (their Stats counters are
+// atomic) — but every mutable operator structure above them is
+// duplicated.
 //
 // Plans containing operator types this function does not know (including
 // already-instrumented *Metered trees) cannot be safely cloned, because
 // unknown nodes may hold hidden mutable state; ClonePlan reports an error
 // rather than aliasing them.
-func ClonePlan(p Plan) (Plan, map[Plan]Plan, error) {
-	orig := make(map[Plan]Plan)
-	cp, err := clonePlan(p, orig)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cp, orig, nil
+func ClonePlan(p Plan) (Plan, error) {
+	return clonePlan(p, func(_, cp Plan) Plan { return cp })
 }
 
-func clonePlan(p Plan, orig map[Plan]Plan) (Plan, error) {
+// clonePlan is the one per-operator copy. hook sees each original node
+// next to its fresh copy, bottom-up (the copy's children are already the
+// hook's results), and returns the node its parent links to: the copy
+// itself for ClonePlan, a metering wrapper around it for Instrument.
+func clonePlan(p Plan, hook func(orig, cp Plan) Plan) (Plan, error) {
+	var err error
+	in := func(c Plan) Plan {
+		if err != nil {
+			return nil
+		}
+		var cp Plan
+		cp, err = clonePlan(c, hook)
+		return cp
+	}
 	var out Plan
 	switch op := p.(type) {
 	case *Leaf:
@@ -41,142 +45,76 @@ func clonePlan(p Plan, orig map[Plan]Plan) (Plan, error) {
 		out = &cp
 	case *Rename:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *SelectOp:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		cp.pe = nil // compiled evaluator scratch must not be shared across workers
 		out = &cp
 	case *ProjectOp:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		cp.pc = nil // compiled projection scratch must not be shared across workers
 		out = &cp
 	case *PosOffsetOp:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *ComposeOp:
 		cp := *op
-		l, err := clonePlan(op.L, orig)
-		if err != nil {
-			return nil, err
-		}
-		r, err := clonePlan(op.R, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.L, cp.R = l, r
+		cp.L = in(op.L)
+		cp.R = in(op.R)
+		out = &cp
+	case *Concat:
+		cp := *op
+		cp.Left = in(op.Left)
+		cp.Right = in(op.Right)
 		out = &cp
 	case *Materialize:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		cp.mat = nil // each copy materializes through its own input
 		out = &cp
 	case *AggNaive:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *AggCached:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		cp.cache = cache.NewFIFO(op.cache.Cap())
 		out = &cp
 	case *AggSliding:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *AggCumulative:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *ValueOffsetNaive:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *ValueOffsetIncremental:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		cp.cache = cache.NewFIFO(op.cache.Cap())
 		out = &cp
 	case *CollapseOp:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	case *ExpandOp:
 		cp := *op
-		in, err := clonePlan(op.In, orig)
-		if err != nil {
-			return nil, err
-		}
-		cp.In = in
+		cp.In = in(op.In)
 		out = &cp
 	default:
 		return nil, fmt.Errorf("exec: cannot clone unknown operator %T (%s)", p, p.Label())
 	}
-	orig[out] = p
-	return out, nil
-}
-
-// ReplaceLeafSeqs rewrites the Seq of every leaf in the plan through f,
-// in place. It exists for worker-local instrumentation: a parallel
-// analyze run swaps each base store for a fork counting into
-// worker-private statistics. Call it only on plans this process owns
-// exclusively (e.g. a fresh ClonePlan copy).
-func ReplaceLeafSeqs(p Plan, f func(l *Leaf)) {
-	if l, ok := p.(*Leaf); ok {
-		f(l)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range p.Children() {
-		ReplaceLeafSeqs(c, f)
-	}
+	return hook(p, out), nil
 }

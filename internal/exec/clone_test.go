@@ -39,26 +39,29 @@ func TestClonePlanIndependence(t *testing.T) {
 	p := clonableFixture(t)
 	want := runPlan(t, p, seq.NewSpan(1, 10))
 
-	cp, orig, err := ClonePlan(p)
+	cp, err := ClonePlan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clone maps back to the original node for node, with matching
-	// labels.
-	var walk func(c Plan)
-	walk = func(c Plan) {
-		o, ok := orig[c]
-		if !ok {
-			t.Fatalf("clone node %s missing from the origin mapping", c.Label())
+	// The clone mirrors the original node for node, with matching
+	// labels, and shares no node with it.
+	var walk func(o, c Plan)
+	walk = func(o, c Plan) {
+		if o == c {
+			t.Fatalf("clone shares node %s with the original", c.Label())
 		}
 		if o.Label() != c.Label() {
-			t.Fatalf("clone %s maps to original %s", c.Label(), o.Label())
+			t.Fatalf("clone %s mirrors original %s", c.Label(), o.Label())
 		}
-		for _, ch := range c.Children() {
-			walk(ch)
+		oc, cc := o.Children(), c.Children()
+		if len(oc) != len(cc) {
+			t.Fatalf("clone %s has %d children, original %d", c.Label(), len(cc), len(oc))
+		}
+		for i := range cc {
+			walk(oc[i], cc[i])
 		}
 	}
-	walk(cp)
+	walk(p, cp)
 	// No operator cache may be shared between the clone and the original.
 	seen := make(map[any]bool)
 	for _, n := range []Plan{p, cp} {
@@ -86,29 +89,40 @@ func TestClonePlanIndependence(t *testing.T) {
 
 func TestClonePlanRefusesUnknownOperators(t *testing.T) {
 	p := clonableFixture(t)
-	instr, _ := Instrument(p, nil)
-	if _, _, err := ClonePlan(instr); err == nil {
+	instr, _ := mustInstrument(t, p)
+	if _, err := ClonePlan(instr); err == nil {
 		t.Fatal("cloning an instrumented (*Metered) tree must fail")
 	} else if !strings.Contains(err.Error(), "cannot clone unknown operator") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
 
+// mustInstrument is Instrument without estimates, failing the test on
+// an unclonable plan.
+func mustInstrument(t *testing.T, p Plan) (Plan, *NodeMetrics) {
+	t.Helper()
+	instr, root, err := Instrument(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return instr, root
+}
+
 // TestInstrumentShardsMergeConcurrently is the concurrency contract of
-// the EXPLAIN ANALYZE counters: one instrumented plan per worker (a
-// private metrics shard) over a worker-private fork of each base store,
-// merged after the workers join. Sharing a single instrumented plan
-// across workers instead makes the plain-int NodeMetrics counters a
-// data race — the -race runs in CI fail on that naive version — and
-// sharing the store counters between workers interleaves the Metered
-// delta snapshots, misattributing pages; Instrument + Fork + Merge is
-// the only supported shape for concurrent analysis.
+// the EXPLAIN ANALYZE counters: one instrumented copy per worker (a
+// private metrics shard, whose leaves read private forks of the base
+// stores), merged after the workers join. Sharing a single instrumented
+// plan across workers instead makes the plain-int NodeMetrics counters a
+// data race — the -race runs in CI fail on that naive version;
+// Instrument + Finalize + Merge is the only supported shape for
+// concurrent analysis.
 func TestInstrumentShardsMergeConcurrently(t *testing.T) {
 	p := clonableFixture(t)
 	spans := []seq.Span{seq.NewSpan(1, 3), seq.NewSpan(4, 6), seq.NewSpan(7, 10)}
+	shared := PlanStores(p)[0].Stats()
 
 	// Serial reference: one shard draining every span in turn.
-	refInstr, refRoot := Instrument(p, nil)
+	refInstr, refRoot := mustInstrument(t, p)
 	for _, s := range spans {
 		if _, err := Run(refInstr, s, nil); err != nil {
 			t.Fatal(err)
@@ -116,21 +130,13 @@ func TestInstrumentShardsMergeConcurrently(t *testing.T) {
 	}
 	refRoot.Finalize()
 
-	// Concurrent workers: a private clone, store fork, and shard each,
-	// merged at the end.
+	// Concurrent workers: a private instrumented copy each, merged at
+	// the end.
+	before := shared.Snapshot()
 	roots := make([]*NodeMetrics, len(spans))
 	var wg sync.WaitGroup
 	for i, s := range spans {
-		cp, _, err := ClonePlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ReplaceLeafSeqs(cp, func(l *Leaf) {
-			if st, ok := l.Seq.(storage.StatsForker); ok {
-				l.Seq = st.Fork(&storage.Stats{})
-			}
-		})
-		instr, root := Instrument(cp, nil)
+		instr, root := mustInstrument(t, p)
 		roots[i] = root
 		wg.Add(1)
 		go func(s seq.Span) {
@@ -172,12 +178,16 @@ func TestInstrumentShardsMergeConcurrently(t *testing.T) {
 	if merged.ScanCalls != refRoot.ScanCalls {
 		t.Errorf("merged scan calls %d, serial %d", merged.ScanCalls, refRoot.ScanCalls)
 	}
+	// Finalize folded every worker's fork into the shared store counters.
+	if moved, total := shared.Snapshot().Sub(before), merged.TotalPages(); moved != total || moved.Pages() == 0 {
+		t.Errorf("shared counters moved %v, shards attributed %v", moved, total)
+	}
 }
 
 func TestMergeRejectsDifferentShapes(t *testing.T) {
 	p := clonableFixture(t)
-	_, a := Instrument(p, nil)
-	_, b := Instrument(leaf(t, map[seq.Pos]float64{1: 1}), nil)
+	_, a := mustInstrument(t, p)
+	_, b := mustInstrument(t, leaf(t, map[seq.Pos]float64{1: 1}))
 	if err := a.Merge(b); err == nil {
 		t.Fatal("merging metrics of different plans must fail")
 	}

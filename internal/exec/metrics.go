@@ -2,10 +2,10 @@
 // node of a physical plan with per-operator execution counters — rows,
 // Null probe answers, stream vs probed call counts, cache activity,
 // page accesses attributed to the node, and wall-clock time — next to
-// the optimizer's predicted cost for the node. The layer is strictly
-// additive: uninstrumented plans run the exact same code they always
-// did (zero overhead when analysis is off), and Instrument deep-copies
-// the operator tree, so the original plan is never mutated.
+// the optimizer's predicted cost for the node. Every run goes through
+// it: Instrument deep-copies the operator tree (ClonePlan with a metering
+// wrapper around each copy), so the original plan is never mutated and
+// each run owns its counters.
 //
 // See OBSERVABILITY.md for the meaning of every counter and how to read
 // the rendered output.
@@ -71,9 +71,10 @@ type NodeMetrics struct {
 	BatchRows  int64
 
 	// Pages holds the base-store accesses attributed to this node.
-	// Only leaves over metered stores set HasPages; by construction the
+	// Only leaves over storage.Store sequences set HasPages: such a leaf
+	// reads a fork of its store counting into the node alone, so the
 	// leaf-attributed counters sum exactly to the global storage.Stats
-	// deltas of the run.
+	// movement of the run, also under concurrent runs.
 	Pages    storage.StatsSnapshot
 	HasPages bool
 
@@ -87,16 +88,26 @@ type NodeMetrics struct {
 	CachePuts      int64
 	CacheEvictions int64
 
-	pageStats *storage.Stats
+	// pageStats is the private block a leaf's store fork counts into;
+	// shared is the store's block it folds back into on Finalize (nil
+	// for every other node).
+	pageStats storage.Stats
+	shared    *storage.Stats
 	caches    []*cache.FIFO
 }
 
 // Finalize copies the deferred counters (page attribution, cache
-// activity) into the exported fields, recursively. Call it once after
-// the instrumented plan has been drained.
+// activity) into the exported fields and credits each leaf's page
+// accesses to its store's shared counters, recursively. Call it after
+// the instrumented plan has been drained (or has failed): until then
+// the shared counters do not see the run. It detaches the node from its
+// live sources, so the exported fields are the node's counters from then
+// on (also after Merge) and a second call adds nothing.
 func (m *NodeMetrics) Finalize() {
-	if m.pageStats != nil {
+	if m.shared != nil {
 		m.Pages = m.pageStats.Snapshot()
+		m.shared.AddSnapshot(m.Pages)
+		m.shared = nil
 	}
 	for _, c := range m.caches {
 		m.CacheCap += c.Cap()
@@ -106,6 +117,7 @@ func (m *NodeMetrics) Finalize() {
 		m.CachePuts += c.Puts()
 		m.CacheEvictions += c.Evictions()
 	}
+	m.caches = nil
 	for _, c := range m.Children {
 		c.Finalize()
 	}
@@ -166,10 +178,9 @@ type CostWeights struct {
 }
 
 // LivePages returns the node's attributed page counters, readable at any
-// point during a run (unlike Finalize, which copies them once at the
-// end and mutates the tree).
+// point during a run and after Finalize.
 func (m *NodeMetrics) LivePages() storage.StatsSnapshot {
-	if m.pageStats != nil {
+	if m.shared != nil {
 		return m.pageStats.Snapshot()
 	}
 	return m.Pages
@@ -258,105 +269,46 @@ func (m *NodeMetrics) Walk(f func(n *NodeMetrics, depth int)) {
 // node and returns the wrapped plan together with the metrics tree that
 // mirrors it. pred supplies the optimizer's estimate for each original
 // node (nil means no estimates). Leaves over storage.Store sequences
-// additionally get per-consumer page attribution via storage.Metered.
-// Operators owning caches get fresh caches so their counters describe
-// this run only; the original plan is left untouched.
-func Instrument(p Plan, pred func(Plan) PredictedCost) (Plan, *NodeMetrics) {
+// read a fork of the store counting into the leaf's node (see
+// NodeMetrics.Finalize). Operators owning caches get fresh caches so
+// their counters describe this run only; the original plan is left
+// untouched. It fails where ClonePlan does.
+func Instrument(p Plan, pred func(Plan) PredictedCost) (Plan, *NodeMetrics, error) {
 	if pred == nil {
 		pred = func(Plan) PredictedCost { return PredictedCost{} }
 	}
-	return instrument(p, pred)
+	cp, err := clonePlan(p, func(orig, cp Plan) Plan {
+		m := &NodeMetrics{Label: orig.Label(), Predicted: pred(orig)}
+		kids := cp.Children()
+		m.Children = make([]*NodeMetrics, len(kids))
+		for i, c := range kids {
+			m.Children[i] = c.(*Metered).M
+		}
+		if l, ok := cp.(*Leaf); ok {
+			if st, ok := l.Seq.(storage.Store); ok {
+				m.shared, m.HasPages = st.Stats(), true
+				l.Seq = st.Fork(&m.pageStats)
+			}
+		}
+		if cs := cp.Caches(); len(cs) > 0 {
+			m.HasCache = true
+			m.caches = cs
+		}
+		return &Metered{Inner: cp, M: m}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cp, cp.(*Metered).M, nil
 }
 
-func instrument(p Plan, pred func(Plan) PredictedCost) (Plan, *NodeMetrics) {
-	m := &NodeMetrics{Label: p.Label(), Predicted: pred(p)}
-	child := func(c Plan) Plan {
-		w, cm := instrument(c, pred)
-		m.Children = append(m.Children, cm)
-		return w
-	}
-	var inner Plan
-	switch op := p.(type) {
-	case *Leaf:
-		cp := *op
-		if st, ok := cp.Seq.(storage.Store); ok {
-			m.pageStats = &storage.Stats{}
-			m.HasPages = true
-			cp.Seq = storage.Metered(st, m.pageStats)
-		}
-		inner = &cp
-	case *Rename:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *SelectOp:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *ProjectOp:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *PosOffsetOp:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *ComposeOp:
-		cp := *op
-		cp.L = child(op.L)
-		cp.R = child(op.R)
-		inner = &cp
-	case *Materialize:
-		cp := *op
-		cp.In = child(op.In)
-		cp.mat = nil // re-materialize through the metered input
-		inner = &cp
-	case *AggNaive:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *AggCached:
-		cp := *op
-		cp.In = child(op.In)
-		cp.cache = cache.NewFIFO(op.cache.Cap())
-		inner = &cp
-	case *AggSliding:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *AggCumulative:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *ValueOffsetNaive:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *ValueOffsetIncremental:
-		cp := *op
-		cp.In = child(op.In)
-		cp.cache = cache.NewFIFO(op.cache.Cap())
-		inner = &cp
-	case *CollapseOp:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	case *ExpandOp:
-		cp := *op
-		cp.In = child(op.In)
-		inner = &cp
-	default:
-		// Unknown operator: meter the node itself; its subtree runs
-		// unmetered (no counters are invented for children we cannot
-		// splice into).
-		inner = p
-	}
-	if cs := inner.Caches(); len(cs) > 0 {
-		m.HasCache = true
-		m.caches = cs
-	}
-	return &Metered{Inner: inner, M: m}, m
-}
+// clockBase anchors clock.
+var clockBase = time.Now()
+
+// clock returns monotonic time as an offset from clockBase. Every run is
+// metered, and the scalar plane times each row at each node: clock reads
+// the monotonic clock once, where time.Now reads the wall clock too.
+func clock() time.Duration { return time.Since(clockBase) }
 
 // Metered is the per-node metering wrapper Instrument installs. It is a
 // transparent Plan: Label, Children, Caches and Info all delegate to
@@ -373,9 +325,9 @@ func (w *Metered) Info() seq.Info { return w.Inner.Info() }
 // Probe implements seq.Sequence, counting the call, its Null-ness and
 // its inclusive wall time.
 func (w *Metered) Probe(pos seq.Pos) (seq.Record, error) {
-	start := time.Now()
+	start := clock()
 	r, err := w.Inner.Probe(pos)
-	w.M.ProbeTime += time.Since(start)
+	w.M.ProbeTime += clock() - start
 	w.M.ProbeCalls++
 	if r.IsNull() {
 		w.M.ProbeNulls++
@@ -388,9 +340,9 @@ func (w *Metered) Probe(pos seq.Pos) (seq.Record, error) {
 // Scan implements seq.Sequence.
 func (w *Metered) Scan(span seq.Span) seq.Cursor {
 	w.M.ScanCalls++
-	start := time.Now()
+	start := clock()
 	cur := w.Inner.Scan(span)
-	w.M.ScanTime += time.Since(start)
+	w.M.ScanTime += clock() - start
 	return &meteredPlanCursor{in: cur, m: w.M}
 }
 
@@ -409,9 +361,9 @@ type meteredPlanCursor struct {
 }
 
 func (c *meteredPlanCursor) Next() (seq.Pos, seq.Record, bool) {
-	start := time.Now()
+	start := clock()
 	p, r, ok := c.in.Next()
-	c.m.ScanTime += time.Since(start)
+	c.m.ScanTime += clock() - start
 	if ok {
 		c.m.ScanRows++
 	}

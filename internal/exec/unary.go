@@ -13,11 +13,11 @@ type SelectOp struct {
 	In   Plan
 	Pred expr.Expr
 
-	// pe is the batch-mode predicate evaluator, compiled on first use
-	// and reused across runs. Like the other operator-resident run state
-	// (e.g. ValueOffsetIncremental's cache) it makes an instance
-	// single-run-at-a-time; parallel workers get fresh state via
-	// ClonePlan.
+	// pe is the batch-mode predicate evaluator, compiled on first use.
+	// Like the other operator-resident run state (e.g.
+	// ValueOffsetIncremental's cache) it makes an instance
+	// single-run-at-a-time; each run and each parallel worker executes
+	// its own copy (ClonePlan), which compiles afresh.
 	pe *predEval
 }
 
@@ -81,8 +81,8 @@ type ProjectOp struct {
 	Items  []ProjExpr
 	schema *seq.Schema
 
-	// pc is the batch-mode projection program, compiled on first use and
-	// reused across runs; see SelectOp.pe for the aliasing rules.
+	// pc is the batch-mode projection program, compiled on first use;
+	// see SelectOp.pe for the aliasing rules.
 	pc *projCompiled
 }
 

@@ -230,7 +230,7 @@ func reoptSweepOne(n int64, reps int) (*ReoptSkewPoint, error) {
 	span := seq.NewSpan(0, n-1)
 	pt := &ReoptSkewPoint{N: n, ClaimedDensity: reoptClaimed, RealDensity: reoptReal}
 
-	// Mispriced static plan, uninstrumented.
+	// Mispriced static plan, unmonitored.
 	qs, ssts, err := skewedCompose(n, true)
 	if err != nil {
 		return nil, err
@@ -268,7 +268,7 @@ func reoptSweepOne(n int64, reps int) (*ReoptSkewPoint, error) {
 	}
 	pt.AdaptiveSwitches = len(lastReport.Switches)
 
-	// Oracle: truthful estimates, both uninstrumented and monitored.
+	// Oracle: truthful estimates, both unmonitored and monitored.
 	qo, osts, err := skewedCompose(n, false)
 	if err != nil {
 		return nil, err

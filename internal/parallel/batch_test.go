@@ -54,12 +54,12 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(p, span, d, nil)
+		want, _, _, err := Run(p, span, d, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := seq.NewBatchCtx()
-		got, err := Run(p, span, d, ctx)
+		got, _, _, err := Run(p, span, d, nil, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		ctx := seq.NewBatchCtx()
-		got, err := Run(p, span, d, ctx)
+		got, _, _, err := Run(p, span, d, nil, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := seq.NewBatchCtx()
-	out, root, parts, err := RunAnalyze(p, span, d, nil, ctx)
+	out, root, parts, err := Run(p, span, d, nil, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,14 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	if ctx.Batches == 0 || ctx.Rows != int64(out.Count()) {
 		t.Errorf("run counters batches=%d rows=%d, output rows %d", ctx.Batches, ctx.Rows, out.Count())
 	}
-	// A serial decision is the caller's bug.
-	if _, _, _, err := RunAnalyze(p, span, &Decision{}, nil, ctx); err == nil {
-		t.Error("serial decision accepted")
+	// A serial decision runs one instrumented copy and reports no
+	// partitions.
+	out, root, parts, err = Run(p, span, &Decision{}, nil, seq.NewBatchCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entriesEqual(t, out.Entries(), want.Entries())
+	if parts != nil || root == nil || root.Batches == 0 || root.ScanCalls != 1 {
+		t.Errorf("serial run: %d partitions, root %+v", len(parts), root)
 	}
 }

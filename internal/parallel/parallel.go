@@ -15,11 +15,11 @@
 // planner charges as re-read overhead when choosing K.
 //
 // Partition workers never share mutable operator state: each gets a
-// deep ClonePlan copy with private caches (Theorem 3.1's cache-finite
-// state, times K), and instrumented runs additionally fork the base
-// stores' statistics so per-worker page attribution stays exact under
-// concurrency. The planner falls back to serial (K=1) for plans whose
-// scopes it cannot bound usefully — left-unbounded cumulative windows,
+// deep copy with private caches (Theorem 3.1's cache-finite state,
+// times K), whose leaves read forks of the base stores counting into
+// worker-private statistics, so per-worker page attribution stays exact
+// under concurrency. The planner falls back to serial (K=1) for plans
+// whose scopes it cannot bound usefully — left-unbounded cumulative windows,
 // value offsets over inputs of unknown density, probed-mode compose
 // legs, materialization points — and whenever the §4 cost model with
 // the parallelism term (startup plus halo re-reads versus divided
@@ -305,7 +305,7 @@ func ForceK(p exec.Plan, span seq.Span, k int) (*Decision, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("parallel: forced K must be at least 2, got %d", k)
 	}
-	if _, _, err := exec.ClonePlan(p); err != nil {
+	if _, err := exec.ClonePlan(p); err != nil {
 		return nil, fmt.Errorf("parallel: plan is not clonable: %w", err)
 	}
 	parts := SplitSpan(span, k)

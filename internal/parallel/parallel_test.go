@@ -301,7 +301,7 @@ func TestRunMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(p, span, d, nil)
+		got, _, _, err := Run(p, span, d, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestRunFallsBackOnSerialDecision(t *testing.T) {
 	p := fixture(t, n)
 	span := seq.NewSpan(1, n)
 	d := Plan(p, span, 1.0, 8, DefaultParams()) // cost model says serial
-	got, err := Run(p, span, d, nil)
+	got, _, _, err := Run(p, span, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,10 @@ func TestForceKValidation(t *testing.T) {
 	if _, err := ForceK(p, seq.NewSpan(1, 100), 1); err == nil {
 		t.Fatal("K=1 must be rejected")
 	}
-	instr, _ := exec.Instrument(p, nil)
+	instr, _, err := exec.Instrument(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ForceK(instr, seq.NewSpan(1, 100), 2); err == nil {
 		t.Fatal("unclonable plan must be rejected")
 	}
@@ -357,7 +360,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	}
 	before := stores[0].Stats().Snapshot()
 
-	out, root, parts, err := RunAnalyze(p, span, d, nil, nil)
+	out, root, parts, err := Run(p, span, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +382,8 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	if rows != int64(out.Count()) {
 		t.Errorf("partition rows sum %d, output rows %d", rows, out.Count())
 	}
-	// The fold-back step must re-credit every worker's fork accesses to
-	// the shared store counters: the shared movement across the analyzed
+	// Finalize must re-credit every worker's fork accesses to the shared
+	// store counters: the shared movement across the analyzed
 	// run equals the per-partition sum exactly.
 	if got := after.Sub(before); pages != got {
 		t.Errorf("per-partition pages sum %v, shared movement %v", pages, got)

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -17,7 +16,7 @@ import (
 func CloneWorkers(p exec.Plan, k int) ([]exec.Plan, error) {
 	clones := make([]exec.Plan, k)
 	for i := range clones {
-		c, _, err := exec.ClonePlan(p)
+		c, err := exec.ClonePlan(p)
 		if err != nil {
 			return nil, err
 		}
@@ -26,111 +25,65 @@ func CloneWorkers(p exec.Plan, k int) ([]exec.Plan, error) {
 	return clones, nil
 }
 
-// Run evaluates the plan over the decision's partitions on one worker
-// goroutine per partition and concatenates the per-partition results —
-// in partition order, so the merged output is exactly the serial
-// Scan(span) stream — into one materialized result. ctx picks the data
-// plane as in exec.Run; on the batch plane each worker runs under a
-// private fork of ctx (same batch size, its own intern table, so handle
-// spaces never cross goroutines) whose counters fold back into ctx. A
-// serial decision (or a plan that turns out not to be clonable) falls
-// back to exec.Run.
-func Run(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx) (*seq.Materialized, error) {
-	if !d.Parallel() {
-		return exec.Run(p, span, ctx)
-	}
-	clones, err := CloneWorkers(p, len(d.Partitions))
-	if err != nil {
-		return exec.Run(p, span, ctx)
-	}
-	out, _, err := fanOut(p, clones, d.Partitions, ctx)
-	return out, err
-}
-
-// PartitionMetrics is the execution record of one partition worker in
-// an instrumented parallel run.
+// PartitionMetrics is the execution record of one partition worker of
+// a partitioned run.
 type PartitionMetrics struct {
 	// Span is the partition's sub-span.
 	Span seq.Span
 	// Rows is the number of records the partition emitted.
 	Rows int64
 	// Pages is the base-store page movement attributed to this worker
-	// (exact: each worker meters private stats forks).
+	// (exact: each worker's leaves read private stats forks).
 	Pages storage.StatsSnapshot
 	// Elapsed is the worker's wall-clock time.
 	Elapsed time.Duration
 }
 
-// statsFork records one worker-private stats block and the shared block
-// it must be folded back into on completion.
-type statsFork struct {
-	shared *storage.Stats
-	priv   *storage.Stats
-}
-
-// RunAnalyze is Run with per-worker exec.Instrument shards, merged
-// deterministically: the result entries concatenate in partition order,
-// the per-node metric shards sum into one tree mirroring the plan, and
-// each worker's page accesses — metered against worker-private forks of
-// the base stores, so concurrent attribution stays exact — are folded
-// back into the shared store counters at completion. pred supplies the
-// optimizer's per-node estimates keyed by the ORIGINAL plan's nodes;
-// the clone mapping carries them onto each shard.
-func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.PredictedCost, ctx *seq.BatchCtx) (*seq.Materialized, *exec.NodeMetrics, []PartitionMetrics, error) {
-	if !d.Parallel() {
-		return nil, nil, nil, fmt.Errorf("parallel: RunAnalyze requires a parallel decision")
+// Run evaluates the plan over span under the decision and returns the
+// output, the metrics tree of the run and, for a partitioned decision,
+// the per-worker records. Each worker (one for a serial decision) runs
+// its own exec.Instrument copy, whose leaves count pages into private
+// store forks; after the workers join, each copy's counters fold back
+// into the shared store statistics and the shards sum into one tree
+// mirroring the plan. pred supplies the optimizer's per-node estimates
+// keyed by the plan's nodes (nil means none). ctx picks the data plane
+// as in exec.Run; on the batch plane each worker runs under a private
+// fork of ctx (same batch size, its own intern table, so handle spaces
+// never cross goroutines) whose counters fold back into ctx. The
+// partition outputs concatenate in partition order, so the merged output
+// is exactly the serial Scan(span) stream.
+func Run(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.PredictedCost, ctx *seq.BatchCtx) (*seq.Materialized, *exec.NodeMetrics, []PartitionMetrics, error) {
+	parts := []seq.Span{span}
+	if d.Parallel() {
+		parts = d.Partitions
 	}
-	if pred == nil {
-		pred = func(exec.Plan) exec.PredictedCost { return exec.PredictedCost{} }
-	}
-	k := len(d.Partitions)
-	workers := make([]exec.Plan, k)
-	roots := make([]*exec.NodeMetrics, k)
-	forks := make([][]statsFork, k)
+	workers := make([]exec.Plan, len(parts))
+	roots := make([]*exec.NodeMetrics, len(parts))
 	for i := range workers {
-		clone, orig, err := exec.ClonePlan(p)
-		if err != nil {
+		var err error
+		if workers[i], roots[i], err = exec.Instrument(p, pred); err != nil {
 			return nil, nil, nil, err
 		}
-		// Swap each base store for a fork counting into worker-private
-		// statistics, so the Metered delta-snapshot attribution inside
-		// Instrument never races with the other workers.
-		exec.ReplaceLeafSeqs(clone, func(l *exec.Leaf) {
-			if st, ok := l.Seq.(storage.StatsForker); ok {
-				priv := &storage.Stats{}
-				forks[i] = append(forks[i], statsFork{shared: st.Stats(), priv: priv})
-				l.Seq = st.Fork(priv)
-			}
-		})
-		predClone := func(cp exec.Plan) exec.PredictedCost {
-			if o, ok := orig[cp]; ok {
-				return pred(o)
-			}
-			return exec.PredictedCost{}
-		}
-		workers[i], roots[i] = exec.Instrument(clone, predClone)
 	}
-	out, parts, err := fanOut(p, workers, d.Partitions, ctx)
+	if len(parts) == 1 {
+		out, err := exec.Run(workers[0], span, ctx)
+		roots[0].Finalize()
+		return out, roots[0], nil, err
+	}
+	out, pms, err := fanOut(p, workers, parts, ctx)
+	for i, r := range roots {
+		r.Finalize()
+		pms[i].Pages = r.TotalPages()
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Merge step: fold worker fork counters back into the shared store
-	// statistics, finalize and sum the metric shards.
-	for i := range parts {
-		for _, f := range forks[i] {
-			snap := f.priv.Snapshot()
-			parts[i].Pages = parts[i].Pages.Add(snap)
-			f.shared.AddSnapshot(snap)
-		}
-		roots[i].Finalize()
-	}
-	merged := roots[0]
 	for _, r := range roots[1:] {
-		if err := merged.Merge(r); err != nil {
+		if err := roots[0].Merge(r); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	return out, merged, parts, nil
+	return out, roots[0], pms, nil
 }
 
 // fanOut is the one partitioned evaluation loop: workers[i] drains
@@ -160,7 +113,7 @@ func fanOut(p exec.Plan, workers []exec.Plan, parts []seq.Span, ctx *seq.BatchCt
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, metrics, err
 		}
 	}
 	if ctx != nil {

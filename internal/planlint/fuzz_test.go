@@ -115,7 +115,7 @@ func TestDifferentialFuzz(t *testing.T) {
 				t.Fatalf("seed %d: K=%d partition verification:\n%v\nplan:\n%s",
 					seed, k, planlint.Error(issues), res.Explain())
 			}
-			pgot, err := parallel.Run(res.Plan, res.RunSpan, dec, nil)
+			pgot, _, _, err := parallel.Run(res.Plan, res.RunSpan, dec, nil, nil)
 			if err != nil {
 				t.Fatalf("seed %d: K=%d partitioned run: %v\nquery:\n%s\nplan:\n%s",
 					seed, k, err, q, res.Explain())
@@ -127,7 +127,7 @@ func TestDifferentialFuzz(t *testing.T) {
 			// The partitioned batch plane must agree too: per-worker
 			// forked intern tables, concatenated in partition order.
 			bctx := seq.NewBatchCtx()
-			pbgot, err := parallel.Run(res.Plan, res.RunSpan, dec, bctx)
+			pbgot, _, _, err := parallel.Run(res.Plan, res.RunSpan, dec, nil, bctx)
 			if err != nil {
 				t.Fatalf("seed %d: K=%d partitioned batch run: %v\nquery:\n%s\nplan:\n%s",
 					seed, k, err, q, res.Explain())

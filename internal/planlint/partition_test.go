@@ -147,7 +147,10 @@ func TestVerifyPartitionsSerialOnlySplit(t *testing.T) {
 
 func TestVerifyPartitionsUnclonablePlan(t *testing.T) {
 	p, span := aggFixture(t, 4096)
-	instr, _ := exec.Instrument(p, nil)
+	instr, _, err := exec.Instrument(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := &parallel.Decision{
 		K: 2, Partitions: parallel.SplitSpan(span, 2), Span: span, MaxWorkers: 2, Forced: true,
 	}

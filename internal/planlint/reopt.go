@@ -10,7 +10,7 @@ import (
 )
 
 // ReoptSegment describes one executed segment of a mid-run reoptimized
-// evaluation: the span it covered and the (uninstrumented) plan that
+// evaluation: the span it covered and the plan (not its metered copy) that
 // ran it. internal/core hands the reopt layer's report over in this
 // neutral form so the verifier depends on neither side.
 type ReoptSegment struct {

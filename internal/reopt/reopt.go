@@ -144,13 +144,13 @@ type Switch struct {
 // SegmentReport describes one executed segment of the run.
 type SegmentReport struct {
 	Span seq.Span
-	// Plan is the (uninstrumented) plan the segment ran.
+	// Plan is the plan the segment ran (not its metered copy).
 	Plan exec.Plan
 	Mode string
 	K    int
 	Rows int64
-	// Metrics is the finalized metrics tree of a monitored (serial)
-	// segment; nil for a parallel tail.
+	// Metrics is the segment's finalized metrics tree; a parallel tail's
+	// sums its workers' shards.
 	Metrics *exec.NodeMetrics
 }
 
@@ -255,7 +255,10 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 	forcedPending := cfg.ForceAt != nil
 
 	for {
-		instr, root := exec.Instrument(curPlan, curPred)
+		instr, root, err := exec.Instrument(curPlan, curPred)
+		if err != nil {
+			return nil, nil, err
+		}
 		var cur seq.BatchCursor
 		if ctx != nil {
 			cur = exec.BatchScanOf(instr, curSpan, bctx)
@@ -267,6 +270,7 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 		segStartRows := len(entries)
 		var spliced *Segment
 		var trig Trigger
+		var replanErr error
 		for {
 			b, ok := cur.NextBatch()
 			if !ok {
@@ -308,8 +312,8 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 			mustSplice := t.Forced || cfg.Threshold == 0
 			seg, err := planner.Replan(remaining, prefix, root, mustSplice)
 			if err != nil {
-				cur.Close()
-				return nil, nil, fmt.Errorf("reopt: replanning %v: %w", remaining, err)
+				replanErr = fmt.Errorf("reopt: replanning %v: %w", remaining, err)
+				break
 			}
 			if seg == nil {
 				continue // planner declined: same mode, keep streaming
@@ -317,12 +321,15 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 			spliced, trig = seg, t
 			break
 		}
-		err := cur.Err()
+		err = cur.Err()
 		cur.Close()
+		root.Finalize()
+		if replanErr != nil {
+			return nil, nil, replanErr
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		root.Finalize()
 		if spliced == nil {
 			rep.Segments = append(rep.Segments, SegmentReport{
 				Span: curSpan, Plan: curPlan, Mode: curMode, K: 1,
@@ -347,7 +354,7 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 			// A revised-parallelism switch: the tail runs span-partitioned
 			// on workers; monitoring ends (workers have private metric
 			// shards, not a single live tree to checkpoint).
-			out, err := parallel.Run(spliced.Plan, spliced.Span, spliced.Decision, ctx)
+			out, tailRoot, _, err := parallel.Run(spliced.Plan, spliced.Span, spliced.Decision, spliced.Pred, ctx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -355,7 +362,7 @@ func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.Predi
 			entries = append(entries, tail...)
 			rep.Segments = append(rep.Segments, SegmentReport{
 				Span: spliced.Span, Plan: spliced.Plan, Mode: spliced.Mode,
-				K: newK, Rows: int64(len(tail)),
+				K: newK, Rows: int64(len(tail)), Metrics: tailRoot,
 			})
 			break
 		}

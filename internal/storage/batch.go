@@ -166,28 +166,3 @@ func (c *batchCursor) fillSparse(b *seq.Batch) (pages int64, err error) {
 
 func (c *batchCursor) Err() error   { return c.err }
 func (c *batchCursor) Close() error { return nil }
-
-// ScanBatches implements seq.BatchScanner for the metering wrapper: the
-// inner store's batch scan, with the shared-counter movement credited to
-// the consumer around the open and around each batch.
-func (m *metered) ScanBatches(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
-	before := m.inner.Stats().Snapshot()
-	cur := m.inner.ScanBatches(span, ctx)
-	m.credit(before)
-	return &meteredBatchCursor{m: m, in: cur}
-}
-
-type meteredBatchCursor struct {
-	m  *metered
-	in seq.BatchCursor
-}
-
-func (c *meteredBatchCursor) NextBatch() (*seq.Batch, bool) {
-	before := c.m.inner.Stats().Snapshot()
-	b, ok := c.in.NextBatch()
-	c.m.credit(before)
-	return b, ok
-}
-
-func (c *meteredBatchCursor) Err() error   { return c.in.Err() }
-func (c *meteredBatchCursor) Close() error { return c.in.Close() }

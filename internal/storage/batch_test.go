@@ -177,9 +177,10 @@ func TestSparseBatchMidSpanChargesProbe(t *testing.T) {
 	}
 }
 
-// TestMeteredBatchDelegation checks the metered batch path: the inner
-// store is scanned natively with the consumer credited per batch, and
-// the credited deltas equal what the scalar metered scan charges.
+// TestMeteredBatchDelegation checks the metered batch path: a fork of
+// the store is scanned natively on the batch plane with the consumer
+// credited per batch, and the credited deltas equal what the scalar
+// scan of the same fork charges.
 func TestMeteredBatchDelegation(t *testing.T) {
 	for _, kind := range []Kind{KindSparse, KindDense} {
 		m, err := seq.NewMaterialized(closeSchema, mkEntries(1, 3, 5, 6, 8, 9, 12))
@@ -193,7 +194,7 @@ func TestMeteredBatchDelegation(t *testing.T) {
 		span := seq.NewSpan(1, 12)
 
 		consumer := &Stats{}
-		wrapped := Metered(st, consumer)
+		wrapped := st.Fork(consumer)
 		want := collect(t, wrapped, span)
 		scalarDelta := consumer.SnapshotAndReset()
 
@@ -210,6 +211,9 @@ func TestMeteredBatchDelegation(t *testing.T) {
 		}
 		if batchDelta.SeqRecords == 0 {
 			t.Fatalf("%v: metered batch scan credited no records", kind)
+		}
+		if shared := st.Stats().Snapshot(); shared != (StatsSnapshot{}) {
+			t.Fatalf("%v: fork accesses reached the shared block: %+v", kind, shared)
 		}
 	}
 }

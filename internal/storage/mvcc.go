@@ -528,6 +528,14 @@ func (s *Snapshot) Info() seq.Info {
 // Stats implements Store.
 func (s *Snapshot) Stats() *Stats { return s.stats }
 
+// Fork implements Store: a view over the same version counting into
+// stats.
+func (s *Snapshot) Fork(stats *Stats) Store {
+	cp := *s
+	cp.stats = stats
+	return &cp
+}
+
 // probeDepth is the page touches charged per probed descent of the
 // sparse page index: the height of a binary search over the pages, at
 // least 1 when any page exists.

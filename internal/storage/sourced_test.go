@@ -217,3 +217,89 @@ func TestPoolBackedConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestForkAttribution checks the per-consumer attribution EXPLAIN
+// ANALYZE runs on, over a resident and a pool-backed snapshot: scalar,
+// batch and probe accesses through a fork count only into the fork's
+// Stats, and folding those back with AddSnapshot moves the shared block
+// exactly as the same accesses through the unforked store do.
+func TestForkAttribution(t *testing.T) {
+	var positions []seq.Pos
+	var entries []seq.Entry
+	for p := seq.Pos(1); p <= 300; p += 3 {
+		positions = append(positions, p)
+		entries = append(entries, seq.Entry{Pos: p, Rec: seq.Record{seq.Float(float64(p))}})
+	}
+	m, err := seq.NewMaterialized(valueSchema, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := openPool(t, t.TempDir(), 64)
+	for _, kind := range []storage.Kind{storage.KindDense, storage.KindSparse} {
+		mem, err := storage.FromMaterialized(m, kind, storage.ParityRPP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := createCheckpointed(t, db, kind.String(), kind, positions).Latest()
+		t.Run(kind.String(), func(t *testing.T) {
+			checkForkAttribution(t, "memory", mem, func() {})
+			// The pool-backed store starts each pass cold, so both passes
+			// miss alike.
+			checkForkAttribution(t, "pool", pooled, db.DropCaches)
+		})
+	}
+}
+
+func checkForkAttribution(t *testing.T, name string, st storage.Store, prepare func()) {
+	t.Helper()
+	// access reads s on both planes and probes it.
+	access := func(s storage.Store) int {
+		prepare()
+		es, err := seq.Collect(s.Scan(seq.NewSpan(40, 200)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := seq.NewBatchCtx()
+		ctx.Size = 7
+		n := len(es)
+		cur := s.ScanBatches(seq.NewSpan(100, 290), ctx)
+		for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
+			n += b.ValidRows()
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+		cur.Close()
+		for p := seq.Pos(1); p <= 300; p += 11 {
+			if _, err := s.Probe(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	shared := st.Stats()
+	shared.Reset()
+	wantRows := access(st)
+	want := shared.SnapshotAndReset()
+	if want.Pages() == 0 || want.SeqRecords == 0 || want.ProbeRecords == 0 {
+		t.Fatalf("%s: unforked pass counted %+v; the test is vacuous", name, want)
+	}
+	if name == "pool" && want.PoolMisses == 0 {
+		t.Fatalf("%s: cold pass counted no pool misses", name)
+	}
+
+	priv := &storage.Stats{}
+	if rows := access(st.Fork(priv)); rows != wantRows {
+		t.Fatalf("%s: fork read %d rows, store %d", name, rows, wantRows)
+	}
+	if moved := shared.Snapshot(); moved != (storage.StatsSnapshot{}) {
+		t.Fatalf("%s: fork accesses reached the shared block: %+v", name, moved)
+	}
+	if got := priv.Snapshot(); got != want {
+		t.Fatalf("%s: fork counted %+v, unforked %+v", name, got, want)
+	}
+	shared.AddSnapshot(priv.Snapshot())
+	if got := shared.Snapshot(); got != want {
+		t.Fatalf("%s: folded fork %+v, unforked %+v", name, got, want)
+	}
+}

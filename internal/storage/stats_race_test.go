@@ -74,35 +74,46 @@ func TestStatsConcurrentScanSnapshotReset(t *testing.T) {
 	}
 }
 
-// TestMeteredAttribution checks that a Metered wrapper credits exactly
-// the shared-counter movement of its own accesses to the consumer block.
+// TestMeteredAttribution checks that a consumer metered through a fork
+// is credited exactly the shared-counter movement its accesses cause
+// when run unforked, and that the fork's accesses leave the shared
+// block alone.
 func TestMeteredAttribution(t *testing.T) {
 	for _, kind := range []Kind{KindDense, KindSparse} {
 		t.Run(kind.String(), func(t *testing.T) {
 			st := raceStore(t, kind)
+			access := func(s Store) int {
+				cur := s.Scan(seq.NewSpan(100, 400))
+				rows := 0
+				for {
+					if _, _, ok := cur.Next(); !ok {
+						break
+					}
+					rows++
+				}
+				cur.Close()
+				for p := seq.Pos(1); p <= 50; p++ {
+					if _, err := s.Probe(p * 7); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return rows
+			}
+
 			consumer := &Stats{}
-			mst := Metered(st, consumer)
 			before := st.Stats().Snapshot()
-
-			cur := mst.Scan(seq.NewSpan(100, 400))
-			rows := 0
-			for {
-				if _, _, ok := cur.Next(); !ok {
-					break
-				}
-				rows++
+			rows := access(st.Fork(consumer))
+			if moved := st.Stats().Snapshot().Sub(before); moved != (StatsSnapshot{}) {
+				t.Fatalf("fork accesses reached the shared block: %+v", moved)
 			}
-			cur.Close()
-			for p := seq.Pos(1); p <= 50; p++ {
-				if _, err := mst.Probe(p * 7); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			delta := st.Stats().Snapshot().Sub(before)
 			got := consumer.Snapshot()
-			if got != delta {
-				t.Fatalf("consumer %+v != shared delta %+v", got, delta)
+
+			before = st.Stats().Snapshot()
+			if n := access(st); n != rows {
+				t.Fatalf("unforked scan returned %d rows, forked %d", n, rows)
+			}
+			if delta := st.Stats().Snapshot().Sub(before); got != delta {
+				t.Fatalf("consumer %+v != unforked shared delta %+v", got, delta)
 			}
 			if rows != 301 {
 				t.Fatalf("scan returned %d rows, want 301", rows)

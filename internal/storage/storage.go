@@ -120,6 +120,36 @@ func (s *Stats) SnapshotAndReset() StatsSnapshot {
 	}
 }
 
+// AddSnapshot folds a snapshot's counts into the live counters: the step
+// that credits a fork's accesses (see Store.Fork) to the shared block
+// once its consumer has finished.
+func (s *Stats) AddSnapshot(d StatsSnapshot) {
+	if d.SeqPages != 0 {
+		s.SeqPages.Add(d.SeqPages)
+	}
+	if d.RandPages != 0 {
+		s.RandPages.Add(d.RandPages)
+	}
+	if d.SeqRecords != 0 {
+		s.SeqRecords.Add(d.SeqRecords)
+	}
+	if d.ProbeRecords != 0 {
+		s.ProbeRecords.Add(d.ProbeRecords)
+	}
+	if d.PoolHits != 0 {
+		s.PoolHits.Add(d.PoolHits)
+	}
+	if d.PoolMisses != 0 {
+		s.PoolMisses.Add(d.PoolMisses)
+	}
+	if d.PoolEvictions != 0 {
+		s.PoolEvictions.Add(d.PoolEvictions)
+	}
+	if d.DirtyWrites != 0 {
+		s.DirtyWrites.Add(d.DirtyWrites)
+	}
+}
+
 // StatsSnapshot is an immutable copy of Stats counters.
 type StatsSnapshot struct {
 	SeqPages     int64
@@ -192,6 +222,11 @@ type Store interface {
 	seq.BatchScanner
 	// Stats returns the store's counter block (shared, live).
 	Stats() *Stats
+	// Fork returns a view of the same data whose accesses count into
+	// stats instead of the shared block: the per-consumer attribution
+	// behind EXPLAIN ANALYZE. None of a fork's accesses reach Stats();
+	// the consumer folds them back with Stats().AddSnapshot when done.
+	Fork(stats *Stats) Store
 	// AccessCosts describes the store to the optimizer: the number of
 	// pages a full stream scan of the valid range touches, and the number
 	// of page touches a single probe costs.
