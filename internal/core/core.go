@@ -343,6 +343,18 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 	return res, nil
 }
 
+// ExplainText is the EXPLAIN output: a header line — label, the stream
+// and per-probe costs, the access mode and the cache budget — over the
+// physical plan (Explain) and the annotated query (ExplainMeta).
+func (r *Result) ExplainText(label string) string {
+	mode := "stream-access (single scan, cache-finite)"
+	if !r.StreamAccess {
+		mode = "not stream-access (unbounded forward scope)"
+	}
+	return fmt.Sprintf("%s (stream cost %.2f, per-probe cost %.2f, %s, cache budget %d records):\n%s\nannotated query (span/density propagation):\n%s",
+		label, r.Cost.Stream, r.Cost.ProbePer, mode, r.CacheBudget, r.Explain(), r.ExplainMeta())
+}
+
 // ExplainMeta renders the rewritten logical tree annotated with the
 // Step-2 meta-information per node: valid span, estimated density, and
 // the top-down restricted access span. It shows what the span and

@@ -30,11 +30,11 @@ var StitchThreshold = 0.5
 // append publishes [p, p], a content-preserving reorganize an empty
 // span). lookup resolves base names to their post-write sequences so
 // the registered blocks can be re-evaluated against current data; epoch
-// is the MVCC epoch the write published (0 outside the server). Every
-// decision — including "nothing to do" — is returned as a report for
-// EXPLAIN and the planlint ivm/* invariants. A view whose maintenance
-// fails is invalidated (never left stale); the error is folded into the
-// returned error after all views are processed.
+// is the MVCC epoch the write published. Every decision — including
+// "nothing to do" — is returned as a report for EXPLAIN and the planlint
+// ivm/* invariants. A view whose maintenance fails is invalidated
+// (never left stale); the error is folded into the returned error after
+// all views are processed.
 func MaintainViews(reg *matview.Registry, base string, delta seq.Span, epoch int64, lookup func(string) (seq.Sequence, bool), opts Options) ([]matview.MaintenanceReport, error) {
 	if reg == nil {
 		return nil, nil
@@ -52,7 +52,7 @@ func MaintainViews(reg *matview.Registry, base string, delta seq.Span, epoch int
 		}
 		rep, err := maintainView(reg, v, base, delta, epoch, lookup, opts)
 		if err != nil {
-			invalidateView(reg, v, epoch)
+			v.InvalidateFrom(epoch)
 			rep.Action = matview.MaintainInvalidate
 			rep.NewSpan = seq.EmptySpan
 			if firstErr == nil {
@@ -83,7 +83,7 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 	if !known {
 		rep.Action = matview.MaintainInvalidate
 		rep.NewSpan = seq.EmptySpan
-		invalidateView(reg, v, epoch)
+		v.InvalidateFrom(epoch)
 		return rep, nil
 	}
 	hit := affected.Intersect(v.Span)
@@ -139,7 +139,7 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 	}
 	rep.Action = matview.MaintainInvalidate
 	rep.NewSpan = seq.EmptySpan
-	invalidateView(reg, v, epoch)
+	v.InvalidateFrom(epoch)
 	return rep, nil
 }
 
@@ -169,12 +169,4 @@ func trimStore(v *matview.View, span seq.Span) (storage.Store, error) {
 		return nil, err
 	}
 	return matview.NewStore(data, span)
-}
-
-func invalidateView(reg *matview.Registry, v *matview.View, epoch int64) {
-	if epoch > 0 {
-		v.InvalidateFrom(epoch)
-		return
-	}
-	reg.Drop(v.Name)
 }

@@ -42,7 +42,7 @@ func registerView(t *testing.T, reg *matview.Registry, name string, block *algeb
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := reg.Register(name, block, data, span)
+	v, err := reg.RegisterAt(name, block, data, span, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMaintainViewsPolicy(t *testing.T) {
 				}
 				return nil, false
 			}
-			reports, err := MaintainViews(reg, "b", seq.NewSpan(100, 100), 0, lookup, Options{})
+			reports, err := MaintainViews(reg, "b", seq.NewSpan(100, 100), 2, lookup, Options{})
 			if err != nil {
 				t.Fatalf("maintain: %v", err)
 			}
@@ -170,13 +170,14 @@ func TestMaintainViewsPolicy(t *testing.T) {
 			if rep.Action != tc.want {
 				t.Fatalf("action = %s, want %s\nreport: %s", rep.Action, tc.want, rep)
 			}
-			v, ok := reg.Get("v")
 			if tc.want == matview.MaintainInvalidate {
-				if ok {
+				reg.GC(2) // no reader is pinned below the maintenance epoch
+				if _, ok := reg.Get("v"); ok {
 					t.Fatalf("invalidated view still registered")
 				}
 				return
 			}
+			v, ok := reg.Get("v")
 			if !ok {
 				t.Fatalf("view gone after %s", tc.want)
 			}
@@ -208,7 +209,7 @@ func TestMaintainViewsEmptyDelta(t *testing.T) {
 	reg := matview.New()
 	registerView(t, reg, "v", block, seq.NewSpan(-1, 2))
 	before := viewEntries(t, mustGet(t, reg, "v"))
-	reports, err := MaintainViews(reg, "b", seq.EmptySpan, 0,
+	reports, err := MaintainViews(reg, "b", seq.EmptySpan, 2,
 		func(string) (seq.Sequence, bool) { return oldStore, true }, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func registerResult(t *testing.T, reg *matview.Registry, name string, res *Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := reg.Register(name, res.Rewritten, out, res.RunSpan)
+	v, err := reg.RegisterAt(name, res.Rewritten, out, res.RunSpan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

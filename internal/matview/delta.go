@@ -253,11 +253,10 @@ func (m MaintenanceReport) String() string {
 
 // SwapGeneration replaces the named view with a new generation carrying
 // the maintained store and span, visible to readers pinned at or after
-// epoch. The old generation is marked invalid from the same epoch and —
-// when epoch > 0 — retained for already-pinned readers until GC; with
-// epoch 0 (library use, no MVCC readers) it is dropped immediately. The
-// new generation keeps the registered node and canonical form and
-// inherits the hit/miss counters.
+// epoch. The old generation is marked invalid from the same epoch and
+// retained for already-pinned readers until GC. The new generation
+// keeps the registered node and canonical form and inherits the
+// hit/miss counters.
 func (r *Registry) SwapGeneration(name string, span seq.Span, store storage.Store, epoch int64) (*View, error) {
 	if !span.Bounded() {
 		return nil, fmt.Errorf("matview: swap %q: span %v is unbounded", name, span)
@@ -280,22 +279,11 @@ func (r *Registry) SwapGeneration(name string, span seq.Span, store storage.Stor
 	}
 	nv.hits.Store(old.Hits())
 	nv.misses.Store(old.Misses())
-	if epoch > 0 {
-		// Pinned readers below epoch keep the old generation; it leaves
-		// byName (the name now resolves to the new generation) but stays
-		// in order until GC reclaims it.
-		old.invalidFrom.CompareAndSwap(0, epoch)
-		r.byName[name] = nv
-		r.order = append(r.order, nv)
-		return nv, nil
-	}
-	// No MVCC readers: replace in place.
+	// Pinned readers below epoch keep the old generation; it leaves
+	// byName (the name now resolves to the new generation) but stays in
+	// order until GC reclaims it.
+	old.invalidFrom.CompareAndSwap(0, epoch)
 	r.byName[name] = nv
-	for i, v := range r.order {
-		if v == old {
-			r.order[i] = nv
-			break
-		}
-	}
+	r.order = append(r.order, nv)
 	return nv, nil
 }

@@ -49,8 +49,7 @@ type View struct {
 	// Store holds the materialized entries, metered like a base store.
 	Store storage.Store
 	// FromEpoch is the MVCC epoch the view's contents correspond to: a
-	// reader pinned at an earlier epoch must not use it. Views registered
-	// outside the server (FromEpoch 0) are valid from the beginning.
+	// reader pinned at an earlier epoch must not use it.
 	FromEpoch int64
 
 	// invalidFrom is the epoch a base write invalidated this view at
@@ -105,8 +104,7 @@ type Counters struct {
 	Misses  int64
 	Pages   storage.StatsSnapshot
 	// FromEpoch/InvalidFrom delimit the MVCC validity window of the view
-	// ([FromEpoch, InvalidFrom); InvalidFrom 0 = still live). Both are 0
-	// outside the server.
+	// ([FromEpoch, InvalidFrom); InvalidFrom 0 = still live).
 	FromEpoch   int64
 	InvalidFrom int64
 }
@@ -202,18 +200,12 @@ func New() *Registry {
 	return &Registry{byName: make(map[string]*View)}
 }
 
-// Register materializes data as a view over the block node, valid on
-// span. The node should be in post-rewrite form (what the optimizer sees
-// when it plans future queries); data's columns must match node's output
-// schema positionally, and span must be bounded and cover data's
-// entries. NewStore chooses the storage representation.
-func (r *Registry) Register(name string, node *algebra.Node, data *seq.Materialized, span seq.Span) (*View, error) {
-	return r.RegisterAt(name, node, data, span, 0)
-}
-
-// RegisterAt is Register tagging the view with the MVCC epoch its
-// contents correspond to: only readers pinned at >= epoch may use it
-// (server materialization). Epoch 0 means valid from the beginning.
+// RegisterAt materializes data as a view over the block node, valid on
+// span for readers pinned at >= epoch, the MVCC epoch its contents
+// correspond to. The node should be in post-rewrite form (what the
+// optimizer sees when it plans future queries); data's columns must
+// match node's output schema positionally, and span must be bounded and
+// cover data's entries. NewStore chooses the storage representation.
 func (r *Registry) RegisterAt(name string, node *algebra.Node, data *seq.Materialized, span seq.Span, epoch int64) (*View, error) {
 	if name == "" {
 		return nil, fmt.Errorf("matview: empty view name")
@@ -469,11 +461,12 @@ func (r *Registry) At(e int64) *Registry {
 }
 
 // InvalidateBaseFrom marks every view whose block reads the named base
-// sequence as invalid for readers pinned at or after the given epoch —
-// the epoch-based MVCC flavor of InvalidateBase: readers pinned at
-// earlier epochs keep using the view, and GC reclaims it once no such
-// reader can exist. Returns the names of the views invalidated now
-// (already-invalid views are left at their earlier epoch).
+// sequence as invalid for readers pinned at or after the given epoch,
+// when that sequence's data changes (append, reorganize without
+// maintenance, drop): readers pinned at earlier epochs keep using the
+// view, and GC reclaims it once no such reader can exist. Returns the
+// names of the views invalidated now (already-invalid views are left at
+// their earlier epoch).
 func (r *Registry) InvalidateBaseFrom(base string, epoch int64) []string {
 	r.mu.RLock()
 	views := append([]*View(nil), r.order...)
@@ -504,26 +497,6 @@ func (r *Registry) GC(minLive int64) []string {
 			if r.byName[v.Name] == v {
 				delete(r.byName, v.Name)
 			}
-			dropped = append(dropped, v.Name)
-			continue
-		}
-		kept = append(kept, v)
-	}
-	r.order = kept
-	return dropped
-}
-
-// InvalidateBase drops every view whose block reads the named base
-// sequence; called when that sequence's data changes (append, reorganize,
-// drop). Returns the dropped view names.
-func (r *Registry) InvalidateBase(base string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var dropped []string
-	kept := r.order[:0]
-	for _, v := range r.order {
-		if readsBase(v.Node, base) {
-			delete(r.byName, v.Name)
 			dropped = append(dropped, v.Name)
 			continue
 		}

@@ -70,7 +70,7 @@ func materialize(t *testing.T, r *Registry, name string, n *algebra.Node, span s
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := r.Register(name, n, data, span)
+	v, err := r.RegisterAt(name, n, data, span, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +233,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	block := sel(t, base, gt(t, col(t, base, "v"), expr.Literal(seq.Float(1))))
 	materialize(t, r, "a", block, seq.NewSpan(1, 20))
 
-	if _, err := r.Register("a", block, seq.MustMaterialized(block.Schema, nil), seq.NewSpan(1, 20)); err == nil {
+	if _, err := r.RegisterAt("a", block, seq.MustMaterialized(block.Schema, nil), seq.NewSpan(1, 20), 1); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := r.Register("b", testBase(t, "quakes"), seq.MustMaterialized(base.Schema, nil), seq.NewSpan(1, 20)); err == nil {
+	if _, err := r.RegisterAt("b", testBase(t, "quakes"), seq.MustMaterialized(base.Schema, nil), seq.NewSpan(1, 20), 1); err == nil {
 		t.Fatal("bare base registered as a view")
 	}
 
@@ -246,9 +246,11 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", got)
 	}
 
-	dropped := r.InvalidateBase("quakes")
-	if len(dropped) != 1 || dropped[0] != "a" {
-		t.Fatalf("InvalidateBase dropped %v, want [a]", dropped)
+	if marked := r.InvalidateBaseFrom("quakes", 2); len(marked) != 1 || marked[0] != "a" {
+		t.Fatalf("InvalidateBaseFrom marked %v, want [a]", marked)
+	}
+	if dropped := r.GC(2); len(dropped) != 1 || dropped[0] != "a" {
+		t.Fatalf("GC dropped %v, want [a]", dropped)
 	}
 	if _, ok := r.Get("a"); ok {
 		t.Fatal("invalidated view still present")

@@ -122,7 +122,7 @@ func TestSeed81CollapseOverValueOffsetView(t *testing.T) {
 	}
 
 	reg := matview.New()
-	if _, err := reg.Register("seed81", block, data, vspan); err != nil {
+	if _, err := reg.RegisterAt("seed81", block, data, vspan, 1); err != nil {
 		// Fixed behavior: the registry refuses the unsound block.
 		if !strings.Contains(err.Error(), "universe-sensitive") {
 			t.Fatalf("registration refused for the wrong reason: %v", err)
@@ -184,7 +184,7 @@ func TestUniverseInsensitiveBlockRegisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := matview.New()
-	if _, err := reg.Register("seed81-sel", sel, data, vspan); err != nil {
+	if _, err := reg.RegisterAt("seed81-sel", sel, data, vspan, 1); err != nil {
 		t.Fatalf("insensitive block refused registration: %v", err)
 	}
 	opts := core.Options{

@@ -213,7 +213,7 @@ func TestDifferentialFuzz(t *testing.T) {
 					t.Fatalf("seed %d: materialize sub-block: %v\n%s", seed, err, node)
 				}
 				reg := matview.New()
-				if _, err := reg.Register(fmt.Sprintf("fuzz-%d", seed), node, data, nspan); err != nil {
+				if _, err := reg.RegisterAt(fmt.Sprintf("fuzz-%d", seed), node, data, nspan, 1); err != nil {
 					t.Fatalf("seed %d: register sub-block view: %v\n%s", seed, err, node)
 				}
 				opts.Views = reg

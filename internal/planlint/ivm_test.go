@@ -47,7 +47,7 @@ func ivmFixture(t *testing.T, epoch int64, delta seq.Span, added ...int64) (*mat
 		t.Fatal(err)
 	}
 	reg := matview.New()
-	if _, err := reg.Register("v", block, mat, span); err != nil {
+	if _, err := reg.RegisterAt("v", block, mat, span, 1); err != nil {
 		t.Fatal(err)
 	}
 	lookup := func(name string) (seq.Sequence, bool) {
@@ -64,7 +64,7 @@ func ivmFixture(t *testing.T, epoch int64, delta seq.Span, added ...int64) (*mat
 }
 
 func TestVerifyMaintenanceClean(t *testing.T) {
-	for _, epoch := range []int64{0, 3} {
+	for _, epoch := range []int64{1, 3} {
 		reg, lookup, reports := ivmFixture(t, epoch, seq.NewSpan(5, 5), 5)
 		if issues := planlint.VerifyMaintenance(reg, lookup, reports); len(issues) != 0 {
 			t.Fatalf("epoch %d: clean maintenance flagged:\n%v", epoch, planlint.Error(issues))
@@ -73,7 +73,7 @@ func TestVerifyMaintenanceClean(t *testing.T) {
 }
 
 func TestVerifyMaintenanceCatchesViolations(t *testing.T) {
-	reg, lookup, reports := ivmFixture(t, 0, seq.NewSpan(5, 5), 5)
+	reg, lookup, reports := ivmFixture(t, 2, seq.NewSpan(5, 5), 5)
 	if len(reports) != 1 || reports[0].Action != matview.MaintainStitch {
 		t.Fatalf("fixture did not stitch: %v", reports)
 	}
@@ -133,7 +133,7 @@ func TestVerifyMaintenanceCatchesViolations(t *testing.T) {
 // report and the stitch over [5,5] is exact; only comparing the whole
 // maintained view with post-write data exposes the stale position 7.
 func TestVerifyMaintenanceCatchesMissedHalo(t *testing.T) {
-	reg, lookup, reports := ivmFixture(t, 0, seq.NewSpan(5, 5), 5, 7)
+	reg, lookup, reports := ivmFixture(t, 2, seq.NewSpan(5, 5), 5, 7)
 	if len(reports) != 1 || reports[0].StitchSpan != seq.NewSpan(5, 5) {
 		t.Fatalf("fixture did not stitch [5,5]: %v", reports)
 	}

@@ -53,7 +53,7 @@ func viewFixture(t *testing.T) (*matview.Registry, *matview.View, *algebra.Node)
 		t.Fatal(err)
 	}
 	reg := matview.New()
-	v, err := reg.Register("hot", block, viewData, seq.NewSpan(1, 20))
+	v, err := reg.RegisterAt("hot", block, viewData, seq.NewSpan(1, 20), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

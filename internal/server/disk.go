@@ -78,7 +78,7 @@ func (s *Server) AttachDisk(db *disk.DB) error {
 		if err != nil {
 			return fmt.Errorf("server: load sequence %q: %w", name, err)
 		}
-		ss := &serverSeq{name: name, v: ds, stats: meta.StatsFromMaterialized(m)}
+		ss := &serverSeq{name: name, v: ds, stats: meta.StatsFromMaterialized(m), pages: &storage.Stats{}}
 		s.mu.Lock()
 		s.seqs[name] = ss
 		s.mu.Unlock()

@@ -176,7 +176,7 @@ func TestDiskServerSnapshotIsolationAcrossTier(t *testing.T) {
 	if len(qr.Entries) != 11 {
 		t.Fatalf("fresh reader sees %d records, want 11", len(qr.Entries))
 	}
-	if n, _ := srv.GCOnce(); n < 0 {
+	if n, _, _ := srv.GCOnce(); n < 0 {
 		t.Fatal("GCOnce failed")
 	}
 }

@@ -234,7 +234,7 @@ func TestFuzzConcurrentAppendQuery(t *testing.T) {
 		checked, srv.Epoch(), srv.PageVersions())
 
 	// After everything quiesces, GC reclaims all but the newest version.
-	versions, _ := srv.GCOnce()
+	versions, _, _ := srv.GCOnce()
 	if left := ss.v.Versions(); left != 1 {
 		t.Fatalf("GC left %d versions (dropped %d)", left, versions)
 	}

@@ -1,6 +1,7 @@
-// Package server is the seqd engine: the single-session seqproc library
-// lifted to a concurrent multi-client service with page-level snapshot
-// isolation.
+// Package server is the engine: one optimizer and executor over
+// versioned base sequences with page-level snapshot isolation. It serves
+// seqd's clients over the wire and, in-process, the seqproc library,
+// whose DB is a facade over one Server.
 //
 // A Server owns the shared state — versioned base sequences
 // (storage.Versioned), the global epoch tracker, the materialized-view
@@ -22,8 +23,8 @@
 // when the pool is saturated, and the time spent queuing is reported per
 // query (wire.ResultDone.QueueNs) so operators can size the pool (see
 // docs/OPERATIONS.md). The wire layer lives in conn.go; this file is the
-// engine, directly usable in-process (the concurrency fuzz tests drive
-// it without sockets).
+// engine, directly usable in-process (the seqproc library and the
+// concurrency fuzz tests drive it without sockets).
 package server
 
 import (
@@ -90,13 +91,25 @@ func errf(code wire.ErrorCode, format string, args ...any) *Error {
 
 // serverSeq is one versioned base sequence plus its frozen column
 // statistics (computed at load; appends do not refresh them — the
-// optimizer treats them as estimates). v is memory-backed (a
-// storage.Versioned) or, with an attached database, disk-backed
-// (diskSeq); see disk.go.
+// optimizer treats them as estimates) and its cumulative page-access
+// counters, which every leaf handed out counts into (PageStats). v is
+// memory-backed (a storage.Versioned) or, with an attached database,
+// disk-backed (diskSeq); see disk.go.
 type serverSeq struct {
 	name  string
 	v     versionedSeq
 	stats map[int]expr.ColStats
+	pages *storage.Stats
+}
+
+// at returns a snapshot of the sequence at epoch counting into its
+// cumulative page counters; false when it has no version that old.
+func (ss *serverSeq) at(epoch int64) (storage.Store, bool) {
+	snap := ss.v.SnapshotAt(epoch)
+	if snap == nil {
+		return nil, false
+	}
+	return snap.Fork(ss.pages), true
 }
 
 // Server is the shared engine state. See the package comment for the
@@ -148,6 +161,7 @@ type Server struct {
 	maintReports []matview.MaintenanceReport
 	subs         map[uint64]*subscription
 	nextSub      uint64
+	noIVM        atomic.Bool // SetViewMaintenance(false)
 
 	sem chan struct{} // worker pool; len(sem) = executing requests
 
@@ -228,7 +242,7 @@ func (s *Server) CreateSequence(name string, data *seq.Materialized, kind storag
 		}
 		vs = v
 	}
-	ss := &serverSeq{name: name, v: vs, stats: meta.StatsFromMaterialized(data)}
+	ss := &serverSeq{name: name, v: vs, stats: meta.StatsFromMaterialized(data), pages: &storage.Stats{}}
 	s.mu.Lock()
 	s.seqs[name] = ss
 	s.mu.Unlock()
@@ -277,8 +291,13 @@ func (s *Server) Append(name string, pos seq.Pos, rec seq.Record) (int64, error)
 // over delta, published at epoch but not yet advanced to. Called under
 // wmu. The registered blocks are re-bound to the epoch's snapshots; a
 // view whose maintenance fails is invalidated from epoch (never left
-// stale), so the write itself cannot fail here.
+// stale), so the write itself cannot fail here. With maintenance off,
+// every view reading the base is invalidated from epoch instead.
 func (s *Server) maintainBase(name string, delta seq.Span, epoch int64) {
+	if s.noIVM.Load() {
+		s.views.InvalidateBaseFrom(name, epoch)
+		return
+	}
 	opts := s.cfg.Options
 	opts.Calibration = s.calib
 	reports, _ := core.MaintainViews(s.views, name, delta, epoch, s.sequenceAt(epoch), opts)
@@ -295,13 +314,14 @@ func (s *Server) sequenceAt(epoch int64) func(string) (seq.Sequence, bool) {
 		if !ok {
 			return nil, false
 		}
-		snap := ss.v.SnapshotAt(epoch)
-		if snap == nil {
-			return nil, false
-		}
-		return snap, true
+		return ss.at(epoch)
 	}
 }
+
+// SetViewMaintenance toggles incremental view maintenance (default on).
+// When off, Append and Reorganize invalidate every view reading the
+// written base.
+func (s *Server) SetViewMaintenance(on bool) { s.noIVM.Store(!on) }
 
 // TakeMaintenanceReports drains the per-view maintenance decisions
 // accumulated by writes since the last call.
@@ -311,6 +331,15 @@ func (s *Server) TakeMaintenanceReports() []matview.MaintenanceReport {
 	out := s.maintReports
 	s.maintReports = nil
 	return out
+}
+
+// VerifyMaintenance re-checks maintenance reports (planlint ivm/*)
+// against the registered views and the data at the current epoch — the
+// append-vs-recompute fuzz harness's oracle hook.
+func (s *Server) VerifyMaintenance(reports []matview.MaintenanceReport) []planlint.Issue {
+	epoch := s.epochs.Pin()
+	defer s.epochs.Release(epoch)
+	return planlint.VerifyMaintenance(s.views, s.sequenceAt(epoch), reports)
 }
 
 // Reorganize repacks a base sequence into a different physical
@@ -360,17 +389,48 @@ func (s *Server) ViewCounters() []matview.Counters {
 	return out
 }
 
+// DropSequence removes a base sequence at the next epoch: it is dropped
+// on disk first (with an attached database), the views reading it are
+// invalidated from that epoch, and then the epoch advances. A query
+// bound to it before the drop fails when it next plans.
+func (s *Server) DropSequence(name string) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if _, e := s.lookup(name); e != nil {
+		return e
+	}
+	next := s.epochs.Current() + 1
+	if s.disk != nil {
+		if err := s.disk.DropSequenceAt(name, next); err != nil {
+			return &Error{Code: wire.CodeAppend, Err: err}
+		}
+	}
+	s.mu.Lock()
+	delete(s.seqs, name)
+	s.mu.Unlock()
+	s.views.InvalidateBaseFrom(name, next)
+	if err := s.epochs.AdvanceTo(next); err != nil {
+		return &Error{Code: wire.CodeInternal, Err: err}
+	}
+	return nil
+}
+
+// PageStats returns the cumulative page-access counters of a base
+// sequence: every leaf the server hands out counts into them, across
+// versions — the experiments' cost ground truth.
+func (s *Server) PageStats(name string) (*storage.Stats, error) {
+	ss, e := s.lookup(name)
+	if e != nil {
+		return nil, e
+	}
+	return ss.pages, nil
+}
+
 // DropView removes a materialized view for every session. With an
 // attached disk database the persisted copy is dropped too (it may
 // already be gone: a base write deletes persisted views eagerly while
 // the registry keeps invalidated ones for pinned readers).
 func (s *Server) DropView(name string) error {
-	if s.disk == nil {
-		if !s.views.Drop(name) {
-			return errf(wire.CodeNotFound, "unknown view %q", name)
-		}
-		return nil
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if !s.views.Drop(name) {
@@ -385,9 +445,10 @@ func (s *Server) DropView(name string) error {
 }
 
 // GCOnce reclaims page versions and invalidated views unreachable by any
-// pinned reader. Returns the number of sequence versions dropped and the
-// names of reclaimed views.
-func (s *Server) GCOnce() (versions int, views []string) {
+// pinned reader. Returns the number of sequence versions dropped, the
+// pages they alone held (their disk slots freed, on the disk tier) and
+// the names of reclaimed views.
+func (s *Server) GCOnce() (versions, pages int, views []string) {
 	minLive := s.epochs.MinLive()
 	s.mu.RLock()
 	seqs := make([]*serverSeq, 0, len(s.seqs))
@@ -396,10 +457,11 @@ func (s *Server) GCOnce() (versions int, views []string) {
 	}
 	s.mu.RUnlock()
 	for _, ss := range seqs {
-		v, _ := ss.v.GC(minLive)
+		v, p := ss.v.GC(minLive)
 		versions += v
+		pages += p
 	}
-	return versions, s.views.GC(minLive)
+	return versions, pages, s.views.GC(minLive)
 }
 
 // PageVersions sums the distinct page versions retained across all
@@ -440,13 +502,48 @@ func (s *Server) catalogAt(epoch int64) parser.Catalog {
 		if !ok {
 			return nil, false
 		}
-		snap := ss.v.SnapshotAt(epoch)
-		if snap == nil {
+		snap, ok := ss.at(epoch)
+		if !ok {
 			// Sequence created after this reader pinned: invisible.
 			return nil, false
 		}
 		return algebra.BaseWithStats(name, snap, ss.stats), true
 	})
+}
+
+// Catalog resolves sequence names to leaves at the current epoch, for
+// queries bound now and planned later: Session.Plan rebinds them to the
+// epoch each plan pins. Each lookup pins the epoch while it takes the
+// snapshot, so a concurrent write's GC cannot reclaim the version first.
+func (s *Server) Catalog() parser.Catalog {
+	return parser.CatalogFunc(func(name string) (*algebra.Node, bool) {
+		epoch := s.epochs.Pin()
+		defer s.epochs.Release(epoch)
+		return s.catalogAt(epoch).Resolve(name)
+	})
+}
+
+// rebindAt re-binds every base leaf of root to its sequence's snapshot
+// at epoch. A leaf whose sequence is not visible at epoch fails the
+// read, so a query bound before a drop never runs against what the
+// dropped sequence held.
+func (s *Server) rebindAt(epoch int64, root *algebra.Node) (*algebra.Node, error) {
+	at := s.sequenceAt(epoch)
+	missing := ""
+	root, err := matview.Rebind(root, func(name string) (seq.Sequence, bool) {
+		sq, ok := at(name)
+		if !ok {
+			missing = name
+		}
+		return sq, ok
+	})
+	if err != nil {
+		return nil, &Error{Code: wire.CodePlan, Err: err}
+	}
+	if missing != "" {
+		return nil, errf(wire.CodeNotFound, "unknown sequence %q", missing)
+	}
+	return root, nil
 }
 
 // baseNames collects the distinct base-sequence names a plan reads.
@@ -470,9 +567,9 @@ func baseNames(root *algebra.Node) []string {
 // ── sessions ────────────────────────────────────────────────────────
 
 // Session is one client's view of the server: private planner options
-// over the shared engine. Sessions are not safe for concurrent use; the
-// protocol is strictly request/response per connection, and in-process
-// callers open one Session per goroutine.
+// over the shared engine. Requests only read the options, so concurrent
+// requests may share a session; SetOption must not race them (the wire
+// protocol is strictly request/response per connection).
 type Session struct {
 	srv      *Server
 	opts     core.Options
@@ -483,8 +580,15 @@ type Session struct {
 // NewSession opens a session with the server's base options.
 func (s *Server) NewSession(client string) *Session {
 	opts := s.cfg.Options
+	opts.Views, opts.Calibration = nil, nil
+	return s.NewSessionWith(client, opts)
+}
+
+// NewSessionWith opens a session planning with opts. A registry or a
+// calibration opts names replaces the server's own.
+func (s *Server) NewSessionWith(client string, opts core.Options) *Session {
 	opts.Verify = opts.Verify || s.cfg.Verify
-	return &Session{srv: s, opts: opts, useViews: true, client: client}
+	return &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client}
 }
 
 // SetOption adjusts one session option. See docs/PROTOCOL.md for the
@@ -535,20 +639,43 @@ func parseOnOff(v string) (bool, error) {
 	}
 }
 
-// optimizeAt parses and optimizes against the epoch-pinned catalog and
-// view slice, then re-verifies the snapshot/* invariants on the result.
+// optimizeAt binds SEQL against the epoch-pinned catalog and plans it.
 func (sess *Session) optimizeAt(epoch int64, seql string, span seq.Span) (*core.Result, error) {
 	root, err := parser.Bind(seql, sess.srv.catalogAt(epoch))
 	if err != nil {
 		return nil, &Error{Code: wire.CodeParse, Err: err}
 	}
+	return sess.plan(epoch, root, span)
+}
+
+// Plan runs fn on the plan of a root bound earlier (Catalog), under one
+// pinned epoch: the root's leaves are rebound to the epoch's snapshots,
+// planned, and verified, and the epoch stays pinned while fn runs.
+func (sess *Session) Plan(root *algebra.Node, span seq.Span, fn func(*core.Result) error) error {
+	epoch := sess.srv.epochs.Pin()
+	defer sess.srv.epochs.Release(epoch)
+	root, err := sess.srv.rebindAt(epoch, root)
+	if err != nil {
+		return err
+	}
+	res, err := sess.plan(epoch, root, span)
+	if err != nil {
+		return err
+	}
+	return fn(res)
+}
+
+// plan is the one planning step of every read, with root's leaves
+// pinned at epoch: optimize with the session's options and the views
+// valid at the epoch, then re-verify the snapshot/* invariants.
+func (sess *Session) plan(epoch int64, root *algebra.Node, span seq.Span) (*core.Result, error) {
 	opts := sess.opts
 	if sess.useViews {
 		opts.Views = sess.srv.views.At(epoch)
-	} else {
-		opts.Views = nil
 	}
-	opts.Calibration = sess.srv.calib
+	if opts.Calibration == nil {
+		opts.Calibration = sess.srv.calib
+	}
 	res, err := core.Optimize(root, span, opts)
 	if err != nil {
 		return nil, &Error{Code: wire.CodePlan, Err: err}
@@ -607,13 +734,7 @@ func (sess *Session) Explain(seql string, span seq.Span) (string, int64, error) 
 	if err != nil {
 		return "", 0, err
 	}
-	mode := "stream-access (single scan, cache-finite)"
-	if !res.StreamAccess {
-		mode = "not stream-access (unbounded forward scope)"
-	}
-	text := fmt.Sprintf("plan @epoch %d (stream cost %.2f, per-probe cost %.2f, %s, cache budget %d records):\n%s\nannotated query (span/density propagation):\n%s",
-		epoch, res.Cost.Stream, res.Cost.ProbePer, mode, res.CacheBudget, res.Explain(), res.ExplainMeta())
-	return text, epoch, nil
+	return res.ExplainText(fmt.Sprintf("plan @epoch %d", epoch)), epoch, nil
 }
 
 // Analyze executes with per-operator instrumentation, feeds the shared

@@ -575,7 +575,7 @@ func TestServerGC(t *testing.T) {
 	if srv.PageVersions() == 0 {
 		t.Fatal("no page versions retained")
 	}
-	versions, _ := srv.GCOnce()
+	versions, _, _ := srv.GCOnce()
 	if versions != 10 {
 		t.Fatalf("GC dropped %d versions, want 10", versions)
 	}

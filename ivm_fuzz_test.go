@@ -9,7 +9,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/matview"
 	"repro/internal/planlint"
-	"repro/internal/seq"
 	"repro/internal/testgen"
 )
 
@@ -147,14 +146,6 @@ func runIVMSchedule(t *testing.T, rng *rand.Rand, seed int64, viewCount int, dis
 		}
 	}
 
-	lookup := func(name string) (seq.Sequence, bool) {
-		s, ok := db.seqs[name]
-		if !ok {
-			return nil, false
-		}
-		return s.store, true
-	}
-
 	// checkViews cross-checks standing queries against the reference
 	// interpreter over the current data.
 	checkViews := func(opIdx int, sample int) {
@@ -237,7 +228,7 @@ func runIVMSchedule(t *testing.T, rng *rand.Rand, seed int64, viewCount int, dis
 				st.noops++
 			}
 		}
-		if issues := planlint.VerifyMaintenance(db.views, lookup, reports); len(issues) != 0 {
+		if issues := db.srv.VerifyMaintenance(reports); len(issues) != 0 {
 			t.Fatalf("seed %d op %d: maintenance violates ivm/* invariants:\n%v",
 				seed, op, planlint.Error(issues))
 		}

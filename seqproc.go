@@ -20,21 +20,26 @@
 // block via a Selinger-style dynamic program (§4), and cache-strategy
 // selection for non-unit-scope operators (§3.5). Explain shows the
 // chosen physical plan.
+//
+// A DB runs on the same engine the seqd server serves (internal/server),
+// in-process: it is safe for concurrent use, every write publishes a new
+// epoch, and every run plans and reads against the snapshot of the epoch
+// it pins.
 package seqproc
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/grouping"
 	"repro/internal/matview"
-	"repro/internal/meta"
 	"repro/internal/parser"
 	"repro/internal/seq"
+	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
 )
@@ -117,105 +122,62 @@ var (
 	AllSpan     = seq.AllSpan
 )
 
-// DB is a catalog of base sequences plus optimizer configuration.
+// DB is a catalog of base sequences plus optimizer configuration: a
+// facade over one in-process server.Server, the same engine seqd
+// serves, with the DB's options as its planner session.
 //
-// A DB is not safe for concurrent mutation: CreateSequence, Drop,
-// Append, SetOptions and Reorganize must be externally synchronized.
-// Read-side operations (Query building, Run, Probe, Explain) may run
-// concurrently with each other; page-access counters are atomic.
+// A DB is safe for concurrent use. Every write (CreateSequence,
+// DropSequence, Append, Reorganize, Materialize, DropView) publishes a
+// new epoch under the engine's single writer lock; every read (Run,
+// Probe, Explain, RunAnalyze) pins the current epoch and plans against
+// its page snapshots, so it never observes a write half done. SetOptions
+// applies to the reads and materializations that start after it.
 type DB struct {
-	seqs  map[string]*dbSeq
-	opts  Options
-	views *matview.Registry
+	srv  *server.Server
+	sess atomic.Pointer[server.Session] // the DB's options (SetOptions)
 	// disk is the durable tier of an Open'd database (persist.go);
 	// nil for New'd in-memory databases.
 	disk *disk.DB
-	// noIVM disables incremental view maintenance: base writes
-	// invalidate views instead of stitching them (SetViewMaintenance).
-	noIVM bool
-	// maintReports accumulates maintenance decisions until
-	// TakeMaintenanceReports drains them.
-	maintReports []matview.MaintenanceReport
-}
-
-type dbSeq struct {
-	name string
-	// store is a snapshot of the latest version, re-forked after every
-	// mutation with the same counters so PageStats accumulates across
-	// versions.
-	store storage.Store
-	stats map[int]expr.ColStats
-	// Exactly one tier holds the versions: mem for New'd databases,
-	// dseq (the durable sequence) for Open'd ones.
-	mem  *storage.Versioned
-	dseq *disk.Seq
-}
-
-// refresh points store at the latest version after a mutation, keeping
-// the accumulated page counters.
-func (s *dbSeq) refresh() {
-	if s.dseq != nil {
-		s.store = s.dseq.Latest().Fork(s.store.Stats())
-		return
-	}
-	// Library queries resolve their leaves when they run, so nothing
-	// reads the superseded versions.
-	s.mem.GC(s.mem.LatestEpoch())
-	s.store = s.mem.Latest().Fork(s.store.Stats())
-}
-
-// node mints a fresh algebra leaf over the stored sequence. Every
-// mention of a sequence gets its own node so query graphs stay trees
-// (the paper's §2.2 restriction): the top-down span pass assigns each
-// occurrence its own access span, which would be wrong for a shared
-// node (e.g. compose(ibm, offset(ibm, 100)) needs different ranges of
-// ibm on the two paths).
-func (s *dbSeq) node() *algebra.Node {
-	return algebra.BaseWithStats(s.name, s.store, s.stats)
 }
 
 // New creates an empty database with default optimizer options.
 func New() *DB {
-	return &DB{seqs: make(map[string]*dbSeq), views: matview.New()}
+	db := &DB{srv: server.New(server.Config{Name: "seqproc"})}
+	db.SetOptions(Options{})
+	return db
 }
 
 // SetOptions replaces the optimizer options used by subsequent queries.
-func (db *DB) SetOptions(opts Options) { db.opts = opts }
+// Options.Views, when set, replaces the DB's own view registry.
+func (db *DB) SetOptions(opts Options) {
+	db.sess.Store(db.srv.NewSessionWith("seqproc", opts))
+}
+
+// libErr reports an engine error in the library's terms: the wire error
+// code is the server's business.
+func libErr(err error) error {
+	var se *server.Error
+	if errors.As(err, &se) {
+		return fmt.Errorf("seqproc: %w", se.Err)
+	}
+	return err
+}
+
+// wrote finishes a write: a memory-tier database holds no superseded
+// versions or invalidated views past the readers still pinning them. An
+// Open'd database reclaims its versions on GC.
+func (db *DB) wrote(err error) error {
+	if err == nil && db.disk == nil {
+		db.srv.GCOnce()
+	}
+	return libErr(err)
+}
 
 // CreateSequence registers a base sequence under the given name, packing
 // the materialized data into the chosen storage representation and
 // computing column statistics for the optimizer.
 func (db *DB) CreateSequence(name string, data *seq.Materialized, kind StorageKind) error {
-	if name == "" {
-		return fmt.Errorf("seqproc: empty sequence name")
-	}
-	if _, dup := db.seqs[name]; dup {
-		return fmt.Errorf("seqproc: sequence %q already exists", name)
-	}
-	if db.disk != nil {
-		if err := db.disk.CreateSequence(name, data, kind); err != nil {
-			return err
-		}
-		ds, _ := db.disk.Seq(name)
-		db.seqs[name] = &dbSeq{
-			name:  name,
-			store: ds.Latest().Fork(&storage.Stats{}),
-			stats: meta.StatsFromMaterialized(data),
-			dseq:  ds,
-		}
-		return nil
-	}
-	mem, err := storage.NewVersioned(data, kind, 0, 0)
-	if err != nil {
-		return err
-	}
-	db.seqs[name] = &dbSeq{
-		name:  name,
-		store: mem.Latest(),
-		stats: meta.StatsFromMaterialized(data),
-		mem:   mem,
-	}
-	return nil
+	return libErr(db.srv.CreateSequence(name, data, kind))
 }
 
 // MustCreateSequence is CreateSequence panicking on error, for examples
@@ -227,137 +189,64 @@ func (db *DB) MustCreateSequence(name string, data *seq.Materialized, kind Stora
 }
 
 // DropSequence removes a base sequence, invalidating every view whose
-// block reads it.
+// block reads it. Queries bound to it fail from then on.
 func (db *DB) DropSequence(name string) error {
-	s, ok := db.seqs[name]
-	if !ok {
-		return fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	if s.dseq != nil {
-		if err := db.disk.DropSequence(name); err != nil {
-			return err
-		}
-	}
-	delete(db.seqs, name)
-	db.views.InvalidateBase(name)
-	return nil
+	return db.wrote(db.srv.DropSequence(name))
 }
 
 // Sequences lists the registered sequence names, sorted.
-func (db *DB) Sequences() []string {
-	out := make([]string, 0, len(db.seqs))
-	for name := range db.seqs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (db *DB) Sequences() []string { return db.srv.Sequences() }
 
 // Describe returns the schema, span and density of a base sequence.
 func (db *DB) Describe(name string) (seq.Info, error) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return seq.Info{}, fmt.Errorf("seqproc: unknown sequence %q", name)
+	n, err := db.Base(name)
+	if err != nil {
+		return seq.Info{}, err
 	}
-	return s.store.Info(), nil
+	return n.Seq.Info(), nil
 }
 
 // Append adds a record beyond the end of a sparse base sequence (the
-// dynamic-arrival path of the §5.3 trigger-mode extension).
+// dynamic-arrival path of the §5.3 trigger-mode extension). Views over
+// the base are maintained incrementally: the delta halo of the appended
+// position is re-evaluated and stitched in; views not worth stitching
+// are shrunk or invalidated.
 func (db *DB) Append(name string, pos Pos, rec Record) error {
-	s, ok := db.seqs[name]
-	if !ok {
-		return fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	if s.dseq != nil {
-		// WAL-logged append: durable (or queued for group commit)
-		// before the new version publishes. The disk tier deletes
-		// persisted views reading this base eagerly; the in-memory
-		// registry maintains its generations incrementally.
-		if _, err := db.disk.Append(name, seq.Entry{Pos: pos, Rec: rec}); err != nil {
-			return err
-		}
-	} else if err := s.mem.Append(seq.Entry{Pos: pos, Rec: rec}, s.mem.LatestEpoch()+1); err != nil {
-		return err
-	}
-	s.refresh()
-	// Views over this base are maintained incrementally: the delta halo
-	// of the appended position is re-evaluated and stitched in; views
-	// not worth stitching are shrunk or invalidated.
-	db.maintainBase(name, seq.NewSpan(pos, pos))
-	return nil
-}
-
-// maintainBase runs incremental view maintenance after the named base
-// changed over delta. With maintenance disabled it falls back to the old
-// invalidate-everything behavior; a view whose maintenance fails is
-// invalidated by the planner (never left stale), so the append itself
-// cannot fail here.
-func (db *DB) maintainBase(name string, delta Span) {
-	if db.noIVM {
-		db.views.InvalidateBase(name)
-		return
-	}
-	reports, _ := core.MaintainViews(db.views, name, delta, 0, db.sequence, db.opts)
-	db.maintReports = append(db.maintReports, reports...)
-}
-
-// sequence resolves a base name to the latest version of its sequence.
-func (db *DB) sequence(name string) (seq.Sequence, bool) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return nil, false
-	}
-	return s.store, true
+	_, err := db.srv.Append(name, pos, rec)
+	return db.wrote(err)
 }
 
 // SetViewMaintenance toggles incremental view maintenance (default on).
 // When off, Append and Reorganize invalidate every view reading the
 // written base, as before.
-func (db *DB) SetViewMaintenance(on bool) { db.noIVM = !on }
+func (db *DB) SetViewMaintenance(on bool) { db.srv.SetViewMaintenance(on) }
 
 // TakeMaintenanceReports drains the accumulated per-view maintenance
 // decisions (delta halo, chosen action, stitch-vs-recompute costs) made
 // by Append and Reorganize since the last call.
 func (db *DB) TakeMaintenanceReports() []matview.MaintenanceReport {
-	out := db.maintReports
-	db.maintReports = nil
-	return out
+	return db.srv.TakeMaintenanceReports()
 }
 
 // Reorganize repacks a base sequence into a different physical
 // representation — the §5.3 suggestion that "it might be efficient to
 // first reorganize their physical representations before running the
 // query". Dense favors probing (O(1) page per probe); Sparse favors
-// scanning at low density and supports Append.
+// scanning at low density and supports Append. Reorganization preserves
+// logical content, so maintenance keeps every view.
 func (db *DB) Reorganize(name string, kind StorageKind) error {
-	s, ok := db.seqs[name]
-	if !ok {
-		return fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	if s.dseq != nil {
-		if _, err := db.disk.Reorganize(name, kind); err != nil {
-			return err
-		}
-	} else if err := s.mem.Reorganize(kind, s.mem.LatestEpoch()+1); err != nil {
-		return err
-	}
-	s.refresh()
-	// Reorganization preserves logical content: the delta is empty, so
-	// maintenance keeps every view (or invalidates them all when
-	// maintenance is off).
-	db.maintainBase(name, seq.EmptySpan)
-	return nil
+	_, err := db.srv.Reorganize(name, kind)
+	return db.wrote(err)
 }
 
 // PageStats returns the cumulative page-access counters of a base
 // sequence — the experiments' cost ground truth.
 func (db *DB) PageStats(name string) (storage.StatsSnapshot, error) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return storage.StatsSnapshot{}, fmt.Errorf("seqproc: unknown sequence %q", name)
+	st, err := db.srv.PageStats(name)
+	if err != nil {
+		return storage.StatsSnapshot{}, libErr(err)
 	}
-	return s.store.Stats().Snapshot(), nil
+	return st.Snapshot(), nil
 }
 
 // TakePageStats atomically snapshots and zeroes the page-access
@@ -366,29 +255,20 @@ func (db *DB) PageStats(name string) (storage.StatsSnapshot, error) {
 // touches that race the region boundary, so back-to-back regions
 // partition the counts exactly.
 func (db *DB) TakePageStats(name string) (storage.StatsSnapshot, error) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return storage.StatsSnapshot{}, fmt.Errorf("seqproc: unknown sequence %q", name)
+	st, err := db.srv.PageStats(name)
+	if err != nil {
+		return storage.StatsSnapshot{}, libErr(err)
 	}
-	return s.store.Stats().SnapshotAndReset(), nil
+	return st.SnapshotAndReset(), nil
 }
 
 // ResetPageStats zeroes the page-access counters of every sequence.
 func (db *DB) ResetPageStats() {
-	for _, s := range db.seqs {
-		s.store.Stats().Reset()
-	}
-}
-
-// catalog adapts the DB to the parser's catalog interface.
-func (db *DB) catalog() parser.Catalog {
-	return parser.CatalogFunc(func(name string) (*algebra.Node, bool) {
-		s, ok := db.seqs[name]
-		if !ok {
-			return nil, false
+	for _, name := range db.Sequences() {
+		if st, err := db.srv.PageStats(name); err == nil {
+			st.Reset()
 		}
-		return s.node(), true
-	})
+	}
 }
 
 // Materialize evaluates a SEQL query over a bounded span and registers
@@ -399,72 +279,46 @@ func (db *DB) catalog() parser.Catalog {
 // the view reads re-evaluates only the delta halo and stitches it into
 // the stored data (or shrinks/invalidates the view when stitching is not
 // worth it — see SetViewMaintenance); Reorganize preserves content and
-// leaves views intact; DropSequence invalidates them.
+// leaves views intact; DropSequence invalidates them. A write to a base
+// the view reads while it is computed fails the call; retry it.
 func (db *DB) Materialize(name, seql string, span Span) (ViewCounters, error) {
-	if !span.Bounded() {
-		return ViewCounters{}, fmt.Errorf("seqproc: materialize %q needs a bounded span, got %s", name, span)
+	if _, _, err := db.sess.Load().Materialize(name, seql, span); err != nil {
+		return ViewCounters{}, libErr(err)
 	}
-	q, err := db.Query(seql)
-	if err != nil {
-		return ViewCounters{}, err
+	for _, v := range db.ListViews() {
+		if v.Name == name {
+			return v, nil
+		}
 	}
-	res, err := q.optimize(span)
-	if err != nil {
-		return ViewCounters{}, err
-	}
-	out, err := res.Run()
-	if err != nil {
-		return ViewCounters{}, err
-	}
-	v, err := db.views.Register(name, res.Rewritten, out, res.RunSpan)
-	if err != nil {
-		return ViewCounters{}, err
-	}
-	if err := db.persistView(name, seql, res, out); err != nil {
-		return ViewCounters{}, err
-	}
-	return v.Counters(), nil
+	return ViewCounters{Name: name}, nil
 }
 
-// ListViews returns the usage counters of every registered view, sorted
-// by name.
+// ListViews returns the usage counters of every live view, sorted by
+// name.
 func (db *DB) ListViews() []ViewCounters {
-	views := db.views.Views()
-	out := make([]ViewCounters, 0, len(views))
-	for _, v := range views {
-		out = append(out, v.Counters())
+	var out []ViewCounters
+	for _, v := range db.srv.ViewCounters() {
+		if v.InvalidFrom == 0 {
+			out = append(out, v)
+		}
 	}
 	return out
 }
 
 // DropView removes a materialized view (and its persisted copy, for
 // durable databases).
-func (db *DB) DropView(name string) error {
-	if !db.views.Drop(name) {
-		return fmt.Errorf("seqproc: unknown view %q", name)
-	}
-	if db.disk != nil {
-		// The persisted copy may already be gone: base writes delete
-		// persisted views eagerly.
-		for _, v := range db.disk.Views() {
-			if v.Name == name {
-				return db.disk.DropViewAt(name, db.disk.Epoch())
-			}
-		}
-	}
-	return nil
-}
+func (db *DB) DropView(name string) error { return libErr(db.srv.DropView(name)) }
 
 // Query parses a SEQL query against the catalog. The query is not yet
 // optimized; optimization happens per Run/Probe/ExplainSpan, because the
 // chosen plan depends on the requested range and on the data present
 // when it runs.
 func (db *DB) Query(seql string) (*Query, error) {
-	root, err := parser.Bind(seql, db.catalog())
+	root, err := parser.Bind(seql, db.srv.Catalog())
 	if err != nil {
 		return nil, err
 	}
-	return &Query{db: db, root: root, src: seql}, nil
+	return &Query{db: db, root: root}, nil
 }
 
 // QueryNode wraps an already built algebra graph as a query. It is the
@@ -478,18 +332,17 @@ func (db *DB) QueryNode(root *algebra.Node) *Query {
 // programmatic graph construction. Each call returns a new node: use a
 // separate leaf per occurrence so the query graph remains a tree.
 func (db *DB) Base(name string) (*algebra.Node, error) {
-	s, ok := db.seqs[name]
+	n, ok := db.srv.Catalog().Resolve(name)
 	if !ok {
 		return nil, fmt.Errorf("seqproc: unknown sequence %q", name)
 	}
-	return s.node(), nil
+	return n, nil
 }
 
 // Query is a parsed, bound query.
 type Query struct {
 	db   *DB
 	root *algebra.Node
-	src  string
 }
 
 // Node returns the query's logical algebra graph.
@@ -498,61 +351,51 @@ func (q *Query) Node() *algebra.Node { return q.root }
 // String renders the logical operator tree.
 func (q *Query) String() string { return q.root.String() }
 
-// optimize runs the §4 pipeline for the given range, matching the
-// query's blocks against the DB's materialized views (§3.4–3.5 of
+// plan runs fn on the §4 pipeline's plan for the given range, matching
+// the query's blocks against the DB's materialized views (§3.4–3.5 of
 // DESIGN.md) unless the options name a registry of their own. Base
-// leaves are resolved here, not when the query was built: every write
-// publishes a new version, and a query (or Monitor) bound before it must
-// see it. Leaves of sequences dropped since run against what they held.
-func (q *Query) optimize(span Span) (*core.Result, error) {
-	opts := q.db.opts
-	if opts.Views == nil {
-		opts.Views = q.db.views
-	}
-	root, err := matview.Rebind(q.root, q.db.sequence)
-	if err != nil {
-		return nil, err
-	}
-	return core.Optimize(root, span, opts)
+// leaves are resolved per plan, not when the query was built: every
+// write publishes a new version, and a query (or Monitor) bound before
+// it must see it. A query over a sequence dropped since fails.
+func (q *Query) plan(span Span, fn func(*core.Result) error) error {
+	return libErr(q.db.sess.Load().Plan(q.root, span, fn))
 }
 
 // Run optimizes and evaluates the query over the requested range in
 // stream mode, returning the materialized result.
 func (q *Query) Run(span Span) (*ResultSet, error) {
-	res, err := q.optimize(span)
+	var rs *ResultSet
+	err := q.plan(span, func(res *core.Result) error {
+		m, err := res.Run()
+		rs = &ResultSet{mat: m, opt: res}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	m, err := res.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{mat: m, opt: res}, nil
+	return rs, nil
 }
 
 // Probe optimizes for probed access and evaluates the query at the given
 // positions.
 func (q *Query) Probe(span Span, positions []Pos) ([]Entry, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return nil, err
-	}
-	return res.Probe(positions)
+	var out []Entry
+	err := q.plan(span, func(res *core.Result) (err error) {
+		out, err = res.Probe(positions)
+		return err
+	})
+	return out, err
 }
 
 // Explain returns the physical plan chosen for the given range, with
 // estimated cost and optimizer statistics.
 func (q *Query) Explain(span Span) (string, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return "", err
-	}
-	mode := "stream-access (single scan, cache-finite)"
-	if !res.StreamAccess {
-		mode = "not stream-access (unbounded forward scope)"
-	}
-	return fmt.Sprintf("plan (stream cost %.2f, per-probe cost %.2f, %s, cache budget %d records):\n%s\nannotated query (span/density propagation):\n%s",
-		res.Cost.Stream, res.Cost.ProbePer, mode, res.CacheBudget, res.Explain(), res.ExplainMeta()), nil
+	var text string
+	err := q.plan(span, func(res *core.Result) error {
+		text = res.ExplainText("plan")
+		return nil
+	})
+	return text, err
 }
 
 // RunAnalyze optimizes and evaluates the query over the requested range
@@ -561,11 +404,12 @@ func (q *Query) Explain(span Span) (string, error) {
 // result as Run (same plan, fresh operator caches); the metrics add
 // per-record overhead, so use Run for timing-sensitive evaluation.
 func (q *Query) RunAnalyze(span Span) (*Analysis, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return nil, err
-	}
-	return res.RunAnalyze()
+	var a *Analysis
+	err := q.plan(span, func(res *core.Result) (err error) {
+		a, err = res.RunAnalyze()
+		return err
+	})
+	return a, err
 }
 
 // ExplainAnalyze runs the query over the given range with per-operator
@@ -584,21 +428,22 @@ func (q *Query) ExplainAnalyze(span Span) (string, error) {
 // estimates: the total stream-evaluation cost and the per-probe cost,
 // in sequential-page-read units.
 func (q *Query) EstimatedCost(span Span) (stream, probePer float64, err error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Cost.Stream, res.Cost.ProbePer, nil
+	err = q.plan(span, func(res *core.Result) error {
+		stream, probePer = res.Cost.Stream, res.Cost.ProbePer
+		return nil
+	})
+	return stream, probePer, err
 }
 
 // Stats optimizes the query for the range and returns the optimizer
 // counters (rules fired, blocks, DP plans evaluated/stored).
 func (q *Query) Stats(span Span) (OptStats, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return OptStats{}, err
-	}
-	return res.Stats, nil
+	var st OptStats
+	err := q.plan(span, func(res *core.Result) error {
+		st = res.Stats
+		return nil
+	})
+	return st, err
 }
 
 // ResultSet is a materialized query result.
