@@ -62,7 +62,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("seqd", flag.ExitOnError)
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:7744", "TCP address to serve the wire protocol on")
 	fs.StringVar(&o.name, "name", "seqd", "server name announced in the HelloAck handshake")
-	fs.IntVar(&o.workers, "workers", 0, "worker-pool size bounding concurrently executing queries; 0 = GOMAXPROCS")
+	fs.IntVar(&o.workers, "workers", 0, "worker-pool size bounding concurrent reads (plan and run); 0 = GOMAXPROCS")
 	fs.DurationVar(&o.gcInterval, "gc-interval", 5*time.Second, "period of the epoch garbage collector reclaiming page versions and invalidated views no pinned reader can see; 0 disables")
 	fs.IntVar(&o.maxFrame, "max-frame", wire.DefaultMaxFrame, "maximum accepted wire frame size in bytes")
 	fs.BoolVar(&o.verify, "verify", false, "run the planlint invariant verifier on every optimized plan (snapshot/* invariants are always checked)")

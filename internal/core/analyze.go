@@ -75,7 +75,7 @@ type Analysis struct {
 // With Options.Reopt enabled the run is monitored, Reopt carries the
 // report and Root is the metrics tree of the last segment.
 func (r *Result) RunAnalyze() (*Analysis, error) {
-	a, err := r.run(r.opts.Reopt)
+	a, err := r.RunMetered()
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,12 @@ func (r *Result) RunAnalyze() (*Analysis, error) {
 	return a, nil
 }
 
-// run is the one run path behind Run, RunAnalyze and RunReoptWith.
+// RunMetered is RunAnalyze without the view counters: the output, the
+// run's metrics and its wall-clock time.
+func (r *Result) RunMetered() (*Analysis, error) { return r.run(r.opts.Reopt) }
+
+// run is the one run path behind Run, RunMetered, RunAnalyze and
+// RunReoptWith.
 // Options.Batch picks the data plane; cfg.Enabled monitors the run for
 // mid-run splices; otherwise parallel.Run evaluates the plan under its
 // partition decision. Either way every leaf counts its pages into a

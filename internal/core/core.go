@@ -175,7 +175,7 @@ type Result struct {
 // metrics. With Options.Reopt enabled the run is monitored and may
 // splice in a replanned tail.
 func (r *Result) Run() (*seq.Materialized, error) {
-	a, err := r.run(r.opts.Reopt)
+	a, err := r.RunMetered()
 	if err != nil {
 		return nil, err
 	}

@@ -256,133 +256,94 @@ func (c *conn) handshake() bool {
 	return c.flush() == nil
 }
 
-// serve dispatches one request and writes its full response turn. It
-// returns an error only for connection-level failures; request failures
-// are reported in-band and keep the connection alive.
+// serve answers one request: reply computes the response frames, then
+// one loop sends them and ends the turn. The engine has released its
+// worker slot and epoch pin by the time reply returns, so no socket
+// write holds either. serve returns an error only for connection-level
+// failures; request failures are reported in-band and keep the
+// connection alive.
 func (c *conn) serve(m wire.Message) error {
+	msgs, err := c.reply(m)
+	if err != nil {
+		return c.fail(err)
+	}
+	for _, out := range msgs {
+		if err := c.send(out); err != nil {
+			return err
+		}
+	}
+	return c.ready()
+}
+
+// one is a single-frame reply; serve drops it when err is set.
+func one(m wire.Message, err error) ([]wire.Message, error) { return []wire.Message{m}, err }
+
+// reply dispatches one request to the engine and returns its response
+// frames, Ready excluded.
+func (c *conn) reply(m wire.Message) ([]wire.Message, error) {
 	switch req := m.(type) {
 	case *wire.Query:
 		res, err := c.sess.Query(req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)))
 		if err != nil {
-			return c.fail(err)
+			return nil, err
 		}
-		if err := c.send(&wire.ResultHeader{Fields: res.Fields, Epoch: res.Epoch}); err != nil {
-			return err
-		}
+		out := []wire.Message{&wire.ResultHeader{Fields: res.Fields, Epoch: res.Epoch}}
 		// Batches are bounded by encoded size as well as row count so a
 		// string-heavy result cannot produce a frame the client's
 		// MaxFrame check rejects.
 		for _, batch := range wire.SplitRows(res.Entries) {
-			if err := c.send(&wire.ResultRows{Entries: batch}); err != nil {
-				return err
-			}
+			out = append(out, &wire.ResultRows{Entries: batch})
 		}
-		done := &wire.ResultDone{
+		return append(out, &wire.ResultDone{
 			Rows:      uint64(len(res.Entries)),
 			Epoch:     res.Epoch,
 			ElapsedNs: uint64(res.Elapsed.Nanoseconds()),
 			QueueNs:   uint64(res.Queue.Nanoseconds()),
-		}
-		if err := c.send(done); err != nil {
-			return err
-		}
-		return c.ready()
+		}), nil
 
 	case *wire.Explain:
 		text, _, err := c.sess.Explain(req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)))
-		if err != nil {
-			return c.fail(err)
-		}
-		if err := c.send(&wire.PlanText{Text: text}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.PlanText{Text: text}, err)
 
 	case *wire.Analyze:
 		text, _, err := c.sess.Analyze(req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)))
-		if err != nil {
-			return c.fail(err)
-		}
-		if err := c.send(&wire.PlanText{Text: text}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.PlanText{Text: text}, err)
 
 	case *wire.Materialize:
 		epoch, queue, err := c.sess.Materialize(req.Name, req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)))
-		if err != nil {
-			return c.fail(err)
-		}
 		note := fmt.Sprintf("materialized %q over snapshot epoch %d (queue-wait %s)",
 			req.Name, epoch, queue.Round(time.Microsecond))
-		if err := c.send(&wire.Ack{Text: note, Epoch: epoch}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.Ack{Text: note, Epoch: epoch}, err)
 
 	case *wire.Append:
 		epoch, err := c.srv.Append(req.Seq, seq.Pos(req.Pos), req.Rec)
-		if err != nil {
-			return c.fail(err)
-		}
 		note := fmt.Sprintf("appended to %q at position %d", req.Seq, req.Pos)
-		if err := c.send(&wire.Ack{Text: note, Epoch: epoch}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.Ack{Text: note, Epoch: epoch}, err)
 
 	case *wire.SetOption:
 		note, err := c.sess.SetOption(req.Name, req.Value)
-		if err != nil {
-			return c.fail(err)
-		}
-		if err := c.send(&wire.Ack{Text: note, Epoch: c.srv.epochs.Current()}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.Ack{Text: note, Epoch: c.srv.epochs.Current()}, err)
 
 	case *wire.ListSeqs:
-		if err := c.send(&wire.SeqList{Names: c.srv.Sequences()}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.SeqList{Names: c.srv.Sequences()}, nil)
 
 	case *wire.Describe:
 		info, err := c.sess.Describe(req.Name)
-		if err != nil {
-			return c.fail(err)
-		}
-		if err := c.send(info); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(info, err)
 
 	case *wire.DropView:
-		if err := c.srv.DropView(req.Name); err != nil {
-			return c.fail(err)
-		}
-		if err := c.send(&wire.Ack{Text: fmt.Sprintf("dropped view %q", req.Name), Epoch: c.srv.epochs.Current()}); err != nil {
-			return err
-		}
-		return c.ready()
+		err := c.srv.DropView(req.Name)
+		return one(&wire.Ack{Text: fmt.Sprintf("dropped view %q", req.Name), Epoch: c.srv.epochs.Current()}, err)
 
 	case *wire.Subscribe:
 		// SubAck and the initial content deltas are framed inside
 		// subscribe, atomically with the registration; only the turn
-		// marker is left to us.
-		if err := c.srv.subscribe(c, req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End))); err != nil {
-			return c.fail(err)
-		}
-		return c.ready()
+		// marker is left to serve.
+		return nil, c.srv.subscribe(c, req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)))
 
 	case *wire.Unsubscribe:
-		if err := c.srv.unsubscribe(c, req.SubID); err != nil {
-			return c.fail(err)
-		}
-		if err := c.send(&wire.Ack{Text: fmt.Sprintf("unsubscribed %d", req.SubID), Epoch: c.srv.epochs.Current()}); err != nil {
-			return err
-		}
-		return c.ready()
+		err := c.srv.unsubscribe(c, req.SubID)
+		return one(&wire.Ack{Text: fmt.Sprintf("unsubscribed %d", req.SubID), Epoch: c.srv.epochs.Current()}, err)
 
 	case *wire.ListViews:
 		counters := c.srv.ViewCounters()
@@ -400,12 +361,9 @@ func (c *conn) serve(m wire.Message) error {
 				InvalidFrom: v.InvalidFrom,
 			}
 		}
-		if err := c.send(&wire.ViewList{Views: views}); err != nil {
-			return err
-		}
-		return c.ready()
+		return one(&wire.ViewList{Views: views}, nil)
 
 	default:
-		return c.fail(errf(wire.CodeProtocol, "unexpected %s in request position", wire.TypeName(m.Type())))
+		return nil, errf(wire.CodeProtocol, "unexpected %s in request position", wire.TypeName(m.Type()))
 	}
 }

@@ -15,10 +15,10 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/meta"
-	"repro/internal/parser"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
@@ -47,12 +47,27 @@ type versionedSeq interface {
 // once, after New and before the server accepts writes or sessions: the
 // recovered sequences are registered with freshly computed column
 // statistics, the epoch tracker is advanced to the database's recovered
-// epoch, and persisted materialized views are re-planned and registered
-// at their saved epochs (a persisted view is guaranteed consistent —
-// any base write after its registration would have deleted it from the
-// catalog). The server does not close the database; the owner closes it
+// epoch, and persisted materialized views are re-planned at that epoch
+// and registered valid from their saved epochs (a persisted view is
+// guaranteed consistent — any base write after its registration would
+// have deleted it from the catalog, and a reorganize keeps content). The server does not close the database; the owner closes it
 // after Server.Close returns.
 func (s *Server) AttachDisk(db *disk.DB) error {
+	if err := s.attachSeqs(db); err != nil {
+		return err
+	}
+	for _, v := range db.Views() {
+		if err := s.reattachView(v); err != nil {
+			return fmt.Errorf("server: reattach view %q: %w", v.Name, err)
+		}
+	}
+	return nil
+}
+
+// attachSeqs is AttachDisk's write under wmu: seed the epoch tracker and
+// register the recovered sequences. The views are reattached after it,
+// each through the read path, which takes its worker slot before wmu.
+func (s *Server) attachSeqs(db *disk.DB) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.disk != nil {
@@ -84,11 +99,6 @@ func (s *Server) AttachDisk(db *disk.DB) error {
 		s.mu.Unlock()
 	}
 	s.disk = db
-	for _, v := range db.Views() {
-		if err := s.reattachView(v); err != nil {
-			return fmt.Errorf("server: reattach view %q: %w", v.Name, err)
-		}
-	}
 	return nil
 }
 
@@ -102,28 +112,26 @@ func materializeSnapshot(ds *disk.Seq) (*seq.Materialized, error) {
 	return seq.NewMaterialized(ds.Schema(), entries)
 }
 
-// reattachView re-plans a persisted view's SEQL at its saved epoch and
-// registers the stored entries in the matview registry, valid from that
-// epoch — the same canonical block readers match against, without
-// recomputing the view's content.
+// reattachView re-plans a persisted view's SEQL through the read path,
+// without view substitution, and registers the stored entries in the
+// matview registry, valid from the view's saved epoch — the same
+// canonical block readers match against, without recomputing the view's
+// content. It binds at the recovered epoch, not the saved one: a
+// reorganize since the save keeps the view, but recovery keeps only the
+// reorganized version, so the saved epoch may have no snapshot left.
 func (s *Server) reattachView(v *disk.View) error {
-	root, err := parser.Bind(v.SEQL, s.catalogAt(v.Epoch))
-	if err != nil {
+	sess := s.NewSession("attach")
+	sess.useViews = false
+	return sess.read(v.SEQL, nil, v.Span, func(res *core.Result, _ int64, _ time.Duration) error {
+		data, err := seq.NewMaterialized(res.Rewritten.Schema, v.Entries)
+		if err != nil {
+			return err
+		}
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
+		_, err = s.views.RegisterAt(v.Name, res.Rewritten, data, v.Span, v.Epoch)
 		return err
-	}
-	opts := s.cfg.Options
-	opts.Views = nil
-	opts.Calibration = s.calib
-	res, err := core.Optimize(root, v.Span, opts)
-	if err != nil {
-		return err
-	}
-	data, err := seq.NewMaterialized(res.Rewritten.Schema, v.Entries)
-	if err != nil {
-		return err
-	}
-	_, err = s.views.RegisterAt(v.Name, res.Rewritten, data, v.Span, v.Epoch)
-	return err
+	})
 }
 
 // persistView writes a freshly materialized view through the attached

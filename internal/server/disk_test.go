@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/parser"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
@@ -156,8 +158,11 @@ func TestDiskServerSnapshotIsolationAcrossTier(t *testing.T) {
 	if _, err := srv.Append("s", 11, seq.Record{seq.Int(11)}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.NewSession("t")
-	res, err := sess.optimizeAt(epoch, "s", seq.NewSpan(1, 20))
+	root, err := parser.Bind("s", srv.catalogAt(epoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Optimize(root, seq.NewSpan(1, 20), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +174,7 @@ func TestDiskServerSnapshotIsolationAcrossTier(t *testing.T) {
 		t.Fatalf("pinned reader sees %d records, want 10", out.Count())
 	}
 	srv.epochs.Release(epoch)
-	qr, err := sess.Query("s", seq.NewSpan(1, 20))
+	qr, err := srv.NewSession("t").Query("s", seq.NewSpan(1, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +183,42 @@ func TestDiskServerSnapshotIsolationAcrossTier(t *testing.T) {
 	}
 	if n, _, _ := srv.GCOnce(); n < 0 {
 		t.Fatal("GCOnce failed")
+	}
+}
+
+// TestDiskServerReattachAfterReorganize: a reorganize keeps persisted
+// views (it preserves content), and after a reopen the recovered tier
+// holds only the reorganized version. Reattach binds the view at the
+// recovered epoch, so the view comes back and answers queries.
+func TestDiskServerReattachAfterReorganize(t *testing.T) {
+	dir := t.TempDir()
+	srv, db := diskServer(t, dir, Config{})
+	if err := srv.CreateSequence("s", testData(t, 40), storage.KindSparse); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.NewSession("t").Materialize("hi", "select(s, v > 30)", seq.NewSpan(1, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Reorganize("s", storage.KindDense); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, db = diskServer(t, dir, Config{})
+	defer db.Close()
+	defer srv.Close()
+	res, err := srv.NewSession("t").Query("select(s, v > 30)", seq.NewSpan(1, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Entries) != 10 {
+		t.Fatalf("query after reopen: %d entries, want 10", len(res.Entries))
+	}
+	views := srv.ViewCounters()
+	if len(views) != 1 || views[0].Name != "hi" || views[0].Hits != 1 {
+		t.Fatalf("views after reopen = %+v, want hi answering the query", views)
 	}
 }
 

@@ -19,11 +19,11 @@
 //     current+1 and only then advances the tracker, so a pinned epoch
 //     always denotes fully-published state.
 //
-// Execution is multiplexed onto a bounded worker pool; requests queue
-// when the pool is saturated, and the time spent queuing is reported per
-// query (wire.ResultDone.QueueNs) so operators can size the pool (see
-// docs/OPERATIONS.md). The wire layer lives in conn.go; this file is the
-// engine, directly usable in-process (the seqproc library and the
+// A read binds, plans, verifies and runs (Explain too) holding one slot
+// of a bounded worker pool, taken before it pins: a queued request pins
+// nothing, and its wait is reported (wire.ResultDone.QueueNs) to size the
+// pool (docs/OPERATIONS.md). The wire layer lives in conn.go; this file
+// is the engine, directly usable in-process (the seqproc library and the
 // concurrency fuzz tests drive it without sockets).
 package server
 
@@ -55,9 +55,9 @@ import (
 type Config struct {
 	// Name identifies the server in HelloAck (default "seqd").
 	Name string
-	// Workers bounds the number of concurrently executing requests;
-	// 0 selects runtime.GOMAXPROCS(0). Planning and result encoding do
-	// not occupy a worker slot — only execution does.
+	// Workers bounds the reads in flight; 0 selects GOMAXPROCS. A read
+	// holds its slot to bind, plan, verify and run (Explain included);
+	// result encoding and writes do not occupy one.
 	Workers int
 	// MaxFrame bounds incoming frames; 0 selects wire.DefaultMaxFrame.
 	MaxFrame int
@@ -639,54 +639,64 @@ func parseOnOff(v string) (bool, error) {
 	}
 }
 
-// optimizeAt binds SEQL against the epoch-pinned catalog and plans it.
-func (sess *Session) optimizeAt(epoch int64, seql string, span seq.Span) (*core.Result, error) {
-	root, err := parser.Bind(seql, sess.srv.catalogAt(epoch))
-	if err != nil {
-		return nil, &Error{Code: wire.CodeParse, Err: err}
-	}
-	return sess.plan(epoch, root, span)
-}
-
-// Plan runs fn on the plan of a root bound earlier (Catalog), under one
-// pinned epoch: the root's leaves are rebound to the epoch's snapshots,
-// planned, and verified, and the epoch stays pinned while fn runs.
-func (sess *Session) Plan(root *algebra.Node, span seq.Span, fn func(*core.Result) error) error {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	root, err := sess.srv.rebindAt(epoch, root)
-	if err != nil {
+// read is the one path of every read: take a worker slot, pin the
+// epoch, bind (SEQL against the epoch's catalog, or a root bound earlier
+// rebound to the epoch's snapshots), optimize with the session's options
+// and the views valid at the epoch, re-verify the snapshot/* invariants,
+// and run tail on the plan. A queued request holds no pin. The slot and
+// the pin are released when read returns, before any response is
+// written; queue is the time spent waiting for the slot.
+func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail func(res *core.Result, epoch int64, queue time.Duration) error) error {
+	srv := sess.srv
+	queue := srv.acquire()
+	defer srv.release()
+	epoch := srv.epochs.Pin()
+	defer srv.epochs.Release(epoch)
+	var err error
+	if root == nil {
+		if root, err = parser.Bind(seql, srv.catalogAt(epoch)); err != nil {
+			return &Error{Code: wire.CodeParse, Err: err}
+		}
+	} else if root, err = srv.rebindAt(epoch, root); err != nil {
 		return err
 	}
-	res, err := sess.plan(epoch, root, span)
-	if err != nil {
-		return err
-	}
-	return fn(res)
-}
-
-// plan is the one planning step of every read, with root's leaves
-// pinned at epoch: optimize with the session's options and the views
-// valid at the epoch, then re-verify the snapshot/* invariants.
-func (sess *Session) plan(epoch int64, root *algebra.Node, span seq.Span) (*core.Result, error) {
 	opts := sess.opts
 	if sess.useViews {
-		opts.Views = sess.srv.views.At(epoch)
+		opts.Views = srv.views.At(epoch)
 	}
 	if opts.Calibration == nil {
-		opts.Calibration = sess.srv.calib
+		opts.Calibration = srv.calib
 	}
 	res, err := core.Optimize(root, span, opts)
 	if err != nil {
-		return nil, &Error{Code: wire.CodePlan, Err: err}
+		return &Error{Code: wire.CodePlan, Err: err}
 	}
 	// Independent re-derivation of the isolation invariants: every leaf
 	// is a snapshot pinned at exactly this reader's epoch, and every
 	// substituted view is valid at it.
 	if issues := planlint.VerifySnapshot(res.Rewritten, res.Substitutions, epoch); len(issues) > 0 {
-		return nil, errf(wire.CodeInternal, "snapshot invariant violated: %s", issues[0])
+		return errf(wire.CodeInternal, "snapshot invariant violated: %s", issues[0])
 	}
-	return res, nil
+	return tail(res, epoch, queue)
+}
+
+// Plan runs fn on the plan of a root bound earlier (Catalog), under one
+// pinned epoch: the root's leaves are rebound to the epoch's snapshots,
+// planned, and verified. fn runs holding the epoch pin and a worker
+// slot, so it must not start another read on the same server.
+func (sess *Session) Plan(root *algebra.Node, span seq.Span, fn func(*core.Result) error) error {
+	return sess.read("", root, span, func(res *core.Result, _ int64, _ time.Duration) error { return fn(res) })
+}
+
+// run executes a read's plan through runFn (RunMetered, or RunAnalyze
+// for the view counters too) and counts the query.
+func (s *Server) run(runFn func() (*core.Analysis, error)) (*core.Analysis, error) {
+	a, err := runFn()
+	if err != nil {
+		return nil, &Error{Code: wire.CodeExec, Err: err}
+	}
+	s.nQueries.Add(1)
+	return a, nil
 }
 
 // QueryResult is a completed query: the materialized output plus the
@@ -702,60 +712,44 @@ type QueryResult struct {
 // Query plans and runs a SEQL query over the span against a snapshot
 // pinned for the duration of the call.
 func (sess *Session) Query(seql string, span seq.Span) (*QueryResult, error) {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
-	if err != nil {
-		return nil, err
-	}
-	queue := sess.srv.acquire()
-	start := time.Now()
-	out, err := res.Run()
-	elapsed := time.Since(start)
-	sess.srv.release()
-	if err != nil {
-		return nil, &Error{Code: wire.CodeExec, Err: err}
-	}
-	sess.srv.nQueries.Add(1)
-	return &QueryResult{
-		Fields:  out.Info().Schema.Fields(),
-		Entries: out.Entries(),
-		Epoch:   epoch,
-		Elapsed: elapsed,
-		Queue:   queue,
-	}, nil
+	var qr *QueryResult
+	err := sess.read(seql, nil, span, func(res *core.Result, epoch int64, queue time.Duration) error {
+		a, err := sess.srv.run(res.RunMetered)
+		if err == nil {
+			qr = &QueryResult{Fields: a.Output.Info().Schema.Fields(), Entries: a.Output.Entries(),
+				Epoch: epoch, Elapsed: a.Elapsed, Queue: queue}
+		}
+		return err
+	})
+	return qr, err
 }
 
 // Explain returns the rendered plan for the span without executing.
 func (sess *Session) Explain(seql string, span seq.Span) (string, int64, error) {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
-	if err != nil {
-		return "", 0, err
-	}
-	return res.ExplainText(fmt.Sprintf("plan @epoch %d", epoch)), epoch, nil
+	var text string
+	var epoch int64
+	err := sess.read(seql, nil, span, func(res *core.Result, e int64, _ time.Duration) error {
+		text, epoch = res.ExplainText(fmt.Sprintf("plan @epoch %d", e)), e
+		return nil
+	})
+	return text, epoch, err
 }
 
 // Analyze executes with per-operator instrumentation, feeds the shared
 // cost-model calibration, and appends the server counter block (see
 // docs/OPERATIONS.md, "Server counters").
 func (sess *Session) Analyze(seql string, span seq.Span) (string, int64, error) {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
-	if err != nil {
-		return "", 0, err
-	}
-	queue := sess.srv.acquire()
-	a, err := res.RunAnalyze()
-	sess.srv.release()
-	if err != nil {
-		return "", 0, &Error{Code: wire.CodeExec, Err: err}
-	}
-	sess.srv.nQueries.Add(1)
-	sess.srv.calib.Observe(a.Root)
-	return a.Render() + "\n" + sess.srv.counterBlock(epoch, queue), epoch, nil
+	var text string
+	var epoch int64
+	err := sess.read(seql, nil, span, func(res *core.Result, e int64, queue time.Duration) error {
+		a, err := sess.srv.run(res.RunAnalyze)
+		if err == nil {
+			sess.srv.calib.Observe(a.Root)
+			text, epoch = a.Render()+"\n"+sess.srv.counterBlock(e, queue), e
+		}
+		return err
+	})
+	return text, epoch, err
 }
 
 // counterBlock renders the server-side counters appended to every
@@ -792,45 +786,45 @@ func (sess *Session) Materialize(name, seql string, span seq.Span) (int64, time.
 		return 0, 0, errf(wire.CodeMaterialize, "materialize %q needs a bounded span, got %s", name, span)
 	}
 	srv := sess.srv
-	epoch := srv.epochs.Pin()
-	defer srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
-	if err != nil {
-		if se, ok := err.(*Error); ok && se.Code == wire.CodePlan {
-			return 0, 0, &Error{Code: wire.CodeMaterialize, Err: se.Err}
+	var epoch int64
+	var queue time.Duration
+	err := sess.read(seql, nil, span, func(res *core.Result, at int64, q time.Duration) error {
+		queue = q
+		out, err := res.Run()
+		if err != nil {
+			return &Error{Code: wire.CodeExec, Err: err}
 		}
-		return 0, 0, err
-	}
-	queue := srv.acquire()
-	out, err := res.Run()
-	srv.release()
-	if err != nil {
-		return 0, queue, &Error{Code: wire.CodeExec, Err: err}
-	}
-	// Registration is a write: serialize with appenders and check that
-	// the snapshot the view was computed from is still current for every
-	// base it reads.
-	srv.wmu.Lock()
-	defer srv.wmu.Unlock()
-	for _, base := range baseNames(res.Rewritten) {
-		ss, e := srv.lookup(base)
-		if e != nil {
-			return 0, queue, e
+		// Registration is a write: serialize with appenders and check that
+		// the snapshot the view was computed from is still current for
+		// every base it reads.
+		srv.wmu.Lock()
+		defer srv.wmu.Unlock()
+		bases := baseNames(res.Rewritten)
+		for _, base := range bases {
+			ss, e := srv.lookup(base)
+			if e != nil {
+				return e
+			}
+			if ss.v.LatestEpoch() > at {
+				srv.nConflict.Add(1)
+				return errf(wire.CodeConflict,
+					"base %q advanced to epoch %d while materializing against epoch %d; retry",
+					base, ss.v.LatestEpoch(), at)
+			}
 		}
-		if ss.v.LatestEpoch() > epoch {
-			srv.nConflict.Add(1)
-			return 0, queue, errf(wire.CodeConflict,
-				"base %q advanced to epoch %d while materializing against epoch %d; retry",
-				base, ss.v.LatestEpoch(), epoch)
+		if _, err := srv.views.RegisterAt(name, res.Rewritten, out, res.RunSpan, at); err != nil {
+			return &Error{Code: wire.CodeMaterialize, Err: err}
 		}
+		if err := srv.persistView(name, seql, res.RunSpan, at, bases, out); err != nil {
+			return &Error{Code: wire.CodeMaterialize, Err: err}
+		}
+		epoch = at
+		return nil
+	})
+	if se, ok := err.(*Error); ok && se.Code == wire.CodePlan {
+		err = &Error{Code: wire.CodeMaterialize, Err: se.Err}
 	}
-	if _, err := srv.views.RegisterAt(name, res.Rewritten, out, res.RunSpan, epoch); err != nil {
-		return 0, queue, &Error{Code: wire.CodeMaterialize, Err: err}
-	}
-	if err := srv.persistView(name, seql, res.RunSpan, epoch, baseNames(res.Rewritten), out); err != nil {
-		return 0, queue, &Error{Code: wire.CodeMaterialize, Err: err}
-	}
-	return epoch, queue, nil
+	return epoch, queue, err
 }
 
 // Describe reports one sequence as of a snapshot pinned for this call.

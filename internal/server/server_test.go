@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -563,6 +564,64 @@ func TestSessionSnapshotStability(t *testing.T) {
 	if info.Kind != "dense" {
 		t.Fatalf("kind after reorganize = %s", info.Kind)
 	}
+}
+
+// TestQueuedReadHoldsNoPin: a read waits for its worker slot before it
+// pins an epoch, so a queued request holds back no GC and sees the
+// writes published while it waited.
+func TestQueuedReadHoldsNoPin(t *testing.T) {
+	srv := testServer(t, Config{Workers: 1}, 10)
+	sess := srv.NewSession("t")
+	srv.sem <- struct{}{} // occupy the only slot
+	release := sync.OnceFunc(func() { <-srv.sem })
+	defer release()
+	type outcome struct {
+		res *QueryResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := sess.Query("select(s, v > 0)", seq.NewSpan(1, 100))
+		done <- outcome{res, err}
+	}()
+	// Wait until the query is parked on the worker pool.
+	deadline := time.Now().Add(10 * time.Second)
+	for !queuedOnPool() {
+		if time.Now().After(deadline) {
+			t.Fatal("query never queued for a worker slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := srv.epochs.LiveReaders(); n != 0 {
+		t.Fatalf("queued read holds %d pins, want 0", n)
+	}
+	if _, err := srv.Append("s", 11, seq.Record{seq.Int(11)}); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if len(out.res.Entries) != 11 || out.res.Epoch != 1 {
+		t.Fatalf("queued read saw %d entries at epoch %d, want 11 at epoch 1", len(out.res.Entries), out.res.Epoch)
+	}
+	if out.res.Queue <= 0 {
+		t.Fatalf("queued read reports queue wait %v, want > 0", out.res.Queue)
+	}
+}
+
+// queuedOnPool reports whether some goroutine is blocked taking a
+// worker slot.
+func queuedOnPool() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[chan send") && strings.Contains(g, "server.(*Server).acquire(") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestServerGC(t *testing.T) {

@@ -175,19 +175,6 @@ func (c *Client) Analyze(seql string, start, end int64) (string, error) {
 	return c.planTurn(&Analyze{SEQL: seql, Start: start, End: end})
 }
 
-func (c *Client) planTurn(req Message) (string, error) {
-	msgs, err := c.turn(req)
-	if err != nil {
-		return "", err
-	}
-	for _, m := range msgs {
-		if t, ok := m.(*PlanText); ok {
-			return t.Text, nil
-		}
-	}
-	return "", fmt.Errorf("seqd: response missing PlanText")
-}
-
 // Materialize registers a named shared view computed over the session
 // snapshot. Retries are the caller's business on CodeConflict.
 func (c *Client) Materialize(name, seql string, start, end int64) (string, error) {
@@ -197,16 +184,11 @@ func (c *Client) Materialize(name, seql string, start, end int64) (string, error
 // Append adds one record beyond the end of a sparse base sequence and
 // returns the new epoch.
 func (c *Client) Append(seqName string, pos int64, rec seq.Record) (int64, error) {
-	msgs, err := c.turn(&Append{Seq: seqName, Pos: pos, Rec: rec})
+	t, err := expect[*Ack](c, &Append{Seq: seqName, Pos: pos, Rec: rec})
 	if err != nil {
 		return 0, err
 	}
-	for _, m := range msgs {
-		if t, ok := m.(*Ack); ok {
-			return t.Epoch, nil
-		}
-	}
-	return 0, fmt.Errorf("seqd: response missing Ack")
+	return t.Epoch, nil
 }
 
 // SetOption adjusts one session option.
@@ -219,46 +201,51 @@ func (c *Client) DropView(name string) (string, error) {
 	return c.ackTurn(&DropView{Name: name})
 }
 
-func (c *Client) ackTurn(req Message) (string, error) {
+// expect runs one turn and returns its first frame of type T: every
+// typed call but Query reads its answer from one such frame.
+func expect[T Message](c *Client, req Message) (T, error) {
+	var zero T
 	msgs, err := c.turn(req)
+	if err != nil {
+		return zero, err
+	}
+	for _, m := range msgs {
+		if t, ok := m.(T); ok {
+			return t, nil
+		}
+	}
+	return zero, fmt.Errorf("seqd: response missing %s", TypeName(zero.Type()))
+}
+
+func (c *Client) planTurn(req Message) (string, error) {
+	t, err := expect[*PlanText](c, req)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range msgs {
-		if t, ok := m.(*Ack); ok {
-			return t.Text, nil
-		}
+	return t.Text, nil
+}
+
+func (c *Client) ackTurn(req Message) (string, error) {
+	t, err := expect[*Ack](c, req)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("seqd: response missing Ack")
+	return t.Text, nil
 }
 
 // ListSeqs returns the catalog's sequence names.
 func (c *Client) ListSeqs() ([]string, error) {
-	msgs, err := c.turn(&ListSeqs{})
+	t, err := expect[*SeqList](c, &ListSeqs{})
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range msgs {
-		if t, ok := m.(*SeqList); ok {
-			return t.Names, nil
-		}
-	}
-	return nil, fmt.Errorf("seqd: response missing SeqList")
+	return t.Names, nil
 }
 
 // Describe returns one sequence's schema and metadata as of the session
 // snapshot.
 func (c *Client) Describe(name string) (*SeqInfo, error) {
-	msgs, err := c.turn(&Describe{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range msgs {
-		if t, ok := m.(*SeqInfo); ok {
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("seqd: response missing SeqInfo")
+	return expect[*SeqInfo](c, &Describe{Name: name})
 }
 
 // Subscribe registers a standing query over the inclusive span
@@ -266,16 +253,7 @@ func (c *Client) Describe(name string) (*SeqInfo, error) {
 // output schema; the initial full-content Delta and all subsequent
 // incremental ones are read with ReadDelta.
 func (c *Client) Subscribe(seql string, start, end int64) (*SubAck, error) {
-	msgs, err := c.turn(&Subscribe{SEQL: seql, Start: start, End: end})
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range msgs {
-		if t, ok := m.(*SubAck); ok {
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("seqd: response missing SubAck")
+	return expect[*SubAck](c, &Subscribe{SEQL: seql, Start: start, End: end})
 }
 
 // Unsubscribe cancels a standing query. Deltas the server framed before
@@ -310,14 +288,9 @@ func (c *Client) PendingDeltas() int { return len(c.deltas) }
 
 // ListViews returns the shared materialized views with counters.
 func (c *Client) ListViews() ([]ViewInfo, error) {
-	msgs, err := c.turn(&ListViews{})
+	t, err := expect[*ViewList](c, &ListViews{})
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range msgs {
-		if t, ok := m.(*ViewList); ok {
-			return t.Views, nil
-		}
-	}
-	return nil, fmt.Errorf("seqd: response missing ViewList")
+	return t.Views, nil
 }

@@ -131,7 +131,10 @@ var (
 // new epoch under the engine's single writer lock; every read (Run,
 // Probe, Explain, RunAnalyze) pins the current epoch and plans against
 // its page snapshots, so it never observes a write half done. SetOptions
-// applies to the reads and materializations that start after it.
+// applies to the reads and materializations that start after it. Reads
+// share the engine's worker pool (GOMAXPROCS slots): each binds, plans
+// and runs holding one slot, so at most that many run at once and the
+// rest queue, pinning nothing while they wait.
 type DB struct {
 	srv  *server.Server
 	sess atomic.Pointer[server.Session] // the DB's options (SetOptions)
