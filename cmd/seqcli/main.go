@@ -1,14 +1,20 @@
 // Command seqcli is an interactive shell for the sequence database: it
-// generates synthetic base sequences, runs SEQL queries over ranges, and
-// explains the optimizer's plans.
+// runs SEQL queries over ranges, explains the optimizer's plans, keeps
+// materialized views and standing queries, and appends records.
+//
+// Plain seqcli drives an in-process database, which the local-only
+// commands (gen, load, save, open, close, checkpoint) fill and persist;
+// `seqcli connect host:port` drives a running seqd. Either way the shell
+// speaks the wire protocol (docs/PROTOCOL.md): locally over an
+// in-process connection to the database's own engine.
 //
 //	$ seqcli
-//	seq> gen table1 1
-//	seq> list
-//	seq> select(compose(ibm, hp), ibm.close > hp.close) over 1 750
-//	seq> explain sum(ibm, close, 6) over 200 500
-//	seq> describe ibm
-//	seq> quit
+//	seqproc> gen table1 1
+//	seqproc> list
+//	seqproc> select(compose(ibm, hp), ibm.close > hp.close) over 1 750
+//	seqproc> explain sum(ibm, close, 6) over 200 500
+//	seqproc> describe ibm
+//	seqproc> quit
 package main
 
 import (
@@ -18,193 +24,470 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	seqproc "repro"
-	"repro/internal/reopt"
 	"repro/internal/seq"
-	"repro/internal/workload"
+	"repro/internal/wire"
 )
 
 func main() {
-	// `seqcli connect host:port` attaches to a running seqd daemon
-	// instead of the in-process database (see remote.go).
-	if len(os.Args) == 3 && os.Args[1] == "connect" {
-		if err := connectRepl(os.Args[2], os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "seqcli: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 {
+	var err error
+	switch {
+	case len(os.Args) == 3 && os.Args[1] == "connect":
+		err = connectRepl(os.Args[2], os.Stdin, os.Stdout)
+	case len(os.Args) == 1:
+		err = localRepl(seqproc.New(), os.Stdin, os.Stdout)
+	default:
 		fmt.Fprintln(os.Stderr, "usage: seqcli [connect host:port]")
 		os.Exit(1)
 	}
-	cli := &cli{db: seqproc.New(), out: os.Stdout}
-	fmt.Println("seqcli — sequence query processing (SIGMOD 1994 reproduction)")
-	fmt.Println(`type "help" for commands`)
-	scanner := bufio.NewScanner(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seqcli: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// connectRepl runs the shell against the seqd daemon at addr.
+func connectRepl(addr string, in io.Reader, out io.Writer) error {
+	c, err := wire.Dial(addr, "seqcli")
+	if err != nil {
+		return err
+	}
+	sh := &shell{c: c, out: out}
+	defer sh.shutdown()
+	return sh.repl(in, addr)
+}
+
+// localRepl runs the shell against db over an in-process connection.
+func localRepl(db *seqproc.DB, in io.Reader, out io.Writer) error {
+	sh := &shell{db: db, out: out}
+	if err := sh.connect(); err != nil {
+		return err
+	}
+	defer sh.shutdown()
+	return sh.repl(in, "in-process")
+}
+
+// shell is the one command interpreter. Every command but the local-only
+// ones is a wire request on c.
+type shell struct {
+	c   *wire.Client
+	out io.Writer
+	// db is the in-process database c is connected to; nil for seqd.
+	db *seqproc.DB
+	// sets are the options set so far, replayed when open or close
+	// reconnect the shell to a new database.
+	sets [][2]string
+}
+
+// connect opens a session on db's engine.
+func (sh *shell) connect() error {
+	c, err := wire.NewClient(sh.db.Connect(), "seqcli")
+	if err != nil {
+		return err
+	}
+	sh.c = c
+	for _, kv := range sh.sets {
+		if _, err := c.SetOption(kv[0], kv[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// shutdown ends the session and checkpoints and closes any open durable
+// database, so a clean quit never needs WAL replay on the next open.
+func (sh *shell) shutdown() {
+	sh.c.Close()
+	if sh.db != nil {
+		if err := sh.db.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "seqcli: close: %v\n", err)
+		}
+	}
+}
+
+func (sh *shell) repl(in io.Reader, where string) error {
+	fmt.Fprintf(sh.out, "connected to %s at %s (protocol v%d, epoch %d)\n",
+		sh.c.Server(), where, sh.c.Version(), sh.c.Epoch())
+	fmt.Fprintln(sh.out, `type "help" for commands`)
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
-		fmt.Print("seq> ")
+		fmt.Fprintf(sh.out, "%s> ", sh.c.Server())
 		if !scanner.Scan() {
-			cli.shutdown()
-			return
+			return scanner.Err()
 		}
 		line := strings.TrimSpace(scanner.Text())
 		if line == "" {
 			continue
 		}
 		if line == "quit" || line == "exit" {
-			cli.shutdown()
-			return
+			return nil
 		}
-		if err := cli.exec(line); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		}
-	}
-}
-
-type cli struct {
-	db   *seqproc.DB
-	out  io.Writer
-	opts seqproc.Options
-	// reoptThresholdSet distinguishes an explicit "set reopt threshold 0"
-	// (replan at every checkpoint) from the unset zero value.
-	reoptThresholdSet bool
-}
-
-// shutdown checkpoints and closes any open durable database before the
-// shell exits, so a clean quit never needs WAL replay on the next open.
-func (c *cli) shutdown() {
-	if _, ok := c.db.Persistent(); ok {
-		if err := c.db.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "seqcli: close: %v\n", err)
+		if err := sh.exec(line); err != nil {
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 		}
 	}
 }
 
-func (c *cli) exec(line string) error {
+func (sh *shell) exec(line string) error {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "help":
-		c.help()
+		fmt.Fprint(sh.out, help)
 		return nil
+
 	case "list":
-		for _, name := range c.db.Sequences() {
-			info, _ := c.db.Describe(name)
-			fmt.Fprintf(c.out, "%-12s %v span=%v density=%.2f\n",
-				name, info.Schema, info.Span, info.Density)
+		names, err := sh.c.ListSeqs()
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			info, err := sh.c.Describe(name)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(sh.out, "%-12s %s span=[%d,%d] density=%.2f %s\n",
+				name, fieldsString(info.Fields), info.Start, info.End, info.Density, info.Kind)
 		}
 		return nil
+
 	case "describe":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: describe <name>")
 		}
-		info, err := c.db.Describe(fields[1])
+		info, err := sh.c.Describe(fields[1])
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(c.out, "%s: schema=%v span=%v density=%.3f\n",
-			fields[1], info.Schema, info.Span, info.Density)
+		fmt.Fprintf(sh.out, "%s: schema=%s span=[%d,%d] density=%.3f kind=%s\n",
+			info.Name, fieldsString(info.Fields), info.Start, info.End, info.Density, info.Kind)
 		return nil
-	case "materialize":
-		return c.materialize(strings.TrimSpace(strings.TrimPrefix(line, "materialize")))
-	case "show":
-		if len(fields) == 2 && fields[1] == "views" {
-			return c.showViews()
-		}
-		return fmt.Errorf("usage: show views")
-	case "drop":
-		if len(fields) == 3 && fields[1] == "view" {
-			if err := c.db.DropView(fields[2]); err != nil {
-				return err
-			}
-			fmt.Fprintf(c.out, "dropped view %s\n", fields[2])
-			return nil
-		}
-		return fmt.Errorf("usage: drop view <name>")
-	case "set":
-		return c.set(fields[1:])
-	case "gen":
-		return c.gen(fields[1:])
-	case "load":
-		return c.load(fields[1:])
-	case "save":
-		return c.save(fields[1:])
+
+	case "epoch":
+		fmt.Fprintf(sh.out, "epoch %d (as of the last response)\n", sh.c.Epoch())
+		return nil
+
 	case "append":
-		return c.append(fields[1:])
-	case "open":
-		return c.open(fields[1:])
-	case "close":
-		return c.closeDB(fields[1:])
-	case "checkpoint":
-		if len(fields) != 1 {
-			return fmt.Errorf("usage: checkpoint")
+		return sh.append(fields[1:])
+
+	case "materialize":
+		rest := strings.TrimSpace(strings.TrimPrefix(line, "materialize"))
+		name, q, ok := strings.Cut(rest, " as ")
+		name = strings.TrimSpace(name)
+		if !ok || name == "" || strings.ContainsAny(name, " \t") {
+			return fmt.Errorf("usage: materialize <name> as <seql> over <start> <end>")
 		}
-		if err := c.db.Checkpoint(); err != nil {
+		src, span, err := splitOver(strings.TrimSpace(q))
+		if err != nil {
 			return err
 		}
-		fmt.Fprintln(c.out, "checkpointed")
+		return sh.note(sh.c.Materialize(name, src, int64(span.Start), int64(span.End)))
+
+	case "show":
+		if len(fields) == 2 && fields[1] == "views" {
+			return sh.showViews()
+		}
+		return fmt.Errorf("usage: show views")
+
+	case "drop":
+		if len(fields) == 3 && fields[1] == "view" {
+			return sh.note(sh.c.DropView(fields[2]))
+		}
+		return fmt.Errorf("usage: drop view <name>")
+
+	case "set":
+		if len(fields) < 3 {
+			return fmt.Errorf("usage: set <option> <value> (see help)")
+		}
+		kv := [2]string{strings.Join(fields[1:len(fields)-1], " "), fields[len(fields)-1]}
+		if err := sh.note(sh.c.SetOption(kv[0], kv[1])); err != nil {
+			return err
+		}
+		sh.sets = append(sh.sets, kv)
 		return nil
+
+	case "subscribe":
+		src, span, err := splitOver(strings.TrimSpace(strings.TrimPrefix(line, "subscribe")))
+		if err != nil {
+			return err
+		}
+		ack, err := sh.c.Subscribe(src, int64(span.Start), int64(span.End))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(sh.out, "subscription %d %s at epoch %d; initial content follows\n",
+			ack.SubID, fieldsString(ack.Fields), ack.Epoch)
+		return sh.drainDeltas()
+
+	case "unsubscribe":
+		if len(fields) != 2 {
+			return fmt.Errorf("usage: unsubscribe <id>")
+		}
+		id, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad subscription id %q", fields[1])
+		}
+		return sh.note(sh.c.Unsubscribe(id))
+
+	case "deltas":
+		if len(fields) == 2 && fields[1] == "wait" {
+			d, err := sh.c.ReadDelta()
+			if err != nil {
+				return err
+			}
+			sh.printDelta(d)
+			return sh.drainDeltas()
+		}
+		if len(fields) != 1 {
+			return fmt.Errorf("usage: deltas [wait]")
+		}
+		if sh.c.PendingDeltas() == 0 {
+			fmt.Fprintln(sh.out, "no pending deltas (try a query or epoch turn first, or: deltas wait)")
+			return nil
+		}
+		return sh.drainDeltas()
+
 	case "explain":
 		rest := strings.TrimSpace(strings.TrimPrefix(line, "explain"))
-		analyze := false
+		explain := sh.c.Explain
 		if strings.HasPrefix(rest, "analyze ") {
-			analyze = true
+			explain = sh.c.Analyze
 			rest = strings.TrimSpace(strings.TrimPrefix(rest, "analyze"))
 		}
 		src, span, err := splitOver(rest)
 		if err != nil {
 			return err
 		}
-		q, err := c.db.Query(src)
-		if err != nil {
-			return err
+		return sh.note(explain(src, int64(span.Start), int64(span.End)))
+
+	case "gen", "load", "save", "open", "close", "checkpoint":
+		if sh.db == nil {
+			return fmt.Errorf("%s acts on the in-process database; run plain seqcli", fields[0])
 		}
-		var text string
-		if analyze {
-			text, err = q.ExplainAnalyze(span)
-		} else {
-			text, err = q.Explain(span)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(c.out, text)
-		return nil
+		return sh.local(fields[0], fields[1:])
+
 	default:
 		src, span, err := splitOver(line)
 		if err != nil {
 			return err
 		}
-		return c.run(src, span)
+		return sh.run(src, span)
 	}
 }
 
-func (c *cli) help() {
-	fmt.Fprint(c.out, `commands:
+// note prints a request's one-line (or plan-text) answer.
+func (sh *shell) note(text string, err error) error {
+	if err == nil {
+		fmt.Fprintln(sh.out, text)
+	}
+	return err
+}
+
+// append adds one record past the end of a sparse sequence, parsing
+// each value against the sequence's described schema. In-process, the
+// versions the write superseded are reclaimed after the turn, as the
+// library's own writes reclaim theirs.
+func (sh *shell) append(args []string) error {
+	if len(args) < 3 {
+		return fmt.Errorf("usage: append <name> <pos> <value...>")
+	}
+	pos, err := strconv.ParseInt(args[1], 10, 64)
+	if err != nil {
+		return fmt.Errorf("position must be an integer, got %q", args[1])
+	}
+	info, err := sh.c.Describe(args[0])
+	if err != nil {
+		return err
+	}
+	if len(args)-2 != len(info.Fields) {
+		return fmt.Errorf("sequence %s wants %d value(s) for %s, got %d",
+			args[0], len(info.Fields), fieldsString(info.Fields), len(args)-2)
+	}
+	rec := make(seq.Record, len(info.Fields))
+	for i, f := range info.Fields {
+		if rec[i], err = parseFieldValue(f, args[2+i]); err != nil {
+			return err
+		}
+	}
+	epoch, err := sh.c.Append(args[0], pos, rec)
+	if err != nil {
+		return err
+	}
+	if sh.db != nil {
+		sh.db.GC()
+	}
+	fmt.Fprintf(sh.out, "appended; visible from epoch %d\n", epoch)
+	return nil
+}
+
+// parseFieldValue converts one command-line token to the field's type.
+func parseFieldValue(f seq.Field, s string) (seq.Value, error) {
+	switch f.Type {
+	case seq.TInt:
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return seq.Value{}, fmt.Errorf("field %s wants an integer, got %q", f.Name, s)
+		}
+		return seq.Int(n), nil
+	case seq.TFloat:
+		x, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return seq.Value{}, fmt.Errorf("field %s wants a number, got %q", f.Name, s)
+		}
+		return seq.Float(x), nil
+	case seq.TBool:
+		b, err := strconv.ParseBool(s)
+		if err != nil {
+			return seq.Value{}, fmt.Errorf("field %s wants true/false, got %q", f.Name, s)
+		}
+		return seq.Bool(b), nil
+	default:
+		return seq.Str(s), nil
+	}
+}
+
+func (sh *shell) showViews() error {
+	views, err := sh.c.ListViews()
+	if err != nil {
+		return err
+	}
+	if len(views) == 0 {
+		fmt.Fprintln(sh.out, "no materialized views")
+		return nil
+	}
+	for _, v := range views {
+		validity := fmt.Sprintf("valid from epoch %d", v.FromEpoch)
+		if v.InvalidFrom != 0 {
+			validity = fmt.Sprintf("valid epochs [%d,%d)", v.FromEpoch, v.InvalidFrom)
+		}
+		fmt.Fprintf(sh.out, "%-12s span=[%d,%d] records=%d density=%.2f hits=%d misses=%d %s\n",
+			v.Name, v.Start, v.End, v.Records, v.Density, v.Hits, v.Misses, validity)
+	}
+	return nil
+}
+
+// drainDeltas prints every delta already queued on the client. Deltas
+// arrive during any turn (they are the one push frame in the protocol),
+// so this is how the shell surfaces what accumulated since the last
+// command.
+func (sh *shell) drainDeltas() error {
+	for sh.c.PendingDeltas() > 0 {
+		d, err := sh.c.ReadDelta()
+		if err != nil {
+			return err
+		}
+		sh.printDelta(d)
+	}
+	return nil
+}
+
+func (sh *shell) printDelta(d *wire.Delta) {
+	fmt.Fprintf(sh.out, "delta sub=%d epoch=%d region=[%d,%d]: %d record(s)\n",
+		d.SubID, d.Epoch, d.Start, d.End, len(d.Entries))
+	sh.printEntries(d.Entries, "  ")
+}
+
+func (sh *shell) run(src string, span seq.Span) error {
+	res, err := sh.c.Query(src, int64(span.Start), int64(span.End))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(sh.out, "pos")
+	for _, f := range res.Fields {
+		fmt.Fprintf(sh.out, "\t%s", f.Name)
+	}
+	fmt.Fprintln(sh.out)
+	sh.printEntries(res.Entries, "")
+	elapsed := time.Duration(res.ElapsedNs).Round(time.Microsecond)
+	fmt.Fprintf(sh.out, "(%d rows @epoch %d, %v exec", len(res.Entries), res.Epoch, elapsed)
+	if res.QueueNs > 0 {
+		fmt.Fprintf(sh.out, ", %v queued", time.Duration(res.QueueNs).Round(time.Microsecond))
+	}
+	fmt.Fprintln(sh.out, ")")
+	return nil
+}
+
+// printEntries prints up to 50 entries, one per line, each prefixed.
+func (sh *shell) printEntries(entries []seq.Entry, prefix string) {
+	const maxRows = 50
+	for i, e := range entries {
+		if i == maxRows {
+			fmt.Fprintf(sh.out, "%s... (%d more rows)\n", prefix, len(entries)-maxRows)
+			break
+		}
+		fmt.Fprintf(sh.out, "%s%d", prefix, e.Pos)
+		for _, v := range e.Rec {
+			fmt.Fprintf(sh.out, "\t%s", v.String())
+		}
+		fmt.Fprintln(sh.out)
+	}
+}
+
+// splitOver separates "<seql> over <start> <end>".
+func splitOver(line string) (string, seq.Span, error) {
+	idx := strings.LastIndex(line, " over ")
+	if idx < 0 {
+		return "", seq.Span{}, fmt.Errorf(`expected "<query> over <start> <end>"`)
+	}
+	src := strings.TrimSpace(line[:idx])
+	parts := strings.Fields(line[idx+len(" over "):])
+	if len(parts) != 2 {
+		return "", seq.Span{}, fmt.Errorf(`expected "over <start> <end>"`)
+	}
+	start, err1 := strconv.ParseInt(parts[0], 10, 64)
+	end, err2 := strconv.ParseInt(parts[1], 10, 64)
+	if err1 != nil || err2 != nil {
+		return "", seq.Span{}, fmt.Errorf("bad range %q %q", parts[0], parts[1])
+	}
+	return src, seq.NewSpan(start, end), nil
+}
+
+func fieldsString(fs []seq.Field) string {
+	var b strings.Builder
+	b.WriteByte('(')
+	for i, f := range fs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %s", f.Name, f.Type)
+	}
+	b.WriteByte(')')
+	return b.String()
+}
+
+const help = `commands:
+  list                                              list sequences
+  describe <name>                                   show schema and meta-data
+  epoch                                             show the epoch from the last response
+  append <name> <pos> <value...>                    append a record past the end of a sparse sequence
+  materialize <name> as <seql> over <start> <end>   store a query result as a shared, reusable view
+  show views                                        list views with hit/miss counters and epoch validity
+  drop view <name>                                  remove a view for every session
+  set parallelism <n>                               bound span-partitioned workers (0 = auto, 1 = serial)
+  set reopt on|off                                  monitor runs and replan mid-stream on cost divergence
+  set reopt interval <n>                            positions between reoptimization checkpoints
+  set reopt threshold <x>                           relative cost error that triggers a replan (0 = every checkpoint)
+  set views on|off                                  consider materialized views when planning
+  set verify on|off                                 run the full plan verifier on every query
+  subscribe <seql> over <start> <end>               register a standing query; deltas follow writes
+  unsubscribe <id>                                  cancel a standing query
+  deltas [wait]                                     print queued deltas (wait: block for the next)
+  <seql> over <start> <end>                         run a query against a pinned snapshot
+  explain <seql> over <start> <end>                 show the chosen plan
+  explain analyze <seql> over <start> <end>         run with per-operator metrics and server counters (see OBSERVABILITY.md)
+  quit
+
+in-process database only (plain seqcli):
   gen stock <name> <start> <end> <density> [seed]   generate a stock series
   gen events <name> <start> <end> <rate> [seed]     generate an event sequence
   gen table1 <scale>                                load the paper's Table 1 data
   load <name> <file.csv>                            load a sequence from CSV (needs a "pos" column)
   save <name> <file.csv>                            write a sequence to CSV
-  append <name> <pos> <value...>                    append a record past the end of a sparse sequence
   open <dir>                                        open a durable on-disk database (created if absent)
   close                                             checkpoint and close the open database
   checkpoint                                        force a checkpoint of the open database
-  set parallelism <n>                               bound span-partitioned workers (0 = auto, 1 = serial)
-  set reopt on|off                                  monitor runs and replan mid-stream on cost divergence
-  set reopt interval <n>                            positions between reoptimization checkpoints
-  set reopt threshold <x>                           relative cost error that triggers a replan (0 = every checkpoint)
-  list                                              list sequences
-  describe <name>                                   show schema and meta-data
-  materialize <name> as <seql> over <start> <end>   store a query result as a reusable view
-  show views                                        list materialized views with hit/miss counters
-  drop view <name>                                  remove a materialized view
-  <seql> over <start> <end>                         run a query
-  explain <seql> over <start> <end>                 show the chosen plan
-  explain analyze <seql> over <start> <end>         run with per-operator metrics (see OBSERVABILITY.md)
-  quit
 
 SEQL operators:
   select(S, pred)        project(S, expr [as name], ...)
@@ -213,387 +496,4 @@ SEQL operators:
   rsum|ravg|rmin|rmax(S, col)  rcount(S)      (running aggregates)
   collapse(S, avg(col), k)  expand(S, k)       (ordering domains)
   scalar functions: abs, min, max, floor, ceil, round
-`)
-}
-
-// set adjusts session options: the worker bound of the span-partitioned
-// executor and the mid-run reoptimizer's knobs.
-func (c *cli) set(args []string) error {
-	if len(args) >= 1 && args[0] == "reopt" {
-		return c.setReopt(args[1:])
-	}
-	if len(args) != 2 || args[0] != "parallelism" {
-		return fmt.Errorf("usage: set parallelism <n> | set reopt on|off|interval <n>|threshold <x>")
-	}
-	n, err := strconv.Atoi(args[1])
-	if err != nil || n < 0 {
-		return fmt.Errorf("parallelism must be a non-negative integer, got %q", args[1])
-	}
-	c.opts.Parallelism = n
-	c.db.SetOptions(c.opts)
-	switch n {
-	case 0:
-		fmt.Fprintln(c.out, "parallelism: automatic (bounded by GOMAXPROCS)")
-	case 1:
-		fmt.Fprintln(c.out, "parallelism: serial")
-	default:
-		fmt.Fprintf(c.out, "parallelism: up to %d workers (cost model decides)\n", n)
-	}
-	return nil
-}
-
-// setReopt toggles and tunes mid-run adaptive reoptimization; runs
-// under "reopt on" are monitored and may splice in a replanned tail
-// when predicted-vs-actual costs diverge at a checkpoint.
-func (c *cli) setReopt(args []string) error {
-	usage := fmt.Errorf("usage: set reopt on|off | set reopt interval <n> | set reopt threshold <x>")
-	switch {
-	case len(args) == 1 && (args[0] == "on" || args[0] == "off"):
-		c.opts.Reopt.Enabled = args[0] == "on"
-		// A zero threshold means "replan at every checkpoint" (the fuzz
-		// mode), so enabling defaults it unless the user set one.
-		if c.opts.Reopt.Enabled && !c.reoptThresholdSet {
-			c.opts.Reopt.Threshold = reopt.DefaultThreshold
-		}
-		if c.opts.Reopt.Enabled {
-			fmt.Fprintf(c.out, "reopt: on (checkpoint every %d positions, threshold %g)\n",
-				c.reoptInterval(), c.opts.Reopt.Threshold)
-		} else {
-			fmt.Fprintln(c.out, "reopt: off")
-		}
-	case len(args) == 2 && args[0] == "interval":
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n < 1 {
-			return fmt.Errorf("reopt interval must be a positive integer, got %q", args[1])
-		}
-		c.opts.Reopt.CheckEvery = int64(n)
-		fmt.Fprintf(c.out, "reopt: checkpoint every %d positions\n", n)
-	case len(args) == 2 && args[0] == "threshold":
-		x, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || x < 0 {
-			return fmt.Errorf("reopt threshold must be a non-negative number, got %q", args[1])
-		}
-		c.opts.Reopt.Threshold = x
-		c.reoptThresholdSet = true
-		if x == 0 {
-			fmt.Fprintln(c.out, "reopt: replan at every checkpoint")
-		} else {
-			fmt.Fprintf(c.out, "reopt: replan when relative cost error exceeds %g\n", x)
-		}
-	default:
-		return usage
-	}
-	c.db.SetOptions(c.opts)
-	return nil
-}
-
-func (c *cli) reoptInterval() int64 {
-	if c.opts.Reopt.CheckEvery > 0 {
-		return c.opts.Reopt.CheckEvery
-	}
-	return reopt.DefaultCheckEvery
-}
-
-// materialize parses "<name> as <seql> over <start> <end>" and registers
-// the query result as a view; later queries over covered ranges reuse it
-// when the cost model prefers the view to recomputation.
-func (c *cli) materialize(rest string) error {
-	name, q, ok := strings.Cut(rest, " as ")
-	name = strings.TrimSpace(name)
-	if !ok || name == "" || strings.ContainsAny(name, " \t") {
-		return fmt.Errorf("usage: materialize <name> as <seql> over <start> <end>")
-	}
-	src, span, err := splitOver(strings.TrimSpace(q))
-	if err != nil {
-		return err
-	}
-	vc, err := c.db.Materialize(name, src, span)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "materialized %s: %d records over %v (density %.3f)\n",
-		vc.Name, vc.Records, vc.Span, vc.Density)
-	return nil
-}
-
-func (c *cli) showViews() error {
-	views := c.db.ListViews()
-	if len(views) == 0 {
-		fmt.Fprintln(c.out, "no materialized views")
-		return nil
-	}
-	for _, v := range views {
-		fmt.Fprintf(c.out, "%-12s span=%v records=%d density=%.3f hits=%d misses=%d\n",
-			v.Name, v.Span, v.Records, v.Density, v.Hits, v.Misses)
-	}
-	return nil
-}
-
-func (c *cli) gen(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: gen stock|events|table1 ...")
-	}
-	switch args[0] {
-	case "table1":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: gen table1 <scale>")
-		}
-		scale, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			return err
-		}
-		ibm, dec, hp, err := workload.Table1(scale)
-		if err != nil {
-			return err
-		}
-		for name, data := range map[string]*seq.Materialized{"ibm": ibm, "dec": dec, "hp": hp} {
-			kind := seqproc.Sparse
-			if name == "hp" {
-				kind = seqproc.Dense
-			}
-			if err := c.db.CreateSequence(name, data, kind); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintln(c.out, "created ibm, dec, hp")
-		return nil
-	case "stock", "events":
-		if len(args) < 5 {
-			return fmt.Errorf("usage: gen %s <name> <start> <end> <density> [seed]", args[0])
-		}
-		start, err1 := strconv.ParseInt(args[2], 10, 64)
-		end, err2 := strconv.ParseInt(args[3], 10, 64)
-		density, err3 := strconv.ParseFloat(args[4], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return fmt.Errorf("bad numeric arguments")
-		}
-		var seed int64 = 1
-		if len(args) > 5 {
-			if seed, err1 = strconv.ParseInt(args[5], 10, 64); err1 != nil {
-				return err1
-			}
-		}
-		var data *seq.Materialized
-		var err error
-		if args[0] == "stock" {
-			data, err = workload.Stock(workload.StockConfig{
-				Name: args[1], Span: seq.NewSpan(start, end), Density: density, Seed: seed,
-			})
-		} else {
-			data, err = workload.Events(seq.NewSpan(start, end), density, nil, seed)
-		}
-		if err != nil {
-			return err
-		}
-		if err := c.db.CreateSequence(args[1], data, seqproc.Sparse); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.out, "created %s with %d records\n", args[1], data.Count())
-		return nil
-	default:
-		return fmt.Errorf("unknown generator %q", args[0])
-	}
-}
-
-// load reads a CSV file into a new sparse base sequence.
-func (c *cli) load(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: load <name> <file.csv>")
-	}
-	f, err := os.Open(args[1])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	data, err := seqproc.ReadCSV(f)
-	if err != nil {
-		return err
-	}
-	if err := c.db.CreateSequence(args[0], data, seqproc.Sparse); err != nil {
-		return err
-	}
-	info := data.Info()
-	fmt.Fprintf(c.out, "loaded %s: %d records, span %v, schema %v\n",
-		args[0], data.Count(), info.Span, info.Schema)
-	return nil
-}
-
-// append adds one record past the end of a sparse sequence, parsing
-// each value against the sequence's schema.
-func (c *cli) append(args []string) error {
-	if len(args) < 3 {
-		return fmt.Errorf("usage: append <name> <pos> <value...>")
-	}
-	name := args[0]
-	pos, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return fmt.Errorf("position must be an integer, got %q", args[1])
-	}
-	info, err := c.db.Describe(name)
-	if err != nil {
-		return err
-	}
-	schemaFields := info.Schema.Fields()
-	if len(args)-2 != len(schemaFields) {
-		return fmt.Errorf("sequence %s wants %d value(s) for %v, got %d",
-			name, len(schemaFields), info.Schema, len(args)-2)
-	}
-	rec := make(seqproc.Record, len(schemaFields))
-	for i, f := range schemaFields {
-		v, err := parseFieldValue(f, args[2+i])
-		if err != nil {
-			return err
-		}
-		rec[i] = v
-	}
-	if err := c.db.Append(name, seqproc.Pos(pos), rec); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "appended %s@%d\n", name, pos)
-	return nil
-}
-
-// parseFieldValue converts one command-line token to the field's type.
-func parseFieldValue(f seqproc.Field, s string) (seqproc.Value, error) {
-	switch f.Type {
-	case seqproc.TInt:
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return seqproc.Value{}, fmt.Errorf("field %s wants an integer, got %q", f.Name, s)
-		}
-		return seqproc.Int(n), nil
-	case seqproc.TFloat:
-		x, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return seqproc.Value{}, fmt.Errorf("field %s wants a number, got %q", f.Name, s)
-		}
-		return seqproc.Float(x), nil
-	case seqproc.TBool:
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return seqproc.Value{}, fmt.Errorf("field %s wants true/false, got %q", f.Name, s)
-		}
-		return seqproc.Bool(b), nil
-	default:
-		return seqproc.Str(s), nil
-	}
-}
-
-// open switches the shell to a durable database rooted at dir
-// (created when absent, recovered when present): everything created,
-// appended or materialized afterwards persists across sessions.
-func (c *cli) open(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: open <dir>")
-	}
-	if dir, ok := c.db.Persistent(); ok {
-		return fmt.Errorf("database %s is open; run close first", dir)
-	}
-	db, err := seqproc.Open(args[0], nil)
-	if err != nil {
-		return err
-	}
-	db.SetOptions(c.opts)
-	c.db = db
-	fmt.Fprintf(c.out, "opened %s: %d sequence(s), %d view(s)\n",
-		args[0], len(db.Sequences()), len(db.ListViews()))
-	return nil
-}
-
-// closeDB checkpoints and closes the open durable database, returning
-// the shell to a fresh in-memory database.
-func (c *cli) closeDB(args []string) error {
-	if len(args) != 0 {
-		return fmt.Errorf("usage: close")
-	}
-	dir, ok := c.db.Persistent()
-	if !ok {
-		return fmt.Errorf("no durable database open")
-	}
-	if err := c.db.Close(); err != nil {
-		return err
-	}
-	c.db = seqproc.New()
-	c.db.SetOptions(c.opts)
-	fmt.Fprintf(c.out, "closed %s\n", dir)
-	return nil
-}
-
-// save writes a base sequence to a CSV file.
-func (c *cli) save(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: save <name> <file.csv>")
-	}
-	q, err := c.db.Query(args[0])
-	if err != nil {
-		return err
-	}
-	info, err := c.db.Describe(args[0])
-	if err != nil {
-		return err
-	}
-	res, err := q.Run(info.Span)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(args[1])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := seqproc.WriteCSV(f, res.Materialized()); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "wrote %d records to %s\n", res.Count(), args[1])
-	return nil
-}
-
-// splitOver separates "<seql> over <start> <end>".
-func splitOver(line string) (string, seqproc.Span, error) {
-	idx := strings.LastIndex(line, " over ")
-	if idx < 0 {
-		return "", seqproc.Span{}, fmt.Errorf(`expected "<query> over <start> <end>"`)
-	}
-	src := strings.TrimSpace(line[:idx])
-	parts := strings.Fields(line[idx+len(" over "):])
-	if len(parts) != 2 {
-		return "", seqproc.Span{}, fmt.Errorf(`expected "over <start> <end>"`)
-	}
-	start, err1 := strconv.ParseInt(parts[0], 10, 64)
-	end, err2 := strconv.ParseInt(parts[1], 10, 64)
-	if err1 != nil || err2 != nil {
-		return "", seqproc.Span{}, fmt.Errorf("bad range %q %q", parts[0], parts[1])
-	}
-	return src, seqproc.NewSpan(start, end), nil
-}
-
-func (c *cli) run(src string, span seqproc.Span) error {
-	q, err := c.db.Query(src)
-	if err != nil {
-		return err
-	}
-	res, err := q.Run(span)
-	if err != nil {
-		return err
-	}
-	schema := res.Schema()
-	fmt.Fprintf(c.out, "pos")
-	for i := 0; i < schema.NumFields(); i++ {
-		fmt.Fprintf(c.out, "\t%s", schema.Field(i).Name)
-	}
-	fmt.Fprintln(c.out)
-	const maxRows = 50
-	for i, e := range res.Entries() {
-		if i == maxRows {
-			fmt.Fprintf(c.out, "... (%d more rows)\n", res.Count()-maxRows)
-			break
-		}
-		fmt.Fprintf(c.out, "%d", e.Pos)
-		for _, v := range e.Rec {
-			fmt.Fprintf(c.out, "\t%s", v.String())
-		}
-		fmt.Fprintln(c.out)
-	}
-	fmt.Fprintf(c.out, "(%d rows)\n", res.Count())
-	return nil
-}
+`

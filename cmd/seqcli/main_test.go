@@ -9,13 +9,20 @@ import (
 	seqproc "repro"
 )
 
-func newTestCLI() (*cli, *bytes.Buffer) {
+// newTestCLI connects a shell to a fresh in-process database.
+func newTestCLI(t *testing.T) (*shell, *bytes.Buffer) {
+	t.Helper()
 	var buf bytes.Buffer
-	return &cli{db: seqproc.New(), out: &buf}, &buf
+	c := &shell{db: seqproc.New(), out: &buf}
+	if err := c.connect(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.shutdown)
+	return c, &buf
 }
 
 func TestCLIGenListDescribe(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("gen table1 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +39,7 @@ func TestCLIGenListDescribe(t *testing.T) {
 	if err := c.exec("describe ibm"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "span=[200, 500]") {
+	if !strings.Contains(buf.String(), "span=[200,500]") {
 		t.Errorf("describe = %q", buf.String())
 	}
 	if err := c.exec("describe"); err == nil {
@@ -44,7 +51,7 @@ func TestCLIGenListDescribe(t *testing.T) {
 }
 
 func TestCLIGenStockAndEvents(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("gen stock acme 1 100 0.5 7"); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +72,7 @@ func TestCLIGenStockAndEvents(t *testing.T) {
 }
 
 func TestCLIQueryAndExplain(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("gen table1 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func TestCLIQueryAndExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "rows)") || !strings.Contains(out, "ibm.close") {
+	if !strings.Contains(out, "rows @epoch") || !strings.Contains(out, "ibm.close") {
 		t.Errorf("query output = %q", out)
 	}
 	buf.Reset()
@@ -101,7 +108,7 @@ func TestCLIQueryAndExplain(t *testing.T) {
 }
 
 func TestCLIRowLimit(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("gen stock big 1 200 1.0"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestCLIRowLimit(t *testing.T) {
 }
 
 func TestCLIHelp(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("help"); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +149,7 @@ func TestCLILoadSave(t *testing.T) {
 	if err := os.WriteFile(src, []byte("pos,close\n1,10.5\n2,11.5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("load ticks " + src); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestCLILoadSave(t *testing.T) {
 	if err := c.exec("select(ticks, close > 11.0) over 1 2"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "(1 rows)") {
+	if !strings.Contains(buf.String(), "(1 rows @epoch") {
 		t.Errorf("query output = %q", buf.String())
 	}
 	dst := dir + "/out.csv"
@@ -183,7 +190,7 @@ func TestCLILoadSave(t *testing.T) {
 }
 
 func TestCLIMaterializedViews(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("gen table1 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +198,7 @@ func TestCLIMaterializedViews(t *testing.T) {
 	if err := c.exec("materialize crosses as select(compose(ibm, hp), ibm.close > hp.close) over 1 750"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "materialized crosses:") {
+	if !strings.Contains(buf.String(), `materialized "crosses"`) {
 		t.Errorf("materialize output = %q", buf.String())
 	}
 	buf.Reset()
@@ -243,7 +250,11 @@ func TestCLIMaterializedViews(t *testing.T) {
 // view invalidated by an append before close stays gone).
 func TestCLIOpenCloseRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
+	// Session options carry over as open and close reconnect the shell.
+	if err := c.exec("set reopt on"); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.exec("open " + dir); err != nil {
 		t.Fatal(err)
 	}
@@ -299,5 +310,11 @@ func TestCLIOpenCloseRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "201") {
 		t.Errorf("describe beta after reopen = %q", buf.String())
 	}
-	c.shutdown()
+	buf.Reset()
+	if err := c.exec("explain analyze select(acme, close > 0.0) over 1 200"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "reopt:") {
+		t.Errorf("reopt option lost across open and close:\n%s", buf.String())
+	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,53 +9,34 @@ import (
 )
 
 func TestCLISetReopt(t *testing.T) {
-	c, buf := newTestCLI()
-	if err := c.exec("set reopt on"); err != nil {
-		t.Fatal(err)
-	}
-	if !c.opts.Reopt.Enabled {
-		t.Error("reopt not enabled")
+	c, buf := newTestCLI(t)
+	// set runs one command and returns its reply.
+	set := func(cmd string) string {
+		t.Helper()
+		buf.Reset()
+		if err := c.exec(cmd); err != nil {
+			t.Fatalf("%q: %v", cmd, err)
+		}
+		return strings.TrimSpace(buf.String())
 	}
 	// Enabling without an explicit threshold must not leave the zero
 	// value, which would replan at every checkpoint.
-	if c.opts.Reopt.Threshold != reopt.DefaultThreshold {
-		t.Errorf("threshold defaulted to %g, want %g", c.opts.Reopt.Threshold, reopt.DefaultThreshold)
+	if got, want := set("set reopt on"), fmt.Sprintf("reopt = true (threshold %g)", reopt.DefaultThreshold); got != want {
+		t.Errorf("set reopt on = %q, want %q", got, want)
 	}
-	if !strings.Contains(buf.String(), "reopt: on") {
-		t.Errorf("output = %q", buf.String())
+	if got := set("set reopt interval 128"); got != "reopt interval = 128" {
+		t.Errorf("set reopt interval = %q", got)
 	}
-	buf.Reset()
-	if err := c.exec("set reopt interval 128"); err != nil {
-		t.Fatal(err)
-	}
-	if c.opts.Reopt.CheckEvery != 128 {
-		t.Errorf("interval = %d, want 128", c.opts.Reopt.CheckEvery)
-	}
-	if err := c.exec("set reopt threshold 0.25"); err != nil {
-		t.Fatal(err)
-	}
-	if c.opts.Reopt.Threshold != 0.25 {
-		t.Errorf("threshold = %g, want 0.25", c.opts.Reopt.Threshold)
+	if got := set("set reopt threshold 0.25"); got != "reopt threshold = 0.25" {
+		t.Errorf("set reopt threshold = %q", got)
 	}
 	// An explicit zero threshold survives re-enabling.
-	if err := c.exec("set reopt threshold 0"); err != nil {
-		t.Fatal(err)
+	set("set reopt threshold 0")
+	if got := set("set reopt on"); got != "reopt = true (threshold 0)" {
+		t.Errorf("explicit zero threshold overwritten: %q", got)
 	}
-	if err := c.exec("set reopt on"); err != nil {
-		t.Fatal(err)
-	}
-	if c.opts.Reopt.Threshold != 0 {
-		t.Errorf("explicit zero threshold overwritten to %g", c.opts.Reopt.Threshold)
-	}
-	buf.Reset()
-	if err := c.exec("set reopt off"); err != nil {
-		t.Fatal(err)
-	}
-	if c.opts.Reopt.Enabled {
-		t.Error("reopt still enabled")
-	}
-	if !strings.Contains(buf.String(), "reopt: off") {
-		t.Errorf("output = %q", buf.String())
+	if got := set("set reopt off"); got != "reopt = false (threshold 0)" {
+		t.Errorf("set reopt off = %q", got)
 	}
 	// Errors.
 	for _, bad := range []string{
@@ -71,7 +53,7 @@ func TestCLISetReopt(t *testing.T) {
 // A reopt-enabled session runs queries through the monitored executor
 // and EXPLAIN ANALYZE reports the reoptimization record.
 func TestCLIReoptRun(t *testing.T) {
-	c, buf := newTestCLI()
+	c, buf := newTestCLI(t)
 	if err := c.exec("gen table1 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +64,7 @@ func TestCLIReoptRun(t *testing.T) {
 	if err := c.exec("select(compose(ibm, hp), ibm.close > hp.close) over 1 750"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "rows)") {
+	if !strings.Contains(buf.String(), "rows @epoch") {
 		t.Errorf("query output = %q", buf.String())
 	}
 	buf.Reset()

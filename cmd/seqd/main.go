@@ -5,9 +5,10 @@
 //	$ seqd -listen 127.0.0.1:7744 -table1 2 -load prices=prices.csv
 //
 // Clients: `seqcli connect 127.0.0.1:7744` for an interactive shell,
-// `seqbench -server 127.0.0.1:7744` for the load driver, or anything
-// speaking the documented protocol. docs/OPERATIONS.md is the operator's
-// guide; every flag below is documented there (enforced by a test).
+// `seqbench -server -server-addr 127.0.0.1:7744` for the load driver,
+// or anything speaking the documented protocol. docs/OPERATIONS.md is
+// the operator's guide; every flag below is documented there (enforced
+// by a test).
 package main
 
 import (

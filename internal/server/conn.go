@@ -48,12 +48,19 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
+		s.ServeConn(conn)
 	}
+}
+
+// ServeConn serves one established connection (an in-process net.Pipe,
+// say) on its own goroutine, as Serve serves an accepted one: Close
+// closes it and waits for its handler.
+func (s *Server) ServeConn(nc net.Conn) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.handleConn(nc)
+	}()
 }
 
 // Close stops accepting, stops the GC loop, closes every open

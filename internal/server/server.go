@@ -575,6 +575,9 @@ type Session struct {
 	opts     core.Options
 	useViews bool
 	client   string
+	// thresholdSet records an explicit "reopt threshold", so that a
+	// chosen zero (replan at every checkpoint) survives "reopt on".
+	thresholdSet bool
 }
 
 // NewSession opens a session with the server's base options.
@@ -608,7 +611,27 @@ func (sess *Session) SetOption(name, value string) (string, error) {
 			return "", err
 		}
 		sess.opts.Reopt.Enabled = on
-		return fmt.Sprintf("reopt = %v", on), nil
+		// A zero threshold means "replan at every checkpoint" (the fuzz
+		// mode), so enabling defaults it unless one was set.
+		if on && !sess.thresholdSet && sess.opts.Reopt.Threshold == 0 {
+			sess.opts.Reopt.Threshold = reopt.DefaultThreshold
+		}
+		return fmt.Sprintf("reopt = %v (threshold %g)", on, sess.opts.Reopt.Threshold), nil
+	case "reopt interval":
+		var n int64
+		if _, err := fmt.Sscanf(value, "%d", &n); err != nil || n < 1 {
+			return "", errf(wire.CodeOption, "reopt interval wants an integer >= 1, got %q", value)
+		}
+		sess.opts.Reopt.CheckEvery = n
+		return fmt.Sprintf("reopt interval = %d", n), nil
+	case "reopt threshold":
+		var x float64
+		if _, err := fmt.Sscanf(value, "%g", &x); err != nil || x < 0 {
+			return "", errf(wire.CodeOption, "reopt threshold wants a number >= 0, got %q", value)
+		}
+		sess.opts.Reopt.Threshold = x
+		sess.thresholdSet = true
+		return fmt.Sprintf("reopt threshold = %g", x), nil
 	case "views":
 		on, err := parseOnOff(value)
 		if err != nil {
@@ -624,7 +647,7 @@ func (sess *Session) SetOption(name, value string) (string, error) {
 		sess.opts.Verify = on || sess.srv.cfg.Verify
 		return fmt.Sprintf("verify = %v", sess.opts.Verify), nil
 	default:
-		return "", errf(wire.CodeOption, "unknown option %q (have parallelism, reopt, views, verify)", name)
+		return "", errf(wire.CodeOption, "unknown option %q (have parallelism, reopt, reopt interval, reopt threshold, views, verify)", name)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // testData builds a sparse one-column int sequence v=i at positions 1..n.
@@ -700,4 +701,34 @@ func TestAnalyzePartitionPagesExact(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReoptOnOverWireDefaultsThreshold: "reopt on" must not leave the
+// zero threshold, which replans and splices at every checkpoint (the
+// forced-reopt fuzz mode). A well-predicted dense scan then runs every
+// checkpoint and switches nowhere.
+func TestReoptOnOverWireDefaultsThreshold(t *testing.T) {
+	data, err := workload.Stock(workload.StockConfig{Name: "big", Span: seq.NewSpan(1, 20000), Density: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	if err := srv.CreateSequence("big", data, storage.KindSparse); err != nil {
+		t.Fatal(err)
+	}
+	c, err := wire.Dial(startTCP(t, srv), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.SetOption("reopt", "on"); err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.Analyze("select(big, close > 0.0)", 1, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "reopt: 19 checkpoint(s), 0 switch(es)") {
+		t.Errorf("reopt on ran in the forced mode:\n%s", text)
+	}
 }

@@ -43,6 +43,13 @@ func Dial(addr, clientName string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewClient(conn, clientName)
+}
+
+// NewClient performs the Hello/HelloAck handshake on an established
+// connection, announcing clientName. The Client owns conn from then on;
+// it is closed when the handshake fails.
+func NewClient(conn net.Conn, clientName string) (*Client, error) {
 	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
 	if err := c.send(&Hello{Version: ProtocolVersion, Client: clientName}); err != nil {
 		conn.Close()

@@ -93,14 +93,12 @@ func (db *DB) Checkpoint() error {
 	return db.disk.Checkpoint()
 }
 
-// GC reclaims superseded on-disk versions and their page slots, and
-// invalidated views, that no running query still reads. Returns
-// versions dropped and pages released, their slots freed (both 0 for
-// in-memory databases, which drop superseded versions as they write).
+// GC reclaims superseded versions (and their page slots, on the disk
+// tier) and invalidated views that no running query still reads.
+// Returns versions dropped and pages released. An in-memory database
+// reclaims after each of its own writes; writes made over Connect wait
+// for GC.
 func (db *DB) GC() (versions, pages int) {
-	if db.disk == nil {
-		return 0, 0
-	}
 	versions, pages, _ = db.srv.GCOnce()
 	return versions, pages
 }

@@ -30,6 +30,7 @@ package seqproc
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -174,6 +175,16 @@ func (db *DB) wrote(err error) error {
 		db.srv.GCOnce()
 	}
 	return libErr(err)
+}
+
+// Connect opens an in-process connection to the DB's engine and returns
+// its client end, served by the handler seqd runs for a TCP client
+// (docs/PROTOCOL.md): wrap it in a wire client to drive the DB through
+// the protocol. Close it to end the session.
+func (db *DB) Connect() net.Conn {
+	client, srv := net.Pipe()
+	db.srv.ServeConn(srv)
+	return client
 }
 
 // CreateSequence registers a base sequence under the given name, packing
