@@ -45,12 +45,13 @@ type builder struct {
 	stats  *Stats
 	// costs records the optimizer's estimate for every physical node it
 	// creates, keyed by node identity — the predicted side of EXPLAIN
-	// ANALYZE. Entries for candidates the DP later discards are simply
-	// never looked up.
+	// ANALYZE. Optimize keeps only the chosen plans' entries (prune).
 	costs map[exec.Plan]Cost
 	// subs records the materialized-view substitutions adopted while
 	// building, in build order (see tryView).
 	subs []*matview.Substitution
+	// viewUse records every matched view's outcome, in build order.
+	viewUse []viewUse
 	// nodes maps each created physical node back to the algebra node it
 	// evaluates (the reoptimization layer's plan→query join); nil
 	// disables recording.
@@ -90,6 +91,37 @@ func (b *builder) noteCand(n *algebra.Node, c *candidate) (*candidate, error) {
 		}
 	}
 	return c, nil
+}
+
+// prune drops the cost and node entries of every candidate the DP
+// discarded, keeping those of the nodes reachable from roots — the only
+// nodes the instrumentation, Verify and the replanner look up. A Result
+// that outlives its request (the server's plan cache) then retains its
+// plans, not every plan it priced.
+func (b *builder) prune(roots ...exec.Plan) {
+	costs := make(map[exec.Plan]Cost)
+	nodes := make(map[exec.Plan]*algebra.Node)
+	seen := make(map[exec.Plan]bool)
+	var walk func(p exec.Plan)
+	walk = func(p exec.Plan) {
+		if p == nil || seen[p] {
+			return
+		}
+		seen[p] = true
+		if c, ok := b.costs[p]; ok {
+			costs[p] = c
+		}
+		if n, ok := b.nodes[p]; ok {
+			nodes[p] = n
+		}
+		for _, c := range p.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	b.costs, b.nodes = costs, nodes
 }
 
 // build produces a candidate for the node (Steps 4–5, recursively).

@@ -151,24 +151,33 @@ type Result struct {
 	// Views is the registry the plan was built against (nil when view
 	// matching was disabled); EXPLAIN ANALYZE reads its counters.
 	Views *matview.Registry
-	// PlanCosts maps every physical node the builder created (including
-	// candidates the DP discarded) to its estimate, keyed by node
-	// identity. EXPLAIN ANALYZE joins it against the executed tree to
-	// print predicted next to actual.
+	// PlanCosts maps every node of Plan and ProbedPlan to its estimate,
+	// keyed by node identity. EXPLAIN ANALYZE joins it against the
+	// executed tree to print predicted next to actual.
 	PlanCosts map[exec.Plan]Cost
 	// Params are the cost-model weights the estimates were computed with,
 	// kept so predictions can be converted back to page units.
 	Params CostParams
 
-	// nodes maps every physical node the builder created back to the
-	// algebra node it evaluates. The reoptimization layer walks it in
-	// lockstep with the metrics tree to turn observed row counts into
-	// density overrides for replanning.
+	// nodes maps every node of Plan and ProbedPlan back to the algebra
+	// node it evaluates. The reoptimization layer walks it in lockstep
+	// with the metrics tree to turn observed row counts into density
+	// overrides for replanning.
 	nodes map[exec.Plan]*algebra.Node
 	// opts are the options this result was optimized under, kept so
 	// mid-run replans rebuild with the same configuration.
 	opts Options
+	// viewUse are the matched views' outcomes of this planning, which
+	// Optimize counts once and CountViewUse again.
+	viewUse []viewUse
 }
+
+// CountViewUse records this plan's materialized-view outcomes on the
+// views' counters again: a hit per adopted substitution, a miss per
+// matched view that lost on cost. Optimize counts them once; a caller
+// that serves a read from a Result planned earlier calls it per read, so
+// the counters count reads, not plannings.
+func (r *Result) CountViewUse() { countViewUse(r.viewUse) }
 
 // Run executes the stream plan over the run span and materializes the
 // output (the Start operator of Figure 6): RunAnalyze without the
@@ -296,9 +305,11 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 		nodes: make(map[exec.Plan]*algebra.Node),
 	}
 	cand, err := b.build(rewritten)
+	countViewUse(b.viewUse)
 	if err != nil {
 		return nil, err
 	}
+	b.prune(cand.stream, cand.probed)
 
 	// Step 6: plan selection. The Start operator performs a stream
 	// access, so the stream plan is the query plan; the probed plan is
@@ -326,6 +337,7 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 		Params:        b.params,
 		nodes:         b.nodes,
 		opts:          opts,
+		viewUse:       b.viewUse,
 	}
 	// Partition planning: decide K for the run span under the extended
 	// cost model. A guard keeps pre-existing literal CostParams (zero

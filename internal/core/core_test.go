@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -418,6 +419,70 @@ func TestExplainMeta(t *testing.T) {
 	for _, want := range []string{"agg", "base(s)", "span=[1, 6]", "access=[2, 4]", "density="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("ExplainMeta missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// reachablePlans counts the distinct physical nodes of the given plans.
+func reachablePlans(roots ...exec.Plan) int {
+	seen := make(map[exec.Plan]bool)
+	var walk func(p exec.Plan)
+	walk = func(p exec.Plan) {
+		if p == nil || seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, c := range p.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	return len(seen)
+}
+
+// TestOptimizeKeepsOnlyChosenPlans: a Result retains estimates for the
+// nodes of its two plans and no discarded DP candidate, and stays
+// invariant-clean under the full verifier.
+func TestOptimizeKeepsOnlyChosenPlans(t *testing.T) {
+	defer func(v bool) { VerifyAll = v }(VerifyAll)
+	VerifyAll = true
+	check := func(label string, q *algebra.Node, span seq.Span) {
+		t.Helper()
+		res := optimize(t, q, span, Options{})
+		if want := reachablePlans(res.Plan, res.ProbedPlan); len(res.PlanCosts) != want {
+			t.Errorf("%s: %d cost entries, want the %d nodes of Plan ∪ ProbedPlan", label, len(res.PlanCosts), want)
+		}
+		if len(res.nodes) > len(res.PlanCosts) {
+			t.Errorf("%s: %d node entries for %d plan nodes", label, len(res.nodes), len(res.PlanCosts))
+		}
+		if err := res.Verify(); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+	}
+	for _, n := range []int{2, 4, 6} {
+		q, _ := mkStore(t, "s0", storage.KindDense, seq.EmptySpan, 1, 2, 3)
+		for i := 1; i < n; i++ {
+			in, _ := mkStore(t, "s", storage.KindSparse, seq.EmptySpan, 1, 3)
+			var err error
+			if q, err = algebra.Compose(q, in, nil, "", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := optimize(t, q, seq.NewSpan(1, 3), Options{})
+		if res.Stats.CandidatesCosted <= int64(len(res.PlanCosts)) && n > 2 {
+			t.Errorf("%d-way: %d candidates costed, %d kept: nothing was discarded", n, res.Stats.CandidatesCosted, len(res.PlanCosts))
+		}
+		check(fmt.Sprintf("%d-way compose", n), q, seq.NewSpan(1, 3))
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		q, err := testgen.RandomQuery(rand.New(rand.NewSource(seed)), testgen.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !algebra.Divergent(q) {
+			check(fmt.Sprintf("seed %d", seed), q, seq.NewSpan(-10, 45))
 		}
 	}
 }

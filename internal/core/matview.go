@@ -19,7 +19,7 @@ import (
 // it per access mode wherever it beats recomputation. Adopted
 // substitutions are recorded for EXPLAIN and the matview/* planlint
 // invariants; a view that matched but lost on cost (or span) records a
-// miss on its counters.
+// miss (see adopt).
 func (b *builder) tryView(n *algebra.Node, m *meta.NodeMeta, cand *candidate) (*candidate, error) {
 	reg := b.opts.Views
 	if reg == nil || reg.Len() == 0 {
@@ -148,12 +148,7 @@ func (b *builder) tryView(n *algebra.Node, m *meta.NodeMeta, cand *candidate) (*
 				sub.Probed = false
 			}
 		}
-		if sub.Stream || sub.Probed {
-			v.Hit()
-			b.subs = append(b.subs, sub)
-		} else {
-			v.Miss()
-		}
+		b.adopt(sub)
 		return cand, nil
 	}
 
@@ -172,13 +167,36 @@ func (b *builder) tryView(n *algebra.Node, m *meta.NodeMeta, cand *candidate) (*
 		cand.probed = plan
 		cand.cost.ProbePer = cost.ProbePer
 	}
-	if sub.Stream || sub.Probed {
-		v.Hit()
-		b.subs = append(b.subs, sub)
-	} else {
-		v.Miss()
-	}
+	b.adopt(sub)
 	return cand, nil
+}
+
+// adopt records a matched view's outcome at one block: a substitution
+// that won either access mode is adopted (a hit), one that lost both is
+// a miss. The outcomes reach the view counters through countViewUse.
+func (b *builder) adopt(sub *matview.Substitution) {
+	hit := sub.Stream || sub.Probed
+	if hit {
+		b.subs = append(b.subs, sub)
+	}
+	b.viewUse = append(b.viewUse, viewUse{sub.View, hit})
+}
+
+// viewUse is one matched view's outcome at one block.
+type viewUse struct {
+	view *matview.View
+	hit  bool
+}
+
+// countViewUse records outcomes on the views' hit and miss counters.
+func countViewUse(uses []viewUse) {
+	for _, u := range uses {
+		if u.hit {
+			u.view.Hit()
+		} else {
+			u.view.Miss()
+		}
+	}
 }
 
 // restoreColumns wraps the view-scan plan in a projection restoring the

@@ -122,6 +122,7 @@ func (rp *replanner) Replan(remaining, consumed seq.Span, metrics *exec.NodeMetr
 		nodes: make(map[exec.Plan]*algebra.Node),
 	}
 	cand, err := b.build(rp.res.Rewritten)
+	countViewUse(b.viewUse)
 	if err != nil {
 		return nil, err
 	}

@@ -99,6 +99,7 @@ func (s *Server) attachSeqs(db *disk.DB) error {
 		s.mu.Unlock()
 	}
 	s.disk = db
+	s.planGen.Add(1)
 	return nil
 }
 
@@ -130,6 +131,7 @@ func (s *Server) reattachView(v *disk.View) error {
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
 		_, err = s.views.RegisterAt(v.Name, res.Rewritten, data, v.Span, v.Epoch)
+		s.planGen.Add(1)
 		return err
 	})
 }

@@ -25,6 +25,11 @@
 // pool (docs/OPERATIONS.md). The wire layer lives in conn.go; this file
 // is the engine, directly usable in-process (the seqproc library and the
 // concurrency fuzz tests drive it without sockets).
+//
+// A SEQL read plans once per (session options, text, span, epoch): the
+// server's plan cache (plancache.go) hands a repeated read the plan an
+// earlier read at the same epoch made, and the read still takes its
+// slot, pins, verifies and runs.
 package server
 
 import (
@@ -32,6 +37,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,7 +126,8 @@ func (ss *serverSeq) at(epoch int64) (storage.Store, bool) {
 // map lock, publish into a store, invalidate views and advance the
 // epoch. mu may wrap store reads (PageVersions). connMu and listenMu
 // are leaves: nothing is ever acquired under them, which is what lets
-// Close shut connections without deadlocking against handlers.
+// Close shut connections without deadlocking against handlers. The plan
+// cache's lock is a leaf too.
 //
 // With an attached disk database, writes nest the database's own
 // writer lock (and, transitively, its pool and file locks) under wmu;
@@ -136,6 +143,7 @@ func (ss *serverSeq) at(epoch int64) (storage.Store, bool) {
 //seqvet:lockorder server.Server.mu < storage.Versioned.mu
 //seqvet:lockorder leaf server.Server.connMu
 //seqvet:lockorder leaf server.Server.listenMu
+//seqvet:lockorder leaf server.planCache.mu
 //seqvet:epochpin advance-under server.Server.wmu
 type Server struct {
 	cfg  Config
@@ -164,6 +172,15 @@ type Server struct {
 	noIVM        atomic.Bool // SetViewMaintenance(false)
 
 	sem chan struct{} // worker pool; len(sem) = executing requests
+
+	// plans caches SEQL reads' plans. planGen is the plan generation: every
+	// change that can alter a plan without advancing the epoch (sequence
+	// create and drop, view registration and drop, calibration) bumps it
+	// after the change, and a cached plan is valid only at the generation
+	// its planning read before it started.
+	plans       *planCache
+	planGen     atomic.Uint64
+	nextSession atomic.Uint64
 
 	// Cumulative counters, reported in the Analyze counter block.
 	nSessions atomic.Int64 // currently connected wire sessions
@@ -200,6 +217,7 @@ func New(cfg Config) *Server {
 		calib:  &reopt.Calibration{},
 		subs:   make(map[uint64]*subscription),
 		sem:    make(chan struct{}, cfg.Workers),
+		plans:  newPlanCache(planProbation, planProtected),
 		stopGC: make(chan struct{}),
 	}
 }
@@ -246,6 +264,7 @@ func (s *Server) CreateSequence(name string, data *seq.Materialized, kind storag
 	s.mu.Lock()
 	s.seqs[name] = ss
 	s.mu.Unlock()
+	s.planGen.Add(1)
 	return nil
 }
 
@@ -408,6 +427,7 @@ func (s *Server) DropSequence(name string) error {
 	s.mu.Lock()
 	delete(s.seqs, name)
 	s.mu.Unlock()
+	s.planGen.Add(1)
 	s.views.InvalidateBaseFrom(name, next)
 	if err := s.epochs.AdvanceTo(next); err != nil {
 		return &Error{Code: wire.CodeInternal, Err: err}
@@ -436,6 +456,7 @@ func (s *Server) DropView(name string) error {
 	if !s.views.Drop(name) {
 		return errf(wire.CodeNotFound, "unknown view %q", name)
 	}
+	s.planGen.Add(1)
 	if s.diskViews()[name] {
 		if err := s.disk.DropViewAt(name, s.epochs.Current()); err != nil {
 			return &Error{Code: wire.CodeInternal, Err: err}
@@ -444,12 +465,13 @@ func (s *Server) DropView(name string) error {
 	return nil
 }
 
-// GCOnce reclaims page versions and invalidated views unreachable by any
-// pinned reader. Returns the number of sequence versions dropped, the
-// pages they alone held (their disk slots freed, on the disk tier) and
-// the names of reclaimed views.
+// GCOnce reclaims page versions, invalidated views and cached plans
+// unreachable by any pinned reader. Returns the number of sequence
+// versions dropped, the pages they alone held (their disk slots freed,
+// on the disk tier) and the names of reclaimed views.
 func (s *Server) GCOnce() (versions, pages int, views []string) {
 	minLive := s.epochs.MinLive()
+	s.plans.dropBelow(minLive)
 	s.mu.RLock()
 	seqs := make([]*serverSeq, 0, len(s.seqs))
 	for _, ss := range s.seqs {
@@ -575,6 +597,10 @@ type Session struct {
 	opts     core.Options
 	useViews bool
 	client   string
+	// id and optGen key the session's cached plans; SetOption bumps
+	// optGen, retiring them.
+	id     uint64
+	optGen uint64
 	// thresholdSet records an explicit "reopt threshold", so that a
 	// chosen zero (replan at every checkpoint) survives "reopt on".
 	thresholdSet bool
@@ -591,16 +617,18 @@ func (s *Server) NewSession(client string) *Session {
 // calibration opts names replaces the server's own.
 func (s *Server) NewSessionWith(client string, opts core.Options) *Session {
 	opts.Verify = opts.Verify || s.cfg.Verify
-	return &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client}
+	return &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client, id: s.nextSession.Add(1)}
 }
 
 // SetOption adjusts one session option. See docs/PROTOCOL.md for the
-// names; unknown names or malformed values return CodeOption.
+// names; unknown names or malformed values (a number must be the whole
+// value) return CodeOption.
 func (sess *Session) SetOption(name, value string) (string, error) {
+	sess.optGen++
 	switch name {
 	case "parallelism":
-		var k int
-		if _, err := fmt.Sscanf(value, "%d", &k); err != nil || k < 0 {
+		k, err := strconv.Atoi(value)
+		if err != nil || k < 0 {
 			return "", errf(wire.CodeOption, "parallelism wants an integer >= 0, got %q", value)
 		}
 		sess.opts.Parallelism = k
@@ -618,15 +646,15 @@ func (sess *Session) SetOption(name, value string) (string, error) {
 		}
 		return fmt.Sprintf("reopt = %v (threshold %g)", on, sess.opts.Reopt.Threshold), nil
 	case "reopt interval":
-		var n int64
-		if _, err := fmt.Sscanf(value, "%d", &n); err != nil || n < 1 {
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil || n < 1 {
 			return "", errf(wire.CodeOption, "reopt interval wants an integer >= 1, got %q", value)
 		}
 		sess.opts.Reopt.CheckEvery = n
 		return fmt.Sprintf("reopt interval = %d", n), nil
 	case "reopt threshold":
-		var x float64
-		if _, err := fmt.Sscanf(value, "%g", &x); err != nil || x < 0 {
+		x, err := strconv.ParseFloat(value, 64)
+		if err != nil || !(x >= 0) {
 			return "", errf(wire.CodeOption, "reopt threshold wants a number >= 0, got %q", value)
 		}
 		sess.opts.Reopt.Threshold = x
@@ -663,25 +691,64 @@ func parseOnOff(v string) (bool, error) {
 }
 
 // read is the one path of every read: take a worker slot, pin the
-// epoch, bind (SEQL against the epoch's catalog, or a root bound earlier
-// rebound to the epoch's snapshots), optimize with the session's options
-// and the views valid at the epoch, re-verify the snapshot/* invariants,
-// and run tail on the plan. A queued request holds no pin. The slot and
-// the pin are released when read returns, before any response is
-// written; queue is the time spent waiting for the slot.
+// epoch, plan, re-verify the snapshot/* invariants, and run tail on the
+// plan. A SEQL read takes its plan from the plan cache when an earlier
+// read planned the same text and span under the same session options at
+// this epoch and plan generation; otherwise it binds (SEQL against the
+// epoch's catalog, or a root bound earlier rebound to the epoch's
+// snapshots) and optimizes with the session's options and the views
+// valid at the epoch, and a SEQL read caches the verified plan. A
+// session planning against a registry or a calibration of its own
+// bypasses the cache, whose generation does not track them. A queued
+// request holds no pin. The slot and the pin are released when read
+// returns, before any response is written; queue is the time spent
+// waiting for the slot.
 func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail func(res *core.Result, epoch int64, queue time.Duration) error) error {
 	srv := sess.srv
 	queue := srv.acquire()
 	defer srv.release()
 	epoch := srv.epochs.Pin()
 	defer srv.epochs.Release(epoch)
+	// The generation is read before planning: a change racing the
+	// planning bumps it after itself, so it retires what is cached here.
+	gen := srv.planGen.Load()
+	key := planKey{session: sess.id, options: sess.optGen, seql: seql, span: span}
+	cacheable := root == nil && sess.opts.Views == nil && sess.opts.Calibration == nil
+	var res *core.Result
+	hit := false
+	if cacheable {
+		res, hit = srv.plans.get(key, epoch, gen)
+	}
+	if hit {
+		res.CountViewUse()
+	} else {
+		var err error
+		if res, err = sess.optimize(seql, root, span, epoch); err != nil {
+			return err
+		}
+	}
+	// Independent re-derivation of the isolation invariants: every leaf
+	// is a snapshot pinned at exactly this reader's epoch, and every
+	// substituted view is valid at it.
+	if issues := planlint.VerifySnapshot(res.Rewritten, res.Substitutions, epoch); len(issues) > 0 {
+		return errf(wire.CodeInternal, "snapshot invariant violated: %s", issues[0])
+	}
+	if cacheable && !hit {
+		srv.plans.put(key, epoch, gen, res)
+	}
+	return tail(res, epoch, queue)
+}
+
+// optimize binds and plans a read at epoch.
+func (sess *Session) optimize(seql string, root *algebra.Node, span seq.Span, epoch int64) (*core.Result, error) {
+	srv := sess.srv
 	var err error
 	if root == nil {
 		if root, err = parser.Bind(seql, srv.catalogAt(epoch)); err != nil {
-			return &Error{Code: wire.CodeParse, Err: err}
+			return nil, &Error{Code: wire.CodeParse, Err: err}
 		}
 	} else if root, err = srv.rebindAt(epoch, root); err != nil {
-		return err
+		return nil, err
 	}
 	opts := sess.opts
 	if sess.useViews {
@@ -692,15 +759,9 @@ func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail f
 	}
 	res, err := core.Optimize(root, span, opts)
 	if err != nil {
-		return &Error{Code: wire.CodePlan, Err: err}
+		return nil, &Error{Code: wire.CodePlan, Err: err}
 	}
-	// Independent re-derivation of the isolation invariants: every leaf
-	// is a snapshot pinned at exactly this reader's epoch, and every
-	// substituted view is valid at it.
-	if issues := planlint.VerifySnapshot(res.Rewritten, res.Substitutions, epoch); len(issues) > 0 {
-		return errf(wire.CodeInternal, "snapshot invariant violated: %s", issues[0])
-	}
-	return tail(res, epoch, queue)
+	return res, nil
 }
 
 // Plan runs fn on the plan of a root bound earlier (Catalog), under one
@@ -768,6 +829,7 @@ func (sess *Session) Analyze(seql string, span seq.Span) (string, int64, error) 
 		a, err := sess.srv.run(res.RunAnalyze)
 		if err == nil {
 			sess.srv.calib.Observe(a.Root)
+			sess.srv.planGen.Add(1)
 			text, epoch = a.Render()+"\n"+sess.srv.counterBlock(e, queue), e
 		}
 		return err
@@ -790,11 +852,12 @@ func (s *Server) counterBlock(epoch int64, queue time.Duration) string {
   queue-wait     %s   (this request)
   queries        %d
   appends        %d
-  conflicts      %d`,
+  conflicts      %d
+  plan-cache     %d hits, %d misses, %d entries`,
 		s.epochs.Current(), epoch, s.epochs.MinLive(), s.epochs.LiveReaders(),
 		s.PageVersions(), s.views.Len(), s.nSessions.Load(), cap(s.sem),
 		queue.Round(time.Microsecond), s.nQueries.Load(), s.nAppends.Load(),
-		s.nConflict.Load())
+		s.nConflict.Load(), s.plans.hits.Load(), s.plans.misses.Load(), s.plans.len())
 }
 
 // Materialize computes the query against a pinned snapshot and registers
@@ -838,7 +901,11 @@ func (sess *Session) Materialize(name, seql string, span seq.Span) (int64, time.
 		if _, err := srv.views.RegisterAt(name, res.Rewritten, out, res.RunSpan, at); err != nil {
 			return &Error{Code: wire.CodeMaterialize, Err: err}
 		}
-		if err := srv.persistView(name, seql, res.RunSpan, at, bases, out); err != nil {
+		// A failed persist drops the view again; either way the registry
+		// changed.
+		err = srv.persistView(name, seql, res.RunSpan, at, bases, out)
+		srv.planGen.Add(1)
+		if err != nil {
 			return &Error{Code: wire.CodeMaterialize, Err: err}
 		}
 		epoch = at
