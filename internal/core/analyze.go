@@ -69,7 +69,8 @@ type Analysis struct {
 }
 
 // RunAnalyze executes the stream plan and returns the output together
-// with the metrics every run records. The plan is deep-copied before
+// with the metrics every run records, labeled (exec.NodeMetrics.Labels).
+// The plan is deep-copied before
 // wrapping, so the Result stays reusable; operator caches in the
 // instrumented copy are fresh, so cache counters describe this run only.
 // With Options.Reopt enabled the run is monitored, Reopt carries the
@@ -78,6 +79,9 @@ func (r *Result) RunAnalyze() (*Analysis, error) {
 	a, err := r.RunMetered()
 	if err != nil {
 		return nil, err
+	}
+	if a.Root != nil {
+		a.Root.Labels()
 	}
 	a.Views = r.viewCounters()
 	return a, nil

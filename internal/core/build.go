@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/matview"
 	"repro/internal/meta"
 	"repro/internal/seq"
@@ -52,6 +53,11 @@ type builder struct {
 	subs []*matview.Substitution
 	// viewUse records every matched view's outcome, in build order.
 	viewUse []viewUse
+	// viewsExamined records that a block was matched against the view
+	// registry, and slotReads the estimates the join DP derived from
+	// slot literals (see Result.Rebinds).
+	viewsExamined bool
+	slotReads     []expr.SlotRead
 	// nodes maps each created physical node back to the algebra node it
 	// evaluates (the reoptimization layer's plan→query join); nil
 	// disables recording.

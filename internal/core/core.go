@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/matview"
 	"repro/internal/meta"
 	"repro/internal/parallel"
@@ -170,6 +171,13 @@ type Result struct {
 	// viewUse are the matched views' outcomes of this planning, which
 	// Optimize counts once and CountViewUse again.
 	viewUse []viewUse
+	// slotReads are the estimates planning derived from slot literals'
+	// values, slots the number of slots of the bound text, and
+	// rebindable reports that no rewrite consumed a slot and that no
+	// view was matched against the query (see Rebinds).
+	slotReads  []expr.SlotRead
+	slots      int
+	rebindable bool
 }
 
 // CountViewUse records this plan's materialized-view outcomes on the
@@ -271,6 +279,7 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 	// densities, so annotating the rewritten tree is equivalent and
 	// avoids re-annotation.)
 	verify := opts.Verify || VerifyAll
+	slots := newSlotCheck(root)
 	rewritten := root
 	if !opts.DisableRewrites {
 		rules := opts.Rules
@@ -280,6 +289,9 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 		var hook rewrite.Hook
 		if verify {
 			hook = planlint.CheckRule
+		}
+		if slots.n > 0 {
+			hook = slots.hook(hook)
 		}
 		var fired int
 		var err error
@@ -338,6 +350,9 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 		nodes:         b.nodes,
 		opts:          opts,
 		viewUse:       b.viewUse,
+		slotReads:     append(ann.SlotReads, b.slotReads...),
+		slots:         slots.n,
+		rebindable:    !b.viewsExamined && !slots.lost,
 	}
 	// Partition planning: decide K for the run span under the extended
 	// cost model. A guard keeps pre-existing literal CostParams (zero

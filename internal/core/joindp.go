@@ -71,8 +71,15 @@ func (b *builder) buildBlock(root *algebra.Node, m *meta.NodeMeta) (*candidate, 
 		outLen = 0
 	}
 
+	// A predicate's selectivity depends on it and the source statistics
+	// only: estimate each once, not per join plan.
+	sels := make([]float64, len(blk.Preds))
+	for i, p := range blk.Preds {
+		sels[i] = expr.Selectivity(p.Virtual, vstats, &b.slotReads)
+	}
+
 	dp := &blockDP{
-		b: b, blk: blk, srcs: srcs, vstats: vstats, outLen: outLen,
+		b: b, blk: blk, srcs: srcs, sels: sels, outLen: outLen,
 		table: make(map[uint64]*dpEntry),
 	}
 	full, err := dp.run()
@@ -101,7 +108,7 @@ type blockDP struct {
 	b      *builder
 	blk    *rewrite.JoinBlock
 	srcs   []*candidate
-	vstats map[int]expr.ColStats
+	sels   []float64 // per predicate of blk
 	outLen float64
 	table  map[uint64]*dpEntry
 	peak   int
@@ -165,7 +172,7 @@ func (dp *blockDP) predFor(idxs []int, order []int) (expr.Expr, float64, error) 
 		if err != nil {
 			return nil, 0, err
 		}
-		sel *= expr.Selectivity(p.Virtual, dp.vstats)
+		sel *= dp.sels[i]
 	}
 	return pred, sel, nil
 }

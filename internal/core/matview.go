@@ -39,6 +39,7 @@ func (b *builder) tryView(n *algebra.Node, m *meta.NodeMeta, cand *candidate) (*
 		// A block shape the canon does not cover is simply not matchable.
 		return cand, nil
 	}
+	b.viewsExamined = true
 	match, ok := reg.Match(c, m.AccessSpan)
 	if !ok {
 		return cand, nil

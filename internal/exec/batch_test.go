@@ -419,6 +419,8 @@ func TestBatchMeteredCounters(t *testing.T) {
 	if scalarPages != batchPages {
 		t.Errorf("page accounting differs: scalar %v, batch %v", scalarPages, batchPages)
 	}
+	sroot.Labels()
+	broot.Labels()
 	var walk func(a, b *NodeMetrics)
 	walk = func(a, b *NodeMetrics) {
 		if a.ScanRows != b.ScanRows {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/expr"
 )
 
 // ClonePlan deep-copies a physical plan so the copy can run concurrently
@@ -22,6 +23,29 @@ import (
 // rather than aliasing them.
 func ClonePlan(p Plan) (Plan, error) {
 	return clonePlan(p, func(_, cp Plan) Plan { return cp })
+}
+
+// CloneWithExprs is ClonePlan with every operator expression — select
+// and compose predicates, projection items — replaced by f's result.
+// copied sees each original node next to its copy.
+func CloneWithExprs(p Plan, f func(expr.Expr) expr.Expr, copied func(orig, cp Plan)) (Plan, error) {
+	return clonePlan(p, func(orig, cp Plan) Plan {
+		switch op := cp.(type) {
+		case *SelectOp:
+			op.Pred = f(op.Pred)
+		case *ComposeOp:
+			if op.Pred != nil {
+				op.Pred = f(op.Pred)
+			}
+		case *ProjectOp:
+			op.Items = append([]ProjExpr(nil), op.Items...)
+			for i := range op.Items {
+				op.Items[i].Expr = f(op.Items[i].Expr)
+			}
+		}
+		copied(orig, cp)
+		return cp
+	})
 }
 
 // clonePlan is the one per-operator copy. hook sees each original node

@@ -158,6 +158,8 @@ func TestInstrumentShardsMergeConcurrently(t *testing.T) {
 	// The merged shards must agree with the serial reference on every
 	// data-dependent counter (times differ; capacities triple, because
 	// three workers own three full cache sets).
+	merged.Labels()
+	refRoot.Labels()
 	var check func(a, b *NodeMetrics)
 	check = func(a, b *NodeMetrics) {
 		if a.Label != b.Label {
@@ -190,5 +192,11 @@ func TestMergeRejectsDifferentShapes(t *testing.T) {
 	_, b := mustInstrument(t, leaf(t, map[seq.Pos]float64{1: 1}))
 	if err := a.Merge(b); err == nil {
 		t.Fatal("merging metrics of different plans must fail")
+	}
+	// Two plans of one shape and one label are still two plans.
+	_, c := mustInstrument(t, leaf(t, map[seq.Pos]float64{1: 1}))
+	_, d := mustInstrument(t, leaf(t, map[seq.Pos]float64{1: 1}))
+	if err := c.Merge(d); err == nil {
+		t.Fatal("merging metrics of two plans of one shape must fail")
 	}
 }

@@ -40,8 +40,12 @@ type PredictedCost struct {
 // ANALYZE, because a pull pipeline spends child time inside the
 // parent's Next.
 type NodeMetrics struct {
-	// Label is the operator's Label() at instrumentation time.
+	// Label is the operator's Label(). Building one is a fmt.Sprintf
+	// per node, so a run leaves it empty until Labels fills the tree,
+	// as an analyzed run (core.Result.RunAnalyze) does for rendering.
 	Label string
+	// op is the operator the node meters (the original, not the copy).
+	op Plan
 	// Predicted is the optimizer's estimate for this node.
 	Predicted PredictedCost
 	// Children mirror the plan tree.
@@ -124,20 +128,20 @@ func (m *NodeMetrics) Finalize() {
 }
 
 // Merge folds another metrics tree into this one, summing every counter
-// recursively. Both trees must mirror the same plan shape (same labels,
-// same child structure) — as produced by instrumenting independent
-// clones of one plan, the per-worker shards of a partitioned run. Call
+// recursively. Both trees must meter the same plan, node for node — as
+// produced by instrumenting one plan once per worker, the shards of a
+// partitioned run. Call
 // Finalize on both trees before merging, so the deferred page and cache
 // counters are in the exported fields. Capacities and peaks sum too:
 // K workers each own a full set of operator caches, so the merged
 // numbers report the actual total residency of the parallel run.
 func (m *NodeMetrics) Merge(o *NodeMetrics) error {
-	if m.Label != o.Label {
-		return fmt.Errorf("exec: merging metrics of different operators: %q vs %q", m.Label, o.Label)
+	if m.op != o.op {
+		return fmt.Errorf("exec: merging metrics of different operators: %q vs %q", m.op.Label(), o.op.Label())
 	}
 	if len(m.Children) != len(o.Children) {
 		return fmt.Errorf("exec: merging metrics with different shapes at %q: %d vs %d children",
-			m.Label, len(m.Children), len(o.Children))
+			m.op.Label(), len(m.Children), len(o.Children))
 	}
 	m.ScanCalls += o.ScanCalls
 	m.ScanRows += o.ScanRows
@@ -253,6 +257,15 @@ func (m *NodeMetrics) RowsIn() int64 {
 	return total
 }
 
+// Labels fills Label across the tree from the metered operators.
+func (m *NodeMetrics) Labels() {
+	m.Walk(func(n *NodeMetrics, _ int) {
+		if n.Label == "" && n.op != nil {
+			n.Label = n.op.Label()
+		}
+	})
+}
+
 // Walk visits the metrics tree depth-first, parent before children.
 func (m *NodeMetrics) Walk(f func(n *NodeMetrics, depth int)) {
 	var walk func(n *NodeMetrics, depth int)
@@ -278,7 +291,7 @@ func Instrument(p Plan, pred func(Plan) PredictedCost) (Plan, *NodeMetrics, erro
 		pred = func(Plan) PredictedCost { return PredictedCost{} }
 	}
 	cp, err := clonePlan(p, func(orig, cp Plan) Plan {
-		m := &NodeMetrics{Label: orig.Label(), Predicted: pred(orig)}
+		m := &NodeMetrics{op: orig, Predicted: pred(orig)}
 		kids := cp.Children()
 		m.Children = make([]*NodeMetrics, len(kids))
 		for i, c := range kids {

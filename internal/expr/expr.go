@@ -74,6 +74,11 @@ func (c *Col) String() string { return c.Name }
 // Lit is a literal constant.
 type Lit struct {
 	Val seq.Value
+	// Slot is the 1-based index of the query-text slot the literal fills
+	// (see parser.Shape), 0 for a literal that fills none. A plan made
+	// for one text serves another of the same shape by substituting its
+	// slot values (WithSlots).
+	Slot int
 }
 
 // Literal wraps a value as an expression.
@@ -454,4 +459,61 @@ func And(a, b Expr) (Expr, error) {
 	default:
 		return NewBin(OpAnd, a, b)
 	}
+}
+
+// VisitSlots calls f on every slot literal of e, in tree order.
+func VisitSlots(e Expr, f func(*Lit)) {
+	switch v := e.(type) {
+	case *Lit:
+		if v.Slot > 0 {
+			f(v)
+		}
+	case *Bin:
+		VisitSlots(v.L, f)
+		VisitSlots(v.R, f)
+	case *Not:
+		VisitSlots(v.E, f)
+	case *Neg:
+		VisitSlots(v.E, f)
+	case *Call:
+		for _, a := range v.Args {
+			VisitSlots(a, f)
+		}
+	}
+}
+
+// WithSlots returns e with every slot literal holding vals[Slot-1]. The
+// substitution keeps each literal's type (a slot's type is part of the
+// text's shape), so every node keeps its type; e itself is returned when
+// no value changes.
+func WithSlots(e Expr, vals []seq.Value) Expr {
+	switch v := e.(type) {
+	case *Lit:
+		if v.Slot > 0 && v.Slot <= len(vals) && vals[v.Slot-1] != v.Val {
+			return &Lit{Val: vals[v.Slot-1], Slot: v.Slot}
+		}
+	case *Bin:
+		if l, r := WithSlots(v.L, vals), WithSlots(v.R, vals); l != v.L || r != v.R {
+			return &Bin{Op: v.Op, L: l, R: r, typ: v.typ}
+		}
+	case *Not:
+		if in := WithSlots(v.E, vals); in != v.E {
+			return &Not{E: in}
+		}
+	case *Neg:
+		if in := WithSlots(v.E, vals); in != v.E {
+			return &Neg{E: in}
+		}
+	case *Call:
+		args := make([]Expr, len(v.Args))
+		changed := false
+		for i, a := range v.Args {
+			args[i] = WithSlots(a, vals)
+			changed = changed || args[i] != a
+		}
+		if changed {
+			return &Call{Fn: v.Fn, Args: args, typ: v.typ}
+		}
+	}
+	return e
 }

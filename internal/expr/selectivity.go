@@ -1,6 +1,10 @@
 package expr
 
-import "repro/internal/seq"
+import (
+	"math"
+
+	"repro/internal/seq"
+)
 
 // ColStats summarizes the value distribution of one numeric attribute,
 // the "statistical information about the base sequences" of §3 used to
@@ -22,12 +26,31 @@ const (
 
 // Selectivity estimates the fraction of records satisfying the boolean
 // expression e. stats maps attribute index to column statistics; it may
-// be nil. The estimate is clamped to [0, 1].
-func Selectivity(e Expr, stats map[int]ColStats) float64 {
-	return clamp01(selectivity(e, stats))
+// be nil. The estimate is clamped to [0, 1]. reads, when not nil, gets
+// every comparison of a column against a slot literal the estimate
+// derives from the literal's value: the estimator's only use of a
+// literal's value.
+func Selectivity(e Expr, stats map[int]ColStats, reads *[]SlotRead) float64 {
+	return clamp01(selectivity(e, stats, reads))
 }
 
-func selectivity(e Expr, stats map[int]ColStats) float64 {
+// SlotRead is one estimate the selectivity estimator made from a slot
+// literal's value: the comparison "column Op literal", the column's
+// statistics, and the estimate.
+type SlotRead struct {
+	Slot  int
+	Op    BinOp
+	Stats ColStats
+	Have  bool
+	Sel   float64
+}
+
+// Same reports whether the estimate is bit-identical with v in the slot.
+func (r SlotRead) Same(v seq.Value) bool {
+	return math.Float64bits(literalSel(r.Op, r.Stats, r.Have, v)) == math.Float64bits(r.Sel)
+}
+
+func selectivity(e Expr, stats map[int]ColStats, reads *[]SlotRead) float64 {
 	switch v := e.(type) {
 	case *Lit:
 		if v.Val.T == seq.TBool {
@@ -40,16 +63,16 @@ func selectivity(e Expr, stats map[int]ColStats) float64 {
 	case *Col:
 		return DefaultBoolSel // a bare boolean column
 	case *Not:
-		return 1 - selectivity(v.E, stats)
+		return 1 - selectivity(v.E, stats, reads)
 	case *Bin:
 		switch {
 		case v.Op == OpAnd:
-			return selectivity(v.L, stats) * selectivity(v.R, stats)
+			return selectivity(v.L, stats, reads) * selectivity(v.R, stats, reads)
 		case v.Op == OpOr:
-			a, b := selectivity(v.L, stats), selectivity(v.R, stats)
+			a, b := selectivity(v.L, stats, reads), selectivity(v.R, stats, reads)
 			return a + b - a*b
 		case v.Op.Comparison():
-			return comparisonSel(v, stats)
+			return comparisonSel(v, stats, reads)
 		default:
 			return DefaultBoolSel
 		}
@@ -61,7 +84,7 @@ func selectivity(e Expr, stats map[int]ColStats) float64 {
 // comparisonSel estimates col <op> literal comparisons from column range
 // statistics under a uniformity assumption; everything else gets the
 // default guesses.
-func comparisonSel(b *Bin, stats map[int]ColStats) float64 {
+func comparisonSel(b *Bin, stats map[int]ColStats, reads *[]SlotRead) float64 {
 	col, lit, op, ok := normalizeComparison(b)
 	if !ok {
 		if b.Op == OpEq {
@@ -73,6 +96,16 @@ func comparisonSel(b *Bin, stats map[int]ColStats) float64 {
 		return DefaultRangeSel
 	}
 	st, have := stats[col.Index]
+	sel := literalSel(op, st, have, lit.Val)
+	if lit.Slot > 0 && reads != nil {
+		*reads = append(*reads, SlotRead{Slot: lit.Slot, Op: op, Stats: st, Have: have, Sel: sel})
+	}
+	return sel
+}
+
+// literalSel estimates "col op x" for a column with statistics st (have
+// false: none).
+func literalSel(op BinOp, st ColStats, have bool, x seq.Value) float64 {
 	switch op {
 	case OpEq:
 		if have && st.Known && st.Distinct > 0 {
@@ -85,11 +118,10 @@ func comparisonSel(b *Bin, stats map[int]ColStats) float64 {
 		}
 		return 1 - DefaultEqSel
 	}
-	if !have || !st.Known || !lit.Val.T.Numeric() || st.Max <= st.Min {
+	if !have || !st.Known || !x.T.Numeric() || st.Max <= st.Min {
 		return DefaultRangeSel
 	}
-	x := lit.Val.AsFloat()
-	frac := (x - st.Min) / (st.Max - st.Min) // P(col <= x), uniform
+	frac := (x.AsFloat() - st.Min) / (st.Max - st.Min) // P(col <= x), uniform
 	switch op {
 	case OpLt, OpLe:
 		return clamp01(frac)

@@ -65,6 +65,10 @@ type Annotation struct {
 	// constants).
 	Universe seq.Span
 
+	// SlotReads are the estimates the annotation derived from slot
+	// literals' values (see expr.Selectivity).
+	SlotReads []expr.SlotRead
+
 	// overrides substitutes observed densities for the derived estimates
 	// at specific nodes (AnnotateWithOverrides): the reoptimization layer
 	// feeds runtime observations back into Step 2 when replanning the
@@ -75,6 +79,20 @@ type Annotation struct {
 // Get returns the meta for a node (nil if the node is not part of the
 // annotated graph).
 func (a *Annotation) Get(n *algebra.Node) *NodeMeta { return a.ByNode[n] }
+
+// Rekey returns the annotation with every node n that to maps renamed
+// to to[n]: the annotation of a copy of the tree. The metas are shared.
+func (a *Annotation) Rekey(to map[*algebra.Node]*algebra.Node) *Annotation {
+	out := *a
+	out.ByNode = make(map[*algebra.Node]*NodeMeta, len(a.ByNode))
+	for n, m := range a.ByNode {
+		if cp, ok := to[n]; ok {
+			n = cp
+		}
+		out.ByNode[n] = m
+	}
+	return &out
+}
 
 // Annotate runs both propagation passes over the query tree for the
 // requested output range and returns the resulting annotation.
@@ -127,7 +145,7 @@ func (a *Annotation) bottomUp(n *algebra.Node) (*NodeMeta, error) {
 		}
 		ins = append(ins, m)
 	}
-	m, err := deriveMeta(n, ins)
+	m, err := deriveMeta(n, ins, &a.SlotReads)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +156,7 @@ func (a *Annotation) bottomUp(n *algebra.Node) (*NodeMeta, error) {
 	return m, nil
 }
 
-func deriveMeta(n *algebra.Node, ins []*NodeMeta) (*NodeMeta, error) {
+func deriveMeta(n *algebra.Node, ins []*NodeMeta, reads *[]expr.SlotRead) (*NodeMeta, error) {
 	switch n.Kind {
 	case algebra.KindBase:
 		info := n.Seq.Info()
@@ -153,7 +171,7 @@ func deriveMeta(n *algebra.Node, ins []*NodeMeta) (*NodeMeta, error) {
 
 	case algebra.KindSelect:
 		in := ins[0]
-		sel := expr.Selectivity(n.Pred, in.ColStats)
+		sel := expr.Selectivity(n.Pred, in.ColStats, reads)
 		return &NodeMeta{Span: in.Span, Density: in.Density * sel, ColStats: in.ColStats}, nil
 
 	case algebra.KindProject:
@@ -220,7 +238,7 @@ func deriveMeta(n *algebra.Node, ins []*NodeMeta) (*NodeMeta, error) {
 		sel := 1.0
 		if n.Pred != nil {
 			stats := concatStats(n, l, r)
-			sel = expr.Selectivity(n.Pred, stats)
+			sel = expr.Selectivity(n.Pred, stats, reads)
 		}
 		// Independence assumption on the Null positions of the inputs
 		// (§4, Step 2.a mentions correlation; we expose the knob through

@@ -389,6 +389,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 		t.Errorf("per-partition pages sum %v, shared movement %v", pages, got)
 	}
 	// The merged metrics tree mirrors the plan and sums worker rows.
+	root.Labels()
 	if root.Label != p.Label() {
 		t.Errorf("merged root label %q", root.Label)
 	}

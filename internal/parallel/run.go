@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -86,11 +87,27 @@ func Run(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.Pred
 	return out, roots[0], pms, nil
 }
 
+// WorkerPanic is the error of a partition worker that panicked: the
+// panic fails the run that started the worker, not the process.
+type WorkerPanic struct {
+	Partition int
+	Value     any
+}
+
+func (e *WorkerPanic) Error() string {
+	return fmt.Sprintf("parallel: partition %d panicked: %v", e.Partition, e.Value)
+}
+
+// partitionStart, when set, runs as each partition worker starts: the
+// tests' way to make a worker panic.
+var partitionStart func(part int)
+
 // fanOut is the one partitioned evaluation loop: workers[i] drains
 // parts[i] through exec.Run on its own goroutine (under a fork of ctx
 // on the batch plane), the forks' counters fold back into ctx, and the
 // partition outputs concatenate in order. They are disjoint ascending
-// sub-spans, so the concatenation is already sorted.
+// sub-spans, so the concatenation is already sorted. A worker's panic
+// becomes its partition's error (WorkerPanic).
 func fanOut(p exec.Plan, workers []exec.Plan, parts []seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, []PartitionMetrics, error) {
 	k := len(parts)
 	results := make([]*seq.Materialized, k)
@@ -105,6 +122,14 @@ func fanOut(p exec.Plan, workers []exec.Plan, parts []seq.Span, ctx *seq.BatchCt
 		wg.Add(1)
 		go func(i int, part seq.Span) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = &WorkerPanic{Partition: i, Value: r}
+				}
+			}()
+			if partitionStart != nil {
+				partitionStart(i)
+			}
 			start := time.Now()
 			results[i], errs[i] = exec.Run(workers[i], part, wctxs[i])
 			metrics[i] = PartitionMetrics{Span: part, Elapsed: time.Since(start)}

@@ -33,8 +33,12 @@ func Bind(src string, cat Catalog) (*algebra.Node, error) {
 	return b.node(ast)
 }
 
+// binder binds an AST against a catalog. slots, when set, are the values
+// of a Shape's slots: a slot literal binds to its value there, tagged
+// with its slot.
 type binder struct {
-	cat Catalog
+	cat   Catalog
+	slots []seq.Value
 }
 
 // aggWindows maps function-name prefixes to window constructors.
@@ -422,6 +426,9 @@ func (b *binder) scalar(a Ast, schema *seq.Schema) (expr.Expr, error) {
 		}
 		return expr.ColAt(schema, i)
 	case *AstNumber:
+		if v.Slot > 0 && b.slots != nil {
+			return &expr.Lit{Val: b.slots[v.Slot-1], Slot: v.Slot}, nil
+		}
 		if v.IsInt {
 			n, err := strconv.ParseInt(v.Text, 10, 64)
 			if err != nil {
@@ -435,6 +442,9 @@ func (b *binder) scalar(a Ast, schema *seq.Schema) (expr.Expr, error) {
 		}
 		return expr.Literal(seq.Float(f)), nil
 	case *AstString:
+		if v.Slot > 0 && b.slots != nil {
+			return &expr.Lit{Val: b.slots[v.Slot-1], Slot: v.Slot}, nil
+		}
 		return expr.Literal(seq.Str(v.Val)), nil
 	case *AstUnary:
 		inner, err := b.scalar(v.E, schema)

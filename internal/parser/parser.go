@@ -17,17 +17,20 @@ type AstIdent struct {
 	Pos   int
 }
 
-// AstNumber is a numeric literal.
+// AstNumber is a numeric literal. Slot is its 1-based slot in a Shape,
+// 0 when it fills none.
 type AstNumber struct {
 	Text  string
 	IsInt bool
 	Pos   int
+	Slot  int
 }
 
-// AstString is a string literal.
+// AstString is a string literal. Slot is as for AstNumber.
 type AstString struct {
-	Val string
-	Pos int
+	Val  string
+	Pos  int
+	Slot int
 }
 
 // AstBinary is a binary operation ("and", "or", "<", "+", ...).

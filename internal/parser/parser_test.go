@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -322,4 +323,31 @@ func TestScalarFunctionsInSEQL(t *testing.T) {
 	bindErr(t, "select(ibm, abs(close, volume) > 1)")
 	// Nested operators still rejected in scalar position.
 	bindErr(t, "select(ibm, prev(ibm) > 1)")
+}
+
+func TestShapeKey(t *testing.T) {
+	for _, c := range []struct {
+		src, key string
+		slots    []seq.Value
+	}{
+		{"select(offset(ibm, -3), close > 0.5 and volume > 4000)",
+			"select(offset(ibm, -(3)), ((close > ?f) and (volume > ?i)))",
+			[]seq.Value{seq.Float(0.5), seq.Int(4000)}},
+		{"select(offset(ibm, -3), close > 0.25 and volume > 7)",
+			"select(offset(ibm, -(3)), ((close > ?f) and (volume > ?i)))",
+			[]seq.Value{seq.Float(0.25), seq.Int(7)}},
+		{"sum(ibm, close, 6)", "sum(ibm, close, 6)", nil},
+		{"collapse(ibm, avg(close) as a, 7)", "collapse(ibm, avg(close) as a, 7)", nil},
+		{"project(compose(ibm, hp, ibm.close > 1), abs(hp.close - 2) as d, 'x')",
+			"project(compose(ibm, hp, (ibm.close > ?i)), abs((hp.close - ?i)) as d, ?s)",
+			[]seq.Value{seq.Int(1), seq.Int(2), seq.Str("x")}},
+	} {
+		sh, err := ParseShape(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Key != c.key || !reflect.DeepEqual(sh.Slots, c.slots) {
+			t.Errorf("%s: key %q slots %v, want %q %v", c.src, sh.Key, sh.Slots, c.key, c.slots)
+		}
+	}
 }

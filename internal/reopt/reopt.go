@@ -392,7 +392,7 @@ func evaluate(root *exec.NodeMetrics, span seq.Span, consumed seq.Pos,
 		frac = 1
 	}
 	var best Trigger
-	found := false
+	var worst *exec.NodeMetrics
 	root.Walk(func(n *exec.NodeMetrics, _ int) {
 		if !n.Predicted.Known {
 			return
@@ -404,10 +404,15 @@ func evaluate(root *exec.NodeMetrics, span seq.Span, consumed seq.Pos,
 			denom = 1
 		}
 		rel := math.Abs(actual-predFrac) / denom
-		if !found || rel > best.RelErr {
-			best = Trigger{Node: n.Label, Predicted: predFrac, Actual: actual, RelErr: rel}
-			found = true
+		if worst == nil || rel > best.RelErr {
+			best = Trigger{Predicted: predFrac, Actual: actual, RelErr: rel}
+			worst = n
 		}
 	})
-	return best, found && (best.RelErr > threshold || threshold == 0)
+	if worst == nil {
+		return best, false
+	}
+	worst.Labels()
+	best.Node = worst.Label
+	return best, best.RelErr > threshold || threshold == 0
 }

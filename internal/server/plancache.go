@@ -2,10 +2,12 @@ package server
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/reopt"
 	"repro/internal/seq"
 )
 
@@ -18,20 +20,33 @@ const (
 	planProtected = 896
 )
 
-// planKey identifies a planning request: the session and its option
-// generation stand for the planner options, the text and the span for
-// the query.
-type planKey struct {
-	session uint64
-	options uint64
-	seql    string
-	span    seq.Span
+// planOptions are the planner options a plan depends on, by value: the
+// fields SetOption sets, and base, which is 0 for a session planning
+// with the server's other options and a number of its own for a session
+// that does not. Sessions with equal planOptions share cached plans.
+type planOptions struct {
+	base        uint64
+	parallelism int
+	reopt       reopt.Config
+	verify      bool
+	views       bool
 }
 
-// planEntry is one cached plan, valid only to a reader pinned at epoch
-// while the server's plan generation is gen.
+// planKey identifies a planning request: the planner options, the text's
+// shape (parser.Shape.Key: the text with its slot literals lifted out)
+// and the span.
+type planKey struct {
+	opts  planOptions
+	shape string
+	span  seq.Span
+}
+
+// planEntry is one cached plan, made for the slot values slots and valid
+// only to a reader pinned at epoch while the server's plan generation is
+// gen.
 type planEntry struct {
 	key   planKey
+	slots []seq.Value
 	epoch int64
 	gen   uint64
 	res   *core.Result
@@ -39,19 +54,23 @@ type planEntry struct {
 }
 
 // planCache is the server's bounded cache of optimized SEQL reads.
-// Planning is a pure function of the text, the span, the session's
+// Planning is a pure function of the text, the span, the planner
 // options, the snapshots and views valid at the epoch, and the shared
-// calibration; the key covers the first three, an entry's (epoch, gen)
-// the rest. DESIGN.md ("Server read path") states the argument.
+// calibration; the key covers the shape of the text, the span and the
+// options, an entry's slot values the rest of the text, and its (epoch,
+// gen) the rest. A read whose slot values differ from the entry's is
+// served the entry's plan with its own literals substituted (a rebound
+// hit) when the plan does not depend on the difference
+// (core.Result.Rebinds). DESIGN.md ("Server read path") states the
+// argument.
 //
 // It is a segmented LRU: a new plan enters the probation segment, and a
 // read of its key again moves it to the protected segment, whose least
-// recently used plan falls back to probation. A text read only once — a
-// query with a fresh literal — so ages out of probation without
-// displacing a plan that is read again, and keeps little heap for the
-// garbage collector to mark.
+// recently used plan falls back to probation. A key read only once so
+// ages out of probation without displacing a plan that is read again,
+// and keeps little heap for the garbage collector to mark.
 type planCache struct {
-	hits, misses atomic.Int64
+	hits, rebound, misses atomic.Int64
 
 	mu       sync.Mutex
 	segments [2]*list.List // of *planEntry, most recently used first
@@ -73,38 +92,48 @@ func newPlanCache(probationBound, protectedBound int) *planCache {
 	}
 }
 
-// get returns the plan cached for key at (epoch, gen), counting a hit or
-// a miss.
-func (c *planCache) get(key planKey, epoch int64, gen uint64) (*core.Result, bool) {
+// get returns the plan cached for key at (epoch, gen) if it serves the
+// slot values vals, counting a hit or a miss. rebound reports that the
+// plan was made for other values: the caller substitutes vals
+// (core.Result.WithLiterals).
+func (c *planCache) get(key planKey, vals []seq.Value, epoch int64, gen uint64) (res *core.Result, rebound, ok bool) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
+	if el, found := c.entries[key]; found {
 		e := el.Value.(*planEntry)
-		if ok = e.epoch == epoch && e.gen == gen; ok {
-			res := e.res
-			c.protect(el)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return res, true
+		if e.epoch == epoch && e.gen == gen {
+			rebound = !slices.Equal(e.slots, vals)
+			if ok = !rebound || e.res.Rebinds(vals); ok {
+				res = e.res
+				c.protect(el)
+			}
 		}
 	}
 	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	switch {
+	case !ok:
+		c.misses.Add(1)
+		return nil, false, false
+	case rebound:
+		c.rebound.Add(1)
+	}
+	c.hits.Add(1)
+	return res, rebound, true
 }
 
-// put caches res for key at (epoch, gen). A key cached before, at an
-// older epoch or generation, is read again: its new plan is protected.
-func (c *planCache) put(key planKey, epoch int64, gen uint64, res *core.Result) {
+// put caches res, planned for the slot values vals, for key at (epoch,
+// gen). A key cached before — at an older epoch or generation, or for
+// values its plan could not serve — is read again: its new plan is
+// protected.
+func (c *planCache) put(key planKey, vals []seq.Value, epoch int64, gen uint64, res *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*planEntry)
-		e.epoch, e.gen, e.res = epoch, gen, res
+		e.slots, e.epoch, e.gen, e.res = vals, epoch, gen, res
 		c.protect(el)
 		return
 	}
-	c.entries[key] = c.segments[probation].PushFront(&planEntry{key: key, epoch: epoch, gen: gen, res: res})
+	c.entries[key] = c.segments[probation].PushFront(&planEntry{key: key, slots: vals, epoch: epoch, gen: gen, res: res})
 	c.trim()
 }
 

@@ -118,9 +118,90 @@ func TestPlanCacheDifferential(t *testing.T) {
 		}
 	}
 
+	// literals reads texts of a few shapes with other literals, each on
+	// both servers, and checks how the cached one served it: "miss",
+	// "hit", or "rebound" (another literal's plan with this one's
+	// substituted). Answers and Explain text must be those of planning
+	// afresh. s.v holds 1..100 (its statistics are frozen at load).
+	literals := func(step string, reads [][2]string) {
+		t.Helper()
+		span := seq.NewSpan(1, 100)
+		for _, r := range reads {
+			seql, want := r[0], r[1]
+			hits, rebound, misses := cached.plans.hits.Load(), cached.plans.rebound.Load(), cached.plans.misses.Load()
+			got, err := cs.Query(seql, span)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", step, seql, err)
+			}
+			served := "miss"
+			switch {
+			case cached.plans.rebound.Load() > rebound:
+				served = "rebound"
+			case cached.plans.hits.Load() > hits:
+				served = "hit"
+			case cached.plans.misses.Load() == misses:
+				served = "no lookup"
+			}
+			if served != want {
+				t.Errorf("%s: %s: served by %s, want %s", step, seql, served, want)
+			}
+			wantRes, err := fs.Query(seql, span)
+			if err != nil {
+				t.Fatalf("%s: %s: fresh: %v", step, seql, err)
+			}
+			if !reflect.DeepEqual(got.Entries, wantRes.Entries) {
+				t.Fatalf("%s: %s: %d entries, fresh planning %d", step, seql, len(got.Entries), len(wantRes.Entries))
+			}
+			gotText, _, errC := cs.Explain(seql, span)
+			wantText, _, errF := fs.Explain(seql, span)
+			if errC != nil || errF != nil || gotText != wantText {
+				t.Fatalf("%s: %s: Explain differs from fresh planning (%v, %v)\ncached: %s\nfresh:  %s", step, seql, errC, errF, gotText, wantText)
+			}
+		}
+	}
+
 	both("start", func(*Server, *Session) error { return nil })
 	both("append", appendAt(101))
+	literals("literals", [][2]string{
+		// Below the column's range every "v >" estimate is 1, above it 0:
+		// the plan does not depend on which literal.
+		{"select(s, v > 0.5)", "miss"},
+		{"select(s, v > 0.25)", "rebound"},
+		{"select(s, v > 200)", "miss"},
+		{"select(s, v > 300)", "rebound"},
+		// Inside the range the estimate moves with the literal.
+		{"select(s, v > 50)", "miss"},
+		{"select(s, v > 60)", "miss"},
+		{"select(s, v > 60)", "hit"},
+		{"select(s, v > 400)", "miss"},
+		// An int and a float literal are different shapes; a shape may
+		// mix them.
+		{"select(s, v > 200.5)", "miss"},
+		{"select(s, v > 300.5)", "rebound"},
+		{"select(s, v > 0.5 and v < 500)", "miss"},
+		{"select(s, v > 0.25 and v < 700)", "rebound"},
+		{"select(s, v > 0.25 and v < 50)", "miss"},
+		// Equality estimates read the statistics, not the literal.
+		{"select(s, v = 5)", "miss"},
+		{"select(s, v = 7)", "rebound"},
+		// Literals the estimator never reads.
+		{"project(s, v + 1 as w)", "miss"},
+		{"project(s, v + 5 as w)", "rebound"},
+		{"select(compose(s, s as u), s.v > u.v + 1)", "miss"},
+		{"select(compose(s, s as u), s.v > u.v + 2)", "rebound"},
+		// Folding consumes a slot: its plan serves only its own literals.
+		{"select(s, v > 200 + 2)", "miss"},
+		{"select(s, v > 300 + 5)", "miss"},
+		{"select(s, v > 300 + 5)", "hit"},
+	})
 	both("materialize hot", materialize("hot", "select(s, v > 50)", 1, 100))
+	// View matching compares literals: with a view on s no plan of a
+	// query over s serves another literal.
+	literals("literals with a view on the base", [][2]string{
+		{"select(s, v > 0.5)", "miss"},
+		{"select(s, v > 0.25)", "miss"},
+		{"select(s, v > 0.25)", "hit"},
+	})
 	both("parallelism 1", option("parallelism", "1"))
 	both("views off", option("views", "off"))
 	both("views on", option("views", "on"))
@@ -192,14 +273,23 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		}
 	}
 
-	// Sessions do not share plans, and one session's option change leaves
-	// another's plans cached.
+	// Sessions with equal options share one entry; a SetOption on one
+	// moves it to another key and retires nothing of the other's.
 	planned(other)
 	if planned(other) {
 		t.Fatal("other session: an unchanged repeat planned again")
 	}
 	if _, err := sess.SetOption("parallelism", "0"); err != nil {
 		t.Fatal(err)
+	}
+	if planned(sess) {
+		t.Error("a session with the options of another planned the other's text again")
+	}
+	if _, err := sess.SetOption("parallelism", "2"); err != nil {
+		t.Fatal(err)
+	}
+	if !planned(sess) {
+		t.Error("a session read a plan made under other options")
 	}
 	if planned(other) {
 		t.Error("a SetOption on one session retired another session's plan")
@@ -231,27 +321,82 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSharing: sessions with equal options share one plan per
+// shape, and a read with another literal whose estimates do not move is a
+// rebound hit; sessions that differ in an option share nothing.
+func TestPlanCacheSharing(t *testing.T) {
+	srv := testServer(t, Config{}, 100)
+	span := seq.NewSpan(1, 100)
+	read := func(sess *Session, seql string) {
+		t.Helper()
+		res, err := sess.Query(seql, span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := expectEntries(res.Entries, 100); err != nil {
+			t.Fatalf("%s: %v", seql, err)
+		}
+	}
+	// Every literal is distinct and below s.v's minimum, 1.
+	a, b := srv.NewSession("a"), srv.NewSession("b")
+	for i := 1; i <= 200; i++ {
+		sess := a
+		if i > 100 {
+			sess = b
+		}
+		read(sess, fmt.Sprintf("select(s, v > 0.%04d)", i))
+	}
+	if h, r, m, n := srv.plans.hits.Load(), srv.plans.rebound.Load(), srv.plans.misses.Load(), srv.plans.len(); h != 199 || r != 199 || m != 1 || n != 1 {
+		t.Errorf("two sessions, 200 literals: %d hits (%d rebound), %d misses, %d entries; want 199 (199), 1, 1", h, r, m, n)
+	}
+
+	c, d := srv.NewSession("c"), srv.NewSession("d")
+	if _, err := c.SetOption("parallelism", "1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SetOption("parallelism", "2"); err != nil {
+		t.Fatal(err)
+	}
+	hits := srv.plans.hits.Load()
+	read(c, "select(s, v > 0.5)")
+	read(d, "select(s, v > 0.5)")
+	if h, n := srv.plans.hits.Load()-hits, srv.plans.len(); h != 0 || n != 3 {
+		t.Errorf("sessions differing in parallelism: %d hits, %d entries; want 0, 3", h, n)
+	}
+
+	// A session made with options the server's sessions lack shares
+	// nothing, even once SetOption agrees.
+	opts := srv.cfg.Options
+	opts.DisableSpanPropagation = true
+	e := srv.NewSessionWith("e", opts)
+	hits = srv.plans.hits.Load()
+	read(e, "select(s, v > 0.5)")
+	if h := srv.plans.hits.Load() - hits; h != 0 {
+		t.Errorf("a session with other base options hit %d plans of the server's sessions", h)
+	}
+}
+
 // TestPlanCacheBound: each segment holds at most its bound; a plan read
 // again is protected, and a plan read once is evicted first.
 func TestPlanCacheBound(t *testing.T) {
 	c := newPlanCache(1, 2)
-	key := func(s string) planKey { return planKey{seql: s, span: seq.NewSpan(1, 2)} }
+	key := func(s string) planKey { return planKey{shape: s, span: seq.NewSpan(1, 2)} }
 	has := func(s string) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		_, ok := c.entries[key(s)]
 		return ok
 	}
-	c.put(key("a"), 1, 0, nil)
-	c.put(key("b"), 1, 0, nil) // evicts a from probation
+	c.put(key("a"), nil, 1, 0, nil)
+	c.put(key("b"), nil, 1, 0, nil) // evicts a from probation
 	if has("a") || !has("b") {
 		t.Fatal("probation kept more than its bound")
 	}
 	for _, k := range []string{"b", "c", "d"} {
 		if k != "b" {
-			c.put(key(k), 1, 0, nil)
+			c.put(key(k), nil, 1, 0, nil)
 		}
-		if _, ok := c.get(key(k), 1, 0); !ok { // protects k
+		if _, _, ok := c.get(key(k), nil, 1, 0); !ok { // protects k
 			t.Fatalf("%s missing", k)
 		}
 	}
@@ -260,23 +405,23 @@ func TestPlanCacheBound(t *testing.T) {
 	if !has("b") || c.len() != 3 {
 		t.Fatalf("protecting d: b kept %v, len %d; want b demoted, len 3", has("b"), c.len())
 	}
-	c.put(key("e"), 1, 0, nil)
+	c.put(key("e"), nil, 1, 0, nil)
 	if has("b") || !has("c") || !has("d") || !has("e") || c.len() != 3 {
 		t.Fatalf("after e: b %v c %v d %v e %v, len %d", has("b"), has("c"), has("d"), has("e"), c.len())
 	}
 	// A plan of a key planned before, at an older epoch, is protected; a
 	// stream of plans read once never displaces a protected plan.
-	c.put(key("e"), 2, 0, nil)
+	c.put(key("e"), nil, 2, 0, nil)
 	for i := 0; i < 10; i++ {
-		c.put(key(fmt.Sprint("once", i)), 1, 0, nil)
+		c.put(key(fmt.Sprint("once", i)), nil, 1, 0, nil)
 	}
 	if has("c") || !has("d") || !has("e") || c.len() != 3 {
 		t.Fatalf("after plans read once: c %v d %v e %v, len %d; want d and e protected", has("c"), has("d"), has("e"), c.len())
 	}
-	if _, ok := c.get(key("d"), 2, 0); ok {
+	if _, _, ok := c.get(key("d"), nil, 2, 0); ok {
 		t.Error("d hit at another epoch")
 	}
-	if _, ok := c.get(key("d"), 1, 1); ok {
+	if _, _, ok := c.get(key("d"), nil, 1, 1); ok {
 		t.Error("d hit at another plan generation")
 	}
 	if hits, misses := c.hits.Load(), c.misses.Load(); hits != 3 || misses != 2 {

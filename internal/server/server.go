@@ -26,15 +26,19 @@
 // is the engine, directly usable in-process (the seqproc library and the
 // concurrency fuzz tests drive it without sockets).
 //
-// A SEQL read plans once per (session options, text, span, epoch): the
-// server's plan cache (plancache.go) hands a repeated read the plan an
-// earlier read at the same epoch made, and the read still takes its
-// slot, pins, verifies and runs.
+// A SEQL read plans once per (planner options, text shape, span, epoch):
+// the server's plan cache (plancache.go) hands a read the plan an
+// earlier read of the same shape made at the same epoch, for any session
+// with equal options and, where the plan does not depend on them, for
+// other literals; the read still takes its slot, pins, verifies and
+// runs.
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -47,6 +51,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/matview"
 	"repro/internal/meta"
+	"repro/internal/parallel"
 	"repro/internal/parser"
 	"repro/internal/planlint"
 	"repro/internal/reopt"
@@ -173,7 +178,8 @@ type Server struct {
 
 	sem chan struct{} // worker pool; len(sem) = executing requests
 
-	// plans caches SEQL reads' plans. planGen is the plan generation: every
+	// plans caches SEQL reads' plans, shared by sessions with equal
+	// planner options. planGen is the plan generation: every
 	// change that can alter a plan without advancing the epoch (sequence
 	// create and drop, view registration and drop, calibration) bumps it
 	// after the change, and a cached plan is valid only at the generation
@@ -597,10 +603,10 @@ type Session struct {
 	opts     core.Options
 	useViews bool
 	client   string
-	// id and optGen key the session's cached plans; SetOption bumps
-	// optGen, retiring them.
-	id     uint64
-	optGen uint64
+	// base is 0 when the session's options other than those SetOption
+	// sets are the server's, and a number of its own otherwise: only
+	// sessions planning alike share cached plans (planOptions).
+	base uint64
 	// thresholdSet records an explicit "reopt threshold", so that a
 	// chosen zero (replan at every checkpoint) survives "reopt on".
 	thresholdSet bool
@@ -617,14 +623,33 @@ func (s *Server) NewSession(client string) *Session {
 // calibration opts names replaces the server's own.
 func (s *Server) NewSessionWith(client string, opts core.Options) *Session {
 	opts.Verify = opts.Verify || s.cfg.Verify
-	return &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client, id: s.nextSession.Add(1)}
+	sess := &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client}
+	if !reflect.DeepEqual(unsettable(opts), unsettable(s.cfg.Options)) {
+		sess.base = s.nextSession.Add(1)
+	}
+	return sess
+}
+
+// unsettable clears the options SetOption sets, and the registry and
+// calibration a request overwrites, leaving the options two sessions
+// must share to share plans.
+func unsettable(opts core.Options) core.Options {
+	opts.Parallelism, opts.Reopt, opts.Verify = 0, reopt.Config{}, false
+	opts.Views, opts.Calibration = nil, nil
+	return opts
+}
+
+// planOptions returns the session's planner options as the plan cache
+// keys them.
+func (sess *Session) planOptions() planOptions {
+	return planOptions{base: sess.base, parallelism: sess.opts.Parallelism, reopt: sess.opts.Reopt,
+		verify: sess.opts.Verify, views: sess.useViews}
 }
 
 // SetOption adjusts one session option. See docs/PROTOCOL.md for the
 // names; unknown names or malformed values (a number must be the whole
 // value) return CodeOption.
 func (sess *Session) SetOption(name, value string) (string, error) {
-	sess.optGen++
 	switch name {
 	case "parallelism":
 		k, err := strconv.Atoi(value)
@@ -692,17 +717,18 @@ func parseOnOff(v string) (bool, error) {
 
 // read is the one path of every read: take a worker slot, pin the
 // epoch, plan, re-verify the snapshot/* invariants, and run tail on the
-// plan. A SEQL read takes its plan from the plan cache when an earlier
-// read planned the same text and span under the same session options at
-// this epoch and plan generation; otherwise it binds (SEQL against the
-// epoch's catalog, or a root bound earlier rebound to the epoch's
-// snapshots) and optimizes with the session's options and the views
-// valid at the epoch, and a SEQL read caches the verified plan. A
-// session planning against a registry or a calibration of its own
-// bypasses the cache, whose generation does not track them. A queued
-// request holds no pin. The slot and the pin are released when read
-// returns, before any response is written; queue is the time spent
-// waiting for the slot.
+// plan. A SEQL read parses its text once into a shape (parser.Shape) and
+// takes its plan from the plan cache when an earlier read of the same
+// shape and span, under equal planner options, planned one at this
+// epoch and plan generation that serves the read's literals; otherwise
+// it binds (the shape against the epoch's catalog, or a root bound
+// earlier rebound to the epoch's snapshots) and optimizes with the
+// session's options and the views valid at the epoch, and a SEQL read
+// caches the verified plan. A session planning against a registry or a
+// calibration of its own bypasses the cache, whose generation does not
+// track them. A queued request holds no pin. The slot and the pin are
+// released when read returns, before any response is written; queue is
+// the time spent waiting for the slot.
 func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail func(res *core.Result, epoch int64, queue time.Duration) error) error {
 	srv := sess.srv
 	queue := srv.acquire()
@@ -712,18 +738,33 @@ func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail f
 	// The generation is read before planning: a change racing the
 	// planning bumps it after itself, so it retires what is cached here.
 	gen := srv.planGen.Load()
-	key := planKey{session: sess.id, options: sess.optGen, seql: seql, span: span}
-	cacheable := root == nil && sess.opts.Views == nil && sess.opts.Calibration == nil
+	var shape *parser.Shape
+	var key planKey
 	var res *core.Result
 	hit := false
+	if root == nil {
+		var err error
+		if shape, err = parser.ParseShape(seql); err != nil {
+			return &Error{Code: wire.CodeParse, Err: err}
+		}
+	}
+	cacheable := shape != nil && sess.opts.Views == nil && sess.opts.Calibration == nil
 	if cacheable {
-		res, hit = srv.plans.get(key, epoch, gen)
+		key = planKey{opts: sess.planOptions(), shape: shape.Key, span: span}
+		var rebound bool
+		res, rebound, hit = srv.plans.get(key, shape.Slots, epoch, gen)
+		if rebound {
+			var err error
+			if res, err = res.WithLiterals(shape.Slots); err != nil {
+				return &Error{Code: wire.CodeInternal, Err: err}
+			}
+		}
 	}
 	if hit {
 		res.CountViewUse()
 	} else {
 		var err error
-		if res, err = sess.optimize(seql, root, span, epoch); err != nil {
+		if res, err = sess.optimize(shape, root, span, epoch); err != nil {
 			return err
 		}
 	}
@@ -734,17 +775,18 @@ func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail f
 		return errf(wire.CodeInternal, "snapshot invariant violated: %s", issues[0])
 	}
 	if cacheable && !hit {
-		srv.plans.put(key, epoch, gen, res)
+		srv.plans.put(key, shape.Slots, epoch, gen, res)
 	}
 	return tail(res, epoch, queue)
 }
 
-// optimize binds and plans a read at epoch.
-func (sess *Session) optimize(seql string, root *algebra.Node, span seq.Span, epoch int64) (*core.Result, error) {
+// optimize binds and plans a read at epoch: a parsed text (shape) or a
+// root bound earlier.
+func (sess *Session) optimize(shape *parser.Shape, root *algebra.Node, span seq.Span, epoch int64) (*core.Result, error) {
 	srv := sess.srv
 	var err error
-	if root == nil {
-		if root, err = parser.Bind(seql, srv.catalogAt(epoch)); err != nil {
+	if shape != nil {
+		if root, err = shape.Bind(srv.catalogAt(epoch), shape.Slots); err != nil {
 			return nil, &Error{Code: wire.CodeParse, Err: err}
 		}
 	} else if root, err = srv.rebindAt(epoch, root); err != nil {
@@ -773,11 +815,16 @@ func (sess *Session) Plan(root *algebra.Node, span seq.Span, fn func(*core.Resul
 }
 
 // run executes a read's plan through runFn (RunMetered, or RunAnalyze
-// for the view counters too) and counts the query.
+// for the view counters too) and counts the query. A partition worker's
+// panic is an internal error, as a panic on the connection is.
 func (s *Server) run(runFn func() (*core.Analysis, error)) (*core.Analysis, error) {
 	a, err := runFn()
 	if err != nil {
-		return nil, &Error{Code: wire.CodeExec, Err: err}
+		code := wire.CodeExec
+		if wp := (*parallel.WorkerPanic)(nil); errors.As(err, &wp) {
+			code = wire.CodeInternal
+		}
+		return nil, &Error{Code: code, Err: err}
 	}
 	s.nQueries.Add(1)
 	return a, nil
@@ -853,11 +900,11 @@ func (s *Server) counterBlock(epoch int64, queue time.Duration) string {
   queries        %d
   appends        %d
   conflicts      %d
-  plan-cache     %d hits, %d misses, %d entries`,
+  plan-cache     %d hits (%d rebound), %d misses, %d entries`,
 		s.epochs.Current(), epoch, s.epochs.MinLive(), s.epochs.LiveReaders(),
 		s.PageVersions(), s.views.Len(), s.nSessions.Load(), cap(s.sem),
 		queue.Round(time.Microsecond), s.nQueries.Load(), s.nAppends.Load(),
-		s.nConflict.Load(), s.plans.hits.Load(), s.plans.misses.Load(), s.plans.len())
+		s.nConflict.Load(), s.plans.hits.Load(), s.plans.rebound.Load(), s.plans.misses.Load(), s.plans.len())
 }
 
 // Materialize computes the query against a pinned snapshot and registers

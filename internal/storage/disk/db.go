@@ -124,6 +124,9 @@ type DB struct {
 	cpMu   sync.Mutex // serializes checkpoints
 	failed atomic.Bool
 
+	// wake carries the WAL append that reached CheckpointBytes to the
+	// checkpointer, which would otherwise see it only at its next tick.
+	wake chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
 }
@@ -153,6 +156,7 @@ func Open(dir string, cfg Config) (*DB, error) {
 		seqs:  make(map[string]*Seq),
 		byID:  make(map[uint32]*Seq),
 		views: make(map[string]*View),
+		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
 	catWALSeq := uint64(1)
@@ -384,9 +388,9 @@ func (db *DB) flusher() {
 	}
 }
 
-// checkpointer triggers checkpoints when the WAL exceeds
-// CheckpointBytes, and at least every CheckpointInterval while WAL
-// bytes exist.
+// checkpointer triggers checkpoints when the WAL reaches CheckpointBytes
+// (woken by the append that reaches it), and at least every
+// CheckpointInterval while WAL bytes exist.
 func (db *DB) checkpointer() {
 	defer db.wg.Done()
 	tick := time.Second
@@ -400,6 +404,11 @@ func (db *DB) checkpointer() {
 		select {
 		case <-db.quit:
 			return
+		case <-db.wake:
+			if !db.failed.Load() && db.w.bytes() >= db.cfg.CheckpointBytes {
+				since = 0
+				db.Checkpoint()
+			}
 		case <-t.C:
 			since += tick
 			if db.failed.Load() {
@@ -795,11 +804,27 @@ func (db *DB) fail(err error) error {
 	return err
 }
 
+// logWAL appends one record to the WAL. The append that takes the WAL
+// to CheckpointBytes wakes the checkpointer (never blocking: a wake
+// already pending covers it).
+func (db *DB) logWAL(payload []byte, syncNow bool) error {
+	if err := db.w.append(payload, syncNow); err != nil {
+		return err
+	}
+	if db.w.bytes() >= db.cfg.CheckpointBytes {
+		select {
+		case db.wake <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
 // logGroup appends a begin/bulk/commit record group and syncs it.
 func (db *DB) logGroup(payloads ...[]byte) error {
 	for i, p := range payloads {
 		syncNow := i == len(payloads)-1
-		if err := db.w.append(p, syncNow); err != nil {
+		if err := db.logWAL(p, syncNow); err != nil {
 			return db.fail(err)
 		}
 	}
@@ -886,7 +911,7 @@ func (db *DB) appendAtLocked(name string, e seq.Entry, epoch int64) error {
 	if err != nil {
 		return err
 	}
-	if err := db.w.append(encAppend(s.fileID, epoch, e), !db.cfg.BatchFsync); err != nil {
+	if err := db.logWAL(encAppend(s.fileID, epoch, e), !db.cfg.BatchFsync); err != nil {
 		return db.fail(err)
 	}
 	if err := s.v.Publish(p); err != nil {
@@ -934,7 +959,7 @@ func (db *DB) reorganizeAtLocked(name string, kind storage.Kind, epoch int64) er
 	if err != nil {
 		return err
 	}
-	if err := db.w.append(encReorg(s.fileID, epoch, kind), true); err != nil {
+	if err := db.logWAL(encReorg(s.fileID, epoch, kind), true); err != nil {
 		return db.fail(err)
 	}
 	if err := s.v.Publish(p); err != nil {
@@ -974,7 +999,7 @@ func (db *DB) dropSequenceAtLocked(name string, epoch int64) error {
 	if !ok {
 		return fmt.Errorf("disk: unknown sequence %q", name)
 	}
-	if err := db.w.append(encDrop(s.fileID, epoch), true); err != nil {
+	if err := db.logWAL(encDrop(s.fileID, epoch), true); err != nil {
 		return db.fail(err)
 	}
 	db.applyDrop(s)
@@ -1034,7 +1059,7 @@ func (db *DB) DropViewAt(name string, epoch int64) error {
 	if !ok {
 		return fmt.Errorf("disk: unknown view %q", name)
 	}
-	if err := db.w.append(encDropView(name, epoch), true); err != nil {
+	if err := db.logWAL(encDropView(name, epoch), true); err != nil {
 		return db.fail(err)
 	}
 	db.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/seq"
 	"repro/internal/storage"
@@ -271,5 +272,45 @@ func TestOversizedRecordRejectedBeforeLogging(t *testing.T) {
 	}
 	if _, ok := db2.Seq("big"); ok {
 		t.Fatal("rejected create leaked into durable state")
+	}
+}
+
+// TestCheckpointWakesOnBytes: the append that takes the WAL to
+// CheckpointBytes starts a checkpoint at once — its first act rotates
+// the WAL — rather than at the checkpointer's next one-second tick.
+func TestCheckpointWakesOnBytes(t *testing.T) {
+	cfg := testConfig()
+	cfg.CheckpointInterval = time.Hour
+	cfg.CheckpointBytes = 1024
+	cfg.BatchFsync = true
+	db, err := Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	schema := testSchema(t)
+	if err := db.CreateSequence("s", testData(t, schema, 1), storage.KindSparse); err != nil {
+		t.Fatal(err)
+	}
+	pos := seq.Pos(2)
+	for crossing := 1; crossing <= 20; crossing++ {
+		// Wait out the previous checkpoint's rotation, then append until
+		// the WAL reaches the threshold.
+		for db.w.bytes() >= cfg.CheckpointBytes {
+			time.Sleep(time.Millisecond)
+		}
+		for db.w.bytes() < cfg.CheckpointBytes {
+			if _, err := db.Append("s", seq.Entry{Pos: pos, Rec: seq.Record{seq.Int(int64(pos))}}); err != nil {
+				t.Fatal(err)
+			}
+			pos++
+		}
+		crossed := time.Now()
+		for db.w.bytes() >= cfg.CheckpointBytes && time.Since(crossed) < 2*time.Second {
+			time.Sleep(time.Millisecond)
+		}
+		if d := time.Since(crossed); d > 100*time.Millisecond {
+			t.Fatalf("crossing %d: the checkpoint started %v after the append that reached CheckpointBytes", crossing, d)
+		}
 	}
 }
