@@ -138,3 +138,31 @@ func anchorSlug(heading string) string {
 	}
 	return b.String()
 }
+
+// docPath matches a backticked repository path to a package, command or
+// example, with an optional :line suffix.
+var docPath = regexp.MustCompile("`((?:internal|cmd|examples)/[^`\\s:]*)(?::[^`\\s]*)?`")
+
+// TestDocPaths checks that every backticked internal/, cmd/ or examples/
+// path in the current documentation names an existing file or
+// directory, so a deleted package leaves no row behind. ROADMAP.md,
+// CHANGES.md and PAPER*.md are history and name what once was; bench/
+// documents its own generated output.
+func TestDocPaths(t *testing.T) {
+	pages, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages = append(pages, "README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md")
+	for _, page := range pages {
+		raw, err := os.ReadFile(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docPath.FindAllStringSubmatch(string(raw), -1) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s names %s: %v", page, m[0], err)
+			}
+		}
+	}
+}

@@ -13,15 +13,14 @@ import (
 	"math/rand"
 
 	seqproc "repro"
-	"repro/internal/algebra"
-	"repro/internal/expr"
 )
 
 func main() {
 	schema := seqproc.MustSchema(
 		seqproc.Field{Name: "reading", Type: seqproc.TFloat},
 	)
-	runs := seqproc.NewGrouping(schema)
+	db := seqproc.New()
+	runs := db.NewGrouping("runs")
 
 	// Twelve experiment runs: most stable around 50, some contaminated
 	// with upward drift, some with dropouts (sparse readings).
@@ -49,7 +48,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := runs.Add(fmt.Sprintf("run-%02d", i), data); err != nil {
+		name := fmt.Sprintf("run-%02d", i)
+		db.MustCreateSequence(name, data, seqproc.Sparse)
+		if err := runs.Add(name); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -57,32 +58,14 @@ func main() {
 
 	// Query 1: which runs ever had a 10-sample moving average above 70?
 	// (The drift detector: stable runs stay near 50.)
-	drifted := func(member *algebra.Node) (*algebra.Node, error) {
-		avg, err := algebra.AggCol(member, algebra.AggAvg, "reading", algebra.Trailing(10), "a")
-		if err != nil {
-			return nil, err
-		}
-		c, err := expr.NewCol(avg.Schema, "a")
-		if err != nil {
-			return nil, err
-		}
-		pred, err := expr.NewBin(expr.OpGt, c, expr.Literal(seqproc.Float(70)))
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Select(avg, pred)
-	}
-	names, err := runs.Where(drifted, span)
+	names, err := runs.Where("select(avg(runs, reading, 10), avg > 70.0)", span)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("runs whose 10-sample average exceeded 70: %v\n", names)
 
 	// Query 2: the peak reading of every run.
-	peak := func(member *algebra.Node) (*algebra.Node, error) {
-		return algebra.AggCol(member, algebra.AggMax, "reading", algebra.All(), "peak")
-	}
-	peaks, err := runs.AggregateEach(peak, seqproc.NewSpan(100, 100))
+	peaks, err := runs.AggregateEach("max(runs, reading)", seqproc.NewSpan(100, 100))
 	if err != nil {
 		log.Fatal(err)
 	}

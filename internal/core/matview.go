@@ -40,8 +40,11 @@ func (b *builder) tryView(n *algebra.Node, m *meta.NodeMeta, cand *candidate) (*
 		return cand, nil
 	}
 	b.viewsExamined = true
-	match, ok := reg.Match(c, m.AccessSpan)
-	if !ok {
+	match, uncovered := reg.Match(c, m.AccessSpan)
+	for _, v := range uncovered {
+		b.viewUse = append(b.viewUse, viewUse{v, false})
+	}
+	if match == nil {
 		return cand, nil
 	}
 	v := match.View

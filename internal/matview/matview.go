@@ -283,11 +283,11 @@ func compatibleSchemas(a, b *seq.Schema) bool {
 // the one with the fewest residual conjuncts wins (ties: registration
 // order). When no view covers all of need, a view whose span covers a
 // proper prefix of it can still match partially (Covered < need): the
-// caller serves the prefix from the view and recomputes the rest.
-// Structural matches that cover nothing record a Miss. Match itself
-// never records Hits: the optimizer costs the substitution against
-// recomputation and reports the outcome via View.Hit/Miss.
-func (r *Registry) Match(c *canon.Canon, need seq.Span) (*Match, bool) {
+// caller serves the prefix from the view and recomputes the rest. The
+// match is nil when no view matches; uncovered are the structural matches
+// that cover no prefix of need. Match counts nothing: the optimizer
+// counts every outcome (View.Hit/Miss), uncovered ones as misses.
+func (r *Registry) Match(c *canon.Canon, need seq.Span) (match *Match, uncovered []*View) {
 	r.mu.RLock()
 	views := append([]*View(nil), r.order...)
 	r.mu.RUnlock()
@@ -316,12 +316,12 @@ func (r *Registry) Match(c *canon.Canon, need seq.Span) (*Match, bool) {
 			}
 			continue
 		}
-		v.Miss()
+		uncovered = append(uncovered, v)
 	}
 	if best != nil {
-		return best, true
+		return best, uncovered
 	}
-	return partial, partial != nil
+	return partial, uncovered
 }
 
 // subsume tests whether view v structurally answers the canonical block

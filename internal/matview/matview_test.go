@@ -103,8 +103,8 @@ func TestExactMatchModuloPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := r.Match(canonOf(t, perm), seq.NewSpan(5, 15))
-	if !ok {
+	m, _ := r.Match(canonOf(t, perm), seq.NewSpan(5, 15))
+	if m == nil {
 		t.Fatal("permuted block did not match the view")
 	}
 	if m.View != v || len(m.Residual) != 0 {
@@ -130,8 +130,8 @@ func TestConjunctSubsumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := r.Match(canonOf(t, sel(t, qBase, and)), seq.NewSpan(1, 20))
-	if !ok {
+	m, _ := r.Match(canonOf(t, sel(t, qBase, and)), seq.NewSpan(1, 20))
+	if m == nil {
 		t.Fatal("superset-conjunct query did not match")
 	}
 	if len(m.Residual) != 1 {
@@ -158,7 +158,7 @@ func TestConjunctSubsumption(t *testing.T) {
 
 	// The reverse — view filters MORE than the query — must not match.
 	bare := testBase(t, "s")
-	if _, ok := r.Match(canonOf(t, sel(t, bare, gt(t, col(t, bare, "w"), expr.Literal(seq.Int(10))))), seq.NewSpan(1, 20)); ok {
+	if m, _ := r.Match(canonOf(t, sel(t, bare, gt(t, col(t, bare, "w"), expr.Literal(seq.Int(10))))), seq.NewSpan(1, 20)); m != nil {
 		t.Fatal("view with extra conjunct wrongly matched a weaker query")
 	}
 }
@@ -178,8 +178,8 @@ func TestUnfilteredViewServesSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := sel(t, qShift, gt(t, col(t, qShift, "v"), expr.Literal(seq.Float(5))))
-	m, ok := r.Match(canonOf(t, q), seq.NewSpan(3, 20))
-	if !ok {
+	m, _ := r.Match(canonOf(t, q), seq.NewSpan(3, 20))
+	if m == nil {
 		t.Fatal("selection over a materialized unfiltered block did not match")
 	}
 	if len(m.Residual) != 1 {
@@ -194,13 +194,17 @@ func TestSpanMustCover(t *testing.T) {
 	v := materialize(t, r, "narrow", block, seq.NewSpan(5, 10))
 
 	c := canonOf(t, block)
-	if _, ok := r.Match(c, seq.NewSpan(1, 20)); ok {
+	m, uncovered := r.Match(c, seq.NewSpan(1, 20))
+	if m != nil {
 		t.Fatal("view with short span wrongly matched")
 	}
-	if v.Misses() != 1 {
-		t.Fatalf("span-failing structural match should record a miss, got %d", v.Misses())
+	if len(uncovered) != 1 || uncovered[0] != v {
+		t.Fatalf("span-failing structural match should be reported uncovered, got %v", uncovered)
 	}
-	if m, ok := r.Match(c, seq.NewSpan(6, 9)); !ok || m.View != v {
+	if v.Misses() != 0 {
+		t.Fatalf("Match counted %d misses; its caller counts them", v.Misses())
+	}
+	if m, _ := r.Match(c, seq.NewSpan(6, 9)); m == nil || m.View != v {
 		t.Fatal("covered sub-span did not match")
 	}
 }
@@ -218,8 +222,8 @@ func TestBestMatchFewestResiduals(t *testing.T) {
 	}
 	materialize(t, r, "tight", sel(t, b2, and), seq.NewSpan(1, 20))
 
-	m, ok := r.Match(canonOf(t, sel(t, b2, and)), seq.NewSpan(1, 20))
-	if !ok {
+	m, _ := r.Match(canonOf(t, sel(t, b2, and)), seq.NewSpan(1, 20))
+	if m == nil {
 		t.Fatal("no match")
 	}
 	if m.View.Name != "tight" || len(m.Residual) != 0 {

@@ -24,6 +24,9 @@ func FuzzBind(f *testing.F) {
 		"rsum(ibm, close)",
 		"select(ibm, 'str' = \"str\" and not false)",
 		"offset(ibm, -5)",
+		"offset(ibm, - -5)",
+		"select(ibm, close > -2.5 and volume < -9223372036854775808)",
+		"project(ibm, -close, - -1, -(2))",
 		"((((",
 		"select(ibm, close > )",
 		"1.2.3.4",
@@ -94,6 +97,9 @@ func FuzzPlanKey(f *testing.F) {
 		"collapse(select(ibm, volume > 3), avg(close), 7)",
 		"select(ibm, close > -5)",
 		"select(ibm, close > 1 + 2)",
+		"select(offset(ibm, -2), close > -0.5 and volume > -9223372036854775808)",
+		"select(ibm, volume - -3 > - -4 and close * -1.5 < -(2))",
+		"project(offset(ibm, - -1), -volume as n, -7 as k)",
 	} {
 		f.Add(s)
 	}

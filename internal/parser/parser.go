@@ -226,6 +226,12 @@ func (p *parser) unaryExpr() (Ast, error) {
 	t := p.peek()
 	if t.kind == tokOp && t.text == "-" {
 		p.next()
+		if n := &p.toks[p.at]; n.kind == tokNumber {
+			// A minus directly before a number is its sign: a negative
+			// literal is one literal (one Shape slot).
+			n.text, n.pos = "-"+n.text, t.pos
+			return p.primary()
+		}
 		e, err := p.unaryExpr()
 		if err != nil {
 			return nil, err

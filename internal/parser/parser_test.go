@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -331,11 +332,23 @@ func TestShapeKey(t *testing.T) {
 		slots    []seq.Value
 	}{
 		{"select(offset(ibm, -3), close > 0.5 and volume > 4000)",
-			"select(offset(ibm, -(3)), ((close > ?f) and (volume > ?i)))",
+			"select(offset(ibm, -3), ((close > ?f) and (volume > ?i)))",
 			[]seq.Value{seq.Float(0.5), seq.Int(4000)}},
 		{"select(offset(ibm, -3), close > 0.25 and volume > 7)",
-			"select(offset(ibm, -(3)), ((close > ?f) and (volume > ?i)))",
+			"select(offset(ibm, -3), ((close > ?f) and (volume > ?i)))",
 			[]seq.Value{seq.Float(0.25), seq.Int(7)}},
+		// A minus before a number is the literal's sign; before anything
+		// else it stays an operator.
+		{"select(ibm, close > -0.5 and volume > -4000)",
+			"select(ibm, ((close > ?f) and (volume > ?i)))",
+			[]seq.Value{seq.Float(-0.5), seq.Int(-4000)}},
+		{"select(ibm, volume > -9223372036854775808)",
+			"select(ibm, (volume > ?i))",
+			[]seq.Value{seq.Int(math.MinInt64)}},
+		{"select(ibm, volume > - -3 and close > -(2) - -1)",
+			"select(ibm, ((volume > -(?i)) and (close > (-(?i) - ?i))))",
+			[]seq.Value{seq.Int(-3), seq.Int(2), seq.Int(-1)}},
+		{"offset(ibm, - -3)", "offset(ibm, -(-3))", nil},
 		{"sum(ibm, close, 6)", "sum(ibm, close, 6)", nil},
 		{"collapse(ibm, avg(close) as a, 7)", "collapse(ibm, avg(close) as a, 7)", nil},
 		{"project(compose(ibm, hp, ibm.close > 1), abs(hp.close - 2) as d, 'x')",

@@ -181,6 +181,10 @@ func TestPlanCacheDifferential(t *testing.T) {
 		{"select(s, v > 0.5 and v < 500)", "miss"},
 		{"select(s, v > 0.25 and v < 700)", "rebound"},
 		{"select(s, v > 0.25 and v < 50)", "miss"},
+		// A minus before a number is part of the literal, so a negative
+		// literal takes a slot like any other.
+		{"select(s, v > -5)", "miss"},
+		{"select(s, v > -7)", "rebound"},
 		// Equality estimates read the statistics, not the literal.
 		{"select(s, v = 5)", "miss"},
 		{"select(s, v = 7)", "rebound"},
@@ -217,6 +221,30 @@ func TestPlanCacheDifferential(t *testing.T) {
 		return err
 	})
 	both("drop t", func(srv *Server, _ *Session) error { return srv.DropSequence("t") })
+	// A view that matches a read's block but covers no prefix of its span
+	// misses on every read, a read served from the plan cache included.
+	for _, sess := range []*Session{cs, fs} {
+		if err := materialize("narrow", "select(s, v > 50)", 70, 90)(nil, sess); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := sess.Query("select(s, v > 50)", seq.NewSpan(1, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, srv := range map[string]*Server{"cached": cached, "fresh": fresh} {
+		misses := int64(-1)
+		for _, v := range srv.ViewCounters() {
+			if v.Name == "narrow" {
+				misses = v.Misses
+			}
+		}
+		if misses != 3 {
+			t.Fatalf("%s: view narrow missed %d times in 3 reads it does not cover", name, misses)
+		}
+	}
+	both("materialize narrow", func(*Server, *Session) error { return nil })
 	both("reopt on", option("reopt", "on"))
 
 	if h := cached.plans.hits.Load(); h == 0 {

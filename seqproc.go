@@ -36,7 +36,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/grouping"
 	"repro/internal/matview"
 	"repro/internal/parser"
 	"repro/internal/seq"
@@ -82,15 +81,7 @@ type (
 	// ViewCounters is the usage summary of one materialized view
 	// (records, hits, misses, page accesses).
 	ViewCounters = matview.Counters
-	// Grouping is a collection of same-schema sequences queried
-	// collectively (the §5.1 sequence-groupings extension).
-	Grouping = grouping.Grouping
-	// GroupTemplate instantiates a query for one grouping member.
-	GroupTemplate = grouping.Template
 )
-
-// NewGrouping creates a sequence grouping over the schema.
-var NewGrouping = grouping.New
 
 // The atomic types.
 const (
@@ -213,9 +204,9 @@ func (db *DB) Sequences() []string { return db.srv.Sequences() }
 
 // Describe returns the schema, span and density of a base sequence.
 func (db *DB) Describe(name string) (seq.Info, error) {
-	n, err := db.Base(name)
-	if err != nil {
-		return seq.Info{}, err
+	n, ok := db.srv.Catalog().Resolve(name)
+	if !ok {
+		return seq.Info{}, fmt.Errorf("seqproc: unknown sequence %q", name)
 	}
 	return n.Seq.Info(), nil
 }
@@ -333,24 +324,6 @@ func (db *DB) Query(seql string) (*Query, error) {
 		return nil, err
 	}
 	return &Query{db: db, root: root}, nil
-}
-
-// QueryNode wraps an already built algebra graph as a query. It is the
-// programmatic alternative to SEQL for embedders that construct algebra
-// trees directly.
-func (db *DB) QueryNode(root *algebra.Node) *Query {
-	return &Query{db: db, root: root}
-}
-
-// Base returns a fresh algebra leaf for a registered sequence, for
-// programmatic graph construction. Each call returns a new node: use a
-// separate leaf per occurrence so the query graph remains a tree.
-func (db *DB) Base(name string) (*algebra.Node, error) {
-	n, ok := db.srv.Catalog().Resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	return n, nil
 }
 
 // Query is a parsed, bound query.

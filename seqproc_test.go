@@ -144,23 +144,12 @@ func TestPageStatsAndReset(t *testing.T) {
 
 func TestQueryNodeAndBase(t *testing.T) {
 	db := stockDB(t)
-	base, err := db.Base("ibm")
+	q, err := db.Query("select(ibm, close > 1)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := db.QueryNode(base)
-	res, err := q.Run(NewSpan(200, 210))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count() == 0 {
-		t.Error("expected records")
-	}
-	if q.Node() != base || q.String() == "" {
-		t.Error("query accessors wrong")
-	}
-	if _, err := db.Base("ghost"); err == nil {
-		t.Error("unknown base must fail")
+	if q.Node() == nil || q.Node().String() != q.String() || !strings.Contains(q.String(), "ibm") {
+		t.Errorf("query accessors wrong: %q", q.String())
 	}
 }
 
@@ -314,6 +303,45 @@ func monitorTrailingAggregate(t *testing.T, db *DB) {
 	// avg@4 = (95+130+130)/3 ≈ 118 > 100; avg@5 = 100 -> not > 100.
 	if len(out) != 1 || out[0].Pos != 4 {
 		t.Errorf("poll = %v", out)
+	}
+}
+
+// Monitor's cost claim: a poll over one new position reads the window
+// around it, not the base. The records a poll reads stay at the
+// window's width and its pages at the index depth plus a few, whether
+// the base holds 1 000 records or 20 000.
+func TestMonitorPollCost(t *testing.T) {
+	for _, n := range []int{1_000, 20_000} {
+		db := New()
+		es := make([]Entry, n)
+		for i := range es {
+			es[i] = Entry{Pos: Pos(i + 1), Rec: Record{Float(float64(i%10) / 10)}}
+		}
+		createEntries(t, db, "s", es)
+		mon, err := db.Monitor("select(avg(s, v, 4), avg > 0.9)", Pos(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for poll := 1; poll <= 3; poll++ {
+			pos := Pos(n + poll)
+			if err := db.Append("s", pos, Record{Float(0.5)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.TakePageStats("s"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mon.Poll(pos); err != nil {
+				t.Fatal(err)
+			}
+			st, err := db.TakePageStats("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if records := st.SeqRecords + st.ProbeRecords; records > 4 || st.Pages() > 16 {
+				t.Errorf("n=%d poll %d read %d records and %d pages, want at most 4 and 16 (%v)",
+					n, poll, records, st.Pages(), st)
+			}
+		}
 	}
 }
 
