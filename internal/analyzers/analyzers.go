@@ -61,7 +61,7 @@ type Analyzer struct {
 
 // All returns every analyzer, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{KindSwitch, RawStore, StatsAtomic, SpanArith, RuleReg, ReoptCov}
+	return []*Analyzer{KindSwitch, RawStore, StatsAtomic, SpanArith, RuleReg, ReoptCov, Oracle}
 }
 
 // Run executes the given analyzers over the pass and returns the

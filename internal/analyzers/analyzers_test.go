@@ -31,6 +31,7 @@ const (
 	KindExpand
 )
 type Node struct{ Kind Kind }
+func EvalRange(n *Node, span int) []int { return nil }
 `
 
 const fakeStorage = `package storage
@@ -260,6 +261,38 @@ import "repro/internal/storage"
 func calibrate(d *storage.Snapshot) int {
 	//seqvet:ignore rawstore calibration loop measures the raw store on purpose
 	return d.Scan(1)
+}
+`)
+	wantDiags(t, got)
+}
+
+func TestOracleOutsideItsHomes(t *testing.T) {
+	got := check(t, "repro/internal/server", `package server
+import "repro/internal/algebra"
+func halo(n *algebra.Node) []int { return algebra.EvalRange(n, 1) }
+var eval = algebra.EvalRange
+`)
+	wantDiags(t, got,
+		"3: oracle: algebra.EvalRange is the reference interpreter",
+		"4: oracle: algebra.EvalRange is the reference interpreter")
+}
+
+func TestOracleInItsHomes(t *testing.T) {
+	for _, path := range []string{"repro/internal/planlint", "repro/internal/testgen", "repro/bench"} {
+		got := check(t, path, `package home
+import "repro/internal/algebra"
+func want(n *algebra.Node) []int { return algebra.EvalRange(n, 1) }
+`)
+		wantDiags(t, got)
+	}
+}
+
+func TestOracleSuppression(t *testing.T) {
+	got := check(t, "repro/internal/matview", `package matview
+import "repro/internal/algebra"
+func washout(n *algebra.Node) []int {
+	//seqvet:ignore oracle a bounded scan in a package the engine imports
+	return algebra.EvalRange(n, 1)
 }
 `)
 	wantDiags(t, got)

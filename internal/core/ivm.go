@@ -1,12 +1,12 @@
-// Incremental view maintenance: the planner side.
+// Incremental view maintenance and standing queries: the planner side.
 //
-// matview/delta.go bounds *where* a base write can change each view
-// (the affected interval); this file decides *what to do about it* and
-// carries it out. Per view the choice is priced with the same cost model
-// the optimizer uses for queries: re-evaluating just the affected
-// sub-span (stitch) competes against re-evaluating the whole view span
-// (what an invalidate-and-rematerialize cycle would pay). A stitch must
-// win by StitchThreshold to be worth keeping the view hot; otherwise the
+// matview/delta.go bounds *where* a base write can change a standing
+// block (the affected interval); PlanHalo plans *that*, and a
+// subscription sends it as a delta. A view prices it with the same cost
+// model the optimizer uses for queries: re-evaluating just the halo
+// (stitch) competes against re-evaluating the whole view span (what an
+// invalidate-and-rematerialize cycle would pay). A stitch must win by
+// StitchThreshold to be worth keeping the view hot; otherwise the
 // unaffected prefix — if any — survives as a shrunken view served by
 // partial-span matching, and only as a last resort is the view
 // invalidated as before.
@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/algebra"
 	"repro/internal/matview"
 	"repro/internal/seq"
 	"repro/internal/storage"
@@ -39,11 +40,6 @@ func MaintainViews(reg *matview.Registry, base string, delta seq.Span, epoch int
 	if reg == nil {
 		return nil, nil
 	}
-	// Maintenance plans views in isolation: no view substitution while
-	// re-evaluating a view's own block.
-	opts.Views = nil
-	opts.Reopt.Enabled = false
-
 	var reports []matview.MaintenanceReport
 	var firstErr error
 	for _, v := range reg.Views() {
@@ -73,44 +69,33 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 		NewSpan:  v.Span,
 		Epoch:    epoch,
 	}
-	node, err := matview.Rebind(v.Node, lookup)
+	h, err := PlanHalo(v.Node, v.Span, base, delta, lookup, opts)
 	if err != nil {
 		return rep, err
 	}
-	affected, known := matview.AffectedSpan(node, base, delta)
-	rep.Affected = affected
-	rep.AffectedKnown = known
-	if !known {
-		rep.Action = matview.MaintainInvalidate
-		rep.NewSpan = seq.EmptySpan
-		v.InvalidateFrom(epoch)
-		return rep, nil
-	}
-	hit := affected.Intersect(v.Span)
-	if hit.IsEmpty() {
+	rep.Affected, rep.AffectedKnown = h.Affected, h.Known
+	if h.Plan == nil {
 		rep.Action = matview.MaintainNone
 		return rep, nil
 	}
 
 	// Price the stitch against a full recompute of the view span with
-	// the optimizer's own cost model.
-	stitchRes, err := Optimize(node, hit, opts)
+	// the optimizer's own cost model, under the halo's isolated options.
+	// An unknown halo is the whole span: only a recompute re-evaluates
+	// that, and no prefix survives it.
+	recomputeRes, err := Optimize(h.Node, v.Span, h.Plan.opts)
 	if err != nil {
 		return rep, err
 	}
-	recomputeRes, err := Optimize(node, v.Span, opts)
-	if err != nil {
-		return rep, err
-	}
-	rep.StitchCost = stitchRes.Cost.Stream
+	rep.StitchCost = h.Plan.Cost.Stream
 	rep.RecomputeCost = recomputeRes.Cost.Stream
 
-	if rep.StitchCost <= StitchThreshold*rep.RecomputeCost {
-		out, err := stitchRes.Run()
+	if h.Known && rep.StitchCost <= StitchThreshold*rep.RecomputeCost {
+		out, err := h.Plan.Run()
 		if err != nil {
 			return rep, err
 		}
-		store, err := stitchStore(v, hit, out.Entries())
+		store, err := stitchStore(v, h.Span, out.Entries())
 		if err != nil {
 			return rep, err
 		}
@@ -118,13 +103,13 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 			return rep, err
 		}
 		rep.Action = matview.MaintainStitch
-		rep.StitchSpan = hit
+		rep.StitchSpan = h.Span
 		return rep, nil
 	}
 
 	// Not worth stitching. Keep the unaffected prefix when there is one:
 	// partial-span matching can still serve it.
-	prefix := seq.NewSpan(v.Span.Start, seq.ClampPos(hit.Start-1))
+	prefix := seq.NewSpan(v.Span.Start, seq.ClampPos(h.Span.Start-1))
 	if !prefix.IsEmpty() {
 		store, err := trimStore(v, prefix)
 		if err != nil {
@@ -141,6 +126,48 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 	rep.NewSpan = seq.EmptySpan
 	v.InvalidateFrom(epoch)
 	return rep, nil
+}
+
+// Halo is the part of a standing block's span one base write can have
+// changed. Affected is the scope walk's bound in output coordinates
+// before clipping (Known is false when it found none); Span is Affected
+// clipped to the block's span, all of it when unknown; Plan evaluates
+// Span on Node, the block rebound to the write's snapshots, and is nil
+// when Span is empty.
+type Halo struct {
+	Node     *algebra.Node
+	Affected seq.Span
+	Known    bool
+	Span     seq.Span
+	Plan     *Result
+}
+
+// PlanHalo is the step view maintenance and subscriptions share: rebind
+// the block to lookup's snapshots, bound what a write to base over delta
+// can change (matview.AffectedSpan, the Prop. 2.1 / Def. 3.3 scope
+// walk), clip it to span and plan that sub-span in isolation: no view
+// substitution while re-evaluating a view's own block, no mid-run
+// reoptimization. An empty base is an unknown write, whose halo is the
+// whole span — a subscription's initial content.
+func PlanHalo(block *algebra.Node, span seq.Span, base string, delta seq.Span, lookup func(string) (seq.Sequence, bool), opts Options) (*Halo, error) {
+	node, err := matview.Rebind(block, lookup)
+	if err != nil {
+		return nil, err
+	}
+	h := &Halo{Node: node, Affected: seq.AllSpan, Span: span}
+	if base != "" {
+		h.Affected, h.Known = matview.AffectedSpan(node, base, delta)
+	}
+	if h.Known {
+		h.Span = h.Affected.Intersect(span)
+	}
+	if h.Span.IsEmpty() {
+		return h, nil
+	}
+	opts.Views = nil
+	opts.Reopt.Enabled = false
+	h.Plan, err = Optimize(node, h.Span, opts)
+	return h, err
 }
 
 // stitchStore splices the re-evaluated entries over hit into the view's

@@ -113,6 +113,10 @@ func washout(in *algebra.Node, edge seq.Pos, count int64, dir int64) (seq.Pos, b
 	if !scan.Bounded() || scan.Len() > washoutBudget {
 		return 0, false
 	}
+	// matview cannot import core (core imports matview), so this scan of
+	// one operator's input, bounded by washoutBudget, runs on the
+	// reference interpreter.
+	//seqvet:ignore oracle matview cannot import core; bounded washout scan
 	entries, err := algebra.EvalRange(in, scan)
 	if err != nil {
 		return 0, false

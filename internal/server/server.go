@@ -40,6 +40,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -214,13 +215,14 @@ func New(cfg Config) *Server {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = wire.DefaultMaxFrame
 	}
+	cfg.Options.Calibration = &reopt.Calibration{} // shared; writes plan with cfg.Options
 	return &Server{
 		cfg:    cfg,
 		name:   cfg.Name,
 		seqs:   make(map[string]*serverSeq),
 		epochs: storage.NewEpochTracker(),
 		views:  matview.New(),
-		calib:  &reopt.Calibration{},
+		calib:  cfg.Options.Calibration,
 		subs:   make(map[uint64]*subscription),
 		sem:    make(chan struct{}, cfg.Workers),
 		plans:  newPlanCache(planProbation, planProtected),
@@ -287,59 +289,80 @@ func (s *Server) lookup(name string) (*serverSeq, *Error) {
 // Append adds one record beyond the end of a sparse base sequence,
 // publishing a new epoch. Returns the epoch that made the write visible.
 func (s *Server) Append(name string, pos seq.Pos, rec seq.Record) (int64, error) {
-	ss, e := s.lookup(name)
+	epoch, err := s.write(name, seq.NewSpan(pos, pos), func(v versionedSeq, epoch int64) error {
+		return v.Append(seq.Entry{Pos: pos, Rec: rec}, epoch)
+	})
+	if err == nil {
+		s.nAppends.Add(1)
+	}
+	return epoch, err
+}
+
+// write is the one write path of Append and Reorganize: under wmu, apply
+// publishes the base's new version at the next epoch, and everything
+// reading the base is brought up to date before the epoch advances.
+// Views are maintained (frozen from the epoch with maintenance off) and
+// subscriptions get their halos as deltas, so a pinned reader sees
+// maintained views and no subscriber observes the epoch without its
+// delta. A failed view is invalidated and a failed halo ends its
+// subscription: past apply, the write cannot fail.
+func (s *Server) write(base string, delta seq.Span, apply func(v versionedSeq, epoch int64) error) (int64, error) {
+	ss, e := s.lookup(base)
 	if e != nil {
 		return 0, e
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	next := s.epochs.Current() + 1
-	if err := ss.v.Append(seq.Entry{Pos: pos, Rec: rec}, next); err != nil {
+	epoch := s.epochs.Current() + 1
+	if err := apply(ss.v, epoch); err != nil {
 		return 0, &Error{Code: wire.CodeAppend, Err: err}
 	}
-	// The write is published at next but not yet visible. Registered
-	// views are maintained incrementally (stitched, shrunk, or — last
-	// resort — frozen for readers pinned below next), and standing-query
-	// subscribers get their epoch-stamped deltas framed, all before the
-	// epoch advances: a pinned reader always denotes fully-maintained
-	// state, and no subscriber can observe next without its delta.
-	s.maintainBase(name, seq.NewSpan(pos, pos), next)
-	s.publishDeltas(name, seq.NewSpan(pos, pos), next)
-	if err := s.epochs.AdvanceTo(next); err != nil {
+	lookup := s.sequenceAt(epoch)
+	if s.noIVM.Load() {
+		s.views.InvalidateBaseFrom(base, epoch)
+	} else {
+		reports, _ := core.MaintainViews(s.views, base, delta, epoch, lookup, s.cfg.Options)
+		s.maintReports = append(s.maintReports, reports...)
+		if over := len(s.maintReports) - maxMaintReports; over > 0 {
+			s.maintReports = s.maintReports[over:]
+		}
+	}
+	for _, sub := range s.subs {
+		if !matview.ReadsBase(sub.node, base) {
+			continue
+		}
+		h, err := core.PlanHalo(sub.node, sub.span, base, delta, lookup, s.cfg.Options)
+		if err == nil && h.Plan == nil {
+			continue // the halo misses the subscription span
+		}
+		var out *seq.Materialized
+		if err == nil {
+			out, err = h.Plan.Run()
+		}
+		if err != nil {
+			s.end(sub, epoch)
+		} else {
+			_ = s.send(sub, epoch, h.Span, out.Entries()) // a failed push drops sub
+		}
+	}
+	if err := s.epochs.AdvanceTo(epoch); err != nil {
 		return 0, &Error{Code: wire.CodeInternal, Err: err}
 	}
-	s.nAppends.Add(1)
-	return next, nil
+	return epoch, nil
 }
 
-// maintainBase runs incremental view maintenance after base changed
-// over delta, published at epoch but not yet advanced to. Called under
-// wmu. The registered blocks are re-bound to the epoch's snapshots; a
-// view whose maintenance fails is invalidated from epoch (never left
-// stale), so the write itself cannot fail here. With maintenance off,
-// every view reading the base is invalidated from epoch instead.
-func (s *Server) maintainBase(name string, delta seq.Span, epoch int64) {
-	if s.noIVM.Load() {
-		s.views.InvalidateBaseFrom(name, epoch)
-		return
-	}
-	opts := s.cfg.Options
-	opts.Calibration = s.calib
-	reports, _ := core.MaintainViews(s.views, name, delta, epoch, s.sequenceAt(epoch), opts)
-	s.maintReports = append(s.maintReports, reports...)
-}
+// maxMaintReports bounds the maintenance-report log to its most recent
+// entries: nothing drains it in seqd.
+const maxMaintReports = 1 << 14
 
 // sequenceAt resolves base names to their snapshots at the epoch — the
 // binding view maintenance and delta evaluation run against.
 func (s *Server) sequenceAt(epoch int64) func(string) (seq.Sequence, bool) {
 	return func(name string) (seq.Sequence, bool) {
-		s.mu.RLock()
-		ss, ok := s.seqs[name]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, false
+		if ss, e := s.lookup(name); e == nil {
+			return ss.at(epoch)
 		}
-		return ss.at(epoch)
+		return nil, false
 	}
 }
 
@@ -349,7 +372,8 @@ func (s *Server) sequenceAt(epoch int64) func(string) (seq.Sequence, bool) {
 func (s *Server) SetViewMaintenance(on bool) { s.noIVM.Store(!on) }
 
 // TakeMaintenanceReports drains the per-view maintenance decisions
-// accumulated by writes since the last call.
+// accumulated by writes since the last call, at most the
+// maxMaintReports most recent.
 func (s *Server) TakeMaintenanceReports() []matview.MaintenanceReport {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -369,26 +393,11 @@ func (s *Server) VerifyMaintenance(reports []matview.MaintenanceReport) []planli
 
 // Reorganize repacks a base sequence into a different physical
 // representation, publishing a new epoch. Readers pinned below it keep
-// scanning the old representation's pages.
+// scanning the old representation's pages. Reorganization preserves
+// logical content: the delta is empty, so maintenance keeps every view
+// and no subscriber delta is due.
 func (s *Server) Reorganize(name string, kind storage.Kind) (int64, error) {
-	ss, e := s.lookup(name)
-	if e != nil {
-		return 0, e
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	next := s.epochs.Current() + 1
-	if err := ss.v.Reorganize(kind, next); err != nil {
-		return 0, &Error{Code: wire.CodeAppend, Err: err}
-	}
-	// Reorganization preserves logical content: the delta is empty, so
-	// maintenance keeps every view and no subscriber delta is due.
-	s.maintainBase(name, seq.EmptySpan, next)
-	s.publishDeltas(name, seq.EmptySpan, next)
-	if err := s.epochs.AdvanceTo(next); err != nil {
-		return 0, &Error{Code: wire.CodeInternal, Err: err}
-	}
-	return next, nil
+	return s.write(name, seq.EmptySpan, func(v versionedSeq, epoch int64) error { return v.Reorganize(kind, epoch) })
 }
 
 // Sequences lists the registered base sequence names, sorted.
@@ -416,8 +425,9 @@ func (s *Server) ViewCounters() []matview.Counters {
 
 // DropSequence removes a base sequence at the next epoch: it is dropped
 // on disk first (with an attached database), the views reading it are
-// invalidated from that epoch, and then the epoch advances. A query
-// bound to it before the drop fails when it next plans.
+// invalidated from that epoch, the subscriptions reading it end (each
+// with a final delta emptying its span), and then the epoch advances. A
+// query bound to it before the drop fails when it next plans.
 func (s *Server) DropSequence(name string) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -435,6 +445,11 @@ func (s *Server) DropSequence(name string) error {
 	s.mu.Unlock()
 	s.planGen.Add(1)
 	s.views.InvalidateBaseFrom(name, next)
+	for _, sub := range s.subs {
+		if matview.ReadsBase(sub.node, name) {
+			s.end(sub, next)
+		}
+	}
 	if err := s.epochs.AdvanceTo(next); err != nil {
 		return &Error{Code: wire.CodeInternal, Err: err}
 	}
@@ -572,24 +587,6 @@ func (s *Server) rebindAt(epoch int64, root *algebra.Node) (*algebra.Node, error
 		return nil, errf(wire.CodeNotFound, "unknown sequence %q", missing)
 	}
 	return root, nil
-}
-
-// baseNames collects the distinct base-sequence names a plan reads.
-func baseNames(root *algebra.Node) []string {
-	seen := map[string]bool{}
-	var names []string
-	var walk func(n *algebra.Node)
-	walk = func(n *algebra.Node) {
-		if n.Kind == algebra.KindBase && !seen[n.Name] {
-			seen[n.Name] = true
-			names = append(names, n.Name)
-		}
-		for _, in := range n.Inputs {
-			walk(in)
-		}
-	}
-	walk(root)
-	return names
 }
 
 // ── sessions ────────────────────────────────────────────────────────
@@ -932,7 +929,12 @@ func (sess *Session) Materialize(name, seql string, span seq.Span) (int64, time.
 		// every base it reads.
 		srv.wmu.Lock()
 		defer srv.wmu.Unlock()
-		bases := baseNames(res.Rewritten)
+		var bases []string
+		for _, b := range res.Rewritten.Bases() {
+			if !slices.Contains(bases, b.Name) {
+				bases = append(bases, b.Name)
+			}
+		}
 		for _, base := range bases {
 			ss, e := srv.lookup(base)
 			if e != nil {

@@ -732,3 +732,38 @@ func TestReoptOnOverWireDefaultsThreshold(t *testing.T) {
 		t.Errorf("reopt on ran in the forced mode:\n%s", text)
 	}
 }
+
+// TestMaintenanceReportsBounded: a server nobody drains (seqd never
+// calls TakeMaintenanceReports) keeps only the most recent maintenance
+// reports, however many writes pass.
+func TestMaintenanceReportsBounded(t *testing.T) {
+	srv := testServer(t, Config{}, 10)
+	sess := srv.NewSession("test")
+	const views = 20
+	for i := 0; i < views; i++ {
+		if _, _, err := sess.Materialize(fmt.Sprintf("v%d", i), fmt.Sprintf("select(s, v > %d)", i), seq.NewSpan(1, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every append writes one report per view: appends enough to pass
+	// twice the cap.
+	appends := 2*maxMaintReports/views + 100
+	for i := 0; i < appends; i++ {
+		if _, err := srv.Append("s", seq.Pos(11+i), seq.Record{seq.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(srv.maintReports); n != maxMaintReports {
+		t.Fatalf("report log holds %d reports after %d appends under %d views, want %d", n, appends, views, maxMaintReports)
+	}
+	reports := srv.TakeMaintenanceReports()
+	if len(reports) != maxMaintReports {
+		t.Fatalf("drained %d reports, want the %d most recent", len(reports), maxMaintReports)
+	}
+	if last := reports[len(reports)-1]; last.Epoch != srv.Epoch() {
+		t.Fatalf("last report at epoch %d, want the latest write's %d", last.Epoch, srv.Epoch())
+	}
+	if n := len(srv.TakeMaintenanceReports()); n != 0 {
+		t.Fatalf("second drain returned %d reports, want 0", n)
+	}
+}

@@ -1,11 +1,10 @@
 // Standing queries: SUBSCRIBE turns a SEQL query into a server-resident
 // subscription whose result the client keeps current by applying pushed
-// Delta frames. The machinery is the same incremental view maintenance
-// the registry uses (matview.AffectedSpan bounds where a write can
-// change the result), applied per write instead of per registered view:
-// the affected halo is intersected with the subscription span, just that
-// sub-span is re-evaluated against the post-write snapshots, and the
-// result travels as an epoch-stamped region replacement.
+// Delta frames. A delta is the step view maintenance stitches with
+// (core.PlanHalo): the write's halo clipped to the subscription span,
+// planned and run by the engine against the post-write snapshots, sent
+// as an epoch-stamped region replacement. The initial content is the
+// same step with the whole span as its halo.
 //
 // Everything happens under Server.wmu, between publishing the write and
 // advancing the epoch: a subscriber that applies deltas in arrival order
@@ -16,7 +15,7 @@ package server
 
 import (
 	"repro/internal/algebra"
-	"repro/internal/matview"
+	"repro/internal/core"
 	"repro/internal/parser"
 	"repro/internal/seq"
 	"repro/internal/wire"
@@ -28,7 +27,6 @@ import (
 type subscription struct {
 	id   uint64
 	c    *conn
-	seql string
 	node *algebra.Node
 	span seq.Span
 }
@@ -52,24 +50,21 @@ func (s *Server) subscribe(c *conn, seql string, span seq.Span) error {
 		return errf(wire.CodePlan,
 			"standing query is universe-sensitive: its content outside a write's halo could change, so deltas cannot be incremental")
 	}
-	entries, err := algebra.EvalRange(root, span)
+	h, err := core.PlanHalo(root, span, "", seq.EmptySpan, s.sequenceAt(epoch), s.cfg.Options)
+	if err != nil {
+		return &Error{Code: wire.CodePlan, Err: err}
+	}
+	out, err := h.Plan.Run()
 	if err != nil {
 		return &Error{Code: wire.CodeExec, Err: err}
 	}
 	s.nextSub++
-	sub := &subscription{id: s.nextSub, c: c, seql: seql, node: root, span: span}
-	s.subs[sub.id] = sub
-	if err := c.push(&wire.SubAck{SubID: sub.id, Epoch: epoch, Fields: root.Schema.Fields()}); err != nil {
-		delete(s.subs, sub.id)
+	if err := c.push(&wire.SubAck{SubID: s.nextSub, Epoch: epoch, Fields: root.Schema.Fields()}); err != nil {
 		return err
 	}
-	for _, d := range wire.SplitDelta(sub.id, epoch, int64(span.Start), int64(span.End), entries) {
-		if err := c.push(d); err != nil {
-			delete(s.subs, sub.id)
-			return err
-		}
-	}
-	return nil
+	sub := &subscription{id: s.nextSub, c: c, node: root, span: span}
+	s.subs[sub.id] = sub
+	return s.send(sub, epoch, span, out.Entries())
 }
 
 // unsubscribe cancels one of the connection's standing queries.
@@ -95,49 +90,22 @@ func (s *Server) dropConnSubs(c *conn) {
 	}
 }
 
-// publishDeltas pushes one region replacement to every subscription the
-// write can have changed. Called under wmu after the write published at
-// epoch, before the epoch advances. Per subscription: rebind the block
-// to the epoch's snapshots, bound the halo with the same AffectedSpan
-// analysis view maintenance uses, re-evaluate the halo ∩ span
-// sub-region, and frame it. An unknown halo falls back to replacing the
-// whole span. A push failure means the client is gone; its
-// subscriptions are dropped and the connection's reader will notice.
-func (s *Server) publishDeltas(base string, delta seq.Span, epoch int64) {
-	if len(s.subs) == 0 {
-		return
-	}
-	lookup := s.sequenceAt(epoch)
-	var dead []*subscription
-	for _, sub := range s.subs {
-		if !matview.ReadsBase(sub.node, base) {
-			continue
-		}
-		node, err := matview.Rebind(sub.node, lookup)
-		if err != nil {
-			dead = append(dead, sub)
-			continue
-		}
-		hit := sub.span
-		if affected, known := matview.AffectedSpan(node, base, delta); known {
-			hit = affected.Intersect(sub.span)
-		}
-		if hit.IsEmpty() {
-			continue
-		}
-		entries, err := algebra.EvalRange(node, hit)
-		if err != nil {
-			dead = append(dead, sub)
-			continue
-		}
-		for _, d := range wire.SplitDelta(sub.id, epoch, int64(hit.Start), int64(hit.End), entries) {
-			if err := sub.c.push(d); err != nil {
-				dead = append(dead, sub)
-				break
-			}
+// end terminates a subscription — a dropped base, a failed halo — with a
+// final delta at epoch emptying its span; its id is not-found from then.
+func (s *Server) end(sub *subscription, epoch int64) {
+	_ = s.send(sub, epoch, sub.span, nil) // the client may be gone already
+	delete(s.subs, sub.id)
+}
+
+// send frames one region replacement for the subscription. A push
+// failure means the client is gone; the subscription is dropped and the
+// connection's reader will notice.
+func (s *Server) send(sub *subscription, epoch int64, region seq.Span, entries []seq.Entry) error {
+	for _, d := range wire.SplitDelta(sub.id, epoch, int64(region.Start), int64(region.End), entries) {
+		if err := sub.c.push(d); err != nil {
+			delete(s.subs, sub.id)
+			return err
 		}
 	}
-	for _, sub := range dead {
-		delete(s.subs, sub.id)
-	}
+	return nil
 }

@@ -326,3 +326,111 @@ func TestSubscribeConcurrentAppends(t *testing.T) {
 		t.Fatalf("quitter pending deltas = %d, want 0", n)
 	}
 }
+
+// TestSubscriptionEndsOnDrop: dropping a base a subscription reads ends
+// the subscription with one final delta that empties its span at the
+// drop's epoch. A sequence later created under the same name never
+// reaches the client's copy, and the id is gone.
+func TestSubscriptionEndsOnDrop(t *testing.T) {
+	srv := testServer(t, Config{Verify: true}, 10)
+	addr := startTCP(t, srv)
+	c, err := wire.Dial(addr, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ack, err := c.Subscribe("sum(s, v, 3)", 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadDelta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.DropSequence("s"); err != nil {
+		t.Fatal(err)
+	}
+	// A turn after the drop: the final delta was pushed before it.
+	if _, err := c.ListViews(); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.PendingDeltas(); n != 1 {
+		t.Fatalf("pending deltas after drop = %d, want the final one", n)
+	}
+	d, err := c.ReadDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.SubID != ack.SubID || d.Epoch != srv.Epoch() || d.Start != 1 || d.End != 100 || len(d.Entries) != 0 {
+		t.Fatalf("final delta = %+v, want sub %d emptying [1,100] at epoch %d", d, ack.SubID, srv.Epoch())
+	}
+	var se *wire.ServerError
+	if _, err := c.Unsubscribe(ack.SubID); !errors.As(err, &se) || se.Code != wire.CodeNotFound {
+		t.Fatalf("unsubscribe after drop = %v, want code %q", err, wire.CodeNotFound)
+	}
+
+	// A new s under the old name, then a write to it: nothing for the
+	// ended subscription.
+	entries := make([]seq.Entry, 10)
+	for i := range entries {
+		entries[i] = seq.Entry{Pos: seq.Pos(i + 1), Rec: seq.Record{seq.Int(1000)}}
+	}
+	data, err := seq.NewMaterialized(testData(t, 0).Info().Schema, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CreateSequence("s", data, storage.KindSparse); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append("s", 11, seq.Record{seq.Int(1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.PendingDeltas(); n != 0 {
+		t.Fatalf("pending deltas after re-create and append = %d, want 0", n)
+	}
+}
+
+// TestSubscriptionEndsOnFailedHalo: a write whose halo fails to evaluate
+// (integer division by zero in the appended record) ends the
+// subscription the way a drop does, while the write itself succeeds.
+func TestSubscriptionEndsOnFailedHalo(t *testing.T) {
+	srv := testServer(t, Config{Verify: true}, 10)
+	addr := startTCP(t, srv)
+	c, err := wire.Dial(addr, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ack, err := c.Subscribe("select(s, 100 / v > 5)", 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadDelta(); err != nil {
+		t.Fatal(err)
+	}
+	epoch, err := c.Append("s", 11, seq.Record{seq.Int(0)})
+	if err != nil {
+		t.Fatalf("append = %v, want the write to succeed", err)
+	}
+	if n := c.PendingDeltas(); n != 1 {
+		t.Fatalf("pending deltas after the failing append = %d, want the final one", n)
+	}
+	d, err := c.ReadDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.SubID != ack.SubID || d.Epoch != epoch || d.Start != 1 || d.End != 100 || len(d.Entries) != 0 {
+		t.Fatalf("final delta = %+v, want sub %d emptying [1,100] at epoch %d", d, ack.SubID, epoch)
+	}
+	if _, err := c.Append("s", 12, seq.Record{seq.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.PendingDeltas(); n != 0 {
+		t.Fatalf("pending deltas after the subscription ended = %d, want 0", n)
+	}
+	var se *wire.ServerError
+	if _, err := c.Unsubscribe(ack.SubID); !errors.As(err, &se) || se.Code != wire.CodeNotFound {
+		t.Fatalf("unsubscribe after a failed halo = %v, want code %q", err, wire.CodeNotFound)
+	}
+}

@@ -4,12 +4,16 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/matview"
 	"repro/internal/planlint"
 	"repro/internal/testgen"
+	"repro/internal/wire"
 )
 
 var ivmSchedules = flag.Int("ivm.schedules", 500, "number of random append/reorganize schedules for the IVM differential fuzz harness")
@@ -21,9 +25,11 @@ var ivmSchedules = flag.Int("ivm.schedules", 500, "number of random append/reorg
 // maintenance reports must pass the planlint ivm/* verifier, and the
 // standing queries — answered through whatever mix of stitched, shrunken,
 // and recomputed views the maintenance left behind — must agree with the
-// reference interpreter record for record.
+// reference interpreter record for record. So must a wire subscriber's
+// copy of a few standing queries, built from the deltas alone.
 func TestIVMDifferentialFuzz(t *testing.T) {
 	var stitches, shrinks, invalidates, noops, substituted, diskSchedules, heavySchedules int
+	var mutations, subChecks int
 	done := 0
 	for seed := int64(1); done < *ivmSchedules; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -49,10 +55,15 @@ func TestIVMDifferentialFuzz(t *testing.T) {
 		invalidates += st.invalidates
 		noops += st.noops
 		substituted += st.substituted
+		mutations += st.mutations
+		subChecks += st.subChecks
 		done++
 	}
-	t.Logf("ran %d schedules (%d disk-backed, %d with 100 views): %d stitches, %d shrinks, %d invalidates, %d no-ops, %d view-served queries",
-		done, diskSchedules, heavySchedules, stitches, shrinks, invalidates, noops, substituted)
+	t.Logf("ran %d schedules (%d disk-backed, %d with 100 views): %d stitches, %d shrinks, %d invalidates, %d no-ops, %d view-served queries, %d subscriber checks over %d mutations",
+		done, diskSchedules, heavySchedules, stitches, shrinks, invalidates, noops, substituted, subChecks, mutations)
+	if subChecks < mutations {
+		t.Fatalf("%d subscriber checks over %d mutations; want at least one per mutation", subChecks, mutations)
+	}
 	if stitches == 0 {
 		t.Fatal("no view was ever stitched; the IVM stitch path is dead")
 	}
@@ -75,6 +86,7 @@ func TestIVMDifferentialFuzz(t *testing.T) {
 
 type ivmStats struct {
 	stitches, shrinks, invalidates, noops, substituted int
+	mutations, subChecks                               int
 }
 
 // standing pairs a registered view with the query text and span its
@@ -179,6 +191,28 @@ func runIVMSchedule(t *testing.T, rng *rand.Rand, seed int64, viewCount int, dis
 		}
 	}
 
+	sub := openSubscriber(t, db, seed, views)
+	defer sub.close()
+	checkSubs := func(opIdx int) {
+		sub.sync(t, db)
+		for i, s := range sub.queries {
+			q, err := db.Query(s.text)
+			if err != nil {
+				t.Fatalf("seed %d op %d: reparse %q: %v", seed, opIdx, s.text, err)
+			}
+			want, err := algebra.EvalRange(q.Node(), s.span)
+			if err != nil {
+				t.Fatalf("seed %d op %d: reference for %q: %v", seed, opIdx, s.text, err)
+			}
+			if got := sub.entries(i); !testgen.EntriesApproxEqual(got, want) {
+				t.Fatalf("seed %d op %d: subscriber's copy disagrees with the reference\nquery: %s\nspan: %v\ngot  %v\nwant %v",
+					seed, opIdx, s.text, s.span, got, want)
+			}
+			st.subChecks++
+		}
+	}
+	checkSubs(-1)
+
 	nOps := 4 + rng.Intn(5)
 	for op := 0; op < nOps; op++ {
 		base := "b"
@@ -232,8 +266,11 @@ func runIVMSchedule(t *testing.T, rng *rand.Rand, seed int64, viewCount int, dis
 			t.Fatalf("seed %d op %d: maintenance violates ivm/* invariants:\n%v",
 				seed, op, planlint.Error(issues))
 		}
-		// Spot-check a few standing queries after every mutation.
+		// Spot-check a few standing queries after every mutation, and
+		// every subscription.
 		checkViews(op, 4)
+		checkSubs(op)
+		st.mutations++
 	}
 	// Full sweep at the end of the schedule.
 	checkViews(nOps, len(views))
@@ -273,4 +310,123 @@ func randIVMQuery(rng *rand.Rand, depth int) (string, string) {
 	default:
 		return fmt.Sprintf("select(compose(b as l, c as r), l.v > r.w)"), "v"
 	}
+}
+
+// subscriber is a wire client (DB.Connect) holding standing queries over
+// a schedule's bases, with a reader goroutine applying every delta to
+// the client's copy. A sentinel subscription on a base no query reads
+// marks the end of a write's deltas: deltas arrive in write order, so
+// once the sentinel's delta of a later write is in, every delta of the
+// earlier writes has been applied.
+type subscriber struct {
+	conn     net.Conn
+	queries  []standing
+	ids      []uint64
+	copies   map[uint64]map[Pos]Record
+	sentinel uint64
+	next     Pos // the next sentinel append position
+	marks    chan int64
+	done     chan error
+}
+
+// openSubscriber subscribes to the first few view texts of a schedule,
+// or to random shapes when it registered none.
+func openSubscriber(t *testing.T, db *DB, seed int64, views []standing) *subscriber {
+	t.Helper()
+	conn := db.Connect()
+	c, err := wire.NewClient(conn, "ivm-fuzz")
+	if err != nil {
+		t.Fatalf("seed %d: connect: %v", seed, err)
+	}
+	s := &subscriber{conn: conn, copies: map[uint64]map[Pos]Record{}, next: 1,
+		marks: make(chan int64, 1), done: make(chan error, 1)}
+	subscribe := func(q standing) bool {
+		ack, err := c.Subscribe(q.text, int64(q.span.Start), int64(q.span.End))
+		if err != nil {
+			return false
+		}
+		s.queries = append(s.queries, q)
+		s.ids = append(s.ids, ack.SubID)
+		s.copies[ack.SubID] = map[Pos]Record{}
+		return true
+	}
+	for _, v := range views[:min(3, len(views))] {
+		subscribe(v)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for attempt := 0; len(s.queries) == 0 && attempt < 30; attempt++ {
+		text, _ := randIVMQuery(rng, 2+rng.Intn(2))
+		lo := Pos(rng.Intn(20)) - 6
+		subscribe(standing{text: text, span: NewSpan(lo, lo+Pos(8+rng.Intn(30)))})
+	}
+	if len(s.queries) == 0 && !subscribe(standing{text: "b", span: NewSpan(-10, 50)}) {
+		t.Fatalf("seed %d: no standing query subscribes", seed)
+	}
+
+	data, err := NewData(MustSchema(Field{Name: "x", Type: TFloat}), nil)
+	if err != nil {
+		t.Fatalf("seed %d: sentinel data: %v", seed, err)
+	}
+	if err := db.CreateSequence("z", data, Sparse); err != nil {
+		t.Fatalf("seed %d: create sentinel: %v", seed, err)
+	}
+	ack, err := c.Subscribe("z", 1, 1<<20)
+	if err != nil {
+		t.Fatalf("seed %d: subscribe sentinel: %v", seed, err)
+	}
+	s.sentinel = ack.SubID
+	go func() {
+		for {
+			d, err := c.ReadDelta()
+			if err != nil {
+				s.done <- err
+				return
+			}
+			if d.SubID == s.sentinel {
+				s.marks <- d.Epoch
+				continue
+			}
+			cp := s.copies[d.SubID]
+			for p := Pos(d.Start); p <= Pos(d.End); p++ {
+				delete(cp, p)
+			}
+			for _, e := range d.Entries {
+				cp[e.Pos] = e.Rec
+			}
+		}
+	}()
+	<-s.marks // the sentinel's initial content
+	return s
+}
+
+// sync returns once every delta of the writes so far has been applied.
+func (s *subscriber) sync(t *testing.T, db *DB) {
+	t.Helper()
+	if err := db.Append("z", s.next, Record{Float(0)}); err != nil {
+		t.Fatalf("sentinel append: %v", err)
+	}
+	s.next++
+	select {
+	case <-s.marks:
+	case err := <-s.done:
+		t.Fatalf("subscriber connection failed: %v", err)
+	case <-time.After(time.Minute):
+		t.Fatal("the sentinel subscription got no delta for its append")
+	}
+}
+
+// entries is the client's copy of the i-th standing query.
+func (s *subscriber) entries(i int) []Entry {
+	var out []Entry
+	for p, rec := range s.copies[s.ids[i]] {
+		out = append(out, Entry{Pos: p, Rec: rec})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Pos < out[b].Pos })
+	return out
+}
+
+// close ends the connection and waits for the reader goroutine.
+func (s *subscriber) close() {
+	s.conn.Close()
+	<-s.done
 }

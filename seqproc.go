@@ -194,7 +194,8 @@ func (db *DB) MustCreateSequence(name string, data *seq.Materialized, kind Stora
 }
 
 // DropSequence removes a base sequence, invalidating every view whose
-// block reads it. Queries bound to it fail from then on.
+// block reads it and ending every subscription that reads it (with a
+// final delta emptying its span). Queries bound to it fail from then on.
 func (db *DB) DropSequence(name string) error {
 	return db.wrote(db.srv.DropSequence(name))
 }
@@ -228,7 +229,9 @@ func (db *DB) SetViewMaintenance(on bool) { db.srv.SetViewMaintenance(on) }
 
 // TakeMaintenanceReports drains the accumulated per-view maintenance
 // decisions (delta halo, chosen action, stitch-vs-recompute costs) made
-// by Append and Reorganize since the last call.
+// by Append and Reorganize since the last call. The log keeps only the
+// 16 384 most recent reports: a caller draining less often loses the
+// oldest.
 func (db *DB) TakeMaintenanceReports() []matview.MaintenanceReport {
 	return db.srv.TakeMaintenanceReports()
 }
