@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	seqproc "repro"
+	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -46,7 +47,7 @@ func createFixture(t *testing.T, create func(string, *seq.Materialized, storage.
 // startRemote boots an in-process seqd engine on a loopback listener.
 func startRemote(t *testing.T) string {
 	t.Helper()
-	srv := server.New(server.Config{Verify: true})
+	srv := server.New(server.Config{Options: core.Options{Verify: true}})
 	createFixture(t, srv.CreateSequence)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

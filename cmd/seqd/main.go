@@ -78,18 +78,22 @@ func newFlags() (*flag.FlagSet, *options) {
 	return fs, o
 }
 
-func main() {
-	fs, o := newFlags()
-	fs.Parse(os.Args[1:])
-
-	srv := server.New(server.Config{
+// serverConfig maps the flags onto the server's configuration.
+func (o *options) serverConfig() server.Config {
+	return server.Config{
 		Name:       o.name,
 		Workers:    o.workers,
 		MaxFrame:   o.maxFrame,
 		GCInterval: o.gcInterval,
-		Verify:     o.verify,
-		Options:    core.Options{Parallelism: o.parallelism},
-	})
+		Options:    core.Options{Parallelism: o.parallelism, Verify: o.verify},
+	}
+}
+
+func main() {
+	fs, o := newFlags()
+	fs.Parse(os.Args[1:])
+
+	srv := server.New(o.serverConfig())
 	ddb, err := attachData(srv, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seqd: %v\n", err)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -54,12 +53,9 @@ func TestEveryFlagDocumented(t *testing.T) {
 func TestDaemonEndToEnd(t *testing.T) {
 	_, o := newFlags()
 	o.table1 = 1
+	o.name = "seqd-test"
 	o.verify = true
-	srv := server.New(server.Config{
-		Name:    "seqd-test",
-		Verify:  o.verify,
-		Options: core.Options{Parallelism: o.parallelism},
-	})
+	srv := server.New(o.serverConfig())
 	if err := loadData(srv, o); err != nil {
 		t.Fatal(err)
 	}

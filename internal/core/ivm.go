@@ -6,7 +6,7 @@
 // model the optimizer uses for queries: re-evaluating just the halo
 // (stitch) competes against re-evaluating the whole view span (what an
 // invalidate-and-rematerialize cycle would pay). A stitch must win by
-// StitchThreshold to be worth keeping the view hot; otherwise the
+// stitchThreshold to be worth keeping the view hot; otherwise the
 // unaffected prefix — if any — survives as a shrunken view served by
 // partial-span matching, and only as a last resort is the view
 // invalidated as before.
@@ -21,10 +21,10 @@ import (
 	"repro/internal/storage"
 )
 
-// StitchThreshold is the fraction of the full-recompute cost a stitch
+// stitchThreshold is the fraction of the full-recompute cost a stitch
 // must stay under to be applied: re-evaluating the halo keeps the view
 // hot only when it is decisively cheaper than rebuilding it.
-var StitchThreshold = 0.5
+const stitchThreshold = 0.5
 
 // MaintainViews incrementally maintains every registered view that
 // reads base after its data changed over delta (base coordinates; an
@@ -90,7 +90,7 @@ func maintainView(reg *matview.Registry, v *matview.View, base string, delta seq
 	rep.StitchCost = h.Plan.Cost.Stream
 	rep.RecomputeCost = recomputeRes.Cost.Stream
 
-	if h.Known && rep.StitchCost <= StitchThreshold*rep.RecomputeCost {
+	if h.Known && rep.StitchCost <= stitchThreshold*rep.RecomputeCost {
 		out, err := h.Plan.Run()
 		if err != nil {
 			return rep, err

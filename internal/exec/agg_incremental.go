@@ -8,9 +8,9 @@ import (
 	"repro/internal/seq"
 )
 
-// runningAcc folds values incrementally for cumulative windows (and as
-// the add-path of the sliding accumulators). It supports every aggregate
-// function because records are only ever added, never removed.
+// runningAcc folds values incrementally for cumulative windows on both
+// planes. It supports every aggregate function because records are only
+// ever added, never removed.
 type runningAcc struct {
 	fn    algebra.AggFunc
 	count int64
@@ -160,94 +160,6 @@ func (a *AggCumulative) Children() []Plan { return []Plan{a.In} }
 
 // Caches implements Plan.
 func (a *AggCumulative) Caches() []*cache.FIFO { return nil }
-
-// slidingAcc maintains an aggregate over a sliding window in O(1)
-// amortized time per add/evict: sums by subtraction, extrema by a
-// monotonic deque. This is the ablation counterpart of AggCached's
-// O(w)-per-output recomputation (see DESIGN.md experiment E4).
-type slidingAcc struct {
-	fn    algebra.AggFunc
-	isInt bool
-	count int64
-	sumI  int64
-	sumF  float64
-	vals  []seq.Entry // window entries (for subtraction)
-	mono  []seq.Entry // monotonic deque for min/max
-}
-
-func (a *slidingAcc) add(pos seq.Pos, v seq.Value) error {
-	a.count++
-	switch a.fn {
-	case algebra.AggSum, algebra.AggAvg:
-		if a.isInt && v.T == seq.TInt {
-			a.sumI += v.AsInt()
-		} else {
-			a.sumF += v.AsFloat()
-		}
-		a.vals = append(a.vals, seq.Entry{Pos: pos, Rec: seq.Record{v}})
-	case algebra.AggCount:
-		a.vals = append(a.vals, seq.Entry{Pos: pos})
-	case algebra.AggMin, algebra.AggMax:
-		a.vals = append(a.vals, seq.Entry{Pos: pos, Rec: seq.Record{v}})
-		for len(a.mono) > 0 {
-			last := a.mono[len(a.mono)-1].Rec[0]
-			c, err := v.Compare(last)
-			if err != nil {
-				return err
-			}
-			if (a.fn == algebra.AggMin && c <= 0) || (a.fn == algebra.AggMax && c >= 0) {
-				a.mono = a.mono[:len(a.mono)-1]
-			} else {
-				break
-			}
-		}
-		a.mono = append(a.mono, seq.Entry{Pos: pos, Rec: seq.Record{v}})
-	}
-	return nil
-}
-
-func (a *slidingAcc) evictBelow(pos seq.Pos) {
-	for len(a.vals) > 0 && a.vals[0].Pos < pos {
-		e := a.vals[0]
-		a.vals = a.vals[1:]
-		a.count--
-		switch a.fn {
-		case algebra.AggSum, algebra.AggAvg:
-			v := e.Rec[0]
-			if a.isInt && v.T == seq.TInt {
-				a.sumI -= v.AsInt()
-			} else {
-				a.sumF -= v.AsFloat()
-			}
-		}
-	}
-	for len(a.mono) > 0 && a.mono[0].Pos < pos {
-		a.mono = a.mono[1:]
-	}
-}
-
-func (a *slidingAcc) result() (seq.Value, bool) {
-	if a.count == 0 {
-		return seq.Value{}, false
-	}
-	switch a.fn {
-	case algebra.AggCount:
-		return seq.Int(a.count), true
-	case algebra.AggSum:
-		if a.isInt {
-			return seq.Int(a.sumI), true
-		}
-		return seq.Float(a.sumF), true
-	case algebra.AggAvg:
-		s := a.sumF
-		if a.isInt {
-			s = float64(a.sumI)
-		}
-		return seq.Float(s / float64(a.count)), true
-	default:
-		return a.mono[0].Rec[0], true
-	}
-}
 
 // AggSliding evaluates a bounded-window aggregate with O(1) amortized
 // work per position: Cache-Strategy-A's single scan plus incremental

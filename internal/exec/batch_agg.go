@@ -1,10 +1,10 @@
 // Batch-mode windowed aggregates and value offsets. Each operator
-// mirrors its scalar algorithm position for position — including the
-// exact order of floating-point adds and subtracts, so results are
-// bit-identical to the scalar interpreter — but consumes batched input
-// rows and emits batched outputs, replacing the per-record cursor
-// machinery and the per-add seq.Record allocations with ring buffers of
-// plain values.
+// walks positions exactly as its scalar Scan does, and the windowed
+// aggregates share their accumulators with it (slidingAcc, runningAcc),
+// so floating-point adds and subtracts happen in the same order and
+// results are bit-identical across the planes. The batch plane consumes
+// batched input rows and emits batched outputs; its unboxed numAcc fast
+// path keeps that arithmetic order too.
 package exec
 
 import (
@@ -23,9 +23,8 @@ func aggArgAt(spec *algebra.AggSpec, b *seq.Batch, i int, in *seq.Intern) seq.Va
 }
 
 // posRing is a growable ring buffer of (position, value) pairs — the
-// window storage of the batch sliding accumulator. Amortized O(1) push
-// and pop at both ends without the slice-shift reallocation pattern of
-// the scalar accumulator's `vals = vals[1:]` idiom.
+// window storage of the sliding accumulator. Amortized O(1) push and
+// pop at both ends, reusing its storage as the window slides.
 type posRing struct {
 	pos  []seq.Pos
 	val  []seq.Value
@@ -78,12 +77,13 @@ func (r *posRing) popFront() {
 
 func (r *posRing) popBack() { r.n-- }
 
-func (r *posRing) reset() { r.head, r.n = 0, 0 }
-
-// batchSlidingAcc is the batch-mode counterpart of slidingAcc: identical
-// arithmetic in identical order, ring buffers instead of slice-shifted
-// entry slices, no per-add record allocation.
-type batchSlidingAcc struct {
+// slidingAcc maintains an aggregate over a sliding window in O(1)
+// amortized time per add/evict: sums by subtraction, extrema by a
+// monotonic deque, both windows held in ring buffers. AggSliding's
+// scalar Scan and its BatchScan both drive it. It is the ablation
+// counterpart of AggCached's O(w)-per-output recomputation (see
+// DESIGN.md experiment E4).
+type slidingAcc struct {
 	fn    algebra.AggFunc
 	isInt bool
 	count int64
@@ -93,7 +93,7 @@ type batchSlidingAcc struct {
 	mono  posRing
 }
 
-func (a *batchSlidingAcc) add(pos seq.Pos, v seq.Value) error {
+func (a *slidingAcc) add(pos seq.Pos, v seq.Value) error {
 	a.count++
 	switch a.fn {
 	case algebra.AggSum, algebra.AggAvg:
@@ -124,7 +124,7 @@ func (a *batchSlidingAcc) add(pos seq.Pos, v seq.Value) error {
 	return nil
 }
 
-func (a *batchSlidingAcc) evictBelow(pos seq.Pos) {
+func (a *slidingAcc) evictBelow(pos seq.Pos) {
 	for a.vals.len() > 0 {
 		p, v := a.vals.front()
 		if p >= pos {
@@ -149,7 +149,7 @@ func (a *batchSlidingAcc) evictBelow(pos seq.Pos) {
 	}
 }
 
-func (a *batchSlidingAcc) result() (seq.Value, bool) {
+func (a *slidingAcc) result() (seq.Value, bool) {
 	if a.count == 0 {
 		return seq.Value{}, false
 	}
@@ -203,14 +203,14 @@ func (a *AggSliding) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor
 		lo:   w.Lo, hi: w.Hi, sliding: true,
 	}
 	if cur.num = newNumAcc(&a.Spec, a.In.Info().Schema, true); cur.num == nil {
-		cur.acc = &batchSlidingAcc{fn: a.Spec.Func, isInt: isInt}
+		cur.acc = &slidingAcc{fn: a.Spec.Func, isInt: isInt}
 	}
 	return cur
 }
 
 // BatchScan implements the running (cumulative) aggregate over batched
-// input, reusing the batchSlidingAcc in add-only mode (no evictions —
-// exactly the runningAcc recurrence, same arithmetic order).
+// input with the scalar Scan's runningAcc, so the arithmetic order is
+// the same.
 func (a *AggCumulative) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	span = span.Intersect(a.OutSpan)
 	if span.IsEmpty() {

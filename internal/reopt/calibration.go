@@ -1,10 +1,7 @@
 package reopt
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"sync"
 
 	"repro/internal/exec"
@@ -59,13 +56,13 @@ type Calibration struct {
 // Constants are the regressed cost-model weights, relative to one
 // sequential page read (SeqPage ≡ 1).
 type Constants struct {
-	RandPage    float64 `json:"rand_page"`
-	PerRecord   float64 `json:"per_record"`
-	CacheAccess float64 `json:"cache_access"`
+	RandPage    float64
+	PerRecord   float64
+	CacheAccess float64
 	// NsPerUnit is the regressed wall time of one cost unit.
-	NsPerUnit float64 `json:"ns_per_unit"`
+	NsPerUnit float64
 	// Samples is the observation count behind the fit.
-	Samples int64 `json:"samples"`
+	Samples int64
 }
 
 // Map returns the constants keyed by name, the form the planlint
@@ -261,48 +258,4 @@ func solve(a [nFeatures][nFeatures]float64, b [nFeatures]float64) ([nFeatures]fl
 		x[i] = s / a[i][i]
 	}
 	return x, true
-}
-
-// calibrationState is the JSON persistence format: the raw normal
-// equations (so later runs continue the same regression) plus the
-// derived constants at save time for human inspection.
-type calibrationState struct {
-	XtX       [nFeatures][nFeatures]float64 `json:"xtx"`
-	XtY       [nFeatures]float64            `json:"xty"`
-	N         int64                         `json:"n"`
-	Constants *Constants                    `json:"constants,omitempty"`
-}
-
-// Save writes the calibration state as JSON. The file sits next to the
-// store it calibrates; Load resumes the regression from it.
-func (c *Calibration) Save(path string) error {
-	var st calibrationState
-	c.mu.Lock()
-	st.XtX, st.XtY, st.N = c.xtx, c.xty, c.n
-	c.mu.Unlock()
-	if k, ok := c.Constants(); ok {
-		st.Constants = &k
-	}
-	data, err := json.MarshalIndent(&st, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadCalibration reads a calibration state saved by Save.
-func LoadCalibration(path string) (*Calibration, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var st calibrationState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("reopt: parsing calibration %s: %w", path, err)
-	}
-	if st.N < 0 {
-		return nil, fmt.Errorf("reopt: calibration %s has negative sample count %d", path, st.N)
-	}
-	c := &Calibration{xtx: st.XtX, xty: st.XtY, n: st.N}
-	return c, nil
 }

@@ -3,8 +3,6 @@ package reopt
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -79,61 +77,11 @@ func TestCalibrationTooFewSamples(t *testing.T) {
 	}
 }
 
-func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := &Calibration{}
-	for i := 0; i < 100; i++ {
-		c.Observe(syntheticMetrics(rng, 900, 3500, 4, 3))
-	}
-	want, ok := c.Constants()
-	if !ok {
-		t.Fatal("constants not derivable before save")
-	}
-	path := filepath.Join(t.TempDir(), "calibration.json")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCalibration(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Samples() != c.Samples() {
-		t.Errorf("samples = %d, want %d", loaded.Samples(), c.Samples())
-	}
-	got, ok := loaded.Constants()
-	if !ok {
-		t.Fatal("constants not derivable after load")
-	}
-	if got != want {
-		t.Errorf("constants drifted across round trip:\n got %+v\nwant %+v", got, want)
-	}
-	// The regression continues from the loaded state.
-	loaded.Observe(syntheticMetrics(rng, 900, 3500, 4, 3))
-	if loaded.Samples() != c.Samples()+1 {
-		t.Errorf("loaded store did not keep accumulating")
-	}
-}
-
-func TestCalibrationLoadRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCalibration(bad); err == nil {
-		t.Error("parse error not reported")
-	}
-	if _, err := LoadCalibration(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file not reported")
-	}
-}
-
 // TestCalibrationConcurrent hammers one Calibration from concurrent
-// runs — observers folding traces while readers derive constants and
-// save snapshots. Run under -race in CI.
+// runs — observers folding traces while readers derive constants. Run
+// under -race in CI.
 func TestCalibrationConcurrent(t *testing.T) {
 	c := &Calibration{}
-	dir := t.TempDir()
 	var wg sync.WaitGroup
 	const writers, readers, rounds = 8, 4, 200
 	for w := 0; w < writers; w++ {
@@ -150,7 +98,6 @@ func TestCalibrationConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			path := filepath.Join(dir, "cal.json")
 			for i := 0; i < rounds; i++ {
 				if k, ok := c.Constants(); ok {
 					if math.IsNaN(k.RandPage) || k.RandPage <= 0 {
@@ -159,12 +106,6 @@ func TestCalibrationConcurrent(t *testing.T) {
 					}
 				}
 				c.Samples()
-				if i%50 == 0 {
-					if err := c.Save(path); err != nil {
-						t.Error(err)
-						return
-					}
-				}
 			}
 		}(r)
 	}

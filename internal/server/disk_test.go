@@ -35,7 +35,7 @@ func diskServer(t *testing.T, dir string, cfg Config) (*Server, *disk.DB) {
 
 func TestDiskServerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	srv, db := diskServer(t, dir, Config{Verify: true})
+	srv, db := diskServer(t, dir, Config{Options: core.Options{Verify: true}})
 
 	if err := srv.CreateSequence("s", testData(t, 40), storage.KindSparse); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestDiskServerRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: sequences, appended record, view, and epoch all recover.
-	srv2, db2 := diskServer(t, dir, Config{Verify: true})
+	srv2, db2 := diskServer(t, dir, Config{Options: core.Options{Verify: true}})
 	defer db2.Close()
 	defer srv2.Close()
 	if got := srv2.Epoch(); got < wantEpoch {

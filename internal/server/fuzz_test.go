@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -66,7 +67,7 @@ func TestFuzzConcurrentAppendQuery(t *testing.T) {
 		appends  = 150 // per writer
 		duration = 2 * time.Second
 	)
-	srv := testServer(t, Config{Workers: 4, Verify: true}, initial)
+	srv := testServer(t, Config{Workers: 4, Options: core.Options{Verify: true}}, initial)
 	log := &appendLog{}
 
 	// Writers: serialized appends at deterministic positions. nextPos is
@@ -247,7 +248,7 @@ func TestFuzzConcurrentAppendQuery(t *testing.T) {
 // invalid at its pinned epoch would fail its query.
 func TestFuzzMatviewEpochIsolation(t *testing.T) {
 	const initial = 200
-	srv := testServer(t, Config{Workers: 4, Verify: true}, initial)
+	srv := testServer(t, Config{Workers: 4, Options: core.Options{Verify: true}}, initial)
 	sess := srv.NewSession("setup")
 	if _, _, err := sess.Materialize("hot", "select(s, v > 10)", seq.NewSpan(1, initial)); err != nil {
 		t.Fatal(err)

@@ -67,10 +67,10 @@ func wSeq(n int) *seq.Materialized {
 // two share one calibration, so Analyze moves both cost models alike.
 // Entries, Explain text and view counters must be identical throughout.
 func TestPlanCacheDifferential(t *testing.T) {
-	cached := testServer(t, Config{Verify: true}, 100)
-	fresh := testServer(t, Config{Verify: true}, 100)
+	cached := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
+	fresh := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
 	fresh.plans = newPlanCache(0, 0)
-	fresh.calib = cached.calib
+	fresh.cfg.Options.Calibration = cached.cfg.Options.Calibration
 	cs, fs := cached.NewSession("cached"), fresh.NewSession("fresh")
 
 	both := func(step string, f func(srv *Server, sess *Session) error) {
@@ -511,7 +511,7 @@ func TestPlanCacheConcurrentReads(t *testing.T) {
 		appends = 200
 		readers = 4
 	)
-	srv := testServer(t, Config{Workers: 4, Verify: true}, initial)
+	srv := testServer(t, Config{Workers: 4, Options: core.Options{Verify: true}}, initial)
 	log := &appendLog{}
 	// The shared session replans at every checkpoint, so concurrent runs
 	// of one cached plan splice tails too.

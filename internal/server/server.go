@@ -77,13 +77,11 @@ type Config struct {
 	// collector started by Serve; 0 disables it (GC can still be run
 	// explicitly via GCOnce).
 	GCInterval time.Duration
-	// Verify additionally runs the full planlint rule verifier on every
-	// optimization (core.Options.Verify). The snapshot/* family is
-	// checked on every read regardless.
-	Verify bool
-	// Options seeds each new session's planner options. Views and
-	// Calibration are overwritten per request with the server's shared
-	// state.
+	// Options seeds each new session's planner options and plans the
+	// writes' halos. Views and Calibration are overwritten per request
+	// with the server's shared state. Verify runs the full planlint rule
+	// verifier on every optimization, and no session can turn it off;
+	// the snapshot/* family is checked on every read regardless.
 	Options core.Options
 }
 
@@ -166,7 +164,6 @@ type Server struct {
 	wmu    sync.Mutex // serializes all writers (publish-then-advance)
 	epochs *storage.EpochTracker
 	views  *matview.Registry
-	calib  *reopt.Calibration
 
 	// Incremental-view-maintenance decisions accumulated by writes, and
 	// the standing-query subscriptions deltas are pushed to (see
@@ -222,7 +219,6 @@ func New(cfg Config) *Server {
 		seqs:   make(map[string]*serverSeq),
 		epochs: storage.NewEpochTracker(),
 		views:  matview.New(),
-		calib:  cfg.Options.Calibration,
 		subs:   make(map[uint64]*subscription),
 		sem:    make(chan struct{}, cfg.Workers),
 		plans:  newPlanCache(planProbation, planProtected),
@@ -619,7 +615,7 @@ func (s *Server) NewSession(client string) *Session {
 // NewSessionWith opens a session planning with opts. A registry or a
 // calibration opts names replaces the server's own.
 func (s *Server) NewSessionWith(client string, opts core.Options) *Session {
-	opts.Verify = opts.Verify || s.cfg.Verify
+	opts.Verify = opts.Verify || s.cfg.Options.Verify
 	sess := &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client}
 	if !reflect.DeepEqual(unsettable(opts), unsettable(s.cfg.Options)) {
 		sess.base = s.nextSession.Add(1)
@@ -694,7 +690,7 @@ func (sess *Session) SetOption(name, value string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		sess.opts.Verify = on || sess.srv.cfg.Verify
+		sess.opts.Verify = on || sess.srv.cfg.Options.Verify
 		return fmt.Sprintf("verify = %v", sess.opts.Verify), nil
 	default:
 		return "", errf(wire.CodeOption, "unknown option %q (have parallelism, reopt, reopt interval, reopt threshold, views, verify)", name)
@@ -794,7 +790,7 @@ func (sess *Session) optimize(shape *parser.Shape, root *algebra.Node, span seq.
 		opts.Views = srv.views.At(epoch)
 	}
 	if opts.Calibration == nil {
-		opts.Calibration = srv.calib
+		opts.Calibration = srv.cfg.Options.Calibration
 	}
 	res, err := core.Optimize(root, span, opts)
 	if err != nil {
@@ -872,7 +868,7 @@ func (sess *Session) Analyze(seql string, span seq.Span) (string, int64, error) 
 	err := sess.read(seql, nil, span, func(res *core.Result, e int64, queue time.Duration) error {
 		a, err := sess.srv.run(res.RunAnalyze)
 		if err == nil {
-			sess.srv.calib.Observe(a.Root)
+			sess.srv.cfg.Options.Calibration.Observe(a.Root)
 			sess.srv.planGen.Add(1)
 			text, epoch = a.Render()+"\n"+sess.srv.counterBlock(e, queue), e
 		}

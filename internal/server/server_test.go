@@ -12,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/matview"
+	"repro/internal/rewrite"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -65,7 +68,7 @@ func startTCP(t *testing.T, srv *Server) string {
 }
 
 func TestServerQueryOverWire(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 100)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
 	addr := startTCP(t, srv)
 
 	c, err := wire.Dial(addr, "test")
@@ -160,7 +163,7 @@ func TestServerAppendAdvancesEpoch(t *testing.T) {
 }
 
 func TestServerExplainAnalyzeAndCounters(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 200)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 200)
 	addr := startTCP(t, srv)
 	c, err := wire.Dial(addr, "test")
 	if err != nil {
@@ -189,7 +192,7 @@ func TestServerExplainAnalyzeAndCounters(t *testing.T) {
 }
 
 func TestServerMaterializeAndViews(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 100)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
 	addr := startTCP(t, srv)
 	c, err := wire.Dial(addr, "test")
 	if err != nil {
@@ -360,6 +363,47 @@ func TestServerCatalogAndOptions(t *testing.T) {
 	}
 }
 
+// TestServerVerifyOption: a server started with Options.Verify verifies
+// every plan, a read's and a subscription's alike, and "set verify off"
+// cannot turn that off. The rewrite rule under test shifts a select's
+// base by one position, which breaks Prop. 2.1 without breaking the
+// plan, so only the verifier can refuse it.
+func TestServerVerifyOption(t *testing.T) {
+	shift := rewrite.Rule{Name: "shift", Group: "test", Apply: func(n *algebra.Node) (*algebra.Node, bool, error) {
+		if n.Kind != algebra.KindSelect || n.Inputs[0].Kind != algebra.KindBase {
+			return n, false, nil
+		}
+		in, err := algebra.PosOffset(n.Inputs[0], 1)
+		if err != nil {
+			return nil, false, err
+		}
+		out, err := algebra.Select(in, n.Pred)
+		return out, err == nil, err
+	}}
+	for _, verify := range []bool{false, true} {
+		srv := testServer(t, Config{Options: core.Options{Verify: verify, Rules: []rewrite.Rule{shift}}}, 10)
+		c, err := wire.Dial(startTCP(t, srv), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if got, err := c.SetOption("verify", "off"); err != nil || got != fmt.Sprintf("verify = %v", verify) {
+			t.Fatalf("server verify %v: set verify off = %q, %v", verify, got, err)
+		}
+		_, qerr := c.Query("select(s, v > 5)", 1, 10)
+		_, serr := c.Subscribe("select(s, v > 5)", 1, 10)
+		for _, err := range []error{qerr, serr} {
+			var se *wire.ServerError
+			switch {
+			case !verify && err != nil:
+				t.Fatalf("unverified server refused the plan: %v", err)
+			case verify && (!errors.As(err, &se) || se.Code != wire.CodePlan || !strings.Contains(se.Message, "Prop. 2.1")):
+				t.Fatalf("verifying server: error = %v, want a plan error naming Prop. 2.1", err)
+			}
+		}
+	}
+}
+
 // TestCloseUnblocksIdleConnections: Close must not wait for idle
 // clients — handlers park in wire.ReadMessage with no deadline, so Close
 // closes every tracked connection to unblock them. Before the tracking
@@ -488,7 +532,7 @@ func TestServerRejectsOldClient(t *testing.T) {
 }
 
 func TestServerConcurrentClients(t *testing.T) {
-	srv := testServer(t, Config{Workers: 2, Verify: true}, 100)
+	srv := testServer(t, Config{Workers: 2, Options: core.Options{Verify: true}}, 100)
 	addr := startTCP(t, srv)
 
 	const clients = 8
@@ -526,7 +570,7 @@ func TestServerConcurrentClients(t *testing.T) {
 // engine level: a query sees exactly the records published at its epoch,
 // never a mix.
 func TestSessionSnapshotStability(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 10)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10)
 	sess := srv.NewSession("t")
 
 	res, err := sess.Query("select(s, v > 0)", seq.NewSpan(1, 100))

@@ -3,20 +3,40 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
+
+// queuedDelta returns the next delta the client has already received.
+// The deltas these tests wait for are framed before the end of a turn on
+// the subscriber's connection (a write's Ack, or any later turn), so an
+// empty queue means the server never sent one: the test fails at once
+// instead of blocking in ReadDelta.
+func queuedDelta(t *testing.T, c *wire.Client) *wire.Delta {
+	t.Helper()
+	if c.PendingDeltas() == 0 {
+		t.Fatal("no delta queued: the server sent none")
+	}
+	d, err := c.ReadDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // TestSubscribeLifecycle drives one standing query through its whole life
 // on a single connection: ack + initial snapshot, a delta per append
 // (including an empty replacement when the new record fails the
 // predicate), and silence after unsubscribe.
 func TestSubscribeLifecycle(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 10)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10)
 	addr := startTCP(t, srv)
 
 	c, err := wire.Dial(addr, "test")
@@ -37,10 +57,7 @@ func TestSubscribeLifecycle(t *testing.T) {
 	}
 
 	// Initial snapshot: the full span, holding exactly the matches.
-	d, err := c.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := queuedDelta(t, c)
 	if d.SubID != 1 || d.Epoch != 0 || d.Start != 1 || d.End != 100 {
 		t.Fatalf("initial delta header = %+v", d)
 	}
@@ -57,10 +74,7 @@ func TestSubscribeLifecycle(t *testing.T) {
 	if c.PendingDeltas() != 1 {
 		t.Fatalf("pending deltas after append = %d, want 1", c.PendingDeltas())
 	}
-	d, err = c.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = queuedDelta(t, c)
 	if d.SubID != 1 || d.Epoch != 1 || d.Start != 11 || d.End != 11 {
 		t.Fatalf("append delta header = %+v", d)
 	}
@@ -73,10 +87,7 @@ func TestSubscribeLifecycle(t *testing.T) {
 	if _, err := c.Append("s", 12, seq.Record{seq.Int(-1)}); err != nil {
 		t.Fatal(err)
 	}
-	d, err = c.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = queuedDelta(t, c)
 	if d.Epoch != 2 || d.Start != 12 || d.End != 12 || len(d.Entries) != 0 {
 		t.Fatalf("non-matching append delta = %+v, want empty [12,12]", d)
 	}
@@ -104,7 +115,7 @@ func TestSubscribeLifecycle(t *testing.T) {
 // TestSubscribeRefusals checks the queries seqd must turn away: unbounded
 // spans, universe-sensitive plans, and queries that do not bind.
 func TestSubscribeRefusals(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 10)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10)
 	addr := startTCP(t, srv)
 
 	c, err := wire.Dial(addr, "test")
@@ -137,9 +148,7 @@ func TestSubscribeRefusals(t *testing.T) {
 	if ack.SubID != 1 {
 		t.Fatalf("first granted subscription id = %d, want 1", ack.SubID)
 	}
-	if _, err := c.ReadDelta(); err != nil {
-		t.Fatal(err)
-	}
+	queuedDelta(t, c)
 	if c.PendingDeltas() != 0 {
 		t.Fatalf("pending deltas = %d, want 0", c.PendingDeltas())
 	}
@@ -160,7 +169,7 @@ func TestSubscribeConcurrentAppends(t *testing.T) {
 		nAppends     = 30 // per writer
 		spanEnd      = 1000
 	)
-	srv := testServer(t, Config{Verify: true}, 10) // base "s" unused; writers get b1..bN
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10) // base "s" unused; writers get b1..bN
 	for w := 1; w <= nWriters; w++ {
 		if err := srv.CreateSequence(fmt.Sprintf("b%d", w), testData(t, 10), storage.KindSparse); err != nil {
 			t.Fatal(err)
@@ -175,7 +184,16 @@ func TestSubscribeConcurrentAppends(t *testing.T) {
 	}
 	subs := make([]*subState, nSubscribers)
 	for i := range subs {
-		c, err := wire.Dial(addr, fmt.Sprintf("sub%d", i))
+		// The subscribers block in ReadDelta while the writers run, so a
+		// read deadline turns a lost delta into a failure, not a hang.
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nc.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		c, err := wire.NewClient(nc, fmt.Sprintf("sub%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,10 +330,10 @@ func TestSubscribeConcurrentAppends(t *testing.T) {
 	if _, err := check.Append("b1", 11+nAppends, seq.Record{seq.Int(-7)}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := keeper.c.ReadDelta()
-	if err != nil {
+	if _, err := keeper.c.ListViews(); err != nil { // a turn reads the pushed delta
 		t.Fatal(err)
 	}
+	d := queuedDelta(t, keeper.c)
 	if d.SubID != keeper.ids[0] || len(d.Entries) != 1 || d.Entries[0].Rec[0] != seq.Int(-7) {
 		t.Fatalf("post-unsubscribe delta to keeper = %+v", d)
 	}
@@ -332,7 +350,7 @@ func TestSubscribeConcurrentAppends(t *testing.T) {
 // drop's epoch. A sequence later created under the same name never
 // reaches the client's copy, and the id is gone.
 func TestSubscriptionEndsOnDrop(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 10)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10)
 	addr := startTCP(t, srv)
 	c, err := wire.Dial(addr, "test")
 	if err != nil {
@@ -344,9 +362,7 @@ func TestSubscriptionEndsOnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadDelta(); err != nil {
-		t.Fatal(err)
-	}
+	queuedDelta(t, c)
 	if err := srv.DropSequence("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +373,7 @@ func TestSubscriptionEndsOnDrop(t *testing.T) {
 	if n := c.PendingDeltas(); n != 1 {
 		t.Fatalf("pending deltas after drop = %d, want the final one", n)
 	}
-	d, err := c.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := queuedDelta(t, c)
 	if d.SubID != ack.SubID || d.Epoch != srv.Epoch() || d.Start != 1 || d.End != 100 || len(d.Entries) != 0 {
 		t.Fatalf("final delta = %+v, want sub %d emptying [1,100] at epoch %d", d, ack.SubID, srv.Epoch())
 	}
@@ -394,7 +407,7 @@ func TestSubscriptionEndsOnDrop(t *testing.T) {
 // (integer division by zero in the appended record) ends the
 // subscription the way a drop does, while the write itself succeeds.
 func TestSubscriptionEndsOnFailedHalo(t *testing.T) {
-	srv := testServer(t, Config{Verify: true}, 10)
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10)
 	addr := startTCP(t, srv)
 	c, err := wire.Dial(addr, "test")
 	if err != nil {
@@ -406,9 +419,7 @@ func TestSubscriptionEndsOnFailedHalo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadDelta(); err != nil {
-		t.Fatal(err)
-	}
+	queuedDelta(t, c)
 	epoch, err := c.Append("s", 11, seq.Record{seq.Int(0)})
 	if err != nil {
 		t.Fatalf("append = %v, want the write to succeed", err)
@@ -416,10 +427,7 @@ func TestSubscriptionEndsOnFailedHalo(t *testing.T) {
 	if n := c.PendingDeltas(); n != 1 {
 		t.Fatalf("pending deltas after the failing append = %d, want the final one", n)
 	}
-	d, err := c.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := queuedDelta(t, c)
 	if d.SubID != ack.SubID || d.Epoch != epoch || d.Start != 1 || d.End != 100 || len(d.Entries) != 0 {
 		t.Fatalf("final delta = %+v, want sub %d emptying [1,100] at epoch %d", d, ack.SubID, epoch)
 	}
@@ -432,5 +440,60 @@ func TestSubscriptionEndsOnFailedHalo(t *testing.T) {
 	var se *wire.ServerError
 	if _, err := c.Unsubscribe(ack.SubID); !errors.As(err, &se) || se.Code != wire.CodeNotFound {
 		t.Fatalf("unsubscribe after a failed halo = %v, want code %q", err, wire.CodeNotFound)
+	}
+}
+
+// TestSubscribeLosesHeldRecord: a write can take records away from a
+// subscriber. A low append pulls the trailing averages in its halo below
+// the threshold, so its delta clears records the subscriber holds and
+// carries no entries; a server that skipped such a delta would leave
+// them in the subscriber's copy.
+func TestSubscribeLosesHeldRecord(t *testing.T) {
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 10)
+	addr := startTCP(t, srv)
+	c, err := wire.Dial(addr, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const q = "select(avg(s, v, 4), avg > 6)"
+	if _, err := c.Subscribe(q, 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[seq.Pos]seq.Record)
+	apply := func(d *wire.Delta) {
+		for p := seq.Pos(d.Start); p <= seq.Pos(d.End); p++ {
+			delete(held, p)
+		}
+		for _, e := range d.Entries {
+			held[e.Pos] = e.Rec
+		}
+	}
+	apply(queuedDelta(t, c))
+	before := len(held)
+	if _, err := c.Append("s", 11, seq.Record{seq.Int(-100)}); err != nil {
+		t.Fatal(err)
+	}
+	d := queuedDelta(t, c)
+	if len(d.Entries) != 0 {
+		t.Fatalf("delta = %+v, want a replacement with no entries", d)
+	}
+	apply(d)
+
+	res, err := c.Query(q, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Entries) >= before {
+		t.Fatalf("the append took no record away: %d matches before, %d after", before, len(res.Entries))
+	}
+	if len(held) != len(res.Entries) {
+		t.Fatalf("subscriber holds %d records, a fresh query finds %d", len(held), len(res.Entries))
+	}
+	for _, e := range res.Entries {
+		if rec, ok := held[e.Pos]; !ok || rec[0] != e.Rec[0] {
+			t.Fatalf("pos %d: subscriber holds %v, a fresh query finds %v", e.Pos, rec, e.Rec)
+		}
 	}
 }
