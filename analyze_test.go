@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	seqproc "repro"
@@ -120,6 +121,56 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			}
 			checkGolden(t, tc.name, a.RenderStable())
 		})
+	}
+}
+
+// TestCacheCountersAgreeAcrossPlanes checks that a Cache-Strategy-B
+// value offset reports its §3.4 cache the same way on both execution
+// planes: the Definition 3.2 bound is reached (peak = cap), records
+// were put, and every put beyond the resident ones was evicted. A
+// backward offset ends its scan holding a full cache. A forward one
+// holds fewer once its input runs out, so its span stops short of the
+// input's end.
+func TestCacheCountersAgreeAcrossPlanes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		query string
+		end   seq.Pos
+		cap   int
+	}{
+		{"prev", example11Query, 2000, 1},
+		{"voffset+2", "project(select(compose(volcanos, voffset(quakes, 2)), strength > 7.0), name)", 1500, 2},
+	} {
+		for _, mode := range []exec.BatchMode{exec.BatchAuto, exec.BatchOff} {
+			t.Run(fmt.Sprintf("%s/batch=%v", tc.name, mode.Enabled()), func(t *testing.T) {
+				db, span := example11DB(t)
+				db.SetOptions(seqproc.Options{Batch: mode})
+				q, err := db.Query(tc.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				span.End = tc.end
+				a, err := q.RunAnalyze(span)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var found *exec.NodeMetrics
+				a.Root.Walk(func(n *exec.NodeMetrics, _ int) {
+					if n.HasCache && strings.HasPrefix(n.Label, "voffset-cacheB") {
+						found = n
+					}
+				})
+				if found == nil {
+					t.Fatalf("no voffset-cacheB node in the plan:\n%s", a.RenderStable())
+				}
+				n := found
+				if n.CacheCap != tc.cap || n.CachePeak != tc.cap || n.CachePuts == 0 ||
+					n.CacheEvictions != n.CachePuts-int64(n.CachePeak) {
+					t.Errorf("cache[cap=%d peak=%d puts=%d evict=%d], want cap=peak=%d, puts>0, evict=puts-peak",
+						n.CacheCap, n.CachePeak, n.CachePuts, n.CacheEvictions, tc.cap)
+				}
+			})
+		}
 	}
 }
 

@@ -109,6 +109,36 @@ func headingAnchors(raw string) map[string]bool {
 	return set
 }
 
+// TestObservabilityTraceIsGolden checks that OBSERVABILITY.md's worked
+// trace is the committed EXPLAIN ANALYZE golden it names, byte for byte:
+// the fenced block after the line naming the golden.
+func TestObservabilityTraceIsGolden(t *testing.T) {
+	const golden = "testdata/analyze_example11.golden"
+	doc, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(doc), "`"+golden+"`")
+	if !ok {
+		t.Fatalf("OBSERVABILITY.md does not name %s", golden)
+	}
+	_, block, ok := strings.Cut(after, "\n```\n")
+	if !ok {
+		t.Fatalf("no fenced block follows %s in OBSERVABILITY.md", golden)
+	}
+	block, _, ok = strings.Cut(block, "```\n")
+	if !ok {
+		t.Fatal("unterminated fenced block in OBSERVABILITY.md")
+	}
+	if block != string(want) {
+		t.Errorf("OBSERVABILITY.md's worked trace differs from %s:\n--- doc ---\n%s--- golden ---\n%s", golden, block, want)
+	}
+}
+
 func TestHeadingAnchorDuplicates(t *testing.T) {
 	got := headingAnchors("# Setup\n\n## Example\n\ntext\n\n## Example\n\n## Example\n\n## Tear Down\n")
 	for _, want := range []string{"setup", "example", "example-1", "example-2", "tear-down"} {

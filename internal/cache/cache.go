@@ -1,7 +1,7 @@
-// Package cache implements the operator caches of §3.4: randomly
-// accessible FIFO buffers, associatively addressable by position, that
-// stream-access evaluation attaches to each operator. Cache sizes are
-// fixed by the query plan; the package tracks peak residency so tests and
+// Package cache implements the operator caches of §3.4: position-ordered
+// FIFO buffers that stream-access evaluation attaches to each operator,
+// and the Ring every operator window is stored in. Cache sizes are fixed
+// by the query plan; the package tracks peak residency so tests and
 // experiments can verify the cache-finite property (Definition 3.2).
 package cache
 
@@ -11,22 +11,23 @@ import (
 	"repro/internal/seq"
 )
 
-// FIFO is a first-in-first-out positional record cache. Records are
-// inserted in increasing position order (the order a stream access
-// produces them); when the cache is full the oldest entry is evicted.
-// Lookup by position is O(log n) via binary search over the ring, which
-// stays sorted because insertion order is positional order.
+// FIFO is a first-in-first-out positional record cache: a fixed-size
+// Ring of records plus the §3.4 accounting (capacity, peak residency,
+// puts, evictions). Records are inserted in increasing position order
+// (the order a stream access produces them); when the cache is full the
+// oldest entry is evicted. Operators read it in order (Oldest, Newest,
+// Ascend); none does keyed lookups.
 type FIFO struct {
-	buf  []seq.Entry // ring storage
-	head int         // index of oldest entry
-	n    int         // live entries
+	ring Ring[seq.Record]
 	cap  int
+	// rows are PutRow's copy slots, allocated on its first call. The
+	// k-th put lands in rows[k mod cap], the slot of put k-cap, which
+	// this put evicts if it is still live; live entries never share one.
+	rows []seq.Record
 
 	lastPos seq.Pos
 	havePos bool
 	peak    int
-	hits    int64
-	misses  int64
 	puts    int64
 	evicts  int64
 }
@@ -37,11 +38,11 @@ func NewFIFO(capacity int) *FIFO {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity must be positive, got %d", capacity))
 	}
-	return &FIFO{buf: make([]seq.Entry, capacity), cap: capacity}
+	return &FIFO{ring: NewRing[seq.Record](capacity), cap: capacity}
 }
 
 // Len returns the number of live entries.
-func (c *FIFO) Len() int { return c.n }
+func (c *FIFO) Len() int { return c.ring.Len() }
 
 // Cap returns the configured capacity.
 func (c *FIFO) Cap() int { return c.cap }
@@ -49,16 +50,9 @@ func (c *FIFO) Cap() int { return c.cap }
 // Peak returns the maximum number of entries ever resident.
 func (c *FIFO) Peak() int { return c.peak }
 
-// Hits and Misses return the lookup counters; Puts and Evictions the
-// insertion counters.
-func (c *FIFO) Hits() int64      { return c.hits }
-func (c *FIFO) Misses() int64    { return c.misses }
+// Puts and Evictions return the insertion counters.
 func (c *FIFO) Puts() int64      { return c.puts }
 func (c *FIFO) Evictions() int64 { return c.evicts }
-
-func (c *FIFO) at(i int) *seq.Entry {
-	return &c.buf[(c.head+i)%c.cap]
-}
 
 // Put inserts a record at the given position, which must exceed every
 // previously inserted position. Inserting a Null record is allowed: some
@@ -69,94 +63,65 @@ func (c *FIFO) Put(pos seq.Pos, rec seq.Record) {
 	}
 	c.lastPos, c.havePos = pos, true
 	c.puts++
-	if c.n == c.cap {
-		c.buf[c.head] = seq.Entry{}
-		c.head = (c.head + 1) % c.cap
-		c.n--
+	if c.ring.Len() == c.cap {
+		c.ring.PopFront()
 		c.evicts++
 	}
-	*c.at(c.n) = seq.Entry{Pos: pos, Rec: rec}
-	c.n++
-	if c.n > c.peak {
-		c.peak = c.n
+	c.ring.Push(pos, rec)
+	if n := c.ring.Len(); n > c.peak {
+		c.peak = n
 	}
 }
 
-// Get returns the cached record at exactly pos. The boolean reports
-// whether the position is present in the cache at all (a present position
-// may still hold a Null record).
-func (c *FIFO) Get(pos seq.Pos) (seq.Record, bool) {
-	i, ok := c.search(pos)
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	return c.at(i).Rec, true
-}
-
-// search finds the smallest index whose position is >= pos; ok reports an
-// exact match.
-func (c *FIFO) search(pos seq.Pos) (int, bool) {
-	lo, hi := 0, c.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.at(mid).Pos < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
+// PutRow inserts a copy of row i of b at pos, as Put does. The copy
+// goes into a slot the cache owns and reuses, so a batch scan's puts do
+// not allocate; the cached record stays valid until cap more puts.
+func (c *FIFO) PutRow(pos seq.Pos, b *seq.Batch, i int, in *seq.Intern) {
+	if width := len(b.Cols); len(c.rows) == 0 || len(c.rows[0]) != width {
+		c.rows = make([]seq.Record, c.cap)
+		slab := make([]seq.Value, c.cap*width)
+		for k := range c.rows {
+			c.rows[k] = seq.Record(slab[k*width : (k+1)*width : (k+1)*width])
 		}
 	}
-	return lo, lo < c.n && c.at(lo).Pos == pos
+	c.Put(pos, b.RowInto(i, c.rows[c.puts%int64(c.cap)], in))
 }
 
 // EvictBelow drops every entry with position < pos (used by sliding
 // windows to retire records that left the scope).
 func (c *FIFO) EvictBelow(pos seq.Pos) {
-	for c.n > 0 && c.buf[c.head].Pos < pos {
-		c.buf[c.head] = seq.Entry{}
-		c.head = (c.head + 1) % c.cap
-		c.n--
+	for {
+		if _, ok := c.ring.PopBelow(pos); !ok {
+			return
+		}
 		c.evicts++
 	}
 }
 
 // Oldest returns the oldest live entry.
 func (c *FIFO) Oldest() (seq.Entry, bool) {
-	if c.n == 0 {
+	if c.ring.Len() == 0 {
 		return seq.Entry{}, false
 	}
-	return *c.at(0), true
+	p, r := c.ring.Front()
+	return seq.Entry{Pos: p, Rec: r}, true
 }
 
 // Newest returns the most recently inserted entry.
 func (c *FIFO) Newest() (seq.Entry, bool) {
-	if c.n == 0 {
+	if c.ring.Len() == 0 {
 		return seq.Entry{}, false
 	}
-	return *c.at(c.n - 1), true
+	p, r := c.ring.Back()
+	return seq.Entry{Pos: p, Rec: r}, true
 }
 
 // Ascend calls f on each live entry from oldest to newest, stopping early
 // if f returns false.
 func (c *FIFO) Ascend(f func(seq.Entry) bool) {
-	for i := 0; i < c.n; i++ {
-		if !f(*c.at(i)) {
-			return
-		}
-	}
-}
-
-// AscendRange calls f on each live entry with position in [lo, hi], in
-// increasing position order, stopping early if f returns false.
-func (c *FIFO) AscendRange(lo, hi seq.Pos, f func(seq.Entry) bool) {
-	i, _ := c.search(lo)
-	for ; i < c.n; i++ {
-		e := c.at(i)
-		if e.Pos > hi {
-			return
-		}
-		if !f(*e) {
+	for i := 0; i < c.ring.Len(); i++ {
+		p, r := c.ring.At(i)
+		if !f(seq.Entry{Pos: p, Rec: r}) {
 			return
 		}
 	}
@@ -165,9 +130,6 @@ func (c *FIFO) AscendRange(lo, hi seq.Pos, f func(seq.Entry) bool) {
 // Reset empties the cache and clears positional ordering state (counters
 // are preserved so long-running plans keep cumulative statistics).
 func (c *FIFO) Reset() {
-	for i := 0; i < c.n; i++ {
-		*c.at(i) = seq.Entry{}
-	}
-	c.head, c.n = 0, 0
+	c.ring.Reset()
 	c.havePos = false
 }

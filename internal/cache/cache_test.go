@@ -11,6 +11,20 @@ import (
 
 func rec(v int64) seq.Record { return seq.Record{seq.Int(v)} }
 
+// lookup finds pos among the live entries by ordered traversal, the way
+// operators read their caches.
+func lookup(c *FIFO, pos seq.Pos) (seq.Record, bool) {
+	var got seq.Record
+	found := false
+	c.Ascend(func(e seq.Entry) bool {
+		if e.Pos == pos {
+			got, found = e.Rec, true
+		}
+		return e.Pos < pos
+	})
+	return got, found
+}
+
 func TestNewFIFORejectsNonPositiveCapacity(t *testing.T) {
 	for _, c := range []int{0, -1} {
 		func() {
@@ -28,17 +42,17 @@ func TestPutGet(t *testing.T) {
 	c := NewFIFO(4)
 	c.Put(10, rec(1))
 	c.Put(20, rec(2))
-	if r, ok := c.Get(10); !ok || r[0].AsInt() != 1 {
-		t.Errorf("Get(10) = %v, %v", r, ok)
+	if r, ok := lookup(c, 10); !ok || r[0].AsInt() != 1 {
+		t.Errorf("lookup(10) = %v, %v", r, ok)
 	}
-	if r, ok := c.Get(20); !ok || r[0].AsInt() != 2 {
-		t.Errorf("Get(20) = %v, %v", r, ok)
+	if r, ok := lookup(c, 20); !ok || r[0].AsInt() != 2 {
+		t.Errorf("lookup(20) = %v, %v", r, ok)
 	}
-	if _, ok := c.Get(15); ok {
-		t.Error("Get(15) must miss")
+	if _, ok := lookup(c, 15); ok {
+		t.Error("lookup(15) must miss")
 	}
-	if c.Hits() != 2 || c.Misses() != 1 || c.Puts() != 2 {
-		t.Errorf("counters: hits=%d misses=%d puts=%d", c.Hits(), c.Misses(), c.Puts())
+	if c.Puts() != 2 || c.Evictions() != 0 || c.Peak() != 2 {
+		t.Errorf("counters: puts=%d evict=%d peak=%d", c.Puts(), c.Evictions(), c.Peak())
 	}
 }
 
@@ -47,13 +61,13 @@ func TestFIFOEviction(t *testing.T) {
 	c.Put(1, rec(1))
 	c.Put(2, rec(2))
 	c.Put(3, rec(3)) // evicts pos 1
-	if _, ok := c.Get(1); ok {
+	if _, ok := lookup(c, 1); ok {
 		t.Error("oldest entry must have been evicted")
 	}
-	if _, ok := c.Get(2); !ok {
+	if _, ok := lookup(c, 2); !ok {
 		t.Error("pos 2 must survive")
 	}
-	if _, ok := c.Get(3); !ok {
+	if _, ok := lookup(c, 3); !ok {
 		t.Error("pos 3 must survive")
 	}
 	if c.Evictions() != 1 {
@@ -78,7 +92,7 @@ func TestOutOfOrderPutPanics(t *testing.T) {
 func TestNullRecordsAreCacheable(t *testing.T) {
 	c := NewFIFO(2)
 	c.Put(7, nil)
-	r, ok := c.Get(7)
+	r, ok := lookup(c, 7)
 	if !ok {
 		t.Error("Null record at known position must be a cache hit")
 	}
@@ -96,10 +110,10 @@ func TestEvictBelow(t *testing.T) {
 	if c.Len() != 3 {
 		t.Errorf("len after EvictBelow = %d, want 3", c.Len())
 	}
-	if _, ok := c.Get(3); ok {
+	if _, ok := lookup(c, 3); ok {
 		t.Error("pos 3 must be evicted")
 	}
-	if _, ok := c.Get(4); !ok {
+	if _, ok := lookup(c, 4); !ok {
 		t.Error("pos 4 must survive")
 	}
 	old, ok := c.Oldest()
@@ -149,32 +163,6 @@ func TestAscend(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	c := NewFIFO(10)
-	for _, p := range []seq.Pos{2, 4, 6, 8} {
-		c.Put(p, rec(int64(p)))
-	}
-	var got []seq.Pos
-	c.AscendRange(3, 7, func(e seq.Entry) bool {
-		got = append(got, e.Pos)
-		return true
-	})
-	if len(got) != 2 || got[0] != 4 || got[1] != 6 {
-		t.Errorf("AscendRange = %v, want [4 6]", got)
-	}
-	got = nil
-	c.AscendRange(9, 100, func(e seq.Entry) bool { got = append(got, e.Pos); return true })
-	if len(got) != 0 {
-		t.Errorf("empty AscendRange = %v", got)
-	}
-	// Early stop.
-	count := 0
-	c.AscendRange(0, 100, func(seq.Entry) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early-stop AscendRange visited %d", count)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := NewFIFO(2)
 	c.Put(1, rec(1))
@@ -183,8 +171,8 @@ func TestReset(t *testing.T) {
 		t.Error("Reset must empty the cache")
 	}
 	c.Put(1, rec(2)) // re-inserting the same position after Reset is legal
-	if r, ok := c.Get(1); !ok || r[0].AsInt() != 2 {
-		t.Errorf("Get after Reset = %v, %v", r, ok)
+	if r, ok := lookup(c, 1); !ok || r[0].AsInt() != 2 {
+		t.Errorf("lookup after Reset = %v, %v", r, ok)
 	}
 	if c.Peak() != 1 {
 		t.Errorf("peak = %d", c.Peak())
@@ -192,8 +180,7 @@ func TestReset(t *testing.T) {
 }
 
 // Property: after any in-order insertion sequence into a cache of capacity
-// k, the cache holds exactly the last min(n, k) insertions, and Get
-// answers exactly those positions.
+// k, the cache holds exactly the last min(n, k) insertions, in order.
 func TestFIFORetentionProperty(t *testing.T) {
 	f := func(seed int64, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
@@ -222,14 +209,14 @@ func TestFIFORetentionProperty(t *testing.T) {
 		kept := make(map[seq.Pos]bool, len(keep))
 		for _, p := range keep {
 			kept[p] = true
-			r, ok := c.Get(p)
+			r, ok := lookup(c, p)
 			if !ok || r[0].AsInt() != int64(p) {
 				return false
 			}
 		}
 		for _, p := range positions {
 			if !kept[p] {
-				if _, ok := c.Get(p); ok {
+				if _, ok := lookup(c, p); ok {
 					return false
 				}
 			}

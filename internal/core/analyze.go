@@ -255,12 +255,8 @@ func (a *Analysis) render(times bool) string {
 		}
 		b.WriteByte(']')
 		if n.HasCache {
-			fmt.Fprintf(&b, " cache[cap=%d peak=%d puts=%d evict=%d",
+			fmt.Fprintf(&b, " cache[cap=%d peak=%d puts=%d evict=%d]",
 				n.CacheCap, n.CachePeak, n.CachePuts, n.CacheEvictions)
-			if n.CacheHits+n.CacheMisses > 0 {
-				fmt.Fprintf(&b, " hits=%d misses=%d", n.CacheHits, n.CacheMisses)
-			}
-			b.WriteByte(']')
 		}
 		if times {
 			fmt.Fprintf(&b, " time=%s", (n.ScanTime + n.ProbeTime).Round(time.Microsecond))

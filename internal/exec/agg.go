@@ -85,32 +85,7 @@ func (a *AggNaive) Probe(pos seq.Pos) (seq.Record, error) {
 }
 
 // Scan implements seq.Sequence: dense emission, probing per position.
-func (a *AggNaive) Scan(span seq.Span) seq.Cursor {
-	span = span.Intersect(a.OutSpan)
-	if span.IsEmpty() {
-		return emptyCursor{}
-	}
-	if !span.Bounded() {
-		return seq.ErrCursor(fmt.Errorf("exec: unbounded scan of aggregate (span %v)", span))
-	}
-	p := span.Start
-	return &forwardCursor{
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			for p <= span.End {
-				pos := p
-				p++
-				r, err := a.Probe(pos)
-				if err != nil {
-					return 0, nil, false, err
-				}
-				if !r.IsNull() {
-					return pos, r, true, nil
-				}
-			}
-			return 0, nil, false, nil
-		},
-	}
-}
+func (a *AggNaive) Scan(span seq.Span) seq.Cursor { return probeScan(a, span, "aggregate") }
 
 // Label implements Plan.
 func (a *AggNaive) Label() string {

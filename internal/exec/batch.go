@@ -2,8 +2,6 @@
 // columnar seq.Batch values of ~1024 positions instead of one record per
 // pull; operators not yet converted are bridged by an adapter that packs
 // their scalar cursor into batches, so every plan runs in batch mode.
-// The scalar interpreter is untouched and remains the ground truth the
-// differential fuzz harness checks batch execution against.
 package exec
 
 import (

@@ -1,16 +1,18 @@
 // Batch-mode windowed aggregates and value offsets. Each operator
-// walks positions exactly as its scalar Scan does, and the windowed
-// aggregates share their accumulators with it (slidingAcc, runningAcc),
-// so floating-point adds and subtracts happen in the same order and
-// results are bit-identical across the planes. The batch plane consumes
-// batched input rows and emits batched outputs; its unboxed numAcc fast
-// path keeps that arithmetic order too.
+// walks positions exactly as its scalar Scan does and keeps its window
+// in the same place. The windowed aggregates share their accumulators
+// with it (slidingAcc, runningAcc), so floating-point adds and
+// subtracts happen in the same order and results are bit-identical
+// across the planes; the unboxed numAcc fast path keeps that order too.
+// Cache-Strategy-B fills the operator's own §3.4 cache, so its counters
+// mean the same on both planes.
 package exec
 
 import (
 	"fmt"
 
 	"repro/internal/algebra"
+	"repro/internal/cache"
 	"repro/internal/seq"
 )
 
@@ -22,64 +24,9 @@ func aggArgAt(spec *algebra.AggSpec, b *seq.Batch, i int, in *seq.Intern) seq.Va
 	return seq.Int(1) // Count over whole records
 }
 
-// posRing is a growable ring buffer of (position, value) pairs — the
-// window storage of the sliding accumulator. Amortized O(1) push and
-// pop at both ends, reusing its storage as the window slides.
-type posRing struct {
-	pos  []seq.Pos
-	val  []seq.Value
-	head int
-	n    int
-}
-
-func (r *posRing) len() int { return r.n }
-
-func (r *posRing) push(pos seq.Pos, v seq.Value) {
-	if r.n == len(r.pos) {
-		r.grow()
-	}
-	i := (r.head + r.n) % len(r.pos)
-	r.pos[i] = pos
-	r.val[i] = v
-	r.n++
-}
-
-func (r *posRing) grow() {
-	capacity := len(r.pos) * 2
-	if capacity < 8 {
-		capacity = 8
-	}
-	pos := make([]seq.Pos, capacity)
-	val := make([]seq.Value, capacity)
-	for i := 0; i < r.n; i++ {
-		j := (r.head + i) % len(r.pos)
-		pos[i] = r.pos[j]
-		val[i] = r.val[j]
-	}
-	r.pos, r.val, r.head = pos, val, 0
-}
-
-// front returns the oldest element without removing it.
-func (r *posRing) front() (seq.Pos, seq.Value) {
-	return r.pos[r.head], r.val[r.head]
-}
-
-// back returns the newest element.
-func (r *posRing) back() (seq.Pos, seq.Value) {
-	i := (r.head + r.n - 1) % len(r.pos)
-	return r.pos[i], r.val[i]
-}
-
-func (r *posRing) popFront() {
-	r.head = (r.head + 1) % len(r.pos)
-	r.n--
-}
-
-func (r *posRing) popBack() { r.n-- }
-
 // slidingAcc maintains an aggregate over a sliding window in O(1)
 // amortized time per add/evict: sums by subtraction, extrema by a
-// monotonic deque, both windows held in ring buffers. AggSliding's
+// monotonic deque, both windows held in cache.Rings. AggSliding's
 // scalar Scan and its BatchScan both drive it. It is the ablation
 // counterpart of AggCached's O(w)-per-output recomputation (see
 // DESIGN.md experiment E4).
@@ -89,8 +36,8 @@ type slidingAcc struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	vals  posRing
-	mono  posRing
+	vals  cache.Ring[seq.Value]
+	mono  cache.Ring[seq.Value]
 }
 
 func (a *slidingAcc) add(pos seq.Pos, v seq.Value) error {
@@ -102,35 +49,34 @@ func (a *slidingAcc) add(pos seq.Pos, v seq.Value) error {
 		} else {
 			a.sumF += v.AsFloat()
 		}
-		a.vals.push(pos, v)
+		a.vals.Push(pos, v)
 	case algebra.AggCount:
-		a.vals.push(pos, seq.Value{})
+		a.vals.Push(pos, seq.Value{})
 	case algebra.AggMin, algebra.AggMax:
-		a.vals.push(pos, v)
-		for a.mono.len() > 0 {
-			_, last := a.mono.back()
+		a.vals.Push(pos, v)
+		for a.mono.Len() > 0 {
+			_, last := a.mono.Back()
 			c, err := v.Compare(last)
 			if err != nil {
 				return err
 			}
 			if (a.fn == algebra.AggMin && c <= 0) || (a.fn == algebra.AggMax && c >= 0) {
-				a.mono.popBack()
+				a.mono.PopBack()
 			} else {
 				break
 			}
 		}
-		a.mono.push(pos, v)
+		a.mono.Push(pos, v)
 	}
 	return nil
 }
 
 func (a *slidingAcc) evictBelow(pos seq.Pos) {
-	for a.vals.len() > 0 {
-		p, v := a.vals.front()
-		if p >= pos {
+	for {
+		v, ok := a.vals.PopBelow(pos)
+		if !ok {
 			break
 		}
-		a.vals.popFront()
 		a.count--
 		switch a.fn {
 		case algebra.AggSum, algebra.AggAvg:
@@ -141,11 +87,10 @@ func (a *slidingAcc) evictBelow(pos seq.Pos) {
 			}
 		}
 	}
-	for a.mono.len() > 0 {
-		if p, _ := a.mono.front(); p >= pos {
+	for {
+		if _, ok := a.mono.PopBelow(pos); !ok {
 			break
 		}
-		a.mono.popFront()
 	}
 }
 
@@ -168,7 +113,7 @@ func (a *slidingAcc) result() (seq.Value, bool) {
 		}
 		return seq.Float(s / float64(a.count)), true
 	default:
-		_, v := a.mono.front()
+		_, v := a.mono.Front()
 		return v, true
 	}
 }
@@ -250,12 +195,11 @@ const (
 
 // numAcc is the unboxed fast path of the windowed sum/avg/count
 // aggregates: raw column values flow straight into the running sums and
-// (for sliding windows) a compact position/value ring, with no seq.Value
-// boxing anywhere on the per-row path. The arithmetic — adds in arrival
-// order, subtracts in eviction order — is exactly the boxed
-// accumulator's, so results stay bit-identical to the scalar
-// interpreter. Min/max and non-numeric arguments stay on the generic
-// boxed accumulator.
+// (for sliding windows) an unboxed cache.Ring, with no seq.Value boxing
+// anywhere on the per-row path. The arithmetic — adds in arrival order,
+// subtracts in eviction order — is exactly the boxed accumulator's, so
+// results stay bit-identical to the scalar interpreter. Min/max and
+// non-numeric arguments stay on the generic boxed accumulator.
 type numAcc struct {
 	kind  numKind
 	avg   bool // result is sum/count
@@ -263,11 +207,8 @@ type numAcc struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	pos   []seq.Pos
-	valF  []float64
-	valI  []int64
-	head  int
-	n     int
+	winF  cache.Ring[float64] // numFloat, numIntAvg
+	winI  cache.Ring[int64]   // numIntSum, numCount (which pushes 0)
 }
 
 // newNumAcc returns the unboxed accumulator when the spec qualifies,
@@ -294,45 +235,6 @@ func newNumAcc(spec *algebra.AggSpec, inSchema *seq.Schema, sliding bool) *numAc
 	return nil
 }
 
-func (a *numAcc) grow() {
-	capacity := len(a.pos) * 2
-	if capacity < 8 {
-		capacity = 8
-	}
-	pos := make([]seq.Pos, capacity)
-	for i := 0; i < a.n; i++ {
-		pos[i] = a.pos[(a.head+i)%len(a.pos)]
-	}
-	switch a.kind {
-	case numFloat, numIntAvg:
-		valF := make([]float64, capacity)
-		for i := 0; i < a.n; i++ {
-			valF[i] = a.valF[(a.head+i)%len(a.valF)]
-		}
-		a.valF = valF
-	case numIntSum:
-		valI := make([]int64, capacity)
-		for i := 0; i < a.n; i++ {
-			valI[i] = a.valI[(a.head+i)%len(a.valI)]
-		}
-		a.valI = valI
-	}
-	a.pos, a.head = pos, 0
-}
-
-// slot claims the ring index for one push.
-func (a *numAcc) slot() int {
-	if a.n == len(a.pos) {
-		a.grow()
-	}
-	i := a.head + a.n
-	if i >= len(a.pos) {
-		i -= len(a.pos)
-	}
-	a.n++
-	return i
-}
-
 // absorbRun consumes rows i.. of b whose position is at most hi,
 // folding their argument values into the accumulator. It returns the
 // new row index and whether it stopped at a row beyond hi (as opposed
@@ -350,8 +252,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 				a.count++
 				a.sumF += f[i]
 				if a.ring {
-					s := a.slot()
-					a.pos[s], a.valF[s] = pv[i], f[i]
+					a.winF.Push(pv[i], f[i])
 				}
 			}
 			i++
@@ -366,8 +267,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 				a.count++
 				a.sumI += iv[i]
 				if a.ring {
-					s := a.slot()
-					a.pos[s], a.valI[s] = pv[i], iv[i]
+					a.winI.Push(pv[i], iv[i])
 				}
 			}
 			i++
@@ -383,8 +283,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 				a.count++
 				a.sumF += x
 				if a.ring {
-					s := a.slot()
-					a.pos[s], a.valF[s] = pv[i], x
+					a.winF.Push(pv[i], x)
 				}
 			}
 			i++
@@ -397,8 +296,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 			if b.Valid.Get(i) {
 				a.count++
 				if a.ring {
-					s := a.slot()
-					a.pos[s] = pv[i]
+					a.winI.Push(pv[i], 0)
 				}
 			}
 			i++
@@ -410,19 +308,23 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 // evictBelow drops window entries with position < p, subtracting their
 // values in eviction order exactly as the boxed accumulator does.
 func (a *numAcc) evictBelow(p seq.Pos) {
-	for a.n > 0 && a.pos[a.head] < p {
-		switch a.kind {
-		case numFloat, numIntAvg:
-			a.sumF -= a.valF[a.head]
-		case numIntSum:
-			a.sumI -= a.valI[a.head]
+	if a.kind == numFloat || a.kind == numIntAvg {
+		for {
+			v, ok := a.winF.PopBelow(p)
+			if !ok {
+				return
+			}
+			a.sumF -= v
+			a.count--
 		}
-		a.head++
-		if a.head == len(a.pos) {
-			a.head = 0
+	}
+	for {
+		v, ok := a.winI.PopBelow(p)
+		if !ok {
+			return
 		}
+		a.sumI -= v
 		a.count--
-		a.n--
 	}
 }
 
@@ -588,70 +490,10 @@ func (c *aggBatchCursor) genericLoop(out *seq.Batch) bool {
 func (c *aggBatchCursor) Err() error   { return c.err }
 func (c *aggBatchCursor) Close() error { return c.in.close() }
 
-// recRing is a fixed-capacity ring of (position, record) snapshots whose
-// record storage is allocated once and reused — the batch counterpart of
-// the FIFO cache a scalar ValueOffsetIncremental scan maintains.
-type recRing struct {
-	pos   []seq.Pos
-	rows  []seq.Record // each preallocated at the input arity
-	head  int
-	n     int
-	width int
-}
-
-func newRecRing(capacity, width int) *recRing {
-	r := &recRing{
-		pos:   make([]seq.Pos, capacity),
-		rows:  make([]seq.Record, capacity),
-		width: width,
-	}
-	slab := make([]seq.Value, capacity*width)
-	for i := range r.rows {
-		r.rows[i] = seq.Record(slab[i*width : (i+1)*width : (i+1)*width])
-	}
-	return r
-}
-
-func (r *recRing) len() int { return r.n }
-
-// push copies row i of the batch into the ring, evicting the oldest
-// entry when full (FIFO semantics, like cache.FIFO.Put at capacity).
-func (r *recRing) push(pos seq.Pos, b *seq.Batch, i int, in *seq.Intern) {
-	var slot int
-	if r.n == len(r.pos) {
-		slot = r.head
-		r.head = (r.head + 1) % len(r.pos)
-	} else {
-		slot = (r.head + r.n) % len(r.pos)
-		r.n++
-	}
-	r.pos[slot] = pos
-	b.RowInto(i, r.rows[slot], in)
-}
-
-// oldest returns the least recently pushed entry.
-func (r *recRing) oldest() (seq.Pos, seq.Record) {
-	return r.pos[r.head], r.rows[r.head]
-}
-
-// newest returns the most recently pushed entry.
-func (r *recRing) newest() (seq.Pos, seq.Record) {
-	i := (r.head + r.n - 1) % len(r.pos)
-	return r.pos[i], r.rows[i]
-}
-
-// evictBelow drops entries with position < pos from the front.
-func (r *recRing) evictBelow(pos seq.Pos) {
-	for r.n > 0 && r.pos[r.head] < pos {
-		r.head = (r.head + 1) % len(r.pos)
-		r.n--
-	}
-}
-
 // BatchScan implements Cache-Strategy-B value offsets over batched
-// input: the same single input scan and ring-of-|offset| algorithm as
-// the scalar Scan (including the historyStart probing shortcut), with
-// the FIFO cache replaced by a preallocated record ring.
+// input: the same single input scan, historyStart shortcut and
+// |offset|-record FIFO cache as the scalar Scan, reset per scan the
+// same way; records are copied into the cache's own slots (PutRow).
 func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	span = span.Intersect(v.OutSpan)
 	if span.IsEmpty() {
@@ -660,8 +502,8 @@ func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq
 	if !span.Bounded() {
 		return seq.ErrBatchCursor(fmt.Errorf("exec: unbounded scan of value offset (span %v)", span))
 	}
+	v.cache.Reset()
 	inSpan := v.In.Info().Span
-	width := v.In.Info().Schema.NumFields()
 	schema := v.In.Info().Schema
 	if v.Offset < 0 {
 		end := span.End - 1
@@ -674,14 +516,14 @@ func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq
 		}
 		need := int(-v.Offset)
 		return &voffsetBatchCursor{
-			in:   newBatchRows(BatchScanOf(v.In, seq.Span{Start: start, End: end}, ctx)),
-			ctx:  ctx,
-			out:  seq.NewBatchFor(schema, ctx.Size),
-			ring: newRecRing(need, width),
-			need: need,
-			p:    span.Start,
-			end:  span.End,
-			next: span.Start,
+			in:    newBatchRows(BatchScanOf(v.In, seq.Span{Start: start, End: end}, ctx)),
+			ctx:   ctx,
+			out:   seq.NewBatchFor(schema, ctx.Size),
+			cache: v.cache,
+			need:  need,
+			p:     span.Start,
+			end:   span.End,
+			next:  span.Start,
 		}
 	}
 	start := span.Start + 1
@@ -693,7 +535,7 @@ func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq
 		in:      newBatchRows(BatchScanOf(v.In, seq.Span{Start: start, End: inSpan.End}, ctx)),
 		ctx:     ctx,
 		out:     seq.NewBatchFor(schema, ctx.Size),
-		ring:    newRecRing(need, width),
+		cache:   v.cache,
 		need:    need,
 		forward: true,
 		p:       span.Start,
@@ -706,7 +548,7 @@ type voffsetBatchCursor struct {
 	in      *batchRows
 	ctx     *seq.BatchCtx
 	out     *seq.Batch
-	ring    *recRing
+	cache   *cache.FIFO
 	need    int
 	forward bool
 	p       seq.Pos
@@ -743,7 +585,7 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 					nextIn, haveIn = epos, true
 					break
 				}
-				c.ring.push(epos, c.in.b, c.in.i, in)
+				c.cache.PutRow(epos, c.in.b, c.in.i, in)
 				c.in.take()
 			}
 			// The ring is stable for every position up to and including
@@ -757,9 +599,9 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 			if space := c.ctx.Size - out.Rows(); cnt > space {
 				cnt = space
 			}
-			if c.ring.len() >= c.need {
-				_, rec := c.ring.oldest()
-				if err := out.AppendRunRows(c.p, cnt, rec, in); err != nil {
+			if c.cache.Len() >= c.need {
+				e, _ := c.cache.Oldest()
+				if err := out.AppendRunRows(c.p, cnt, e.Rec, in); err != nil {
 					c.err = err
 					return nil, false
 				}
@@ -770,8 +612,8 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 		// Forward: drop ring entries at or before c.p, then fill the
 		// ring with records strictly after it.
 		pos := c.p
-		c.ring.evictBelow(pos + 1)
-		for c.ring.len() < c.need {
+		c.cache.EvictBelow(pos + 1)
+		for c.cache.Len() < c.need {
 			epos, ok, err := c.in.peek()
 			if err != nil {
 				c.err = err
@@ -781,11 +623,11 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 				break
 			}
 			if epos > pos {
-				c.ring.push(epos, c.in.b, c.in.i, in)
+				c.cache.PutRow(epos, c.in.b, c.in.i, in)
 			}
 			c.in.take()
 		}
-		if c.ring.len() < c.need {
+		if c.cache.Len() < c.need {
 			// Input exhausted: no remaining position sees `need` records
 			// ahead; the batch still spans them, holding no rows.
 			c.p = c.end + 1 //seqvet:ignore spanarith bounded scan span
@@ -794,9 +636,9 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 		// The newest ring entry — the record `need` ahead — is constant
 		// until c.p reaches the oldest entry's position, where it is
 		// evicted: emit that whole run at once.
-		oldest, _ := c.ring.oldest()
-		_, rec := c.ring.newest()
-		runEnd := oldest - 1
+		oldest, _ := c.cache.Oldest()
+		newest, _ := c.cache.Newest()
+		runEnd := oldest.Pos - 1
 		if runEnd > c.end {
 			runEnd = c.end
 		}
@@ -804,7 +646,7 @@ func (c *voffsetBatchCursor) NextBatch() (*seq.Batch, bool) {
 		if space := c.ctx.Size - out.Rows(); cnt > space {
 			cnt = space
 		}
-		if err := out.AppendRunRows(pos, cnt, rec, in); err != nil {
+		if err := out.AppendRunRows(pos, cnt, newest.Rec, in); err != nil {
 			c.err = err
 			return nil, false
 		}

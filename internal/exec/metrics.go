@@ -83,7 +83,10 @@ type NodeMetrics struct {
 	HasPages bool
 
 	// Cache counters, copied from the node's operator caches after the
-	// run (HasCache reports the node owns at least one).
+	// run (HasCache reports the node owns at least one). CacheHits and
+	// CacheMisses stay zero: operators read their caches in order, and
+	// none does keyed lookups. They are kept for counter readers that
+	// report a hit share.
 	HasCache       bool
 	CacheCap       int
 	CachePeak      int
@@ -116,8 +119,6 @@ func (m *NodeMetrics) Finalize() {
 	for _, c := range m.caches {
 		m.CacheCap += c.Cap()
 		m.CachePeak += c.Peak()
-		m.CacheHits += c.Hits()
-		m.CacheMisses += c.Misses()
 		m.CachePuts += c.Puts()
 		m.CacheEvictions += c.Evictions()
 	}
@@ -158,8 +159,6 @@ func (m *NodeMetrics) Merge(o *NodeMetrics) error {
 	m.HasCache = m.HasCache || o.HasCache
 	m.CacheCap += o.CacheCap
 	m.CachePeak += o.CachePeak
-	m.CacheHits += o.CacheHits
-	m.CacheMisses += o.CacheMisses
 	m.CachePuts += o.CachePuts
 	m.CacheEvictions += o.CacheEvictions
 	for i, c := range m.Children {
@@ -190,17 +189,17 @@ func (m *NodeMetrics) LivePages() storage.StatsSnapshot {
 	return m.Pages
 }
 
-// LiveCacheOps returns the node's accumulated cache operations (puts +
-// hits + misses), readable mid-run without finalizing.
+// LiveCacheOps returns the node's accumulated cache operations (puts),
+// readable mid-run without finalizing.
 func (m *NodeMetrics) LiveCacheOps() int64 {
 	if len(m.caches) > 0 {
 		var ops int64
 		for _, c := range m.caches {
-			ops += c.Puts() + c.Hits() + c.Misses()
+			ops += c.Puts()
 		}
 		return ops
 	}
-	return m.CachePuts + m.CacheHits + m.CacheMisses
+	return m.CachePuts
 }
 
 // ActualCost prices the subtree's accumulated work in cost units: page

@@ -212,6 +212,37 @@ func (r *Rename) Children() []Plan { return []Plan{r.In} }
 // Caches implements Plan.
 func (r *Rename) Caches() []*cache.FIFO { return nil }
 
+// probeScan is the stream scan of an operator evaluated by probing (the
+// naive algorithms of §4.1.2): every position of span within the
+// operator's own span is probed once, and the non-Null answers are
+// emitted in order. what names the operator in the unbounded-span error.
+func probeScan(p Plan, span seq.Span, what string) seq.Cursor {
+	span = span.Intersect(p.Info().Span)
+	if span.IsEmpty() {
+		return emptyCursor{}
+	}
+	if !span.Bounded() {
+		return seq.ErrCursor(fmt.Errorf("exec: unbounded scan of %s (span %v)", what, span))
+	}
+	pos := span.Start
+	return &forwardCursor{
+		next: func() (seq.Pos, seq.Record, bool, error) {
+			for pos <= span.End {
+				at := pos
+				pos++
+				r, err := p.Probe(at)
+				if err != nil {
+					return 0, nil, false, err
+				}
+				if !r.IsNull() {
+					return at, r, true, nil
+				}
+			}
+			return 0, nil, false, nil
+		},
+	}
+}
+
 // forwardCursor adapts a Next function into a seq.Cursor.
 type forwardCursor struct {
 	next   func() (seq.Pos, seq.Record, bool, error)

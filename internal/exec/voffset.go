@@ -80,32 +80,7 @@ func probeValueOffset(in Plan, offset int64, pos seq.Pos) (seq.Record, error) {
 }
 
 // Scan implements seq.Sequence: dense emission, probing per position.
-func (v *ValueOffsetNaive) Scan(span seq.Span) seq.Cursor {
-	span = span.Intersect(v.OutSpan)
-	if span.IsEmpty() {
-		return emptyCursor{}
-	}
-	if !span.Bounded() {
-		return seq.ErrCursor(fmt.Errorf("exec: unbounded scan of value offset (span %v)", span))
-	}
-	p := span.Start
-	return &forwardCursor{
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			for p <= span.End {
-				pos := p
-				p++
-				r, err := v.Probe(pos)
-				if err != nil {
-					return 0, nil, false, err
-				}
-				if !r.IsNull() {
-					return pos, r, true, nil
-				}
-			}
-			return 0, nil, false, nil
-		},
-	}
-}
+func (v *ValueOffsetNaive) Scan(span seq.Span) seq.Cursor { return probeScan(v, span, "value offset") }
 
 // Label implements Plan.
 func (v *ValueOffsetNaive) Label() string {

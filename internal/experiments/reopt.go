@@ -389,7 +389,7 @@ func nodeFit(root *exec.NodeMetrics, p core.CostParams, pred, act *[]float64) {
 		seqP := float64(n.Pages.SeqPages)
 		randP := float64(n.Pages.RandPages)
 		rows := float64(n.ScanRows + n.ProbeRows)
-		cacheOps := float64(n.CachePuts + n.CacheHits + n.CacheMisses)
+		cacheOps := float64(n.CachePuts)
 		if seqP == 0 && randP == 0 && rows == 0 && cacheOps == 0 {
 			return
 		}

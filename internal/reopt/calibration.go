@@ -90,7 +90,7 @@ func (c *Calibration) Observe(root *exec.NodeMetrics) {
 			float64(n.Pages.SeqPages),
 			float64(n.Pages.RandPages),
 			float64(n.ScanRows + n.ProbeRows),
-			float64(n.CachePuts + n.CacheHits + n.CacheMisses),
+			float64(n.CachePuts),
 		}
 		if x[0] == 0 && x[1] == 0 && x[2] == 0 && x[3] == 0 {
 			return
