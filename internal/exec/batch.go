@@ -1,7 +1,8 @@
 // Vectorized (batch-at-a-time) execution. Converted operators exchange
-// columnar seq.Batch values of ~1024 positions instead of one record per
-// pull; operators not yet converted are bridged by an adapter that packs
-// their scalar cursor into batches, so every plan runs in batch mode.
+// columnar seq.Batch values of up to 1 024 rows, capacity capped by the
+// span, instead of one record per pull; operators not yet converted are
+// bridged by an adapter that packs their scalar cursor into batches, so
+// every plan runs in batch mode.
 package exec
 
 import (
@@ -278,7 +279,7 @@ func (p *ProjectOp) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor 
 		in:  BatchScanOf(p.In, span, ctx),
 		p:   p,
 		ctx: ctx,
-		out: seq.NewBatchFor(p.schema, ctx.Size),
+		out: seq.NewBatchFor(p.schema, 0), // rows aliased; computed columns grow on first use
 		pc:  p.pc,
 	}
 }
@@ -463,27 +464,28 @@ func (c *ComposeOp) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor 
 		pe = newPredEval(c.Pred, c.schema.NumFields())
 	}
 	lw := c.L.Info().Schema.NumFields()
+	size := ctx.SizeFor(span)
 	switch c.Strategy {
 	case ComposeStreamLeft:
 		return &streamProbeBatchCursor{
 			c: c, ctx: ctx, pe: pe, lw: lw,
 			sc:    BatchScanOf(c.L, span, ctx),
 			probe: c.R,
-			out:   seq.NewBatchFor(c.schema, ctx.Size),
+			out:   seq.NewBatchFor(c.schema, size),
 		}
 	case ComposeStreamRight:
 		return &streamProbeBatchCursor{
 			c: c, ctx: ctx, pe: pe, lw: lw, swapped: true,
 			sc:    BatchScanOf(c.R, span, ctx),
 			probe: c.L,
-			out:   seq.NewBatchFor(c.schema, ctx.Size),
+			out:   seq.NewBatchFor(c.schema, size),
 		}
 	default:
 		return &lockstepBatchCursor{
 			c: c, ctx: ctx, pe: pe, lw: lw,
 			lc:   newBatchRows(BatchScanOf(c.L, span, ctx)),
 			rc:   newBatchRows(BatchScanOf(c.R, span, ctx)),
-			out:  seq.NewBatchFor(c.schema, ctx.Size),
+			out:  seq.NewBatchFor(c.schema, size),
 			next: span.Start,
 			end:  span.End,
 		}

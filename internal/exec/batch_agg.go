@@ -141,7 +141,7 @@ func (a *AggSliding) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor
 		spec: &a.Spec,
 		in:   newBatchRows(BatchScanOf(a.In, scanSpan, ctx)),
 		ctx:  ctx,
-		out:  seq.NewBatchFor(a.schema, ctx.Size),
+		out:  seq.NewBatchFor(a.schema, ctx.SizeFor(span)),
 		p:    span.Start,
 		end:  span.End,
 		next: span.Start,
@@ -171,7 +171,7 @@ func (a *AggCumulative) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCur
 		spec: &a.Spec,
 		in:   newBatchRows(BatchScanOf(a.In, scanSpan, ctx)),
 		ctx:  ctx,
-		out:  seq.NewBatchFor(a.schema, ctx.Size),
+		out:  seq.NewBatchFor(a.schema, ctx.SizeFor(span)),
 		p:    span.Start,
 		end:  span.End,
 		next: span.Start,
@@ -518,7 +518,7 @@ func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq
 		return &voffsetBatchCursor{
 			in:    newBatchRows(BatchScanOf(v.In, seq.Span{Start: start, End: end}, ctx)),
 			ctx:   ctx,
-			out:   seq.NewBatchFor(schema, ctx.Size),
+			out:   seq.NewBatchFor(schema, ctx.SizeFor(span)),
 			cache: v.cache,
 			need:  need,
 			p:     span.Start,
@@ -534,7 +534,7 @@ func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq
 	return &voffsetBatchCursor{
 		in:      newBatchRows(BatchScanOf(v.In, seq.Span{Start: start, End: inSpan.End}, ctx)),
 		ctx:     ctx,
-		out:     seq.NewBatchFor(schema, ctx.Size),
+		out:     seq.NewBatchFor(schema, ctx.SizeFor(span)),
 		cache:   v.cache,
 		need:    need,
 		forward: true,

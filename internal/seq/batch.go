@@ -9,8 +9,8 @@ import (
 	"sort"
 )
 
-// DefaultBatchSize is the number of positions a batch-producing cursor
-// targets per batch. ~1k rows keeps a batch's column vectors inside the
+// DefaultBatchSize is the number of rows at which a batch-producing
+// cursor cuts a batch. ~1k rows keeps a batch's column vectors inside the
 // L1/L2 caches while amortizing per-batch overheads to noise.
 const DefaultBatchSize = 1024
 
@@ -199,11 +199,11 @@ type Batch struct {
 	idx    []int32 // scratch: valid-row indexes, reused by AppendEntries
 }
 
-// NewBatchFor allocates an empty batch shaped for the schema.
+// NewBatchFor allocates an empty batch shaped for the schema, with room
+// for capacity rows. A capacity of 0 allocates no row storage at all:
+// the vectors grow on first use, and a batch whose rows are aliased
+// from another (AliasRowsOf) never needs its own.
 func NewBatchFor(schema *Schema, capacity int) *Batch {
-	if capacity <= 0 {
-		capacity = DefaultBatchSize
-	}
 	b := &Batch{
 		Span:   EmptySpan,
 		Pos:    make([]Pos, 0, capacity),
@@ -422,8 +422,8 @@ func (b *Batch) AppendRunRows(pos Pos, cnt int, rec Record, in *Intern) error {
 }
 
 // extend grows s by n elements in place when capacity allows (the
-// steady state: batch vectors are allocated at full batch capacity),
-// reallocating otherwise, and returns the extended slice.
+// steady state: batch vectors are allocated at the capacity their span
+// allows), reallocating otherwise, and returns the extended slice.
 func extend[T any](s []T, n int) []T {
 	l := len(s)
 	if cap(s)-l >= n {
@@ -757,7 +757,9 @@ func (s InternStats) Add(o InternStats) InternStats {
 // A parallel run forks one per worker (fresh intern table, private
 // counters) and folds the counters back when the worker completes.
 type BatchCtx struct {
-	// Size is the target rows per batch.
+	// Size is the row cut: a producer ends a batch once it holds Size
+	// rows. It is not the allocation; a batch is allocated for
+	// SizeFor(span) rows, and no more.
 	Size int
 	// Intern is the run's value intern table.
 	Intern *Intern
@@ -770,6 +772,14 @@ type BatchCtx struct {
 // NewBatchCtx returns a fresh context with the default batch size.
 func NewBatchCtx() *BatchCtx {
 	return &BatchCtx{Size: DefaultBatchSize, Intern: NewIntern()}
+}
+
+// SizeFor returns the row capacity of a batch covering span:
+// min(Size, span length), at least 1. A batch never holds more rows
+// than its span has positions, so a short scan allocates for the rows
+// it can emit rather than for a full batch.
+func (c *BatchCtx) SizeFor(span Span) int {
+	return int(max(1, min(int64(c.Size), span.Len())))
 }
 
 // Fork returns a worker-private context: same batch size, fresh intern
@@ -862,7 +872,7 @@ func (c *adapterBatchCursor) NextBatch() (*Batch, bool) {
 		return nil, false
 	}
 	if c.batch == nil {
-		c.batch = NewBatchFor(c.schema, c.ctx.Size)
+		c.batch = NewBatchFor(c.schema, c.ctx.SizeFor(Span{Start: c.next, End: c.end}))
 	}
 	b := c.batch
 	b.Reset()
@@ -926,7 +936,7 @@ func (c *matBatchCursor) NextBatch() (*Batch, bool) {
 		return nil, false
 	}
 	if c.batch == nil {
-		c.batch = NewBatchFor(c.schema, c.ctx.Size)
+		c.batch = NewBatchFor(c.schema, c.ctx.SizeFor(Span{Start: c.next, End: c.end}))
 	}
 	b := c.batch
 	b.Reset()

@@ -47,7 +47,7 @@ func (c *batchCursor) NextBatch() (*seq.Batch, bool) {
 		return nil, false
 	}
 	if c.batch == nil {
-		c.batch = seq.NewBatchFor(c.s.schema, c.ctx.Size)
+		c.batch = seq.NewBatchFor(c.s.schema, c.ctx.SizeFor(seq.Span{Start: c.pos, End: c.end}))
 	}
 	b := c.batch
 	b.Reset()
@@ -81,7 +81,7 @@ func (c *batchCursor) NextBatch() (*seq.Batch, bool) {
 func (c *batchCursor) fillDense(b *seq.Batch) (pages int64, err error) {
 	if c.ents == nil {
 		// A short scan never fills a batch; do not pay for one.
-		c.ents = make([]seq.Entry, 0, min(int64(c.ctx.Size), c.end-c.pos+1)) //seqvet:ignore spanarith bounded dense span
+		c.ents = make([]seq.Entry, 0, c.ctx.SizeFor(seq.Span{Start: c.pos, End: c.end}))
 	}
 	ents := c.ents[:0]
 	for c.pos <= c.end && len(ents) < c.ctx.Size {
