@@ -3,7 +3,9 @@
 // in the same place. The windowed aggregates share their accumulators
 // with it (slidingAcc, runningAcc), so floating-point adds and
 // subtracts happen in the same order and results are bit-identical
-// across the planes; the unboxed numAcc fast path keeps that order too.
+// across the planes. Every numeric aggregate — sum, avg, count, min and
+// max — runs on the unboxed numAcc fast path, which keeps that order and
+// those comparisons too; only min/max over strings stays boxed.
 // Cache-Strategy-B fills the operator's own §3.4 cache, so its counters
 // mean the same on both planes.
 package exec
@@ -25,9 +27,10 @@ func aggArgAt(spec *algebra.AggSpec, b *seq.Batch, i int, in *seq.Intern) seq.Va
 }
 
 // slidingAcc maintains an aggregate over a sliding window in O(1)
-// amortized time per add/evict: sums by subtraction, extrema by a
-// monotonic deque, both windows held in cache.Rings. AggSliding's
-// scalar Scan and its BatchScan both drive it. It is the ablation
+// amortized time per add/evict: sums by subtraction over a window of
+// values, extrema by a monotonic deque alone, each held in a
+// cache.Ring. AggSliding's scalar Scan drives it, and so does its
+// BatchScan for string min/max. It is the ablation
 // counterpart of AggCached's O(w)-per-output recomputation (see
 // DESIGN.md experiment E4).
 type slidingAcc struct {
@@ -41,33 +44,36 @@ type slidingAcc struct {
 }
 
 func (a *slidingAcc) add(pos seq.Pos, v seq.Value) error {
-	a.count++
 	switch a.fn {
-	case algebra.AggSum, algebra.AggAvg:
-		if a.isInt && v.T == seq.TInt {
-			a.sumI += v.AsInt()
-		} else {
-			a.sumF += v.AsFloat()
-		}
-		a.vals.Push(pos, v)
-	case algebra.AggCount:
-		a.vals.Push(pos, seq.Value{})
 	case algebra.AggMin, algebra.AggMax:
-		a.vals.Push(pos, v)
+		// The deque alone holds the window: it is empty exactly when
+		// the window is. Only what v strictly beats is popped, so among
+		// equal extremes the earliest stays in front, as AggFunc.Apply
+		// keeps it.
 		for a.mono.Len() > 0 {
 			_, last := a.mono.Back()
 			c, err := v.Compare(last)
 			if err != nil {
 				return err
 			}
-			if (a.fn == algebra.AggMin && c <= 0) || (a.fn == algebra.AggMax && c >= 0) {
-				a.mono.PopBack()
-			} else {
+			if (a.fn == algebra.AggMin && c >= 0) || (a.fn == algebra.AggMax && c <= 0) {
 				break
 			}
+			a.mono.PopBack()
 		}
 		a.mono.Push(pos, v)
+		return nil
+	case algebra.AggSum, algebra.AggAvg:
+		if a.isInt && v.T == seq.TInt {
+			a.sumI += v.AsInt()
+		} else {
+			a.sumF += v.AsFloat()
+		}
+	case algebra.AggCount:
+		v = seq.Value{}
 	}
+	a.count++
+	a.vals.Push(pos, v)
 	return nil
 }
 
@@ -95,6 +101,13 @@ func (a *slidingAcc) evictBelow(pos seq.Pos) {
 }
 
 func (a *slidingAcc) result() (seq.Value, bool) {
+	if a.fn == algebra.AggMin || a.fn == algebra.AggMax {
+		if a.mono.Len() == 0 {
+			return seq.Value{}, false
+		}
+		_, v := a.mono.Front()
+		return v, true
+	}
 	if a.count == 0 {
 		return seq.Value{}, false
 	}
@@ -112,10 +125,8 @@ func (a *slidingAcc) result() (seq.Value, bool) {
 			s = float64(a.sumI)
 		}
 		return seq.Float(s / float64(a.count)), true
-	default:
-		_, v := a.mono.Front()
-		return v, true
 	}
+	return seq.Value{}, false
 }
 
 // BatchScan implements the incremental sliding-window aggregate over
@@ -149,6 +160,9 @@ func (a *AggSliding) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor
 	}
 	if cur.num = newNumAcc(&a.Spec, a.In.Info().Schema, true); cur.num == nil {
 		cur.acc = &slidingAcc{fn: a.Spec.Func, isInt: isInt}
+	} else {
+		width, _ := w.Size()
+		cur.num.reserve(int(min(width+1, scanSpan.Len(), maxRingReserve)))
 	}
 	return cur
 }
@@ -187,19 +201,22 @@ func (a *AggCumulative) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCur
 type numKind uint8
 
 const (
-	numFloat  numKind = iota // sum/avg over a TFloat argument
-	numIntSum                // sum over a TInt argument (integer result)
-	numIntAvg                // avg over a TInt argument (float accumulation)
-	numCount                 // count (argument ignored)
+	numFloat    numKind = iota // sum/avg over a TFloat argument
+	numIntSum                  // sum over a TInt argument (integer result)
+	numIntAvg                  // avg over a TInt argument (float accumulation)
+	numCount                   // count (argument ignored)
+	numFloatExt                // min/max over a TFloat argument
+	numIntExt                  // min/max over a TInt argument
 )
 
-// numAcc is the unboxed fast path of the windowed sum/avg/count
-// aggregates: raw column values flow straight into the running sums and
-// (for sliding windows) an unboxed cache.Ring, with no seq.Value boxing
-// anywhere on the per-row path. The arithmetic — adds in arrival order,
-// subtracts in eviction order — is exactly the boxed accumulator's, so
-// results stay bit-identical to the scalar interpreter. Min/max and
-// non-numeric arguments stay on the generic boxed accumulator.
+// numAcc is the unboxed fast path of the windowed numeric aggregates:
+// raw column values flow straight into the running sums and (for
+// sliding windows) an unboxed cache.Ring, or into an extreme, with no
+// seq.Value boxing anywhere on the per-row path. The arithmetic — adds
+// in arrival order, subtracts in eviction order — and the comparisons
+// are exactly the boxed accumulators', so results stay bit-identical to
+// the scalar interpreter. Only min/max over strings stays on the
+// generic boxed accumulator.
 type numAcc struct {
 	kind  numKind
 	avg   bool // result is sum/count
@@ -209,30 +226,132 @@ type numAcc struct {
 	sumF  float64
 	winF  cache.Ring[float64] // numFloat, numIntAvg
 	winI  cache.Ring[int64]   // numIntSum, numCount (which pushes 0)
+	extF  extreme[float64]    // numFloatExt
+	extI  extreme[int64]      // numIntExt
+}
+
+// extreme keeps the min or max of a window of raw values: a monotonic
+// deque for a sliding window, the running extreme for a cumulative one.
+// It compares as seq.Value.Compare does (v > w is Compare(v, w) > 0, NaN
+// included) and replaces only on strictly better, so among equal
+// extremes the earliest wins, as in slidingAcc, runningAcc and
+// AggFunc.Apply.
+type extreme[T int64 | float64] struct {
+	max     bool
+	sliding bool
+	n       int64         // cumulative: values absorbed
+	best    T             // cumulative: the extreme so far
+	mono    cache.Ring[T] // sliding: the window's candidates, front best
+}
+
+func (e *extreme[T]) beats(v, w T) bool {
+	if e.max {
+		return v > w
+	}
+	return v < w
+}
+
+// absorbRun is numAcc.absorbRun for one typed column.
+func (e *extreme[T]) absorbRun(b *seq.Batch, vals []T, i int, hi seq.Pos) (int, bool) {
+	pv := b.Pos
+	for ; i < len(pv); i++ {
+		if pv[i] > hi {
+			return i, true
+		}
+		if !b.Valid.Get(i) {
+			continue
+		}
+		v := vals[i]
+		if !e.sliding {
+			if e.n == 0 || e.beats(v, e.best) {
+				e.best = v
+			}
+			e.n++
+			continue
+		}
+		for e.mono.Len() > 0 {
+			if _, last := e.mono.Back(); !e.beats(v, last) {
+				break
+			}
+			e.mono.PopBack()
+		}
+		e.mono.Push(pv[i], v)
+	}
+	return i, false
+}
+
+func (e *extreme[T]) evictBelow(p seq.Pos) {
+	for {
+		if _, ok := e.mono.PopBelow(p); !ok {
+			return
+		}
+	}
+}
+
+// result returns the window's extreme; false when the window is empty.
+func (e *extreme[T]) result() (T, bool) {
+	if !e.sliding {
+		return e.best, e.n > 0
+	}
+	if e.mono.Len() == 0 {
+		return e.best, false
+	}
+	_, v := e.mono.Front()
+	return v, true
 }
 
 // newNumAcc returns the unboxed accumulator when the spec qualifies,
 // nil otherwise.
 func newNumAcc(spec *algebra.AggSpec, inSchema *seq.Schema, sliding bool) *numAcc {
-	switch spec.Func {
-	case algebra.AggCount:
+	if spec.Func == algebra.AggCount {
 		return &numAcc{kind: numCount, ring: sliding}
+	}
+	if spec.Arg < 0 || spec.Arg >= inSchema.NumFields() {
+		return nil
+	}
+	t := inSchema.Field(spec.Arg).Type
+	switch spec.Func {
 	case algebra.AggSum, algebra.AggAvg:
-		if spec.Arg < 0 || spec.Arg >= inSchema.NumFields() {
-			return nil
-		}
 		avg := spec.Func == algebra.AggAvg
-		switch inSchema.Field(spec.Arg).Type {
-		case seq.TFloat:
+		switch {
+		case t == seq.TFloat:
 			return &numAcc{kind: numFloat, avg: avg, ring: sliding}
-		case seq.TInt:
-			if avg {
-				return &numAcc{kind: numIntAvg, avg: true, ring: sliding}
-			}
+		case t == seq.TInt && avg:
+			return &numAcc{kind: numIntAvg, avg: true, ring: sliding}
+		case t == seq.TInt:
 			return &numAcc{kind: numIntSum, ring: sliding}
+		}
+	case algebra.AggMin, algebra.AggMax:
+		isMax := spec.Func == algebra.AggMax
+		switch t {
+		case seq.TFloat:
+			return &numAcc{kind: numFloatExt, extF: extreme[float64]{max: isMax, sliding: sliding}}
+		case seq.TInt:
+			return &numAcc{kind: numIntExt, extI: extreme[int64]{max: isMax, sliding: sliding}}
 		}
 	}
 	return nil
+}
+
+// maxRingReserve caps what reserve allocates up front: a wide window
+// over a long, sparse scan holds far fewer values than either length,
+// so past this many the ring grows by doubling as it fills.
+const maxRingReserve = 1 << 16
+
+// reserve sizes a sliding sum/avg/count window for n values. The ring
+// holds at most one value per position of the scan, and of the window's
+// width plus one (numLoop absorbs a position's new values before it
+// evicts the old), so sized for that it never grows, where doubling its
+// way to a halo-sized window (6 144 positions) would allocate and copy
+// twice that on every run. An extreme's deque is left to grow; it
+// rarely holds many values.
+func (a *numAcc) reserve(n int) {
+	switch a.kind {
+	case numFloat, numIntAvg:
+		a.winF = cache.NewRing[float64](n)
+	case numIntSum, numCount:
+		a.winI = cache.NewRing[int64](n)
+	}
 }
 
 // absorbRun consumes rows i.. of b whose position is at most hi,
@@ -242,6 +361,10 @@ func newNumAcc(spec *algebra.AggSpec, inSchema *seq.Schema, sliding bool) *numAc
 func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 	pv := b.Pos
 	switch a.kind {
+	case numFloatExt:
+		return a.extF.absorbRun(b, b.Cols[col].F, i, hi)
+	case numIntExt:
+		return a.extI.absorbRun(b, b.Cols[col].I, i, hi)
 	case numFloat:
 		f := b.Cols[col].F
 		for i < len(pv) {
@@ -308,7 +431,14 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 // evictBelow drops window entries with position < p, subtracting their
 // values in eviction order exactly as the boxed accumulator does.
 func (a *numAcc) evictBelow(p seq.Pos) {
-	if a.kind == numFloat || a.kind == numIntAvg {
+	switch a.kind {
+	case numFloatExt:
+		a.extF.evictBelow(p)
+		return
+	case numIntExt:
+		a.extI.evictBelow(p)
+		return
+	case numFloat, numIntAvg:
 		for {
 			v, ok := a.winF.PopBelow(p)
 			if !ok {
@@ -332,11 +462,25 @@ func (a *numAcc) evictBelow(p seq.Pos) {
 // batch, straight into the typed column — no row when the window is
 // empty, matching the scalar interpreter.
 func (a *numAcc) emit(out *seq.Batch, pos seq.Pos) {
+	v := &out.Cols[0]
+	switch a.kind {
+	case numFloatExt:
+		if x, ok := a.extF.result(); ok {
+			out.AppendPos(pos)
+			v.F = append(v.F, x)
+		}
+		return
+	case numIntExt:
+		if x, ok := a.extI.result(); ok {
+			out.AppendPos(pos)
+			v.I = append(v.I, x)
+		}
+		return
+	}
 	if a.count == 0 {
 		return
 	}
 	out.AppendPos(pos)
-	v := &out.Cols[0]
 	switch {
 	case a.kind == numCount:
 		v.I = append(v.I, a.count)
@@ -373,8 +517,8 @@ type aggBatchCursor struct {
 	in      *batchRows
 	ctx     *seq.BatchCtx
 	out     *seq.Batch
-	acc     windowAcc // generic boxed accumulator (min/max, non-numeric)
-	num     *numAcc   // unboxed fast path (sum/avg/count over numerics)
+	acc     windowAcc // generic boxed accumulator (string min/max)
+	num     *numAcc   // unboxed fast path (every numeric aggregate)
 	p       seq.Pos   // next position of the dense output walk
 	end     seq.Pos
 	next    seq.Pos // start of the next output batch's span
@@ -450,7 +594,7 @@ func (c *aggBatchCursor) numLoop(out *seq.Batch) bool {
 }
 
 // genericLoop is the boxed per-row walk used by the aggregates the fast
-// path does not cover.
+// path does not cover: min/max over strings.
 func (c *aggBatchCursor) genericLoop(out *seq.Batch) bool {
 	in := c.ctx.Intern
 	for c.p <= c.end && out.Rows() < c.ctx.Size {
