@@ -58,9 +58,9 @@ type Analysis struct {
 	// enabled.
 	Reopt *reopt.Report
 	// Batches and BatchRows count the batches and valid rows the run's
-	// root collector consumed; both zero for scalar runs, which also
-	// keeps the render byte-identical to a build without the batch
-	// subsystem.
+	// root collector consumed; both zero when the root is drained row
+	// by row (BatchOff), which also keeps that render's summary free of
+	// the batch line.
 	Batches   int64
 	BatchRows int64
 	// Intern totals the run's value-intern hit/miss counters, summed
@@ -129,8 +129,8 @@ func (r *Result) run(cfg reopt.Config) (*Analysis, error) {
 	if a.Partitions != nil {
 		a.Decision = r.Parallel
 	}
-	// Scalar runs leave the batch counters zero, keeping their reports
-	// byte-identical to a build without the batch subsystem.
+	// Row-drained runs leave the root's batch counters zero, so their
+	// reports print no batch summary.
 	if ctx != nil {
 		a.Batches, a.BatchRows, a.Intern = ctx.Batches, ctx.Rows, ctx.Intern.Stats()
 	}
@@ -177,8 +177,8 @@ func (a *Analysis) render(times bool) string {
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "predicted stream cost %.2f | actual page cost %.2f (%s)\n",
 		a.Predicted.Stream, a.PageCost(a.GlobalPages), a.GlobalPages)
-	// Batch-plane summary: only vectorized runs print it, so scalar
-	// reports stay byte-identical to builds without the subsystem.
+	// Batch-plane summary: only runs that collect the root's batches
+	// print it.
 	if a.Batches > 0 {
 		fmt.Fprintf(&b, "batch: batches=%d rows/batch=%.1f", a.Batches, float64(a.BatchRows)/float64(a.Batches))
 		in := a.Intern

@@ -71,11 +71,11 @@ type Options struct {
 	// (reopt.Calibration). Until it has enough observations the defaults
 	// apply unchanged.
 	Calibration *reopt.Calibration
-	// Batch selects the execution data plane for Run and RunAnalyze: the
-	// zero value (BatchAuto) drives converted operators through columnar
-	// batches with value interning, BatchOff forces the record-at-a-time
-	// scalar interpreter — the semantic ground truth the differential
-	// tests compare against.
+	// Batch selects how Run and RunAnalyze drain the plan: the zero
+	// value (BatchAuto) collects the root's columnar batches, BatchOff
+	// drains the root row by row through its Scan, which for a
+	// converted operator reads the same batch stream. The semantic
+	// ground truth is the reference interpreter, algebra.EvalRange.
 	Batch exec.BatchMode
 }
 

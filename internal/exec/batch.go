@@ -1,8 +1,10 @@
-// Vectorized (batch-at-a-time) execution. Converted operators exchange
-// columnar seq.Batch values of up to 1 024 rows, capacity capped by the
-// span, instead of one record per pull; operators not yet converted are
-// bridged by an adapter that packs their scalar cursor into batches, so
-// every plan runs in batch mode.
+// Vectorized (batch-at-a-time) execution, the one streaming plane.
+// Converted operators exchange columnar seq.Batch values of up to 1 024
+// rows, capacity capped by the span, instead of one record per pull, and
+// their row Scan reads that batch stream (rowScan). The operators kept
+// record-at-a-time (the naive and Cache-Strategy-A ablations, collapse,
+// expand) are bridged by an adapter that packs their row cursor into
+// batches, so every plan runs in batch mode.
 package exec
 
 import (
@@ -18,7 +20,8 @@ type BatchMode uint8
 const (
 	// BatchAuto runs plans through the vectorized data plane.
 	BatchAuto BatchMode = iota
-	// BatchOff forces the record-at-a-time scalar interpreter.
+	// BatchOff drains the plan's root row by row (its Scan); below
+	// the root the plan still runs on batches.
 	BatchOff
 )
 
@@ -62,9 +65,9 @@ func CollectBatchesIn(cur seq.BatchCursor, ctx *seq.BatchCtx, span seq.Span) ([]
 
 // BatchScanOf opens a batch-mode stream scan on the plan. Converted
 // operators run native per-column loops; everything else is bridged
-// through the scalar-cursor adapter (seq.BatchCursorFrom), which keeps
-// the whole operator set runnable in batch mode — the naive and
-// cache-strategy ablation operators intentionally stay scalar.
+// through the row-cursor adapter (seq.BatchCursorFrom), which keeps the
+// whole operator set runnable in batch mode — the naive and
+// cache-strategy ablation operators intentionally stay record-at-a-time.
 func BatchScanOf(p Plan, span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	switch op := p.(type) {
 	case *Metered:
@@ -90,14 +93,51 @@ func BatchScanOf(p Plan, span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 		return op.BatchScan(span, ctx)
 	case *ValueOffsetIncremental:
 		return op.BatchScan(span, ctx)
+	case *Concat:
+		return op.BatchScan(span, ctx)
 	default:
 		return seq.BatchCursorFrom(p.Scan(span), span, p.Info().Schema, ctx)
 	}
 }
 
+// rowScan is the stream access of every operator with a batch scan: its
+// batch cursor under a fresh context, read one valid row at a time. An
+// operator thus has one stream implementation; Probe stays its
+// record-at-a-time probed access (§3.3).
+func rowScan(p Plan, span seq.Span) seq.Cursor {
+	ctx := seq.NewBatchCtx()
+	return &rowCursor{in: BatchScanOf(p, span, ctx), ctx: ctx}
+}
+
+// rowCursor hands out the valid rows of a batch stream, each batch
+// decoded into entries at once (Batch.AppendEntries), as Run collects
+// them.
+type rowCursor struct {
+	in   seq.BatchCursor
+	ctx  *seq.BatchCtx
+	rows []seq.Entry
+	i    int
+}
+
+func (c *rowCursor) Next() (seq.Pos, seq.Record, bool) {
+	for c.i >= len(c.rows) {
+		b, ok := c.in.NextBatch()
+		if !ok {
+			return 0, nil, false
+		}
+		c.rows, c.i = b.AppendEntries(c.rows[:0], c.ctx.Intern), 0
+	}
+	e := c.rows[c.i]
+	c.i++
+	return e.Pos, e.Rec, true
+}
+
+func (c *rowCursor) Err() error   { return c.in.Err() }
+func (c *rowCursor) Close() error { return c.in.Close() }
+
 // BatchScan implements the leaf's batch scan: native when the base
 // sequence is a seq.BatchScanner, adapted otherwise. Either way the scan
-// is restricted to the access span exactly like the scalar path.
+// is restricted to the access span exactly like the leaf's Scan.
 func (l *Leaf) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	eff := span.Intersect(l.AccessSpan)
 	if bs, ok := l.Seq.(seq.BatchScanner); ok {
@@ -107,7 +147,7 @@ func (l *Leaf) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 }
 
 // BatchScan meters a batch-mode scan: scan calls and emitted rows land
-// in the same counters the scalar path uses (so rows and calls stay
+// in the same counters a row scan uses (so rows and calls stay
 // comparable across modes), plus the batch-specific tallies.
 func (w *Metered) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	w.M.ScanCalls++
@@ -142,9 +182,9 @@ func (c *meteredBatchCursor) Close() error { return c.in.Close() }
 // predEval applies a boolean predicate to a batch by clearing the
 // validity bits of rejected rows: vectorized when the expression
 // compiles, row-at-a-time on a reused scratch record otherwise. Invalid
-// rows are never evaluated on the scalar path (matching the scalar
-// interpreter, which never sees filtered-out rows), and the vectorized
-// subset is error-free, so evaluating everything eagerly is equivalent.
+// rows are never evaluated on the row-at-a-time path (as Probe never sees
+// filtered-out rows), and the vectorized subset is error-free, so
+// evaluating everything eagerly is equivalent.
 type predEval struct {
 	pred    expr.Expr
 	vec     *expr.VecPred
@@ -326,10 +366,9 @@ func (c *projectBatchCursor) NextBatch() (*seq.Batch, bool) {
 	}
 	if len(c.pc.fallback) > 0 {
 		// Row-major over the fallback items, so a per-row evaluation
-		// error surfaces at the same row the scalar interpreter would
-		// report it at. Invalid rows get placeholder values to keep the
-		// vectors aligned; the scalar path never evaluates them, so
-		// neither do we.
+		// error surfaces at the first failing row in position order.
+		// Invalid rows get placeholder values to keep the vectors
+		// aligned, and are never evaluated.
 		n := b.Rows()
 		for i := 0; i < n; i++ {
 			if !b.Valid.Get(i) {
@@ -395,9 +434,9 @@ func (c *posOffsetBatchCursor) Err() error   { return c.in.Err() }
 func (c *posOffsetBatchCursor) Close() error { return c.in.Close() }
 
 // BatchScan implements the materialization point: the input is
-// materialized once (through the scalar collector, exactly like the
-// scalar path, so first-access cost and page attribution are identical)
-// and batches are then served straight off the materialized entries.
+// materialized once, through its row Scan whichever access comes first
+// (so first-access cost and page attribution do not depend on it), and
+// batches are then served straight off the materialized entries.
 func (m *Materialize) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	if err := m.ensure(); err != nil {
 		return seq.ErrBatchCursor(err)
@@ -449,9 +488,9 @@ func (r *batchRows) close() error { return r.cur.Close() }
 // BatchScan implements compose. Lockstep merges the two batch streams
 // with a two-pointer walk over their valid rows; the stream-probe
 // strategies batch the streamed side and probe the other per row (the
-// probes go through the Plan interface, so instrumentation sees the
-// exact probe pattern of the scalar strategy). The join predicate is
-// applied batch-wise afterwards, clearing validity bits.
+// probes go through the Plan interface, so instrumentation sees one
+// probe per streamed row, Join-Strategy-A's pattern). The join
+// predicate is applied batch-wise afterwards, clearing validity bits.
 func (c *ComposeOp) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	if !c.NoNarrow {
 		span = span.Intersect(c.Info().Span)

@@ -1,13 +1,11 @@
-// Batch-mode windowed aggregates and value offsets. Each operator
-// walks positions exactly as its scalar Scan does and keeps its window
-// in the same place. The windowed aggregates share their accumulators
-// with it (slidingAcc, runningAcc), so floating-point adds and
-// subtracts happen in the same order and results are bit-identical
-// across the planes. Every numeric aggregate — sum, avg, count, min and
-// max — runs on the unboxed numAcc fast path, which keeps that order and
-// those comparisons too; only min/max over strings stays boxed.
-// Cache-Strategy-B fills the operator's own §3.4 cache, so its counters
-// mean the same on both planes.
+// Batch-mode windowed aggregates and value offsets, the one stream
+// implementation of each (their row Scan reads this batch cursor). Every
+// windowed aggregate — count, sum and avg over numbers, min and max over
+// numbers or strings — folds its values in one unboxed accumulator,
+// numAcc: adds in arrival order, subtracts in eviction order, and the
+// comparisons of seq.Value.Compare. Cache-Strategy-B fills the
+// operator's own §3.4 cache, so its counters mean what they did when
+// the operator ran record by record.
 package exec
 
 import (
@@ -18,186 +16,58 @@ import (
 	"repro/internal/seq"
 )
 
-// aggArgAt extracts the aggregate argument from row i of a batch.
-func aggArgAt(spec *algebra.AggSpec, b *seq.Batch, i int, in *seq.Intern) seq.Value {
-	if spec.Arg >= 0 {
-		return b.Cols[spec.Arg].Value(i, in)
-	}
-	return seq.Int(1) // Count over whole records
-}
-
-// slidingAcc maintains an aggregate over a sliding window in O(1)
-// amortized time per add/evict: sums by subtraction over a window of
-// values, extrema by a monotonic deque alone, each held in a
-// cache.Ring. AggSliding's scalar Scan drives it, and so does its
-// BatchScan for string min/max. It is the ablation
-// counterpart of AggCached's O(w)-per-output recomputation (see
-// DESIGN.md experiment E4).
-type slidingAcc struct {
-	fn    algebra.AggFunc
-	isInt bool
-	count int64
-	sumI  int64
-	sumF  float64
-	vals  cache.Ring[seq.Value]
-	mono  cache.Ring[seq.Value]
-}
-
-func (a *slidingAcc) add(pos seq.Pos, v seq.Value) error {
-	switch a.fn {
-	case algebra.AggMin, algebra.AggMax:
-		// The deque alone holds the window: it is empty exactly when
-		// the window is. Only what v strictly beats is popped, so among
-		// equal extremes the earliest stays in front, as AggFunc.Apply
-		// keeps it.
-		for a.mono.Len() > 0 {
-			_, last := a.mono.Back()
-			c, err := v.Compare(last)
-			if err != nil {
-				return err
-			}
-			if (a.fn == algebra.AggMin && c >= 0) || (a.fn == algebra.AggMax && c <= 0) {
-				break
-			}
-			a.mono.PopBack()
-		}
-		a.mono.Push(pos, v)
-		return nil
-	case algebra.AggSum, algebra.AggAvg:
-		if a.isInt && v.T == seq.TInt {
-			a.sumI += v.AsInt()
-		} else {
-			a.sumF += v.AsFloat()
-		}
-	case algebra.AggCount:
-		v = seq.Value{}
-	}
-	a.count++
-	a.vals.Push(pos, v)
-	return nil
-}
-
-func (a *slidingAcc) evictBelow(pos seq.Pos) {
-	for {
-		v, ok := a.vals.PopBelow(pos)
-		if !ok {
-			break
-		}
-		a.count--
-		switch a.fn {
-		case algebra.AggSum, algebra.AggAvg:
-			if a.isInt && v.T == seq.TInt {
-				a.sumI -= v.AsInt()
-			} else {
-				a.sumF -= v.AsFloat()
-			}
-		}
-	}
-	for {
-		if _, ok := a.mono.PopBelow(pos); !ok {
-			break
-		}
-	}
-}
-
-func (a *slidingAcc) result() (seq.Value, bool) {
-	if a.fn == algebra.AggMin || a.fn == algebra.AggMax {
-		if a.mono.Len() == 0 {
-			return seq.Value{}, false
-		}
-		_, v := a.mono.Front()
-		return v, true
-	}
-	if a.count == 0 {
-		return seq.Value{}, false
-	}
-	switch a.fn {
-	case algebra.AggCount:
-		return seq.Int(a.count), true
-	case algebra.AggSum:
-		if a.isInt {
-			return seq.Int(a.sumI), true
-		}
-		return seq.Float(a.sumF), true
-	case algebra.AggAvg:
-		s := a.sumF
-		if a.isInt {
-			s = float64(a.sumI)
-		}
-		return seq.Float(s / float64(a.count)), true
-	}
-	return seq.Value{}, false
-}
-
-// BatchScan implements the incremental sliding-window aggregate over
-// batched input: the same single input scan and per-position
-// absorb/evict sequence as the scalar Scan, emitting output rows in
-// batches.
+// BatchScan implements the incremental sliding-window aggregate: one
+// input scan over the positions the windows reach, each position
+// absorbing what enters its window and evicting what leaves it.
 func (a *AggSliding) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
-	span = span.Intersect(a.OutSpan)
-	if span.IsEmpty() {
-		return seq.EmptyBatchCursor()
-	}
-	if !span.Bounded() {
-		return seq.ErrBatchCursor(fmt.Errorf("exec: unbounded scan of aggregate (span %v)", span))
-	}
-	w := a.Spec.Window
-	inSpan := a.In.Info().Span
-	scanSpan := seq.Span{
-		Start: seq.ClampPos(span.Start + w.Lo),
-		End:   seq.ClampPos(span.End + w.Hi),
-	}.Intersect(inSpan)
-	isInt := a.schema.Field(0).Type == seq.TInt && a.Spec.Func == algebra.AggSum
-	cur := &aggBatchCursor{
-		spec: &a.Spec,
-		in:   newBatchRows(BatchScanOf(a.In, scanSpan, ctx)),
-		ctx:  ctx,
-		out:  seq.NewBatchFor(a.schema, ctx.SizeFor(span)),
-		p:    span.Start,
-		end:  span.End,
-		next: span.Start,
-		lo:   w.Lo, hi: w.Hi, sliding: true,
-	}
-	if cur.num = newNumAcc(&a.Spec, a.In.Info().Schema, true); cur.num == nil {
-		cur.acc = &slidingAcc{fn: a.Spec.Func, isInt: isInt}
-	} else {
-		width, _ := w.Size()
-		cur.num.reserve(int(min(width+1, scanSpan.Len(), maxRingReserve)))
-	}
-	return cur
+	return scanAgg(a.In, &a.Spec, a.schema, span.Intersect(a.OutSpan), ctx, true)
 }
 
-// BatchScan implements the running (cumulative) aggregate over batched
-// input with the scalar Scan's runningAcc, so the arithmetic order is
-// the same.
+// BatchScan implements the running (cumulative) aggregate: one input
+// scan from the input's start, folded without eviction.
 func (a *AggCumulative) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
-	span = span.Intersect(a.OutSpan)
+	return scanAgg(a.In, &a.Spec, a.schema, span.Intersect(a.OutSpan), ctx, false)
+}
+
+// scanAgg opens the per-position walk of a windowed aggregate over span.
+// A sliding window scans from the first window's start, a cumulative one
+// from the input's start.
+func scanAgg(in Plan, spec *algebra.AggSpec, schema *seq.Schema, span seq.Span, ctx *seq.BatchCtx, sliding bool) seq.BatchCursor {
 	if span.IsEmpty() {
 		return seq.EmptyBatchCursor()
 	}
 	if !span.Bounded() {
 		return seq.ErrBatchCursor(fmt.Errorf("exec: unbounded scan of aggregate (span %v)", span))
 	}
-	inSpan := a.In.Info().Span
-	scanSpan := seq.Span{Start: inSpan.Start, End: seq.ClampPos(span.End + a.Spec.Window.Hi)}.Intersect(inSpan)
-	isInt := a.schema.Field(0).Type == seq.TInt && a.Spec.Func == algebra.AggSum
-	cur := &aggBatchCursor{
-		spec: &a.Spec,
-		in:   newBatchRows(BatchScanOf(a.In, scanSpan, ctx)),
+	w := spec.Window
+	inSpan := in.Info().Span
+	scanSpan := seq.Span{Start: inSpan.Start, End: seq.ClampPos(span.End + w.Hi)}
+	if sliding {
+		scanSpan.Start = seq.ClampPos(span.Start + w.Lo)
+	}
+	scanSpan = scanSpan.Intersect(inSpan)
+	num, ok := newNumAcc(spec, in.Info().Schema, sliding, ctx.Intern)
+	if !ok {
+		return seq.ErrBatchCursor(fmt.Errorf("exec: no accumulator for %s over argument %d", spec.Func, spec.Arg))
+	}
+	if sliding {
+		width, _ := w.Size()
+		num.reserve(int(min(width+1, scanSpan.Len(), maxRingReserve)))
+	}
+	return &aggBatchCursor{
+		arg:  spec.Arg,
+		in:   newBatchRows(BatchScanOf(in, scanSpan, ctx)),
 		ctx:  ctx,
-		out:  seq.NewBatchFor(a.schema, ctx.SizeFor(span)),
+		out:  seq.NewBatchFor(schema, ctx.SizeFor(span)),
+		num:  num,
 		p:    span.Start,
 		end:  span.End,
 		next: span.Start,
-		hi:   a.Spec.Window.Hi,
+		lo:   w.Lo, hi: w.Hi, sliding: sliding,
 	}
-	if cur.num = newNumAcc(&a.Spec, a.In.Info().Schema, false); cur.num == nil {
-		cur.acc = &cumulativeAcc{runningAcc: *newRunningAcc(a.Spec.Func, isInt)}
-	}
-	return cur
 }
 
-// numKind selects the unboxed accumulator specialization.
+// numKind selects the accumulator specialization.
 type numKind uint8
 
 const (
@@ -207,16 +77,15 @@ const (
 	numCount                   // count (argument ignored)
 	numFloatExt                // min/max over a TFloat argument
 	numIntExt                  // min/max over a TInt argument
+	numStrExt                  // min/max over a TString argument
 )
 
-// numAcc is the unboxed fast path of the windowed numeric aggregates:
-// raw column values flow straight into the running sums and (for
-// sliding windows) an unboxed cache.Ring, or into an extreme, with no
-// seq.Value boxing anywhere on the per-row path. The arithmetic — adds
-// in arrival order, subtracts in eviction order — and the comparisons
-// are exactly the boxed accumulators', so results stay bit-identical to
-// the scalar interpreter. Only min/max over strings stays on the
-// generic boxed accumulator.
+// numAcc is the one accumulator of the windowed aggregates: raw column
+// values flow straight into the running sums and (for sliding windows)
+// an unboxed cache.Ring, or into an extreme, with no seq.Value boxing
+// anywhere on the per-row path. Sums add in arrival order and subtract
+// in eviction order. String extremes decode each handle through the
+// run's intern table and compare the strings.
 type numAcc struct {
 	kind  numKind
 	avg   bool // result is sum/count
@@ -224,19 +93,23 @@ type numAcc struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	winF  cache.Ring[float64] // numFloat, numIntAvg
-	winI  cache.Ring[int64]   // numIntSum, numCount (which pushes 0)
-	extF  extreme[float64]    // numFloatExt
-	extI  extreme[int64]      // numIntExt
+	winF  cache.Ring[float64]  // numFloat, numIntAvg
+	winI  cache.Ring[int64]    // numIntSum
+	winC  cache.Ring[struct{}] // numCount: positions only
+	// Only the kind's extreme is made: three held by value would add
+	// ~250 bytes to every sum and count cursor.
+	extF *extreme[float64] // numFloatExt
+	extI *extreme[int64]   // numIntExt
+	extS *extreme[string]  // numStrExt
+	in   *seq.Intern       // numStrExt: the run's handles
 }
 
 // extreme keeps the min or max of a window of raw values: a monotonic
 // deque for a sliding window, the running extreme for a cumulative one.
 // It compares as seq.Value.Compare does (v > w is Compare(v, w) > 0, NaN
-// included) and replaces only on strictly better, so among equal
-// extremes the earliest wins, as in slidingAcc, runningAcc and
-// AggFunc.Apply.
-type extreme[T int64 | float64] struct {
+// included, strings byte-wise) and replaces only on strictly better, so
+// among equal extremes the earliest wins, as in AggFunc.Apply.
+type extreme[T int64 | float64 | string] struct {
 	max     bool
 	sliding bool
 	n       int64         // cumulative: values absorbed
@@ -251,7 +124,9 @@ func (e *extreme[T]) beats(v, w T) bool {
 	return v < w
 }
 
-// absorbRun is numAcc.absorbRun for one typed column.
+// absorbRun is numAcc.absorbRun for one numeric column. Its loop body is
+// push written out, so the numeric loops make no call per row (the
+// compiler does not inline push).
 func (e *extreme[T]) absorbRun(b *seq.Batch, vals []T, i int, hi seq.Pos) (int, bool) {
 	pv := b.Pos
 	for ; i < len(pv); i++ {
@@ -280,6 +155,25 @@ func (e *extreme[T]) absorbRun(b *seq.Batch, vals []T, i int, hi seq.Pos) (int, 
 	return i, false
 }
 
+// push folds the value v at pos into the extreme: the string path, whose
+// values are decoded one by one from intern handles.
+func (e *extreme[T]) push(pos seq.Pos, v T) {
+	if !e.sliding {
+		if e.n == 0 || e.beats(v, e.best) {
+			e.best = v
+		}
+		e.n++
+		return
+	}
+	for e.mono.Len() > 0 {
+		if _, last := e.mono.Back(); !e.beats(v, last) {
+			break
+		}
+		e.mono.PopBack()
+	}
+	e.mono.Push(pos, v)
+}
+
 func (e *extreme[T]) evictBelow(p seq.Pos) {
 	for {
 		if _, ok := e.mono.PopBelow(p); !ok {
@@ -300,14 +194,15 @@ func (e *extreme[T]) result() (T, bool) {
 	return v, true
 }
 
-// newNumAcc returns the unboxed accumulator when the spec qualifies,
-// nil otherwise.
-func newNumAcc(spec *algebra.AggSpec, inSchema *seq.Schema, sliding bool) *numAcc {
+// newNumAcc returns the accumulator of the spec, false when its argument
+// is no column of inSchema a window aggregate can fold. in is the run's
+// intern table, which string extremes decode and encode through.
+func newNumAcc(spec *algebra.AggSpec, inSchema *seq.Schema, sliding bool, in *seq.Intern) (numAcc, bool) {
 	if spec.Func == algebra.AggCount {
-		return &numAcc{kind: numCount, ring: sliding}
+		return numAcc{kind: numCount, ring: sliding}, true
 	}
 	if spec.Arg < 0 || spec.Arg >= inSchema.NumFields() {
-		return nil
+		return numAcc{}, false
 	}
 	t := inSchema.Field(spec.Arg).Type
 	switch spec.Func {
@@ -315,22 +210,24 @@ func newNumAcc(spec *algebra.AggSpec, inSchema *seq.Schema, sliding bool) *numAc
 		avg := spec.Func == algebra.AggAvg
 		switch {
 		case t == seq.TFloat:
-			return &numAcc{kind: numFloat, avg: avg, ring: sliding}
+			return numAcc{kind: numFloat, avg: avg, ring: sliding}, true
 		case t == seq.TInt && avg:
-			return &numAcc{kind: numIntAvg, avg: true, ring: sliding}
+			return numAcc{kind: numIntAvg, avg: true, ring: sliding}, true
 		case t == seq.TInt:
-			return &numAcc{kind: numIntSum, ring: sliding}
+			return numAcc{kind: numIntSum, ring: sliding}, true
 		}
 	case algebra.AggMin, algebra.AggMax:
 		isMax := spec.Func == algebra.AggMax
 		switch t {
 		case seq.TFloat:
-			return &numAcc{kind: numFloatExt, extF: extreme[float64]{max: isMax, sliding: sliding}}
+			return numAcc{kind: numFloatExt, extF: &extreme[float64]{max: isMax, sliding: sliding}}, true
 		case seq.TInt:
-			return &numAcc{kind: numIntExt, extI: extreme[int64]{max: isMax, sliding: sliding}}
+			return numAcc{kind: numIntExt, extI: &extreme[int64]{max: isMax, sliding: sliding}}, true
+		case seq.TString:
+			return numAcc{kind: numStrExt, extS: &extreme[string]{max: isMax, sliding: sliding}, in: in}, true
 		}
 	}
-	return nil
+	return numAcc{}, false
 }
 
 // maxRingReserve caps what reserve allocates up front: a wide window
@@ -340,7 +237,7 @@ const maxRingReserve = 1 << 16
 
 // reserve sizes a sliding sum/avg/count window for n values. The ring
 // holds at most one value per position of the scan, and of the window's
-// width plus one (numLoop absorbs a position's new values before it
+// width plus one (NextBatch absorbs a position's new values before it
 // evicts the old), so sized for that it never grows, where doubling its
 // way to a halo-sized window (6 144 positions) would allocate and copy
 // twice that on every run. An extreme's deque is left to grow; it
@@ -349,8 +246,10 @@ func (a *numAcc) reserve(n int) {
 	switch a.kind {
 	case numFloat, numIntAvg:
 		a.winF = cache.NewRing[float64](n)
-	case numIntSum, numCount:
+	case numIntSum:
 		a.winI = cache.NewRing[int64](n)
+	case numCount:
+		a.winC = cache.NewRing[struct{}](n)
 	}
 }
 
@@ -365,6 +264,17 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 		return a.extF.absorbRun(b, b.Cols[col].F, i, hi)
 	case numIntExt:
 		return a.extI.absorbRun(b, b.Cols[col].I, i, hi)
+	case numStrExt:
+		h := b.Cols[col].H
+		for ; i < len(pv); i++ {
+			if pv[i] > hi {
+				return i, true
+			}
+			if b.Valid.Get(i) {
+				a.extS.push(pv[i], a.in.Str(h[i]))
+			}
+		}
+		return i, false
 	case numFloat:
 		f := b.Cols[col].F
 		for i < len(pv) {
@@ -402,7 +312,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 				return i, true
 			}
 			if b.Valid.Get(i) {
-				x := float64(iv[i]) // the scalar path's Value.AsFloat conversion
+				x := float64(iv[i]) // Value.AsFloat's conversion, as AggFunc.Apply sums
 				a.count++
 				a.sumF += x
 				if a.ring {
@@ -419,7 +329,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 			if b.Valid.Get(i) {
 				a.count++
 				if a.ring {
-					a.winI.Push(pv[i], 0)
+					a.winC.Push(pv[i], struct{}{})
 				}
 			}
 			i++
@@ -429,7 +339,7 @@ func (a *numAcc) absorbRun(b *seq.Batch, col, i int, hi seq.Pos) (int, bool) {
 }
 
 // evictBelow drops window entries with position < p, subtracting their
-// values in eviction order exactly as the boxed accumulator does.
+// values in eviction order.
 func (a *numAcc) evictBelow(p seq.Pos) {
 	switch a.kind {
 	case numFloatExt:
@@ -438,6 +348,16 @@ func (a *numAcc) evictBelow(p seq.Pos) {
 	case numIntExt:
 		a.extI.evictBelow(p)
 		return
+	case numStrExt:
+		a.extS.evictBelow(p)
+		return
+	case numCount:
+		for {
+			if _, ok := a.winC.PopBelow(p); !ok {
+				return
+			}
+			a.count--
+		}
 	case numFloat, numIntAvg:
 		for {
 			v, ok := a.winF.PopBelow(p)
@@ -460,7 +380,7 @@ func (a *numAcc) evictBelow(p seq.Pos) {
 
 // emit appends the accumulator's current result for pos to the output
 // batch, straight into the typed column — no row when the window is
-// empty, matching the scalar interpreter.
+// empty (§2.1: the aggregate of only Null records is Null).
 func (a *numAcc) emit(out *seq.Batch, pos seq.Pos) {
 	v := &out.Cols[0]
 	switch a.kind {
@@ -474,6 +394,12 @@ func (a *numAcc) emit(out *seq.Batch, pos seq.Pos) {
 		if x, ok := a.extI.result(); ok {
 			out.AppendPos(pos)
 			v.I = append(v.I, x)
+		}
+		return
+	case numStrExt:
+		if x, ok := a.extS.result(); ok {
+			out.AppendPos(pos)
+			v.H = append(v.H, a.in.PutStr(x))
 		}
 		return
 	}
@@ -493,33 +419,16 @@ func (a *numAcc) emit(out *seq.Batch, pos seq.Pos) {
 	}
 }
 
-// windowAcc is what aggBatchCursor needs from an accumulator.
-type windowAcc interface {
-	add(pos seq.Pos, v seq.Value) error
-	evictBelow(pos seq.Pos)
-	result() (seq.Value, bool)
-}
-
-// cumulativeAcc adapts runningAcc to the windowAcc interface (positions
-// are irrelevant to an add-only accumulator).
-type cumulativeAcc struct {
-	runningAcc
-}
-
-func (a *cumulativeAcc) add(_ seq.Pos, v seq.Value) error { return a.runningAcc.add(v) }
-func (a *cumulativeAcc) evictBelow(seq.Pos)               {}
-
-// aggBatchCursor drives the shared per-position loop of the windowed
+// aggBatchCursor drives the per-position walk of the windowed
 // aggregates: absorb input rows up to pos+hi, evict below pos+lo (for
 // sliding windows), emit the accumulator result.
 type aggBatchCursor struct {
-	spec    *algebra.AggSpec
+	arg     int // the aggregate's argument column
 	in      *batchRows
 	ctx     *seq.BatchCtx
 	out     *seq.Batch
-	acc     windowAcc // generic boxed accumulator (string min/max)
-	num     *numAcc   // unboxed fast path (every numeric aggregate)
-	p       seq.Pos   // next position of the dense output walk
+	num     numAcc
+	p       seq.Pos // next position of the dense output walk
 	end     seq.Pos
 	next    seq.Pos // start of the next output batch's span
 	lo, hi  int64
@@ -528,6 +437,9 @@ type aggBatchCursor struct {
 	done    bool
 }
 
+// NextBatch walks positions until the output batch holds ctx.Size rows.
+// Input rows are absorbed in whole-batch runs (absorbRun) instead of one
+// peek/take round trip per row.
 func (c *aggBatchCursor) NextBatch() (*seq.Batch, bool) {
 	if c.err != nil || c.done {
 		return nil, false
@@ -535,32 +447,8 @@ func (c *aggBatchCursor) NextBatch() (*seq.Batch, bool) {
 	out := c.out
 	out.Reset()
 	out.Span = seq.Span{Start: c.next, End: c.end}
-	var ok bool
-	if c.num != nil {
-		ok = c.numLoop(out)
-	} else {
-		ok = c.genericLoop(out)
-	}
-	if !ok {
-		return nil, false
-	}
-	if c.p > c.end {
-		// The walk is complete: this final batch covers the tail.
-		c.done = true
-		return out, true
-	}
-	out.Span.End = c.p - 1
-	c.next = c.p
-	return out, true
-}
-
-// numLoop drives the per-position walk on the unboxed accumulator:
-// input rows are absorbed in whole-batch runs (absorbRun) instead of
-// one peek/take round trip per row.
-func (c *aggBatchCursor) numLoop(out *seq.Batch) bool {
 	r := c.in
-	a := c.num
-	arg := c.spec.Arg
+	a := &c.num
 	for c.p <= c.end && out.Rows() < c.ctx.Size {
 		pos := c.p
 		c.p++
@@ -572,14 +460,14 @@ func (c *aggBatchCursor) numLoop(out *seq.Batch) bool {
 					r.done = true
 					if err := r.cur.Err(); err != nil {
 						c.err = err
-						return false
+						return nil, false
 					}
 					break
 				}
 				r.b, r.i = b, 0
 				continue
 			}
-			i, stopped := a.absorbRun(r.b, arg, r.i, hi)
+			i, stopped := a.absorbRun(r.b, c.arg, r.i, hi)
 			r.i = i
 			if stopped {
 				break
@@ -590,54 +478,25 @@ func (c *aggBatchCursor) numLoop(out *seq.Batch) bool {
 		}
 		a.emit(out, pos)
 	}
-	return true
-}
-
-// genericLoop is the boxed per-row walk used by the aggregates the fast
-// path does not cover: min/max over strings.
-func (c *aggBatchCursor) genericLoop(out *seq.Batch) bool {
-	in := c.ctx.Intern
-	for c.p <= c.end && out.Rows() < c.ctx.Size {
-		pos := c.p
-		c.p++
-		hi := seq.ClampPos(pos + c.hi)
-		for {
-			epos, ok, err := c.in.peek()
-			if err != nil {
-				c.err = err
-				return false
-			}
-			if !ok || epos > hi {
-				break
-			}
-			v := aggArgAt(c.spec, c.in.b, c.in.i, in)
-			if err := c.acc.add(epos, v); err != nil {
-				c.err = err
-				return false
-			}
-			c.in.take()
-		}
-		if c.sliding {
-			c.acc.evictBelow(seq.ClampPos(pos + c.lo))
-		}
-		if v, ok := c.acc.result(); ok {
-			out.AppendPos(pos)
-			if err := out.Cols[0].AppendValue(v, in); err != nil {
-				c.err = err
-				return false
-			}
-		}
+	if c.p > c.end {
+		// The walk is complete: this final batch covers the tail.
+		c.done = true
+		return out, true
 	}
-	return true
+	out.Span.End = c.p - 1
+	c.next = c.p
+	return out, true
 }
 
 func (c *aggBatchCursor) Err() error   { return c.err }
 func (c *aggBatchCursor) Close() error { return c.in.close() }
 
-// BatchScan implements Cache-Strategy-B value offsets over batched
-// input: the same single input scan, historyStart shortcut and
-// |offset|-record FIFO cache as the scalar Scan, reset per scan the
-// same way; records are copied into the cache's own slots (PutRow).
+// BatchScan implements Cache-Strategy-B value offsets: a single input
+// scan feeds the |offset|-record FIFO cache, reset per scan; records are
+// copied into the cache's own slots (PutRow). A backward offset scans
+// from far enough back (historyStart) that the cache holds the right
+// history at the first output position; a forward one keeps a lookahead
+// of the next |offset| records.
 func (v *ValueOffsetIncremental) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	span = span.Intersect(v.OutSpan)
 	if span.IsEmpty() {

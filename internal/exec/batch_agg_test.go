@@ -29,11 +29,11 @@ func sameBits(a, b seq.Value) bool {
 // TestExtremesOneAnswerPerWindow runs min and max over sliding
 // (trailing, centred, forward) and cumulative windows, over int, float
 // and string columns held in memory and in sparse pages, and requires
-// the same bits at every position from the scalar plane, the batch plane
+// the same bits at every position from the row scan, the batch plane
 // (4- and 1 024-row batches) and AggFunc.Apply over that window's
 // values. The inputs hold empty windows and plateaus of equal values,
-// ±0.0 among them, where the earliest extreme must win. Numeric
-// extremes must run on the unboxed numAcc, string ones on genericLoop.
+// ±0.0 among them, where the earliest extreme must win. Every column
+// type must run on the one accumulator, numAcc, in its extreme kind.
 func TestExtremesOneAnswerPerWindow(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	type input struct {
@@ -112,7 +112,7 @@ func TestExtremesOneAnswerPerWindow(t *testing.T) {
 	}
 }
 
-// checkExtremes compares the scalar plane, both batch sizes and the
+// checkExtremes compares the row scan, both batch sizes and the
 // reference over the input entries at every position of span, and
 // checks which accumulator the batch plane chose.
 func checkExtremes(t *testing.T, p Plan, spec algebra.AggSpec, input []seq.Entry, span seq.Span) {
@@ -146,11 +146,11 @@ func checkExtremes(t *testing.T, p Plan, spec algebra.AggSpec, input []seq.Entry
 			}
 		}
 	}
-	scalar, err := Run(p, span, nil)
+	rows, err := Run(p, span, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("scalar", scalar)
+	check("row scan", rows)
 	for _, size := range []int{4, seq.DefaultBatchSize} {
 		ctx := seq.NewBatchCtx()
 		ctx.Size = size
@@ -165,8 +165,10 @@ func checkExtremes(t *testing.T, p Plan, spec algebra.AggSpec, input []seq.Entry
 		t.Fatalf("%s runs on no aggregate batch cursor", p.Label())
 	}
 	defer cur.Close()
-	if numeric := p.Info().Schema.Field(0).Type.Numeric(); numeric != (cur.num != nil) {
-		t.Fatalf("%s over a %s column: numAcc taken = %v", spec.Func, p.Info().Schema.Field(0).Type, cur.num != nil)
+	typ := p.Info().Schema.Field(0).Type
+	kind := map[seq.Type]numKind{seq.TFloat: numFloatExt, seq.TInt: numIntExt, seq.TString: numStrExt}[typ]
+	if cur.num.kind != kind {
+		t.Fatalf("%s over a %s column: accumulator kind %d, want %d", spec.Func, typ, cur.num.kind, kind)
 	}
 }
 

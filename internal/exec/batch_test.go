@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,41 +12,65 @@ import (
 	"repro/internal/storage"
 )
 
-// batchVsScalar runs the plan over span through both data planes with
-// the given batch size and requires record-for-record agreement (batch
-// execution mirrors the scalar accumulation order exactly, so even
-// floats must match bit for bit). Returns the number of batches the
-// root collector consumed.
-func batchVsScalar(t *testing.T, p Plan, span seq.Span, size int) int64 {
+// probeAnswer is the plan's answer over span by probed access (§3.3):
+// RunProbes at every position of span within the plan's own span. No
+// operator's Probe shares code with its batch cursor, so it is the
+// reference the stream access is checked against.
+func probeAnswer(t *testing.T, p Plan, span seq.Span) []seq.Entry {
 	t.Helper()
-	want, err := Run(p, span, nil)
-	if err != nil {
-		t.Fatalf("scalar run: %v", err)
+	span = span.Intersect(p.Info().Span)
+	var positions []seq.Pos
+	for pos := span.Start; !span.IsEmpty() && pos <= span.End; pos++ {
+		positions = append(positions, pos)
 	}
+	want, err := RunProbes(p, positions)
+	if err != nil {
+		t.Fatalf("probes: %v", err)
+	}
+	return want
+}
+
+// runSized runs the plan over span on batches of the given size.
+func runSized(t *testing.T, p Plan, span seq.Span, size int) []seq.Entry {
+	t.Helper()
 	ctx := seq.NewBatchCtx()
 	ctx.Size = size
 	got, err := Run(p, span, ctx)
 	if err != nil {
 		t.Fatalf("batch run (size %d): %v", size, err)
 	}
-	we, ge := want.Entries(), got.Entries()
-	if len(we) != len(ge) {
-		t.Fatalf("batch run (size %d) returned %d rows, scalar %d", size, len(ge), len(we))
+	return got.Entries()
+}
+
+// sameEntries requires record-for-record agreement, floats bit for bit
+// (NaN equal to NaN).
+func sameEntries(t *testing.T, what string, got, want []seq.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
 	}
-	for i := range we {
-		if we[i].Pos != ge[i].Pos {
-			t.Fatalf("row %d: batch pos %d, scalar pos %d", i, ge[i].Pos, we[i].Pos)
+	for i := range want {
+		if want[i].Pos != got[i].Pos {
+			t.Fatalf("%s: row %d at %d, want %d", what, i, got[i].Pos, want[i].Pos)
 		}
-		if len(we[i].Rec) != len(ge[i].Rec) {
-			t.Fatalf("row %d: arity mismatch", i)
-		}
-		for j := range we[i].Rec {
-			if !we[i].Rec[j].Equal(ge[i].Rec[j]) {
-				t.Fatalf("pos %d col %d: batch %v, scalar %v", we[i].Pos, j, ge[i].Rec[j], we[i].Rec[j])
-			}
+		if !want[i].Rec.Equal(got[i].Rec) {
+			t.Fatalf("%s: %v at %d, want %v", what, got[i].Rec, want[i].Pos, want[i].Rec)
 		}
 	}
-	return ctx.Batches
+}
+
+// batchVsProbes runs the plan over span with the given batch size, and
+// drains its row scan (Run without a context), and requires both to
+// agree with the probed answer.
+func batchVsProbes(t *testing.T, p Plan, span seq.Span, size int) {
+	t.Helper()
+	want := probeAnswer(t, p, span)
+	sameEntries(t, fmt.Sprintf("batch run (size %d)", size), runSized(t, p, span, size), want)
+	rows, err := Run(p, span, nil)
+	if err != nil {
+		t.Fatalf("row scan: %v", err)
+	}
+	sameEntries(t, "row scan", rows.Entries(), want)
 }
 
 // batchSizes stresses the tiling: single-row batches, sub-span batches,
@@ -55,7 +80,7 @@ var batchSizes = []int{1, 3, 7, 4096}
 func testAllSizes(t *testing.T, p Plan, span seq.Span) {
 	t.Helper()
 	for _, size := range batchSizes {
-		batchVsScalar(t, p, span, size)
+		batchVsProbes(t, p, span, size)
 	}
 }
 
@@ -196,9 +221,10 @@ func TestBatchProjectAliasCompiledFallback(t *testing.T) {
 }
 
 func TestBatchProjectErrorParity(t *testing.T) {
-	// Integer division by zero must fail at the same row with the same
-	// error in both data planes (the fallback walks rows in scalar
-	// order, so the first failing row matches).
+	// Integer division by zero must fail with the error a probe of the
+	// first row reports, on the batch plane and in the row scan (the
+	// fallback walks rows in position order, so the first failing row
+	// is the one reported).
 	schema := seq.MustSchema(seq.Field{Name: "n", Type: seq.TInt})
 	es := []seq.Entry{
 		{Pos: 1, Rec: seq.Record{seq.Int(10)}},
@@ -214,16 +240,15 @@ func TestBatchProjectErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serr := Run(p, seq.NewSpan(0, 5), nil)
-	if serr == nil {
-		t.Fatal("scalar run must fail on integer division by zero")
+	_, perr := p.Probe(1)
+	if perr == nil {
+		t.Fatal("probe must fail on integer division by zero")
 	}
-	_, berr := Run(p, seq.NewSpan(0, 5), seq.NewBatchCtx())
-	if berr == nil {
-		t.Fatal("batch run must fail on integer division by zero")
-	}
-	if serr.Error() != berr.Error() {
-		t.Fatalf("error mismatch:\nscalar: %v\nbatch:  %v", serr, berr)
+	for _, ctx := range []*seq.BatchCtx{seq.NewBatchCtx(), nil} {
+		_, err := Run(p, seq.NewSpan(0, 5), ctx)
+		if err == nil || err.Error() != perr.Error() {
+			t.Fatalf("run (context %v) error %v, probe error %v", ctx != nil, err, perr)
+		}
 	}
 }
 
@@ -252,13 +277,25 @@ func TestBatchAggSlidingAndCumulative(t *testing.T) {
 	nan := math.NaN()
 	inputs := []map[seq.Pos]float64{
 		{1: 1.5, 2: 2.25, 4: 4.75, 5: 5.5, 7: 7.125, 9: 9.875},
-		// Compare calls NaN equal to everything; the planes must still
-		// agree with each other (the reference does not: DESIGN.md,
-		// "O(1) sliding-window aggregates").
+		// Compare calls NaN equal to everything, and a sliding sum keeps
+		// a NaN it has subtracted, so sliding sums and extremes here
+		// differ from the probed answers (DESIGN.md, "O(1)
+		// sliding-window aggregates"); no batch size may change them.
 		{1: 1, 2: nan, 3: 2, 4: nan, 5: nan, 6: 3, 7: -1, 9: nan},
 	}
+	check := func(p Plan, span seq.Span, probed bool) {
+		t.Helper()
+		if probed {
+			testAllSizes(t, p, span)
+			return
+		}
+		want := runSized(t, p, span, seq.DefaultBatchSize)
+		for _, size := range batchSizes {
+			sameEntries(t, fmt.Sprintf("%s size %d", p.Label(), size), runSized(t, p, span, size), want)
+		}
+	}
 	funcs := []algebra.AggFunc{algebra.AggSum, algebra.AggAvg, algebra.AggMin, algebra.AggMax, algebra.AggCount}
-	for _, pairs := range inputs {
+	for k, pairs := range inputs {
 		for _, fn := range funcs {
 			in := leaf(t, pairs)
 			spec := algebra.AggSpec{Func: fn, Arg: 0, Window: algebra.Trailing(3), As: "a"}
@@ -266,7 +303,7 @@ func TestBatchAggSlidingAndCumulative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			testAllSizes(t, agg, seq.NewSpan(1, 10))
+			check(agg, seq.NewSpan(1, 10), k == 0)
 
 			in2 := leaf(t, pairs)
 			cspec := algebra.AggSpec{Func: fn, Arg: 0, Window: algebra.Window{LoUnbounded: true}, As: "a"}
@@ -274,7 +311,7 @@ func TestBatchAggSlidingAndCumulative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			testAllSizes(t, cum, seq.NewSpan(1, 10))
+			check(cum, seq.NewSpan(1, 10), k == 0)
 		}
 	}
 	// Centered window (Lo < 0 < Hi).
@@ -360,11 +397,49 @@ func TestBatchMaterializeAndRename(t *testing.T) {
 	testAllSizes(t, rn, seq.NewSpan(0, 5))
 }
 
+// TestBatchConcat splices two leaves at a boundary: the left leg's
+// batches, then the right's, must tile the scan without gap or overlap —
+// also where the left leg's data stops short of the boundary — and
+// answer as the position-routed probes do, whichever side of the
+// boundary the span lies on.
+func TestBatchConcat(t *testing.T) {
+	left := map[seq.Pos]float64{1: 1, 3: 3, 5: 5, 6: 60, 8: 80}
+	right := map[seq.Pos]float64{2: -2, 5: -5, 6: 6, 7: 7, 9: 9, 11: 11}
+	for boundary, want := range map[seq.Pos]map[seq.Pos]float64{
+		5: {1: 1, 3: 3, 5: 5, 6: 6, 7: 7, 9: 9, 11: 11},
+		9: {1: 1, 3: 3, 5: 5, 6: 60, 8: 80, 11: 11},
+	} {
+		c, err := NewConcat(leaf(t, left), leaf(t, right), boundary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMap(t, runPlan(t, c, seq.NewSpan(0, 12)), want)
+		for _, span := range []seq.Span{seq.NewSpan(0, 12), seq.NewSpan(1, 5), seq.NewSpan(6, 9), seq.NewSpan(5, 10)} {
+			testAllSizes(t, c, span)
+			for _, size := range batchSizes {
+				ctx := seq.NewBatchCtx()
+				ctx.Size = size
+				cur := BatchScanOf(c, span, ctx)
+				prev := seq.EmptySpan
+				for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
+					if !prev.IsEmpty() && b.Span.Start != prev.End+1 {
+						t.Fatalf("concat@%d over %v, size %d: batch %v follows %v", boundary, span, size, b.Span, prev)
+					}
+					prev = b.Span
+				}
+				if err := cur.Close(); err != nil || cur.Err() != nil {
+					t.Fatal(err, cur.Err())
+				}
+			}
+		}
+	}
+}
+
 // TestBatchMVCCPageVersionStraddle scans an MVCC snapshot whose pages
 // carry multiple versions (appends across epochs rewrote page tails)
 // with batches smaller than a page, so batch boundaries straddle
 // page-version boundaries. The snapshot bridges through the adapter;
-// its answers must match the scalar scan at every epoch.
+// its answers must match its probed ones at every epoch.
 func TestBatchMVCCPageVersionStraddle(t *testing.T) {
 	base := make([]seq.Entry, 0, 8)
 	for p := seq.Pos(1); p <= 8; p++ {
@@ -387,15 +462,16 @@ func TestBatchMVCCPageVersionStraddle(t *testing.T) {
 		snap := v.SnapshotAt(epoch)
 		l := NewLeaf("v", snap, seq.AllSpan)
 		for _, size := range []int{1, 2, 3, 4096} {
-			batchVsScalar(t, l, seq.NewSpan(1, 13), size)
+			batchVsProbes(t, l, seq.NewSpan(1, 13), size)
 		}
 	}
 }
 
 // TestBatchMeteredCounters checks the instrumented counters of a batch
 // run: batch tallies appear on every converted node, row counters stay
-// comparable with the scalar plane, and the storage page accounting is
-// identical between the two planes.
+// comparable with a row-by-row drain of the root (Run without a
+// context), and the storage page accounting is identical between the
+// two. Below the root, the row drain runs batched too.
 func TestBatchMeteredCounters(t *testing.T) {
 	build := func() (Plan, *storage.Stats) {
 		st, err := storage.FromMaterialized(
@@ -414,7 +490,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sroot.Finalize()
-	scalarPages := sstats.Snapshot()
+	rowPages := sstats.Snapshot()
 
 	bp, bstats := build()
 	binstr, broot := mustInstrument(t, bp)
@@ -426,15 +502,15 @@ func TestBatchMeteredCounters(t *testing.T) {
 	broot.Finalize()
 	batchPages := bstats.Snapshot()
 
-	if scalarPages != batchPages {
-		t.Errorf("page accounting differs: scalar %v, batch %v", scalarPages, batchPages)
+	if rowPages != batchPages {
+		t.Errorf("page accounting differs: row drain %v, batch %v", rowPages, batchPages)
 	}
 	sroot.Labels()
 	broot.Labels()
 	var walk func(a, b *NodeMetrics)
 	walk = func(a, b *NodeMetrics) {
 		if a.ScanRows != b.ScanRows {
-			t.Errorf("%s: scalar rows %d, batch rows %d", a.Label, a.ScanRows, b.ScanRows)
+			t.Errorf("%s: row-drain rows %d, batch rows %d", a.Label, a.ScanRows, b.ScanRows)
 		}
 		if b.Batches == 0 || b.BatchCalls == 0 {
 			t.Errorf("%s: batch run recorded no batches (calls=%d batches=%d)", b.Label, b.BatchCalls, b.Batches)
@@ -442,14 +518,14 @@ func TestBatchMeteredCounters(t *testing.T) {
 		if b.BatchRows != b.ScanRows {
 			t.Errorf("%s: batch rows %d disagree with scan rows %d", b.Label, b.BatchRows, b.ScanRows)
 		}
-		if a.Batches != 0 {
-			t.Errorf("%s: scalar run recorded %d batches", a.Label, a.Batches)
-		}
 		for i := range a.Children {
 			walk(a.Children[i], b.Children[i])
 		}
 	}
 	walk(sroot, broot)
+	if sroot.Batches != 0 {
+		t.Errorf("%s: the row drain's root recorded %d batches", sroot.Label, sroot.Batches)
+	}
 	if ctx.Batches == 0 {
 		t.Error("root collector consumed no batches")
 	}
@@ -534,9 +610,9 @@ func TestClonePlanBatchIsolation(t *testing.T) {
 	if as.StrHits == 0 || bs.StrHits == 0 {
 		t.Errorf("repeated symbols never hit: %+v / %+v", as, bs)
 	}
-	// The scalar result still matches after all that.
-	batchVsScalar(t, p, span, 4)
-	batchVsScalar(t, cp, span, 4)
+	// The probed answer still matches after all that.
+	batchVsProbes(t, p, span, 4)
+	batchVsProbes(t, cp, span, 4)
 }
 
 func TestBatchStringInterning(t *testing.T) {
@@ -561,17 +637,13 @@ func TestBatchStringInterning(t *testing.T) {
 	p := NewSelect(in, pred)
 	span := seq.NewSpan(1, 100)
 
-	want, err := Run(p, span, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := seq.NewBatchCtx()
 	got, err := Run(p, span, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Count() != want.Count() {
-		t.Fatalf("batch %d rows, scalar %d", got.Count(), want.Count())
+	if got.Count() != 90 {
+		t.Fatalf("batch %d rows, want the 90 hot ones", got.Count())
 	}
 	st := ctx.Intern.Stats()
 	if st.StrMisses != 2 {

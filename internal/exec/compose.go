@@ -80,23 +80,8 @@ func (c *ComposeOp) Info() seq.Info {
 	}
 }
 
-// join concatenates and filters; a nil result means the predicate
-// rejected the pair.
-func (c *ComposeOp) join(l, r seq.Record) (seq.Record, error) {
-	out := l.Concat(r)
-	if c.Pred != nil {
-		ok, err := expr.EvalPred(c.Pred, out)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-	}
-	return out, nil
-}
-
-// Probe implements seq.Sequence.
+// Probe implements seq.Sequence: Null unless both sides answer and the
+// predicate holds on the concatenated record.
 func (c *ComposeOp) Probe(pos seq.Pos) (seq.Record, error) {
 	l, err := c.L.Probe(pos)
 	if err != nil || l.IsNull() {
@@ -106,103 +91,17 @@ func (c *ComposeOp) Probe(pos seq.Pos) (seq.Record, error) {
 	if err != nil || r.IsNull() {
 		return nil, err
 	}
-	return c.join(l, r)
+	out := l.Concat(r)
+	if c.Pred != nil {
+		if ok, err := expr.EvalPred(c.Pred, out); err != nil || !ok {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// Scan implements seq.Sequence, dispatching on the strategy.
-func (c *ComposeOp) Scan(span seq.Span) seq.Cursor {
-	if !c.NoNarrow {
-		span = span.Intersect(c.Info().Span)
-	}
-	if span.IsEmpty() {
-		return emptyCursor{}
-	}
-	switch c.Strategy {
-	case ComposeStreamLeft:
-		return c.scanStreamProbe(span, c.L, c.R, false)
-	case ComposeStreamRight:
-		return c.scanStreamProbe(span, c.R, c.L, true)
-	default:
-		return c.scanLockStep(span)
-	}
-}
-
-// scanLockStep advances both input streams together, emitting at common
-// positions (the sort-merge-like single scan of Example 1.1).
-func (c *ComposeOp) scanLockStep(span seq.Span) seq.Cursor {
-	lc := newPull(c.L.Scan(span))
-	rc := newPull(c.R.Scan(span))
-	return &forwardCursor{
-		closes: []func() error{lc.close, rc.close},
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			for {
-				le, lok, err := lc.peek()
-				if err != nil {
-					return 0, nil, false, err
-				}
-				re, rok, err := rc.peek()
-				if err != nil {
-					return 0, nil, false, err
-				}
-				if !lok || !rok {
-					return 0, nil, false, nil
-				}
-				switch {
-				case le.Pos < re.Pos:
-					lc.take()
-				case re.Pos < le.Pos:
-					rc.take()
-				default:
-					lc.take()
-					rc.take()
-					out, err := c.join(le.Rec, re.Rec)
-					if err != nil {
-						return 0, nil, false, err
-					}
-					if !out.IsNull() {
-						return le.Pos, out, true, nil
-					}
-				}
-			}
-		},
-	}
-}
-
-// scanStreamProbe streams one side and probes the other at each non-Null
-// position (Join-Strategy-A). swapped reports that the streamed side is
-// the right input, so records are re-ordered before concatenation.
-func (c *ComposeOp) scanStreamProbe(span seq.Span, stream, probe Plan, swapped bool) seq.Cursor {
-	sc := stream.Scan(span)
-	return &forwardCursor{
-		closes: []func() error{sc.Close},
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			for {
-				pos, srec, ok := sc.Next()
-				if !ok {
-					return 0, nil, false, sc.Err()
-				}
-				prec, err := probe.Probe(pos)
-				if err != nil {
-					return 0, nil, false, err
-				}
-				if prec.IsNull() {
-					continue
-				}
-				l, r := srec, prec
-				if swapped {
-					l, r = prec, srec
-				}
-				out, err := c.join(l, r)
-				if err != nil {
-					return 0, nil, false, err
-				}
-				if !out.IsNull() {
-					return pos, out, true, nil
-				}
-			}
-		},
-	}
-}
+// Scan implements seq.Sequence.
+func (c *ComposeOp) Scan(span seq.Span) seq.Cursor { return rowScan(c, span) }
 
 // Label implements Plan.
 func (c *ComposeOp) Label() string {

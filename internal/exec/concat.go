@@ -68,42 +68,46 @@ func (c *Concat) Info() seq.Info {
 	return info
 }
 
-// Scan implements seq.Sequence: drain the left window, then the right.
-func (c *Concat) Scan(span seq.Span) seq.Cursor {
+// Scan implements seq.Sequence.
+func (c *Concat) Scan(span seq.Span) seq.Cursor { return rowScan(c, span) }
+
+// BatchScan drains the left window, then the right. The right leg's
+// first span starts where the left leg's last ended, short of Boundary
+// when the left holds nothing up to it, so the legs tile the scan.
+func (c *Concat) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	ls, rs := c.leftSpan(span), c.rightSpan(span)
-	var cur seq.Cursor
-	onRight := false
+	cur := &concatBatchCursor{BatchCursor: seq.EmptyBatchCursor(), next: rs.Start}
 	if !ls.IsEmpty() {
-		cur = c.Left.Scan(ls)
-	} else {
-		onRight = true
-		cur = c.Right.Scan(rs)
+		cur.BatchCursor, cur.next = BatchScanOf(c.Left, ls, ctx), ls.Start
 	}
-	fc := &forwardCursor{}
-	fc.next = func() (seq.Pos, seq.Record, bool, error) {
-		for {
-			pos, rec, ok := cur.Next()
-			if ok {
-				return pos, rec, true, nil
-			}
-			err := cur.Err()
-			if cerr := cur.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil || onRight || rs.IsEmpty() {
-				return 0, nil, false, err
-			}
-			onRight = true
-			cur = c.Right.Scan(rs)
+	if ls.IsEmpty() || !rs.IsEmpty() {
+		cur.right = func() seq.BatchCursor { return BatchScanOf(c.Right, rs, ctx) }
+	}
+	return cur
+}
+
+type concatBatchCursor struct {
+	seq.BatchCursor                        // the leg being drained
+	right           func() seq.BatchCursor // opens the right leg; nil once opened
+	next            seq.Pos                // right after the last span emitted
+}
+
+func (c *concatBatchCursor) NextBatch() (*seq.Batch, bool) {
+	b, ok := c.BatchCursor.NextBatch()
+	if !ok && c.right != nil && c.Err() == nil {
+		if err := c.Close(); err != nil {
+			c.BatchCursor = seq.ErrBatchCursor(err)
+			return nil, false
+		}
+		c.BatchCursor, c.right = c.right(), nil
+		if b, ok = c.BatchCursor.NextBatch(); ok {
+			b.Span.Start = c.next
 		}
 	}
-	fc.closes = []func() error{func() error {
-		if cur == nil {
-			return nil
-		}
-		return cur.Close()
-	}}
-	return fc
+	if ok {
+		c.next = b.Span.End + 1 //seqvet:ignore spanarith batch spans lie inside the bounded scan span
+	}
+	return b, ok
 }
 
 // Probe implements seq.Sequence: route by position.

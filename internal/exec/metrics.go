@@ -69,7 +69,7 @@ type NodeMetrics struct {
 	// node (each also counts in ScanCalls), Batches the batches it
 	// emitted, BatchRows the valid rows those batches carried (also in
 	// ScanRows, so rows stay comparable across modes). All zero when
-	// the node ran scalar.
+	// the node ran record by record.
 	BatchCalls int64
 	Batches    int64
 	BatchRows  int64
@@ -318,7 +318,7 @@ func Instrument(p Plan, pred func(Plan) PredictedCost) (Plan, *NodeMetrics, erro
 var clockBase = time.Now()
 
 // clock returns monotonic time as an offset from clockBase. Every run is
-// metered, and the scalar plane times each row at each node: clock reads
+// metered, and a record-at-a-time node is timed at each row: clock reads
 // the monotonic clock once, where time.Now reads the wall clock too.
 func clock() time.Duration { return time.Since(clockBase) }
 

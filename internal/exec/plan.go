@@ -5,7 +5,12 @@
 // Every physical operator implements seq.Sequence — Scan is the stream
 // access, Probe the probed access — so a plan is simply a tree of
 // sequences, and choosing an access mode for an edge means calling Scan
-// or Probe on the child. Plan nodes additionally expose a label and their
+// or Probe on the child. Each operator has one stream implementation:
+// the converted operators stream in batches (BatchScanOf), and their
+// Scan reads that batch stream row by row; the ablation operators of
+// the paper's experiments, collapse and expand stream record by record
+// and reach the batch plane through an adapter. Probe is always
+// record-at-a-time. Plan nodes additionally expose a label and their
 // children for EXPLAIN output, and any operator caches they own for
 // cache-residency accounting (the cache-finite property of Definition
 // 3.2 is checked by inspecting Peak() of every cache after a run).
@@ -82,11 +87,13 @@ func PeakCacheResidency(p Plan) int {
 // Run drains the plan over the given bounded span and materializes the
 // result. This is the Start operator of §4 (Figure 6): it "initiates
 // query evaluation by invoking a stream access on its input". ctx picks
-// the data plane: nil drains the record-at-a-time scalar cursor, the
-// semantic ground truth; otherwise the batch pipeline runs under ctx,
-// whose counters account the consumed batches. Batch producers emit
-// entries in strictly ascending position order, so that result skips
-// NewMaterialized's sort and is assembled with one verification pass.
+// how the root is drained: nil drains its row Scan (below the root the
+// plan runs on batches all the same); otherwise the batch pipeline runs
+// under ctx, whose counters account the consumed batches. Batch
+// producers emit entries in strictly ascending position order, so that
+// result skips NewMaterialized's sort and is assembled with one
+// verification pass. The semantic ground truth is the reference
+// interpreter, algebra.EvalRange.
 func Run(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
 	if ctx == nil {
 		entries, err := seq.Collect(p.Scan(span))

@@ -44,27 +44,7 @@ func (s *SelectOp) Probe(pos seq.Pos) (seq.Record, error) {
 }
 
 // Scan implements seq.Sequence.
-func (s *SelectOp) Scan(span seq.Span) seq.Cursor {
-	in := s.In.Scan(span)
-	return &forwardCursor{
-		closes: []func() error{in.Close},
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			for {
-				p, r, ok := in.Next()
-				if !ok {
-					return 0, nil, false, in.Err()
-				}
-				keep, err := expr.EvalPred(s.Pred, r)
-				if err != nil {
-					return 0, nil, false, err
-				}
-				if keep {
-					return p, r, true, nil
-				}
-			}
-		},
-	}
-}
+func (s *SelectOp) Scan(span seq.Span) seq.Cursor { return rowScan(s, span) }
 
 // Label implements Plan.
 func (s *SelectOp) Label() string { return "select(" + s.Pred.String() + ")" }
@@ -113,7 +93,12 @@ func (p *ProjectOp) Info() seq.Info {
 	return info
 }
 
-func (p *ProjectOp) apply(r seq.Record) (seq.Record, error) {
+// Probe implements seq.Sequence.
+func (p *ProjectOp) Probe(pos seq.Pos) (seq.Record, error) {
+	r, err := p.In.Probe(pos)
+	if err != nil || r.IsNull() {
+		return nil, err
+	}
 	out := make(seq.Record, len(p.Items))
 	for i, it := range p.Items {
 		v, err := it.Expr.Eval(r)
@@ -125,33 +110,8 @@ func (p *ProjectOp) apply(r seq.Record) (seq.Record, error) {
 	return out, nil
 }
 
-// Probe implements seq.Sequence.
-func (p *ProjectOp) Probe(pos seq.Pos) (seq.Record, error) {
-	r, err := p.In.Probe(pos)
-	if err != nil || r.IsNull() {
-		return nil, err
-	}
-	return p.apply(r)
-}
-
 // Scan implements seq.Sequence.
-func (p *ProjectOp) Scan(span seq.Span) seq.Cursor {
-	in := p.In.Scan(span)
-	return &forwardCursor{
-		closes: []func() error{in.Close},
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			pos, r, ok := in.Next()
-			if !ok {
-				return 0, nil, false, in.Err()
-			}
-			out, err := p.apply(r)
-			if err != nil {
-				return 0, nil, false, err
-			}
-			return pos, out, true, nil
-		},
-	}
-}
+func (p *ProjectOp) Scan(span seq.Span) seq.Cursor { return rowScan(p, span) }
 
 // Label implements Plan.
 func (p *ProjectOp) Label() string {
@@ -199,19 +159,7 @@ func (o *PosOffsetOp) Probe(pos seq.Pos) (seq.Record, error) {
 }
 
 // Scan implements seq.Sequence.
-func (o *PosOffsetOp) Scan(span seq.Span) seq.Cursor {
-	in := o.In.Scan(span.Shift(o.Offset))
-	return &forwardCursor{
-		closes: []func() error{in.Close},
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			p, r, ok := in.Next()
-			if !ok {
-				return 0, nil, false, in.Err()
-			}
-			return p - o.Offset, r, true, nil
-		},
-	}
-}
+func (o *PosOffsetOp) Scan(span seq.Span) seq.Cursor { return rowScan(o, span) }
 
 // Label implements Plan.
 func (o *PosOffsetOp) Label() string { return fmt.Sprintf("offset(%+d)", o.Offset) }

@@ -131,100 +131,7 @@ func (v *ValueOffsetIncremental) Probe(pos seq.Pos) (seq.Record, error) {
 }
 
 // Scan implements seq.Sequence.
-func (v *ValueOffsetIncremental) Scan(span seq.Span) seq.Cursor {
-	span = span.Intersect(v.OutSpan)
-	if span.IsEmpty() {
-		return emptyCursor{}
-	}
-	if !span.Bounded() {
-		return seq.ErrCursor(fmt.Errorf("exec: unbounded scan of value offset (span %v)", span))
-	}
-	v.cache.Reset()
-	inSpan := v.In.Info().Span
-	if v.Offset < 0 {
-		// Scan the input from far enough back that the ring holds the
-		// correct history at the first output position, up to the last
-		// position that can influence the span.
-		end := span.End - 1
-		if end > inSpan.End {
-			end = inSpan.End
-		}
-		start, err := v.historyStart(span.Start, inSpan)
-		if err != nil {
-			return seq.ErrCursor(err)
-		}
-		in := newPull(v.In.Scan(seq.Span{Start: start, End: end}))
-		need := int(-v.Offset)
-		p := span.Start
-		return &forwardCursor{
-			closes: []func() error{in.close},
-			next: func() (seq.Pos, seq.Record, bool, error) {
-				for p <= span.End {
-					pos := p
-					p++
-					// Absorb input records strictly before pos.
-					for {
-						e, ok, err := in.peek()
-						if err != nil {
-							return 0, nil, false, err
-						}
-						if !ok || e.Pos >= pos {
-							break
-						}
-						v.cache.Put(e.Pos, e.Rec)
-						in.take()
-					}
-					if v.cache.Len() >= need {
-						// The ring holds the last `need` records; the
-						// oldest is the answer.
-						e, _ := v.cache.Oldest()
-						return pos, e.Rec, true, nil
-					}
-				}
-				return 0, nil, false, nil
-			},
-		}
-	}
-	// Forward offsets: a lookahead ring of the next `need` records.
-	start := span.Start + 1
-	if start < inSpan.Start {
-		start = inSpan.Start
-	}
-	in := newPull(v.In.Scan(seq.Span{Start: start, End: inSpan.End}))
-	need := int(v.Offset)
-	p := span.Start
-	return &forwardCursor{
-		closes: []func() error{in.close},
-		next: func() (seq.Pos, seq.Record, bool, error) {
-			for p <= span.End {
-				pos := p
-				p++
-				v.cache.EvictBelow(pos + 1)
-				// Fill the ring with records strictly after pos.
-				for v.cache.Len() < need {
-					e, ok, err := in.peek()
-					if err != nil {
-						return 0, nil, false, err
-					}
-					if !ok {
-						break
-					}
-					in.take()
-					if e.Pos > pos {
-						v.cache.Put(e.Pos, e.Rec)
-					}
-				}
-				if v.cache.Len() >= need {
-					// The newest of the first `need` is the answer: the
-					// ring never grows beyond `need`, so it is Newest.
-					e, _ := v.cache.Newest()
-					return pos, e.Rec, true, nil
-				}
-			}
-			return 0, nil, false, nil
-		},
-	}
-}
+func (v *ValueOffsetIncremental) Scan(span seq.Span) seq.Cursor { return rowScan(v, span) }
 
 // historyStartGate is the minimum number of skipped prefix positions
 // before a backward-offset scan attempts the probing shortcut below.

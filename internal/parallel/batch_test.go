@@ -50,20 +50,22 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	span := seq.NewSpan(1, n)
 	for _, k := range []int{2, 3, 7} {
 		p := fixture(t, n)
+		want := probed(t, p, span)
 		d, err := ForceK(p, span, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, _, err := Run(p, span, d, nil, nil)
+		rows, _, _, err := Run(p, span, d, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		entriesEqual(t, rows.Entries(), want)
 		ctx := seq.NewBatchCtx()
 		got, _, _, err := Run(p, span, d, nil, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entriesEqual(t, got.Entries(), want.Entries())
+		entriesEqual(t, got.Entries(), want)
 		if ctx.Batches == 0 || ctx.Rows == 0 {
 			t.Fatalf("K=%d: no batch counters absorbed (batches=%d rows=%d)", k, ctx.Batches, ctx.Rows)
 		}
@@ -76,10 +78,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	n := int64(2048)
 	span := seq.NewSpan(1, n)
 	p := symPlan(t, n)
-	want, err := exec.Run(p, span, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := probed(t, p, span)
 	d, err := ForceK(p, span, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entriesEqual(t, got.Entries(), want.Entries())
+		entriesEqual(t, got.Entries(), want)
 		st := ctx.Intern.Stats()
 		// 3 distinct symbols per worker table, 4 workers.
 		if st.StrMisses != 12 {
@@ -110,16 +109,13 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := probed(t, p, span)
 	ctx := seq.NewBatchCtx()
 	out, root, parts, err := Run(p, span, d, nil, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entriesEqual(t, out.Entries(), want.Entries())
+	entriesEqual(t, out.Entries(), want)
 	if len(parts) != 3 {
 		t.Fatalf("got %d partition records", len(parts))
 	}
@@ -148,7 +144,7 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entriesEqual(t, out.Entries(), want.Entries())
+	entriesEqual(t, out.Entries(), want)
 	if parts != nil || root == nil || root.Batches == 0 || root.ScanCalls != 1 {
 		t.Errorf("serial run: %d partitions, root %+v", len(parts), root)
 	}

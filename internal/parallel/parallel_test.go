@@ -268,6 +268,21 @@ func TestPlanCostModel(t *testing.T) {
 	})
 }
 
+// probed is the plan's answer over span by probed access at every
+// position (§3.3), which shares no code with its stream access.
+func probed(t *testing.T, p exec.Plan, span seq.Span) []seq.Entry {
+	t.Helper()
+	positions := make([]seq.Pos, 0, span.Len())
+	for pos := span.Start; pos <= span.End; pos++ {
+		positions = append(positions, pos)
+	}
+	want, err := exec.RunProbes(p, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 func entriesEqual(t *testing.T, got, want []seq.Entry) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -292,10 +307,7 @@ func TestRunMatchesSerial(t *testing.T) {
 	n := int64(4096)
 	p := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	want, err := exec.Run(p, span, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := probed(t, p, span)
 	for _, k := range []int{2, 3, 7} {
 		d, err := ForceK(p, span, k)
 		if err != nil {
@@ -305,7 +317,7 @@ func TestRunMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entriesEqual(t, got.Entries(), want.Entries())
+		entriesEqual(t, got.Entries(), want)
 	}
 }
 
@@ -318,11 +330,8 @@ func TestRunFallsBackOnSerialDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entriesEqual(t, got.Entries(), want.Entries())
+	want := probed(t, p, span)
+	entriesEqual(t, got.Entries(), want)
 }
 
 func TestForceKValidation(t *testing.T) {
@@ -350,10 +359,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := probed(t, p, span)
 	stores := exec.PlanStores(p)
 	if len(stores) != 1 {
 		t.Fatalf("fixture has %d stores", len(stores))
@@ -365,7 +371,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := stores[0].Stats().Snapshot()
-	entriesEqual(t, out.Entries(), want.Entries())
+	entriesEqual(t, out.Entries(), want)
 
 	if len(parts) != 3 {
 		t.Fatalf("got %d partition records", len(parts))

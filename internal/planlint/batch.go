@@ -10,8 +10,9 @@ import (
 )
 
 // VerifyBatches drives the plan through the vectorized data plane and
-// re-derives the batch/* invariant family against the scalar
-// interpreter, which stays the semantic ground truth:
+// re-derives the batch/* invariant family against want, the plan's
+// answer over span from an evaluator that shares no code with the batch
+// plane (the reference interpreter, algebra.EvalRange):
 //
 //	batch/span-tiling     the emitted batch spans tile the scanned range:
 //	                      ascending and gap-free (each span starts right
@@ -21,10 +22,11 @@ import (
 //	                      ends exactly at its last row — so span
 //	                      boundaries are exact, never approximate.
 //	batch/validity        the valid rows of the batch stream agree with
-//	                      the scalar scan record for record: a position
-//	                      carries a set validity bit iff the scalar
-//	                      stream emits a non-Null record there, with
-//	                      equal values (validity-bitmap/Null agreement).
+//	                      want record for record: a position carries a
+//	                      set validity bit iff want has a non-Null
+//	                      record there, with equal values, floats within
+//	                      the differential harness's tolerance
+//	                      (validity-bitmap/Null agreement).
 //	batch/intern-isolation
 //	                      forked worker contexts own distinct intern
 //	                      tables, and cloned plans evaluated under forks
@@ -33,24 +35,13 @@ import (
 //	                      own table, so a handle leaking across handle
 //	                      spaces turns into a value mismatch here.
 //
-// Unbounded or empty spans verify trivially (the scalar interpreter
-// rejects them the same way the batch plane does).
-func VerifyBatches(p exec.Plan, span seq.Span) []Issue {
+// Unbounded or empty spans verify trivially (the batch plane rejects an
+// unbounded scan).
+func VerifyBatches(p exec.Plan, span seq.Span, want []seq.Entry) []Issue {
 	if p == nil || !span.Bounded() || span.IsEmpty() {
 		return nil
 	}
 	c := &checker{}
-	want, err := seq.Collect(p.Scan(span))
-	if err != nil {
-		// The scalar run fails; the batch run must fail too, not
-		// silently produce rows.
-		ctx := seq.NewBatchCtx()
-		if got, berr := exec.CollectBatchesIn(exec.BatchScanOf(p, span, ctx), ctx, span); berr == nil {
-			c.reportPlan("batch/validity", "§2.3", p,
-				"scalar scan fails (%v) but the batch scan returned %d rows", err, len(got))
-		}
-		return c.issues
-	}
 	got := c.checkBatchStream(p, span)
 	c.checkBatchEntries(p, got, want)
 	c.checkInternIsolation(p, span, got)
@@ -121,43 +112,31 @@ func (c *checker) checkBatchStream(p exec.Plan, span seq.Span) []seq.Entry {
 		}
 	}
 	if err := cur.Err(); err != nil {
-		c.reportPlan("batch/validity", "§2.3", p, "batch scan failed where the scalar scan succeeded: %v", err)
+		c.reportPlan("batch/validity", "§2.3", p, "batch scan failed: %v", err)
 	}
 	return out
 }
 
-// checkBatchEntries compares the decoded batch rows against the scalar
-// stream record for record.
+// checkBatchEntries compares the decoded batch rows against the
+// reference answer record for record.
 func (c *checker) checkBatchEntries(p exec.Plan, got, want []seq.Entry) {
 	if len(got) != len(want) {
 		c.reportPlan("batch/validity", "§2.3", p,
-			"batch stream carries %d valid rows, scalar stream %d", len(got), len(want))
+			"batch stream carries %d valid rows, reference %d", len(got), len(want))
 		return
 	}
 	for i := range got {
 		if got[i].Pos != want[i].Pos {
 			c.reportPlan("batch/validity", "§2.3", p,
-				"row %d: batch position %d, scalar position %d", i, got[i].Pos, want[i].Pos)
+				"row %d: batch position %d, reference position %d", i, got[i].Pos, want[i].Pos)
 			return
 		}
-		if !recordsEqual(got[i].Rec, want[i].Rec) {
+		if !recordsApproxEqual(got[i].Rec, want[i].Rec) {
 			c.reportPlan("batch/validity", "§2.3", p,
-				"position %d: batch record %v disagrees with scalar record %v", got[i].Pos, got[i].Rec, want[i].Rec)
+				"position %d: batch record %v disagrees with reference record %v", got[i].Pos, got[i].Rec, want[i].Rec)
 			return
 		}
 	}
-}
-
-func recordsEqual(a, b seq.Record) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // checkInternIsolation partitions the span in two, evaluates plan clones
@@ -206,9 +185,10 @@ func (c *checker) checkInternIsolation(p exec.Plan, span seq.Span, serial []seq.
 }
 
 // recordsApproxEqual compares records with a float tolerance: a worker
-// re-accumulates sliding-window sums from its partition start, so its
-// floats legitimately round differently from the serial stream's (the
-// same tolerance the differential harness uses for partitioned runs).
+// re-accumulates sliding-window sums from its partition start, and the
+// reference sums each window afresh, so their floats legitimately round
+// differently from the serial stream's (the same tolerance the
+// differential harness uses).
 // Everything else — including string values decoded through different
 // intern tables — must match exactly.
 func recordsApproxEqual(a, b seq.Record) bool {

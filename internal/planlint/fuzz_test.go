@@ -77,12 +77,12 @@ func TestDifferentialFuzz(t *testing.T) {
 		if issues := planlint.VerifyPhysical(res.Plan); len(issues) != 0 {
 			t.Fatalf("seed %d: post-run physical verification:\n%v", seed, planlint.Error(issues))
 		}
-		// Batch-vs-scalar differential: the vectorized data plane must
-		// reproduce the scalar interpreter's stream record for record on
-		// the same physical plan, and the batch stream itself must uphold
-		// the batch/* invariants (span tiling, validity/Null agreement,
-		// intern-table isolation).
-		if issues := planlint.VerifyBatches(res.Plan, res.RunSpan); len(issues) != 0 {
+		// Batch differential: the batch stream must uphold the batch/*
+		// invariants (span tiling, validity/Null agreement with the
+		// reference, intern-table isolation), and both ways of draining
+		// the plan — batch by batch and row by row — must reproduce the
+		// reference.
+		if issues := planlint.VerifyBatches(res.Plan, res.RunSpan, want); len(issues) != 0 {
 			t.Fatalf("seed %d: batch verification:\n%v\nquery:\n%s\nplan:\n%s",
 				seed, planlint.Error(issues), q, res.Explain())
 		}
@@ -92,13 +92,15 @@ func TestDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: batch run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
 			}
-			sgot, err := exec.Run(res.Plan, res.RunSpan, nil)
+			rgot, err := exec.Run(res.Plan, res.RunSpan, nil)
 			if err != nil {
-				t.Fatalf("seed %d: scalar run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
+				t.Fatalf("seed %d: row-drain run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
 			}
-			if !testgen.EntriesApproxEqual(bgot.Entries(), sgot.Entries()) {
-				t.Fatalf("seed %d: batch evaluation disagrees with scalar\nquery:\n%s\nplan:\n%s",
-					seed, q, res.Explain())
+			for _, m := range []*seq.Materialized{bgot, rgot} {
+				if !testgen.EntriesApproxEqual(m.Entries(), want) {
+					t.Fatalf("seed %d: batch evaluation disagrees with the reference\nquery:\n%s\nplan:\n%s",
+						seed, q, res.Explain())
+				}
 			}
 			batched += bctx.Batches
 		}
@@ -144,17 +146,17 @@ func TestDifferentialFuzz(t *testing.T) {
 		// Mid-run reoptimization differential: splice forcibly at every
 		// checkpoint (threshold 0), at an adversarial single midpoint,
 		// and with forced tail parallelism at K in {2,3,7}, each on the
-		// batch plane and on the scalar one. Verify mode re-runs the
+		// batch plane and drained row by row (BatchOff). Verify mode re-runs the
 		// planlint physical/cost/partition checks on every spliced plan
 		// and the reopt/* splice invariants on the executed segments; the
 		// output must match the static plan and the reference record for
 		// record regardless.
 		if res.RunSpan.Bounded() && !res.RunSpan.IsEmpty() {
-			scalarOpts := opts
-			scalarOpts.Batch = exec.BatchOff
-			sres, err := core.Optimize(q, span, scalarOpts)
+			rowOpts := opts
+			rowOpts.Batch = exec.BatchOff
+			sres, err := core.Optimize(q, span, rowOpts)
 			if err != nil {
-				t.Fatalf("seed %d: optimize (scalar plane): %v\nquery:\n%s", seed, err, q)
+				t.Fatalf("seed %d: optimize (row drain): %v\nquery:\n%s", seed, err, q)
 			}
 			mid := res.RunSpan.Start + res.RunSpan.Len()/2
 			reoptCfgs := []reopt.Config{
@@ -170,7 +172,7 @@ func TestDifferentialFuzz(t *testing.T) {
 			for _, r := range []*core.Result{res, sres} {
 				plane := "batch"
 				if r == sres {
-					plane = "scalar"
+					plane = "row-drain"
 				}
 				for ci, rcfg := range reoptCfgs {
 					rgot, rep, err := r.RunReoptWith(rcfg)

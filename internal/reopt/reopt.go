@@ -222,11 +222,11 @@ func StrategySignature(p exec.Plan) string {
 // splicing in the planner's replacements when triggers fire, and
 // returns the materialized output with the reoptimization report. pred
 // supplies the optimizer's per-node estimates for the initial plan; w
-// prices the observed counters in the same units. ctx picks the data
-// plane as in exec.Run; the scalar plane is drained through the
-// row-to-batch adapter, so either way the monitor reads one batch
-// stream, and a batch holds at most min(DefaultBatchSize, CheckEvery)
-// rows.
+// prices the observed counters in the same units. ctx picks how the
+// root is drained, as in exec.Run; a row-drained root is packed back
+// into batches by the row-to-batch adapter, so either way the monitor
+// reads one batch stream, and a batch holds at most
+// min(DefaultBatchSize, CheckEvery) rows.
 //
 // Checkpoints land at the end of a batch, so a splice always divides
 // the segment span into [start, p] (consumed, already emitted) and
