@@ -213,7 +213,7 @@ func TestReoptThroughRunHook(t *testing.T) {
 // TestReoptRunsBatched: turning reopt on keeps the run on the data plane
 // Options.Batch selects. Under zero Options the monitored run consumes
 // batches and still splices at a batch boundary; under BatchOff it
-// drains the scalar interpreter and its report has no batch line.
+// drains the root row by row and its report has no batch line.
 // Both match the static batch run.
 func TestReoptRunsBatched(t *testing.T) {
 	const n = 4000
