@@ -2,6 +2,8 @@ package algebra
 
 import (
 	"testing"
+
+	"repro/internal/seq"
 )
 
 // TestScopeWindowsPerOperator pins the Win component of every
@@ -128,5 +130,78 @@ func TestCompositionWindowsAcrossKinds(t *testing.T) {
 	got = QueryScopes(ex)[b]
 	if got.Relative {
 		t.Errorf("expand path scope %+v should not be relative", got)
+	}
+}
+
+// TestReadWindowPerKind checks the relative form of ReadSpan on every
+// kind: a window [lo, hi] is read as the span around position 0, plus
+// one position of slack on the right through an expand. The collapse
+// and expand rows also pin the input windows the partition halo has
+// always derived for them, [lo·k, hi·k+k-1] and [⌊lo/k⌋, ⌊hi/k⌋+1].
+func TestReadWindowPerKind(t *testing.T) {
+	b := mkBase(t, "s", 1, 2, 3)
+	must := func(n *Node, err error) *Node {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	schema := seq.MustSchema(seq.Field{Name: "v", Type: seq.TInt})
+	col := must(Collapse(b, 4, AggSpec{Func: AggSum, Arg: 0}))
+	ex := must(Expand(b, 4))
+	open := func(lo int64) Window { return Window{Lo: lo, HiUnbounded: true} }
+
+	cases := []struct {
+		name string
+		node *Node
+		w    Window
+		want Window
+	}{
+		{"base has no input", b, Range(-2, 1), Range(1, 0)},
+		{"const has no input", must(Const(schema, seq.Record{seq.Int(1)})), Range(0, 0), Range(1, 0)},
+		{"select", must(Select(b, gtConst(t, b, "close", 0))), Range(-2, 1), Range(-2, 1)},
+		{"project", must(ProjectCols(b, "close")), open(-3), open(-3)},
+		{"compose", must(Compose(b, mkBase(t, "r", 1), nil, "l", "r")), Range(-1, 0), Range(-1, 0)},
+		{"offset", must(PosOffset(b, 2)), Range(-3, 0), Range(-1, 2)},
+		{"trailing window", must(AggCol(b, AggSum, "close", Trailing(4), "")), Range(0, 0), Range(-3, 0)},
+		{"cumulative window", must(AggCol(b, AggSum, "close", Cumulative(), "")), Range(-1, 2), Window{LoUnbounded: true, Hi: 2}},
+		{"backward voffset", must(ValueOffset(b, -1)), Range(0, 3), Window{LoUnbounded: true, Hi: 2}},
+		{"forward voffset", must(ValueOffset(b, 2)), Range(-3, 0), Window{Lo: -2, HiUnbounded: true}},
+		{"collapse of the origin", col, Range(0, 0), Range(0, 3)},
+		{"collapse of a window", col, Range(-1, 2), Range(-4, 11)},
+		{"collapse floors nothing", col, Range(-3, -3), Range(-12, -9)},
+		{"expand of the origin", ex, Range(0, 0), Range(0, 1)},
+		{"expand of a window", ex, Range(-3, 4), Range(-1, 2)},
+		{"expand floors negative offsets", ex, Range(-5, -5), Range(-2, -1)},
+		{"expand, unbounded above", ex, open(-5), open(-2)},
+	}
+	kinds := make(map[Kind]bool)
+	for _, c := range cases {
+		kinds[c.node.Kind] = true
+		got := c.node.ReadWindow(0, c.w)
+		if got != c.want {
+			t.Errorf("%s: ReadWindow(%v) = %v, want %v", c.name, c.w, got, c.want)
+		}
+		// The same positions as ReadSpan around 0.
+		around := seq.AllSpan
+		if !c.w.LoUnbounded {
+			around.Start = c.w.Lo
+		}
+		if !c.w.HiUnbounded {
+			around.End = c.w.Hi
+		}
+		read := c.node.ReadSpan(0, around)
+		if c.node.Kind == KindExpand && !got.HiUnbounded {
+			got.Hi--
+		}
+		if span := got.spread(seq.NewSpan(0, 0)); span != read {
+			t.Errorf("%s: ReadWindow(%v) spans %v around 0, ReadSpan reads %v", c.name, c.w, span, read)
+		}
+	}
+	for k := KindBase; k <= KindExpand; k++ {
+		if !kinds[k] {
+			t.Errorf("no ReadWindow case for %s", k)
+		}
 	}
 }

@@ -288,10 +288,10 @@ func want(n *algebra.Node) []int { return algebra.EvalRange(n, 1) }
 }
 
 func TestOracleSuppression(t *testing.T) {
-	got := check(t, "repro/internal/matview", `package matview
+	got := check(t, "repro/internal/demo", `package demo
 import "repro/internal/algebra"
-func washout(n *algebra.Node) []int {
-	//seqvet:ignore oracle a bounded scan in a package the engine imports
+func scan(n *algebra.Node) []int {
+	//seqvet:ignore oracle a reason
 	return algebra.EvalRange(n, 1)
 }
 `)

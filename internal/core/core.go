@@ -161,9 +161,10 @@ type Result struct {
 	Params CostParams
 
 	// nodes maps every node of Plan and ProbedPlan back to the algebra
-	// node it evaluates. The reoptimization layer walks it in lockstep
-	// with the metrics tree to turn observed row counts into density
-	// overrides for replanning.
+	// node it evaluates. The partition planner composes the halo from
+	// it, and the reoptimization layer walks it in lockstep with the
+	// metrics tree to turn observed row counts into density overrides
+	// for replanning.
 	nodes map[exec.Plan]*algebra.Node
 	// opts are the options this result was optimized under, kept so
 	// mid-run replans rebuild with the same configuration.
@@ -179,6 +180,12 @@ type Result struct {
 	slots      int
 	rebindable bool
 }
+
+// Node returns the algebra node operator p of Plan or ProbedPlan
+// evaluates, or nil for an operator the planner added inside a node's
+// implementation (a join-order compose, a view scan and its residual
+// work): the lookup parallel.Analyze takes.
+func (r *Result) Node(p exec.Plan) *algebra.Node { return r.nodes[p] }
 
 // CountViewUse records this plan's materialized-view outcomes on the
 // views' counters again: a hit per adopted substitution, a miss per
@@ -361,7 +368,7 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 	if b.params.ParallelStartup > 0 {
 		pp.Startup = b.params.ParallelStartup
 	}
-	res.Parallel = parallel.Plan(cand.stream, runSpan, cand.cost.Stream, opts.Parallelism, pp)
+	res.Parallel = parallel.Plan(cand.stream, res.Node, runSpan, cand.cost.Stream, opts.Parallelism, pp)
 	if verify {
 		if err := res.Verify(); err != nil {
 			return nil, err

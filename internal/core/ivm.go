@@ -144,19 +144,33 @@ type Halo struct {
 
 // PlanHalo is the step view maintenance and subscriptions share: rebind
 // the block to lookup's snapshots, bound what a write to base over delta
-// can change (matview.AffectedSpan, the Prop. 2.1 / Def. 3.3 scope
-// walk), clip it to span and plan that sub-span in isolation: no view
-// substitution while re-evaluating a view's own block, no mid-run
-// reoptimization. An empty base is an unknown write, whose halo is the
-// whole span — a subscription's initial content.
+// can change (matview.Affected, the Prop. 2.1 / Def. 3.3 scope walk,
+// whose value-offset washouts scan their input on the engine), clip it
+// to span and plan that sub-span in isolation: no view substitution
+// while re-evaluating a view's own block, no mid-run reoptimization.
+// The washout scans are planned and run in the same isolation. An empty
+// base is an unknown write, whose halo is the whole span — a
+// subscription's initial content.
 func PlanHalo(block *algebra.Node, span seq.Span, base string, delta seq.Span, lookup func(string) (seq.Sequence, bool), opts Options) (*Halo, error) {
 	node, err := matview.Rebind(block, lookup)
 	if err != nil {
 		return nil, err
 	}
+	opts.Views = nil
+	opts.Reopt.Enabled = false
 	h := &Halo{Node: node, Affected: seq.AllSpan, Span: span}
 	if base != "" {
-		h.Affected, h.Known = matview.AffectedSpan(node, base, delta)
+		h.Affected, h.Known = matview.Affected(node, base, delta, func(in *algebra.Node, span seq.Span) ([]seq.Entry, error) {
+			res, err := Optimize(in, span, opts)
+			if err != nil {
+				return nil, err
+			}
+			out, err := res.Run()
+			if err != nil {
+				return nil, err
+			}
+			return out.Entries(), nil
+		})
 	}
 	if h.Known {
 		h.Span = h.Affected.Intersect(span)
@@ -164,8 +178,6 @@ func PlanHalo(block *algebra.Node, span seq.Span, base string, delta seq.Span, l
 	if h.Span.IsEmpty() {
 		return h, nil
 	}
-	opts.Views = nil
-	opts.Reopt.Enabled = false
 	h.Plan, err = Optimize(node, h.Span, opts)
 	return h, err
 }

@@ -289,3 +289,36 @@ func mustGet(t *testing.T, reg *matview.Registry, name string) *matview.View {
 	}
 	return v
 }
+
+// TestPlanHaloWashoutOnEngine drives matview's value-offset washout
+// cases through PlanHalo, whose washout scans plan and run the offset's
+// input on the engine, and expects the spans the reference scan finds
+// (matview's TestAffectedSpan).
+func TestPlanHaloWashoutOnEngine(t *testing.T) {
+	// Post-append data: records at 1..5, 8, and the appended 14.
+	st, _ := ivmBase(t, 1, 2, 3, 4, 5, 8, 14)
+	lookup := func(name string) (seq.Sequence, bool) { return st, name == "b" }
+	for _, tc := range []struct {
+		offset      int64
+		delta, want seq.Span
+	}{
+		{-1, seq.NewSpan(14, 14), seq.Span{Start: 15, End: seq.MaxPos}},
+		{-1, seq.NewSpan(3, 3), seq.NewSpan(4, 4)},
+		{-2, seq.NewSpan(3, 3), seq.NewSpan(4, 5)},
+		{1, seq.NewSpan(14, 14), seq.NewSpan(8, 13)},
+		{2, seq.NewSpan(14, 14), seq.NewSpan(5, 13)},
+	} {
+		block, err := algebra.ValueOffset(algebra.Base("b", st), tc.offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := PlanHalo(block, seq.NewSpan(1, 20), "b", tc.delta, lookup, Options{Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.Known || h.Affected != tc.want {
+			t.Errorf("voffset(%d) delta %v: affected %v (known %v), want %v",
+				tc.offset, tc.delta, h.Affected, h.Known, tc.want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/matview"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/testgen"
@@ -200,5 +201,37 @@ func TestParallelSpeedup(t *testing.T) {
 	t.Logf("serial %v, K=4 %v, speedup %.2fx", serial, par, speedup)
 	if speedup < 2.0 {
 		t.Errorf("K=4 speedup %.2fx below the 2x bound (serial %v, parallel %v)", speedup, serial, par)
+	}
+}
+
+// TestViewAnsweredPlanHalo: a view answering a windowed aggregate
+// replaces the operators whose windows make up the partition halo, so
+// the view-answered plan's halo is the origin — also when a projection
+// restoring the block's column names stands on the view scan and
+// evaluates the aggregate's node.
+func TestViewAnsweredPlanHalo(t *testing.T) {
+	span := seq.NewSpan(1, 4000)
+	sum := func(as string) *algebra.Node {
+		n, err := algebra.AggCol(wideBase(t, "s"), algebra.AggSum, "close", algebra.Trailing(8), as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	cold := optimize(t, sum("sum"), span, Options{Verify: true, Parallelism: 4})
+	if got := cold.Parallel.Halo; got != algebra.Range(-7, 0) {
+		t.Fatalf("recomputed trailing(8) halo = %s, want [-7, +0]", got)
+	}
+	reg := matview.New()
+	registerResult(t, reg, "sums", cold)
+	warm := optimize(t, sum("total"), span, Options{Verify: true, Parallelism: 4, Views: reg})
+	if len(warm.Substitutions) != 1 || !warm.Substitutions[0].Stream {
+		t.Fatalf("the view did not answer the stream plan:\n%s", warm.Explain())
+	}
+	if _, restored := warm.Plan.(*exec.ProjectOp); !restored {
+		t.Fatalf("no restoring projection on the view scan:\n%s", warm.Explain())
+	}
+	if got := warm.Parallel.Halo; got != algebra.Range(0, 0) {
+		t.Errorf("view-answered halo = %s, want [+0, +0]\n%s", got, warm.Explain())
 	}
 }

@@ -129,8 +129,9 @@ func (rp *replanner) Replan(remaining, consumed seq.Span, metrics *exec.NodeMetr
 	// The segment covers exactly the remaining span (the reopt/span-cover
 	// invariant); the plan's access spans restrict the scan internally.
 	var d *parallel.Decision
+	node := func(p exec.Plan) *algebra.Node { return b.nodes[p] }
 	if rp.tailK >= 2 {
-		if fd, err := parallel.ForceK(cand.stream, remaining, rp.tailK); err == nil {
+		if fd, err := parallel.ForceK(cand.stream, node, remaining, rp.tailK); err == nil {
 			d = fd
 		}
 	}
@@ -139,7 +140,7 @@ func (rp *replanner) Replan(remaining, consumed seq.Span, metrics *exec.NodeMetr
 		if b.params.ParallelStartup > 0 {
 			pp.Startup = b.params.ParallelStartup
 		}
-		d = parallel.Plan(cand.stream, remaining, cand.cost.Stream, rp.res.opts.Parallelism, pp)
+		d = parallel.Plan(cand.stream, node, remaining, cand.cost.Stream, rp.res.opts.Parallelism, pp)
 	}
 	// A rebuild that lands on the same strategies and the same (serial)
 	// parallelism is not worth a splice: the trigger reflects cost-model

@@ -20,12 +20,14 @@
 // on the open side is data-dependent: the output changes as far as the
 // |o|-th non-Null neighbour on the unchanged side of the delta, so the
 // halo's width at a density boundary is the width of the gap. The bound
-// is found by scanning the operator's
-// *input* outward from the delta edge — sound because registrable views
-// are universe-insensitive (algebra.UniverseSensitive), which guarantees
-// every value-offset input has finite support and the scan terminates at
-// the input's data hull. When the scan budget runs out the side stays
-// unbounded, which is conservative (a wider halo is never wrong).
+// is found by scanning the operator's *input* outward from the delta
+// edge with a Scan the caller supplies — the engine, planned and run by
+// core, since this package sits below the optimizer. The scan is sound
+// because registrable views are universe-insensitive
+// (algebra.UniverseSensitive), which guarantees every value-offset
+// input has finite support and the scan terminates at the input's data
+// hull. Without a scan, or when the scan budget runs out, the side
+// stays unbounded, which is conservative (a wider halo is never wrong).
 package matview
 
 import (
@@ -40,15 +42,25 @@ import (
 // may visit before giving up and reporting the side unbounded.
 const washoutBudget = 1 << 14
 
-// AffectedSpan returns the span of output positions of the block rooted
-// at n whose records may change when base's data changes over delta
-// (base coordinates). The node must be bound to the *new* data: washout
-// scans read the unchanged side of the delta, where old and new agree.
-// An unbounded side means the effect reaches arbitrarily far in that
+// Scan evaluates node n over the bounded span: the input positions a
+// value-offset washout reads.
+type Scan func(n *algebra.Node, span seq.Span) ([]seq.Entry, error)
+
+// AffectedSpan is Affected without a scan: a value offset's washout
+// side stays unbounded.
+func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool) {
+	return Affected(n, base, delta, nil)
+}
+
+// Affected returns the span of output positions of the block rooted at
+// n whose records may change when base's data changes over delta (base
+// coordinates). The node must be bound to the *new* data: washout scans
+// read the unchanged side of the delta, where old and new agree. An
+// unbounded side means the effect reaches arbitrarily far in that
 // direction; callers clip against the view span. The second result is
 // false when the analysis cannot bound the effect and the caller must
 // assume everything changed.
-func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool) {
+func Affected(n *algebra.Node, base string, delta seq.Span, scan Scan) (seq.Span, bool) {
 	switch n.Kind {
 	case algebra.KindBase:
 		if n.Name == base {
@@ -62,7 +74,7 @@ func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool)
 		// A compose's legs share its unit scope: their halos unite.
 		a := seq.EmptySpan
 		for _, in := range n.Inputs {
-			s, ok := AffectedSpan(in, base, delta)
+			s, ok := Affected(in, base, delta, scan)
 			if !ok {
 				return seq.AllSpan, false
 			}
@@ -76,10 +88,10 @@ func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool)
 		// washes out at the |o|-th non-Null beyond the delta on the
 		// other side (that record shields everything further away).
 		if n.Offset < 0 {
-			if r, ok := washout(n.Inputs[0], a.End, -n.Offset, +1); ok {
+			if r, ok := washout(scan, n.Inputs[0], a.End, -n.Offset, +1); ok {
 				out.End = r
 			}
-		} else if q, ok := washout(n.Inputs[0], a.Start, n.Offset, -1); ok {
+		} else if q, ok := washout(scan, n.Inputs[0], a.Start, n.Offset, -1); ok {
 			out.Start = q
 		}
 		return out, true
@@ -90,54 +102,39 @@ func AffectedSpan(n *algebra.Node, base string, delta seq.Span) (seq.Span, bool)
 
 // washout finds the position of the count-th non-Null record of node in,
 // scanning from edge (exclusive) in direction dir (+1 above, -1 below).
-// Returns false when edge is unbounded, fewer than count non-Nulls exist
-// on that side or the scan budget runs out — the caller leaves the side
-// unbounded.
-func washout(in *algebra.Node, edge seq.Pos, count int64, dir int64) (seq.Pos, bool) {
-	if seq.EffectivelyUnbounded(edge) {
+// Returns false when there is no scan, edge is unbounded, fewer than
+// count non-Nulls exist on that side or the scan budget runs out — the
+// caller leaves the side unbounded.
+func washout(scan Scan, in *algebra.Node, edge seq.Pos, count int64, dir int64) (seq.Pos, bool) {
+	if scan == nil || seq.EffectivelyUnbounded(edge) {
 		return 0, false
 	}
 	hull := algebra.TransformedHull(in)
 	if hull.IsEmpty() {
 		return 0, false
 	}
-	var scan seq.Span
+	var span seq.Span
 	if dir > 0 {
-		scan = seq.NewSpan(edge+1, hull.End)
+		span = seq.NewSpan(edge+1, hull.End)
 	} else {
-		scan = seq.NewSpan(hull.Start, edge-1)
+		span = seq.NewSpan(hull.Start, edge-1)
 	}
-	if scan.IsEmpty() {
+	if span.IsEmpty() || !span.Bounded() || span.Len() > washoutBudget {
 		return 0, false
 	}
-	if !scan.Bounded() || scan.Len() > washoutBudget {
-		return 0, false
-	}
-	// matview cannot import core (core imports matview), so this scan of
-	// one operator's input, bounded by washoutBudget, runs on the
-	// reference interpreter.
-	//seqvet:ignore oracle matview cannot import core; bounded washout scan
-	entries, err := algebra.EvalRange(in, scan)
+	entries, err := scan(in, span)
 	if err != nil {
 		return 0, false
 	}
-	seen := int64(0)
-	if dir > 0 {
-		for _, e := range entries {
-			seen++
-			if seen == count {
-				return e.Pos, true
-			}
-		}
-	} else {
-		for i := len(entries) - 1; i >= 0; i-- {
-			seen++
-			if seen == count {
-				return entries[i].Pos, true
-			}
-		}
+	// entries ascend: the count-th non-Null above the edge is the
+	// count-th entry, the one below it the count-th from the end.
+	if int64(len(entries)) < count {
+		return 0, false
 	}
-	return 0, false
+	if dir > 0 {
+		return entries[count-1].Pos, true
+	}
+	return entries[int64(len(entries))-count].Pos, true
 }
 
 // Rebind returns a copy of the block with every base leaf re-bound to

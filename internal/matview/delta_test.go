@@ -78,6 +78,9 @@ func expand(k int64) deltaOp {
 	}
 }
 
+// TestAffectedSpan scans the washouts with the reference interpreter;
+// core's TestPlanHaloWashoutOnEngine drives the same deltas through the
+// engine.
 func TestAffectedSpan(t *testing.T) {
 	// Post-append data: records at 1..5, 8, and the appended 14. The gap
 	// at 6..7 is the density boundary the value-offset washouts feel.
@@ -135,14 +138,33 @@ func TestAffectedSpan(t *testing.T) {
 			for _, op := range tc.ops {
 				n = op(t, n)
 			}
-			got, ok := AffectedSpan(n, "b", tc.delta)
+			got, ok := Affected(n, "b", tc.delta, algebra.EvalRange)
 			if !ok {
-				t.Fatalf("AffectedSpan not computable")
+				t.Fatalf("Affected not computable")
 			}
 			if got != tc.want {
 				t.Errorf("affected = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestAffectedSpanWithoutScan: without a scan a value offset's washout
+// side stays open, the conservative answer, while the bounded side is
+// still exact.
+func TestAffectedSpanWithoutScan(t *testing.T) {
+	for _, tc := range []struct {
+		op          deltaOp
+		delta, want seq.Span
+	}{
+		{voff(-1), seq.NewSpan(3, 3), seq.Span{Start: 4, End: seq.MaxPos}},
+		{voff(2), seq.NewSpan(14, 14), seq.Span{Start: seq.MinPos, End: 13}},
+	} {
+		n := tc.op(t, deltaBase(t, 1, 2, 3, 4, 5, 8, 14))
+		got, ok := AffectedSpan(n, "b", tc.delta)
+		if !ok || got != tc.want {
+			t.Errorf("voffset(%d): AffectedSpan = %v (known %v), want %v", n.Offset, got, ok, tc.want)
+		}
 	}
 }
 

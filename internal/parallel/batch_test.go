@@ -49,9 +49,9 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	n := int64(4096)
 	span := seq.NewSpan(1, n)
 	for _, k := range []int{2, 3, 7} {
-		p := fixture(t, n)
+		p, node := fixture(t, n)
 		want := probed(t, p, span)
-		d, err := ForceK(p, span, k)
+		d, err := ForceK(p, node, span, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	span := seq.NewSpan(1, n)
 	p := symPlan(t, n)
 	want := probed(t, p, span)
-	d, err := ForceK(p, span, 4)
+	d, err := ForceK(p, planNodes{}.node, span, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,9 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 
 func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	n := int64(4096)
-	p := fixture(t, n)
+	p, node := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	d, err := ForceK(p, span, 3)
+	d, err := ForceK(p, node, span, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/seq"
 	"repro/internal/storage"
 )
@@ -30,21 +32,46 @@ func sparseStore(t *testing.T, n, stride int64) storage.Store {
 	return st
 }
 
+// planNodes records which algebra node each test operator evaluates:
+// the lookup Analyze takes, as core.Result.Node supplies it.
+type planNodes map[exec.Plan]*algebra.Node
+
+func (m planNodes) node(p exec.Plan) *algebra.Node { return m[p] }
+
+// built is a test operator with the algebra node it evaluates.
+type built struct {
+	plan exec.Plan
+	node *algebra.Node
+}
+
+// record notes that operator p evaluates node n.
+func (m planNodes) record(p exec.Plan, n *algebra.Node) built {
+	m[p] = n
+	return built{p, n}
+}
+
+// must panics on a fixture constructor's error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // fixture is a representative stateful stream plan: trailing-window
-// aggregate over a backward value offset over a sparse base.
-func fixture(t *testing.T, n int64) exec.Plan {
+// aggregate over a backward value offset over a sparse base, with the
+// lookup of the algebra nodes its operators evaluate.
+func fixture(t *testing.T, n int64) (exec.Plan, func(exec.Plan) *algebra.Node) {
 	t.Helper()
-	lf := exec.NewLeaf("s", sparseStore(t, n, 2), seq.AllSpan)
-	vo, err := exec.NewValueOffsetIncremental(lf, -1, seq.NewSpan(1, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := sparseStore(t, n, 2)
+	base := algebra.Base("s", st)
+	lf := exec.NewLeaf("s", st, seq.AllSpan)
+	vn := must(algebra.ValueOffset(base, -1))
+	vo := must(exec.NewValueOffsetIncremental(lf, -1, seq.NewSpan(1, n)))
 	spec := algebra.AggSpec{Func: algebra.AggSum, Arg: 0, Window: algebra.Trailing(4), As: "sum"}
-	agg, err := exec.NewAggCached(vo, spec, seq.NewSpan(1, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return agg
+	agg := must(exec.NewAggCached(vo, spec, seq.NewSpan(1, n)))
+	m := planNodes{lf: base, vo: vn, agg: must(algebra.Agg(vn, spec))}
+	return agg, m.node
 }
 
 func TestSplitSpan(t *testing.T) {
@@ -102,124 +129,116 @@ func (u unknownDensity) Info() seq.Info {
 
 func TestAnalyzeVerdicts(t *testing.T) {
 	n := int64(4096)
-	lf := func() exec.Plan { return exec.NewLeaf("s", sparseStore(t, n, 2), seq.AllSpan) }
 	spec := algebra.AggSpec{Func: algebra.AggSum, Arg: 0, Window: algebra.Trailing(4), As: "sum"}
-
-	t.Run("leaf", func(t *testing.T) {
-		s := Analyze(lf())
-		if !s.Partitionable || s.Halo != algebra.Range(0, 0) {
-			t.Fatalf("leaf: %+v", s)
-		}
-	})
-	t.Run("agg-trailing", func(t *testing.T) {
-		agg, err := exec.NewAggCached(lf(), spec, seq.NewSpan(1, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := Analyze(agg)
-		if !s.Partitionable || s.Halo != algebra.Range(-3, 0) {
-			t.Fatalf("agg: %+v", s)
-		}
-	})
-	t.Run("posoffset-composes", func(t *testing.T) {
-		agg, err := exec.NewAggCached(exec.NewPosOffset(lf(), 2), spec, seq.NewSpan(1, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := Analyze(agg)
-		if !s.Partitionable || s.Halo != algebra.Range(-1, 2) {
-			t.Fatalf("posoffset under agg: %+v", s)
-		}
-	})
-	t.Run("voffset-known-density", func(t *testing.T) {
-		vo, err := exec.NewValueOffsetIncremental(lf(), -1, seq.NewSpan(1, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := Analyze(vo)
-		if !s.Partitionable || s.Halo.Lo >= 0 {
-			t.Fatalf("voffset: %+v", s)
-		}
-	})
-	t.Run("voffset-unknown-density", func(t *testing.T) {
-		in := exec.NewLeaf("u", unknownDensity{sparseStore(t, n, 2)}, seq.AllSpan)
-		vo, err := exec.NewValueOffsetIncremental(in, -1, seq.NewSpan(1, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := Analyze(vo); s.Partitionable {
-			t.Fatalf("unknown density must be serial-only: %+v", s)
-		}
-	})
-	t.Run("cumulative", func(t *testing.T) {
-		cum, err := exec.NewAggCumulative(lf(), algebra.AggSpec{
-			Func: algebra.AggSum, Arg: 0,
-			Window: algebra.Window{LoUnbounded: true, Hi: 0}, As: "sum",
-		}, seq.NewSpan(1, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := Analyze(cum); s.Partitionable {
-			t.Fatalf("cumulative must be serial-only: %+v", s)
-		}
-	})
-	t.Run("compose-lockstep", func(t *testing.T) {
-		schema := seq.MustSchema(
-			seq.Field{Name: "l", Type: seq.TFloat}, seq.Field{Name: "r", Type: seq.TFloat})
-		j, err := exec.NewCompose(lf(), exec.NewPosOffset(lf(), -1), nil, schema, exec.ComposeLockStep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := Analyze(j)
-		if !s.Partitionable || s.Halo != algebra.Range(-1, 0) {
-			t.Fatalf("lockstep compose: %+v", s)
-		}
-	})
-	t.Run("compose-probed", func(t *testing.T) {
-		schema := seq.MustSchema(
-			seq.Field{Name: "l", Type: seq.TFloat}, seq.Field{Name: "r", Type: seq.TFloat})
-		j, err := exec.NewCompose(lf(), lf(), nil, schema, exec.ComposeStreamLeft)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := Analyze(j); s.Partitionable {
-			t.Fatalf("probed compose must be serial-only: %+v", s)
-		}
-	})
-	t.Run("materialize", func(t *testing.T) {
-		m, err := exec.NewMaterialize(lf(), seq.NewSpan(1, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := Analyze(m); s.Partitionable {
-			t.Fatalf("materialize must be serial-only: %+v", s)
-		}
-	})
-	t.Run("collapse-affine", func(t *testing.T) {
-		col, err := exec.NewCollapse(lf(), 4, algebra.AggSpec{Func: algebra.AggSum, Arg: 0, As: "sum"}, seq.NewSpan(0, n/4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := Analyze(col)
-		if !s.Partitionable || s.Halo != algebra.Range(0, 3) {
-			t.Fatalf("collapse: %+v", s)
-		}
-	})
+	pair := seq.MustSchema(
+		seq.Field{Name: "l", Type: seq.TFloat}, seq.Field{Name: "r", Type: seq.TFloat})
+	// Each case builds its plan bottom-up from leaves, recording in m
+	// the algebra node every operator evaluates.
+	cases := []struct {
+		name  string
+		build func(m planNodes, leaf func() built) built
+		// halo is checked when the plan is partitionable; reason, when
+		// set, is a fragment of the serial-only verdict.
+		halo   algebra.Window
+		reason string
+	}{
+		{"leaf", func(m planNodes, leaf func() built) built { return leaf() }, algebra.Range(0, 0), ""},
+		{"agg-trailing", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			return m.record(must(exec.NewAggCached(in.plan, spec, seq.NewSpan(1, n))), must(algebra.Agg(in.node, spec)))
+		}, algebra.Range(-3, 0), ""},
+		{"posoffset-composes", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			po := m.record(exec.NewPosOffset(in.plan, 2), must(algebra.PosOffset(in.node, 2)))
+			return m.record(must(exec.NewAggCached(po.plan, spec, seq.NewSpan(1, n))), must(algebra.Agg(po.node, spec)))
+		}, algebra.Range(-1, 2), ""},
+		{"voffset-known-density", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			return m.record(must(exec.NewValueOffsetIncremental(in.plan, -1, seq.NewSpan(1, n))), must(algebra.ValueOffset(in.node, -1)))
+		}, algebra.Range(-2, 0), ""},
+		{"voffset-unknown-density", func(m planNodes, leaf func() built) built {
+			st := unknownDensity{sparseStore(t, n, 2)}
+			in := m.record(exec.NewLeaf("u", st, seq.AllSpan), algebra.Base("u", st))
+			return m.record(must(exec.NewValueOffsetIncremental(in.plan, -1, seq.NewSpan(1, n))), must(algebra.ValueOffset(in.node, -1)))
+		}, algebra.Window{}, "unknown density"},
+		{"cumulative", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			cum := algebra.AggSpec{Func: algebra.AggSum, Arg: 0, Window: algebra.Cumulative(), As: "sum"}
+			return m.record(must(exec.NewAggCumulative(in.plan, cum, seq.NewSpan(1, n))), must(algebra.Agg(in.node, cum)))
+		}, algebra.Window{}, "unbounded window"},
+		{"compose-lockstep", func(m planNodes, leaf func() built) built {
+			l, r := leaf(), leaf()
+			po := m.record(exec.NewPosOffset(r.plan, -1), must(algebra.PosOffset(r.node, -1)))
+			return m.record(must(exec.NewCompose(l.plan, po.plan, nil, pair, exec.ComposeLockStep)), must(algebra.Compose(l.node, po.node, nil, "l", "r")))
+		}, algebra.Range(-1, 0), ""},
+		{"compose-probed", func(m planNodes, leaf func() built) built {
+			l, r := leaf(), leaf()
+			return m.record(must(exec.NewCompose(l.plan, r.plan, nil, pair, exec.ComposeStreamLeft)), must(algebra.Compose(l.node, r.node, nil, "l", "r")))
+		}, algebra.Window{}, "probed-mode"},
+		{"materialize", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			return built{plan: must(exec.NewMaterialize(in.plan, seq.NewSpan(1, n)))}
+		}, algebra.Window{}, "materialization point"},
+		{"collapse-affine", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			sum := algebra.AggSpec{Func: algebra.AggSum, Arg: 0, As: "sum"}
+			return m.record(must(exec.NewCollapse(in.plan, 4, sum, seq.NewSpan(0, n/4))), must(algebra.Collapse(in.node, 4, sum)))
+		}, algebra.Range(0, 3), ""},
+		// A view answers a trailing aggregate: the view scan, its
+		// residual select and the restoring projection stand in for the
+		// aggregate, and the top one evaluates its node. No operator
+		// below it evaluates the aggregate's input, so no window applies.
+		{"view-answered", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			view := exec.NewLeaf("matview:v", sparseStore(t, n, 2), seq.NewSpan(1, n))
+			pred := must(expr.NewBin(expr.OpGt, must(expr.NewCol(floatSchema, "v")), expr.Literal(seq.Float(0))))
+			restore := must(exec.NewProject(exec.NewSelect(view, pred), []exec.ProjExpr{{Expr: must(expr.ColAt(floatSchema, 0)), Name: "sum"}}))
+			return m.record(restore, must(algebra.Agg(in.node, spec)))
+		}, algebra.Range(0, 0), ""},
+		// A view covering a prefix of the span is spliced to the
+		// recomputed tail.
+		{"partial-view-concat", func(m planNodes, leaf func() built) built {
+			in := leaf()
+			agg := m.record(must(exec.NewAggCached(in.plan, spec, seq.NewSpan(1, n))), must(algebra.Agg(in.node, spec)))
+			view := exec.NewLeaf("matview:v", sparseStore(t, n/2, 2), seq.NewSpan(1, n/2))
+			return m.record(must(exec.NewConcat(view, agg.plan, n/2)), agg.node)
+		}, algebra.Window{}, "partial view substitution"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := planNodes{}
+			leaf := func() built {
+				st := sparseStore(t, n, 2)
+				return m.record(exec.NewLeaf("s", st, seq.AllSpan), algebra.Base("s", st))
+			}
+			p := c.build(m, leaf).plan
+			s := Analyze(p, m.node)
+			if c.reason != "" {
+				if s.Partitionable || !strings.Contains(s.Reason, c.reason) {
+					t.Fatalf("want serial-only (%s), got %+v", c.reason, s)
+				}
+				return
+			}
+			if !s.Partitionable || s.Halo != c.halo {
+				t.Fatalf("want halo %s, got %+v", c.halo, s)
+			}
+		})
+	}
 }
 
 func TestPlanCostModel(t *testing.T) {
 	n := int64(32 * 1024)
-	p := fixture(t, n)
+	p, node := fixture(t, n)
 	span := seq.NewSpan(1, n)
 
 	t.Run("cheap-stays-serial", func(t *testing.T) {
-		d := Plan(p, span, 20.0, 8, DefaultParams())
+		d := Plan(p, node, span, 20.0, 8, DefaultParams())
 		if d.Parallel() || d.Reason != "cost model prefers serial" {
 			t.Fatalf("cheap query: %s", d)
 		}
 	})
 	t.Run("expensive-splits", func(t *testing.T) {
-		d := Plan(p, span, 1000.0, 4, DefaultParams())
+		d := Plan(p, node, span, 1000.0, 4, DefaultParams())
 		if d.K != 4 {
 			t.Fatalf("want K=4, got %s", d)
 		}
@@ -234,34 +253,34 @@ func TestPlanCostModel(t *testing.T) {
 		// A huge per-boundary overhead makes extra workers net-negative.
 		params := DefaultParams()
 		params.Startup = 400
-		d := Plan(p, span, 1000.0, 8, params)
+		d := Plan(p, node, span, 1000.0, 8, params)
 		if d.K > 1 {
 			t.Fatalf("want serial under extreme startup, got %s", d)
 		}
 	})
 	t.Run("short-span-stays-serial", func(t *testing.T) {
-		d := Plan(p, seq.NewSpan(1, 600), 1000.0, 8, DefaultParams())
+		d := Plan(p, node, seq.NewSpan(1, 600), 1000.0, 8, DefaultParams())
 		if d.Parallel() {
 			t.Fatalf("600-position span must not split: %s", d)
 		}
 	})
 	t.Run("disabled", func(t *testing.T) {
-		d := Plan(p, span, 1000.0, 1, DefaultParams())
+		d := Plan(p, node, span, 1000.0, 1, DefaultParams())
 		if d.Parallel() || d.Reason != "parallelism disabled (max workers 1)" {
 			t.Fatalf("disabled: %s", d)
 		}
 	})
 	t.Run("unbounded-span", func(t *testing.T) {
-		if d := Plan(p, seq.AllSpan, 1000.0, 8, DefaultParams()); d.Parallel() {
+		if d := Plan(p, node, seq.AllSpan, 1000.0, 8, DefaultParams()); d.Parallel() {
 			t.Fatalf("unbounded span: %s", d)
 		}
 	})
 	t.Run("serial-only-plan", func(t *testing.T) {
-		m, err := exec.NewMaterialize(fixture(t, n), seq.NewSpan(1, n))
+		m, err := exec.NewMaterialize(p, seq.NewSpan(1, n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := Plan(m, span, 1000.0, 8, DefaultParams())
+		d := Plan(m, node, span, 1000.0, 8, DefaultParams())
 		if d.Parallel() || d.Reason == "" {
 			t.Fatalf("serial-only plan: %s", d)
 		}
@@ -305,11 +324,11 @@ func entriesEqual(t *testing.T, got, want []seq.Entry) {
 
 func TestRunMatchesSerial(t *testing.T) {
 	n := int64(4096)
-	p := fixture(t, n)
+	p, node := fixture(t, n)
 	span := seq.NewSpan(1, n)
 	want := probed(t, p, span)
 	for _, k := range []int{2, 3, 7} {
-		d, err := ForceK(p, span, k)
+		d, err := ForceK(p, node, span, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,9 +342,9 @@ func TestRunMatchesSerial(t *testing.T) {
 
 func TestRunFallsBackOnSerialDecision(t *testing.T) {
 	n := int64(2048)
-	p := fixture(t, n)
+	p, node := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	d := Plan(p, span, 1.0, 8, DefaultParams()) // cost model says serial
+	d := Plan(p, node, span, 1.0, 8, DefaultParams()) // cost model says serial
 	got, _, _, err := Run(p, span, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -335,27 +354,27 @@ func TestRunFallsBackOnSerialDecision(t *testing.T) {
 }
 
 func TestForceKValidation(t *testing.T) {
-	p := fixture(t, 1024)
-	if _, err := ForceK(p, seq.AllSpan, 2); err == nil {
+	p, node := fixture(t, 1024)
+	if _, err := ForceK(p, node, seq.AllSpan, 2); err == nil {
 		t.Fatal("unbounded span must be rejected")
 	}
-	if _, err := ForceK(p, seq.NewSpan(1, 100), 1); err == nil {
+	if _, err := ForceK(p, node, seq.NewSpan(1, 100), 1); err == nil {
 		t.Fatal("K=1 must be rejected")
 	}
 	instr, _, err := exec.Instrument(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ForceK(instr, seq.NewSpan(1, 100), 2); err == nil {
+	if _, err := ForceK(instr, node, seq.NewSpan(1, 100), 2); err == nil {
 		t.Fatal("unclonable plan must be rejected")
 	}
 }
 
 func TestRunAnalyzePartitions(t *testing.T) {
 	n := int64(4096)
-	p := fixture(t, n)
+	p, node := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	d, err := ForceK(p, span, 3)
+	d, err := ForceK(p, node, span, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,8 @@ import (
 //	                      position lies inside its batch's span, and a
 //	                      batch that fills before the range is exhausted
 //	                      ends exactly at its last row — so span
-//	                      boundaries are exact, never approximate.
+//	                      boundaries are exact, never approximate. A
+//	                      batch cut short may span past its last row.
 //	batch/validity        the valid rows of the batch stream agree with
 //	                      want record for record: a position carries a
 //	                      set validity bit iff want has a non-Null
@@ -59,11 +60,13 @@ func (c *checker) checkBatchStream(p exec.Plan, span seq.Span) []seq.Entry {
 	var next seq.Pos
 	lastPos := seq.MinPos
 	// Exactness of a full batch's end is checked one batch in arrears:
-	// only a batch followed by another one must end at its last row (the
-	// final batch absorbs the tail of the range instead).
+	// only a batch that filled and is followed by another one must end
+	// at its last row. A batch cut short (a probe that missed, a leg
+	// ending at its boundary) and the final batch absorb the positions
+	// after their last row instead.
 	var prevSpan seq.Span
 	var prevLast seq.Pos
-	prevHadRows := false
+	prevFilled := false
 	for {
 		b, ok := cur.NextBatch()
 		if !ok {
@@ -79,9 +82,9 @@ func (c *checker) checkBatchStream(p exec.Plan, span seq.Span) []seq.Entry {
 					"batch span %s does not start at %d, right after its predecessor", b.Span, next)
 				return out
 			}
-			if prevHadRows && prevSpan.End != prevLast {
+			if prevFilled && prevSpan.End != prevLast {
 				c.reportPlan("batch/span-tiling", "§2.3", p,
-					"non-final batch span %s does not end at its last row %d", prevSpan, prevLast)
+					"filled non-final batch span %s does not end at its last row %d", prevSpan, prevLast)
 				return out
 			}
 		}
@@ -106,7 +109,7 @@ func (c *checker) checkBatchStream(p exec.Plan, span seq.Span) []seq.Entry {
 			lastPos = pos
 			out = append(out, seq.Entry{Pos: pos, Rec: b.Row(i, ctx.Intern)})
 		}
-		prevSpan, prevHadRows = b.Span, rows > 0 && b.Valid.Get(rows-1)
+		prevSpan, prevFilled = b.Span, rows >= ctx.Size
 		if rows > 0 {
 			prevLast = b.Pos[rows-1]
 		}

@@ -109,7 +109,7 @@ func TestDifferentialFuzz(t *testing.T) {
 		// cost model would never split (ForceK bypasses it). The forced
 		// decisions also go through the partition invariant verifier.
 		for _, k := range []int{2, 3, 7} {
-			dec, err := parallel.ForceK(res.Plan, res.RunSpan, k)
+			dec, err := parallel.ForceK(res.Plan, res.Node, res.RunSpan, k)
 			if err != nil {
 				break // unbounded span or unclonable plan: nothing to partition
 			}

@@ -18,11 +18,12 @@ import (
 //	                      their union is exactly the evaluation span, so
 //	                      concatenated worker outputs reproduce the
 //	                      serial stream (§2.3).
-//	partition/halo        the decision's declared halo covers the
-//	                      composed effective scope of the plan,
-//	                      re-derived here independently of the planner
-//	                      (Prop. 2.1 window composition, Def. 3.3 value
-//	                      offset broadening, §5.1 affine zoom scopes).
+//	partition/halo        the decision's declared halo is the composed
+//	                      effective scope of the plan joined with the
+//	                      origin, re-derived here independently of the
+//	                      planner (Prop. 2.1 window composition, Def.
+//	                      3.3 value offset broadening, §5.1 affine zoom
+//	                      scopes) — neither understated nor padded.
 //	partition/serial-only a cost-model (non-forced) decision never
 //	                      splits a plan whose effective scope cannot be
 //	                      usefully bounded — left-unbounded cumulative
@@ -75,10 +76,11 @@ func (c *checker) checkPartitionUnion(p exec.Plan, d *parallel.Decision) {
 }
 
 // checkPartitionScope re-derives the composed effective scope of the
-// plan with its own walk (not the planner's) and checks both scope
-// invariants against the decision: a serial-only plan must not have been
-// split by the cost model, and a declared halo must cover the composed
-// scope hull.
+// plan with its own walk over the exec operators (not the planner's
+// walk over the algebra scope map) and checks both scope invariants
+// against the decision: a serial-only plan must not have been split by
+// the cost model, and the declared halo must equal the composed scope
+// hull joined with the origin.
 func (c *checker) checkPartitionScope(p exec.Plan, d *parallel.Decision) {
 	hull, reason := partitionScope(p, algebra.Range(0, 0))
 	if reason != "" {
@@ -88,9 +90,9 @@ func (c *checker) checkPartitionScope(p exec.Plan, d *parallel.Decision) {
 		}
 		return
 	}
-	if hull.Lo < d.Halo.Lo || hull.Hi > d.Halo.Hi {
+	if want := hull.Hull(algebra.Range(0, 0)); d.Halo != want {
 		c.reportPlan("partition/halo", "Prop. 2.1 / Def. 3.3", p,
-			"declared halo %s does not cover the composed effective scope %s", d.Halo, hull)
+			"declared halo %s is not the composed effective scope %s", d.Halo, want)
 	}
 }
 
@@ -138,7 +140,7 @@ func partitionScope(p exec.Plan, acc algebra.Window) (algebra.Window, string) {
 		if reason != "" {
 			return acc, reason
 		}
-		return hullWindow(l, r), ""
+		return l.Hull(r), ""
 	case *exec.Materialize:
 		return acc, "materialization point"
 	case *exec.CollapseOp:
@@ -172,17 +174,6 @@ func scopeThroughValueOffset(in exec.Plan, offset int64, acc algebra.Window) (al
 		w = algebra.Range(0, est)
 	}
 	return partitionScope(in, sumWindows(acc, w))
-}
-
-func hullWindow(a, b algebra.Window) algebra.Window {
-	out := a
-	if b.Lo < out.Lo {
-		out.Lo = b.Lo
-	}
-	if b.Hi > out.Hi {
-		out.Hi = b.Hi
-	}
-	return out
 }
 
 // checkCacheIsolation clones the plan the way the parallel runner does

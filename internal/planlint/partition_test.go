@@ -13,8 +13,9 @@ import (
 )
 
 // aggFixture builds trailing-sum over a sparse paged store — a
-// partitionable plan with a genuine non-empty halo.
-func aggFixture(t *testing.T, n int) (exec.Plan, seq.Span) {
+// partitionable plan with a genuine non-empty halo — with the lookup of
+// the algebra nodes its operators evaluate.
+func aggFixture(t *testing.T, n int) (exec.Plan, func(exec.Plan) *algebra.Node, seq.Span) {
 	t.Helper()
 	schema := intSchema(t, "v")
 	span := seq.NewSpan(1, seq.Pos(n))
@@ -36,7 +37,13 @@ func aggFixture(t *testing.T, n int) (exec.Plan, seq.Span) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return agg, span
+	base := algebra.Base("s", st)
+	aggNode, err := algebra.Agg(base, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[exec.Plan]*algebra.Node{leaf: base, agg: aggNode}
+	return agg, func(p exec.Plan) *algebra.Node { return nodes[p] }, span
 }
 
 func wantInvariant(t *testing.T, issues []planlint.Issue, invariant, msgFrag string) {
@@ -50,15 +57,15 @@ func wantInvariant(t *testing.T, issues []planlint.Issue, invariant, msgFrag str
 }
 
 func TestVerifyPartitionsCleanDecisions(t *testing.T) {
-	p, span := aggFixture(t, 4096)
-	forced, err := parallel.ForceK(p, span, 3)
+	p, node, span := aggFixture(t, 4096)
+	forced, err := parallel.ForceK(p, node, span, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if issues := planlint.VerifyPartitions(p, forced); len(issues) != 0 {
 		t.Errorf("forced K=3 decision raised %v", issues)
 	}
-	costed := parallel.Plan(p, span, 5000, 4, parallel.DefaultParams())
+	costed := parallel.Plan(p, node, span, 5000, 4, parallel.DefaultParams())
 	if !costed.Parallel() {
 		t.Fatalf("expected a cost-model split, got %s", costed)
 	}
@@ -69,15 +76,15 @@ func TestVerifyPartitionsCleanDecisions(t *testing.T) {
 	if issues := planlint.VerifyPartitions(p, nil); issues != nil {
 		t.Errorf("nil decision raised %v", issues)
 	}
-	serial := parallel.Plan(p, span, 1, 4, parallel.DefaultParams())
+	serial := parallel.Plan(p, node, span, 1, 4, parallel.DefaultParams())
 	if issues := planlint.VerifyPartitions(p, serial); issues != nil {
 		t.Errorf("serial decision raised %v", issues)
 	}
 }
 
 func TestVerifyPartitionsUnionViolations(t *testing.T) {
-	p, span := aggFixture(t, 4096)
-	base, err := parallel.ForceK(p, span, 3)
+	p, node, span := aggFixture(t, 4096)
+	base, err := parallel.ForceK(p, node, span, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +116,8 @@ func TestVerifyPartitionsUnionViolations(t *testing.T) {
 }
 
 func TestVerifyPartitionsHaloUnderstated(t *testing.T) {
-	p, span := aggFixture(t, 4096)
-	d, err := parallel.ForceK(p, span, 3)
+	p, node, span := aggFixture(t, 4096)
+	d, err := parallel.ForceK(p, node, span, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +126,14 @@ func TestVerifyPartitionsHaloUnderstated(t *testing.T) {
 	}
 	d.Halo = algebra.Range(0, 0) // lie: trailing window needs history
 	wantInvariant(t, planlint.VerifyPartitions(p, d),
-		"partition/halo", "does not cover the composed effective scope")
+		"partition/halo", "is not the composed effective scope [-3, +0]")
+	d.Halo = algebra.Range(-4, 1) // padded: the walk derived it wrong too
+	wantInvariant(t, planlint.VerifyPartitions(p, d),
+		"partition/halo", "is not the composed effective scope [-3, +0]")
 }
 
 func TestVerifyPartitionsSerialOnlySplit(t *testing.T) {
-	p, span := aggFixture(t, 4096)
+	p, _, span := aggFixture(t, 4096)
 	mat, err := exec.NewMaterialize(p, span)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +156,7 @@ func TestVerifyPartitionsSerialOnlySplit(t *testing.T) {
 }
 
 func TestVerifyPartitionsUnclonablePlan(t *testing.T) {
-	p, span := aggFixture(t, 4096)
+	p, _, span := aggFixture(t, 4096)
 	instr, _, err := exec.Instrument(p, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // its own plan (own operator caches) over the exact remaining span.
 func segmentFixture(t *testing.T) (seq.Span, []planlint.ReoptSegment) {
 	t.Helper()
-	p1, _ := aggFixture(t, 4096)
-	p2, _ := aggFixture(t, 4096)
+	p1, _, _ := aggFixture(t, 4096)
+	p2, _, _ := aggFixture(t, 4096)
 	full := seq.NewSpan(1, 4096)
 	return full, []planlint.ReoptSegment{
 		{Span: seq.NewSpan(1, 1500), Plan: p1},
@@ -29,7 +29,7 @@ func TestVerifyReoptClean(t *testing.T) {
 		t.Errorf("clean splice raised %v", planlint.Error(issues))
 	}
 	// A run that never spliced is a single segment over the whole span.
-	p, span := aggFixture(t, 4096)
+	p, _, span := aggFixture(t, 4096)
 	one := []planlint.ReoptSegment{{Span: span, Plan: p}}
 	if issues := planlint.VerifyReopt(span, one); len(issues) != 0 {
 		t.Errorf("single segment raised %v", planlint.Error(issues))
