@@ -39,7 +39,7 @@ type Analysis struct {
 	GlobalPages storage.StatsSnapshot
 	// Params are the cost-model weights, used to convert page counters
 	// into cost units for the predicted-vs-actual comparison.
-	Params CostParams
+	Params exec.CostWeights
 	// Decision is the partition planner's choice the run executed under
 	// (nil or serial for single-worker runs).
 	Decision *parallel.Decision
@@ -151,14 +151,6 @@ func (r *Result) viewCounters() []matview.Counters {
 	return out
 }
 
-// PageCost converts a page-access snapshot into cost-model units
-// (sequential-page reads), weighting random accesses by the configured
-// random-vs-sequential gap. This is the actual-side number directly
-// comparable to a predicted stream cost's I/O component.
-func (a *Analysis) PageCost(s storage.StatsSnapshot) float64 {
-	return float64(s.SeqPages)*a.Params.SeqPage + float64(s.RandPages)*a.Params.RandPage
-}
-
 // Render returns the EXPLAIN ANALYZE report: a two-line summary followed
 // by the plan tree, one operator per line, each carrying the optimizer's
 // prediction and the node's actual counters.
@@ -176,7 +168,7 @@ func (a *Analysis) render(times bool) string {
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "predicted stream cost %.2f | actual page cost %.2f (%s)\n",
-		a.Predicted.Stream, a.PageCost(a.GlobalPages), a.GlobalPages)
+		a.Predicted.Stream, a.Params.PageCost(a.GlobalPages), a.GlobalPages)
 	// Batch-plane summary: only runs that collect the root's batches
 	// print it.
 	if a.Batches > 0 {
@@ -197,7 +189,7 @@ func (a *Analysis) render(times bool) string {
 		for i, pm := range a.Partitions {
 			fmt.Fprintf(&b, "  partition %d/%d span=%s rows=%d pages=%dseq+%drand cost=%.2f",
 				i+1, len(a.Partitions), pm.Span, pm.Rows,
-				pm.Pages.SeqPages, pm.Pages.RandPages, a.PageCost(pm.Pages))
+				pm.Pages.SeqPages, pm.Pages.RandPages, a.Params.PageCost(pm.Pages))
 			if times {
 				fmt.Fprintf(&b, " time=%s", pm.Elapsed.Round(time.Microsecond))
 			}
@@ -241,7 +233,7 @@ func (a *Analysis) render(times bool) string {
 		}
 		if n.HasPages {
 			fmt.Fprintf(&b, " pages=%dseq+%drand cost=%.2f",
-				n.Pages.SeqPages, n.Pages.RandPages, a.PageCost(n.Pages))
+				n.Pages.SeqPages, n.Pages.RandPages, a.Params.PageCost(n.Pages))
 			// Disk-backed leaves also carry buffer-pool traffic: the
 			// split between cached and real I/O behind the page touches.
 			// Memory-backed stores never set these, keeping the render

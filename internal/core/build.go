@@ -41,7 +41,7 @@ func (c *candidate) records() float64 {
 
 type builder struct {
 	opts   Options
-	params CostParams
+	params exec.CostWeights
 	ann    *meta.Annotation
 	stats  *Stats
 	// costs records the optimizer's estimate for every physical node it

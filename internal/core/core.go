@@ -20,8 +20,10 @@ import (
 // pipeline with default parameters; the Disable/Force knobs exist for
 // the ablation experiments (DESIGN.md E2–E5, E8).
 type Options struct {
-	// Params weight the cost model; nil selects DefaultCostParams.
-	Params *CostParams
+	// Params weight the cost model; nil selects exec.DefaultCostWeights.
+	// It is a full set, every weight read as given, so build one from
+	// exec.DefaultCostWeights() and change the weights that differ.
+	Params *exec.CostWeights
 	// Rules is the rewrite rule set; nil selects rewrite.DefaultRules.
 	Rules []rewrite.Rule
 	// DisableRewrites skips Step 3 entirely.
@@ -66,11 +68,6 @@ type Options struct {
 	// intervals and replans the remaining span on divergence (see
 	// internal/reopt and Result.RunReoptWith).
 	Reopt reopt.Config
-	// Calibration, when non-nil and Params is nil, supplies cost
-	// constants regressed from completed runs' EXPLAIN ANALYZE traces
-	// (reopt.Calibration). Until it has enough observations the defaults
-	// apply unchanged.
-	Calibration *reopt.Calibration
 	// Batch selects how Run and RunAnalyze drain the plan: the zero
 	// value (BatchAuto) collects the root's columnar batches, BatchOff
 	// drains the root row by row through its Scan, which for a
@@ -79,22 +76,11 @@ type Options struct {
 	Batch exec.BatchMode
 }
 
-func (o Options) params() CostParams {
+func (o Options) params() exec.CostWeights {
 	if o.Params != nil {
 		return *o.Params
 	}
-	p := DefaultCostParams()
-	if o.Calibration != nil {
-		if k, ok := o.Calibration.Constants(); ok {
-			// The regression is relative to the sequential-page unit
-			// (SeqPage stays 1); constants without a counterpart in the
-			// observed counters (Pred, ParallelStartup) keep defaults.
-			p.RandPage = k.RandPage
-			p.PerRecord = k.PerRecord
-			p.CacheAccess = k.CacheAccess
-		}
-	}
-	return p
+	return exec.DefaultCostWeights()
 }
 
 // Stats reports what the optimizer did — including the Property 4.1
@@ -158,7 +144,7 @@ type Result struct {
 	PlanCosts map[exec.Plan]Cost
 	// Params are the cost-model weights the estimates were computed with,
 	// kept so predictions can be converted back to page units.
-	Params CostParams
+	Params exec.CostWeights
 
 	// nodes maps every node of Plan and ProbedPlan back to the algebra
 	// node it evaluates. The partition planner composes the halo from
@@ -362,13 +348,8 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 		rebindable:    !b.viewsExamined && !slots.lost,
 	}
 	// Partition planning: decide K for the run span under the extended
-	// cost model. A guard keeps pre-existing literal CostParams (zero
-	// ParallelStartup) from modeling worker startup as free.
-	pp := parallel.DefaultParams()
-	if b.params.ParallelStartup > 0 {
-		pp.Startup = b.params.ParallelStartup
-	}
-	res.Parallel = parallel.Plan(cand.stream, res.Node, runSpan, cand.cost.Stream, opts.Parallelism, pp)
+	// cost model.
+	res.Parallel = parallel.Plan(cand.stream, res.Node, runSpan, cand.cost.Stream, opts.Parallelism, b.params)
 	if verify {
 		if err := res.Verify(); err != nil {
 			return nil, err

@@ -17,36 +17,6 @@ package core
 
 import "math"
 
-// CostParams weight the cost model's primitive operations. The unit is
-// "one sequential page read"; the defaults reflect the classical
-// random-vs-sequential I/O gap plus small CPU terms.
-type CostParams struct {
-	SeqPage     float64 // one page read during a sequential scan
-	RandPage    float64 // one page read during a probe
-	Pred        float64 // one predicate application (the paper's K)
-	CacheAccess float64 // one operator-cache put or get
-	PerRecord   float64 // per-record CPU (copy, compose, aggregate step)
-	// ParallelStartup is the fixed per-worker overhead of a partitioned
-	// parallel run (plan cloning, goroutine launch, result merging), the
-	// startup term of the parallelism extension. Values <= 0 select the
-	// default, so pre-existing literal CostParams keep serial behavior
-	// unchanged.
-	ParallelStartup float64
-}
-
-// DefaultCostParams returns the standard parameter set.
-func DefaultCostParams() CostParams {
-	return CostParams{
-		SeqPage:     1.0,
-		RandPage:    4.0,
-		Pred:        0.01,
-		CacheAccess: 0.002,
-		PerRecord:   0.005,
-
-		ParallelStartup: 12.0,
-	}
-}
-
 // Cost is the pair of access-mode costs the optimizer tracks for every
 // candidate (§4.1: "plan generation ... provides evaluation plans and
 // cost estimates for the output sequence of the block accessed in both

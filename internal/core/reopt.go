@@ -22,17 +22,6 @@ func (r *Result) predFn() func(exec.Plan) exec.PredictedCost {
 	}
 }
 
-// costWeights converts the result's cost params into the live-pricing
-// weights the checkpoint comparison uses.
-func (r *Result) costWeights() exec.CostWeights {
-	return exec.CostWeights{
-		SeqPage:     r.Params.SeqPage,
-		RandPage:    r.Params.RandPage,
-		CacheAccess: r.Params.CacheAccess,
-		PerRecord:   r.Params.PerRecord,
-	}
-}
-
 func (r *Result) verifyOn() bool { return r.opts.Verify || VerifyAll }
 
 // RunReoptWith runs the stream plan under mid-run adaptive
@@ -66,7 +55,7 @@ func (r *Result) runReopt(cfg reopt.Config, ctx *seq.BatchCtx) (*seq.Materialize
 		tailK:     cfg.TailK,
 		verify:    r.verifyOn(),
 	}
-	out, rep, err := reopt.Run(r.Plan, r.RunSpan, cfg, r.predFn(), r.costWeights(), rp, ctx)
+	out, rep, err := reopt.Run(r.Plan, r.RunSpan, cfg, r.predFn(), r.Params, rp, ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,11 +125,7 @@ func (rp *replanner) Replan(remaining, consumed seq.Span, metrics *exec.NodeMetr
 		}
 	}
 	if d == nil {
-		pp := parallel.DefaultParams()
-		if b.params.ParallelStartup > 0 {
-			pp.Startup = b.params.ParallelStartup
-		}
-		d = parallel.Plan(cand.stream, node, remaining, cand.cost.Stream, rp.res.opts.Parallelism, pp)
+		d = parallel.Plan(cand.stream, node, remaining, cand.cost.Stream, rp.res.opts.Parallelism, b.params)
 	}
 	// A rebuild that lands on the same strategies and the same (serial)
 	// parallelism is not worth a splice: the trigger reflects cost-model

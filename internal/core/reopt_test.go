@@ -3,12 +3,10 @@ package core
 import (
 	"flag"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
@@ -359,59 +357,5 @@ func TestAnalyzeReoptGolden(t *testing.T) {
 		if !strings.Contains(got, needle) {
 			t.Errorf("rendered analysis missing %q:\n%s", needle, got)
 		}
-	}
-}
-
-// calObservation fabricates a finalized metrics node whose exclusive
-// time follows exact per-unit costs, mirroring the synthetic fixture of
-// the reopt package's own calibration tests.
-func calObservation(rng *rand.Rand, seqNs, randNs, recNs, cacheNs float64) *exec.NodeMetrics {
-	seqPages := int64(rng.Intn(200) + 1)
-	randPages := int64(rng.Intn(50))
-	rows := int64(rng.Intn(2000))
-	cacheOps := int64(rng.Intn(20000))
-	ns := float64(seqPages)*seqNs + float64(randPages)*randNs +
-		float64(rows)*recNs + float64(cacheOps)*cacheNs
-	return &exec.NodeMetrics{
-		Label:     "synthetic",
-		Pages:     storage.StatsSnapshot{SeqPages: seqPages, RandPages: randPages},
-		HasPages:  true,
-		ScanRows:  rows,
-		ScanTime:  time.Duration(ns),
-		CachePuts: cacheOps,
-	}
-}
-
-// Options.Calibration swaps in the regressed constants once the store
-// has enough observations; an unready store and an explicit Params both
-// leave it inert.
-func TestOptionsCalibrationOverridesParams(t *testing.T) {
-	def := DefaultCostParams()
-	cal := &reopt.Calibration{}
-	if got := (Options{Calibration: cal}).params(); got != def {
-		t.Errorf("unready calibration changed params:\n got %+v\nwant %+v", got, def)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		cal.Observe(calObservation(rng, 1000, 9000, 20, 5))
-	}
-	k, ok := cal.Constants()
-	if !ok {
-		t.Fatal("constants not derivable")
-	}
-	p := (Options{Calibration: cal}).params()
-	if p.RandPage != k.RandPage || p.PerRecord != k.PerRecord || p.CacheAccess != k.CacheAccess {
-		t.Errorf("calibrated constants not applied: params %+v, constants %+v", p, k)
-	}
-	if p.RandPage == def.RandPage {
-		t.Errorf("RandPage stayed at the default %g despite 9x ground truth", def.RandPage)
-	}
-	if p.SeqPage != def.SeqPage || p.Pred != def.Pred || p.ParallelStartup != def.ParallelStartup {
-		t.Errorf("calibration touched constants it does not regress: %+v", p)
-	}
-	custom := def
-	custom.RandPage = 42
-	if got := (Options{Params: &custom, Calibration: cal}).params(); got.RandPage != 42 {
-		t.Errorf("explicit Params lost to calibration: %+v", got)
 	}
 }

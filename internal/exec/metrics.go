@@ -169,50 +169,67 @@ func (m *NodeMetrics) Merge(o *NodeMetrics) error {
 	return nil
 }
 
-// CostWeights are the cost-model weights needed to price observed
-// execution counters in the optimizer's cost units (sequential-page
-// reads). The reoptimization layer uses them to compare a node's
-// accumulated actual cost against its pro-rated prediction mid-run.
+// CostWeights weight the §4 cost model's primitive operations, in the
+// unit of one sequential page read. The planner prices candidates with
+// them (core.Options.Params), the partition planner its parallelism
+// term, and OwnCost prices observed counters in the same unit; a
+// calibration fit (reopt.Constants.Weights) is one too.
 type CostWeights struct {
-	SeqPage     float64
-	RandPage    float64
-	CacheAccess float64
-	PerRecord   float64
+	SeqPage     float64 // one page read during a sequential scan
+	RandPage    float64 // one page read during a probe
+	Pred        float64 // one predicate application (the paper's K)
+	CacheAccess float64 // one operator-cache put or get
+	PerRecord   float64 // per-record CPU (copy, compose, aggregate step)
+	// ParallelStartup is the fixed per-worker overhead of a partitioned
+	// run (plan cloning, goroutine launch, result merging), the startup
+	// term of the parallelism extension.
+	ParallelStartup float64
 }
 
-// LivePages returns the node's attributed page counters, readable at any
-// point during a run and after Finalize.
-func (m *NodeMetrics) LivePages() storage.StatsSnapshot {
+// DefaultCostWeights returns the standard constants: the classical
+// random-vs-sequential I/O gap plus small CPU terms, and a per-worker
+// startup conservative enough that small interactive spans never pay
+// cloning and merging for a few pages of work.
+func DefaultCostWeights() CostWeights {
+	return CostWeights{
+		SeqPage:     1.0,
+		RandPage:    4.0,
+		Pred:        0.01,
+		CacheAccess: 0.002,
+		PerRecord:   0.005,
+
+		ParallelStartup: 12.0,
+	}
+}
+
+// PageCost prices page accesses at the sequential and random weights:
+// the actual-side number directly comparable to a predicted stream
+// cost's I/O component.
+func (w CostWeights) PageCost(s storage.StatsSnapshot) float64 {
+	return float64(s.SeqPages)*w.SeqPage + float64(s.RandPages)*w.RandPage
+}
+
+// OwnCost prices the node's own work (not its children's) in cost
+// units: page accesses at the sequential/random weights, cache
+// operations, and records moved. It reads the deferred counters live,
+// so it is valid both mid-run (at a reoptimization checkpoint) and
+// after Finalize, and it never mutates the tree.
+func (m *NodeMetrics) OwnCost(w CostWeights) float64 {
+	pages, cacheOps := m.Pages, m.CachePuts
 	if m.shared != nil {
-		return m.pageStats.Snapshot()
+		pages = m.pageStats.Snapshot()
 	}
-	return m.Pages
+	for _, c := range m.caches {
+		cacheOps += c.Puts()
+	}
+	return w.PageCost(pages) + float64(cacheOps)*w.CacheAccess + float64(m.ScanRows+m.ProbeRows)*w.PerRecord
 }
 
-// LiveCacheOps returns the node's accumulated cache operations (puts),
-// readable mid-run without finalizing.
-func (m *NodeMetrics) LiveCacheOps() int64 {
-	if len(m.caches) > 0 {
-		var ops int64
-		for _, c := range m.caches {
-			ops += c.Puts()
-		}
-		return ops
-	}
-	return m.CachePuts
-}
-
-// ActualCost prices the subtree's accumulated work in cost units: page
-// accesses at the sequential/random weights, cache operations, and
-// records moved. It reads the deferred counters live, so it is valid
-// both mid-run (at a reoptimization checkpoint) and after Finalize, and
-// it never mutates the tree. The result is directly comparable to a
-// cumulative predicted stream cost pro-rated to the consumed span.
+// ActualCost prices the subtree's accumulated work: OwnCost summed over
+// the subtree. The result is directly comparable to a cumulative
+// predicted stream cost pro-rated to the consumed span.
 func (m *NodeMetrics) ActualCost(w CostWeights) float64 {
-	pages := m.LivePages()
-	total := float64(pages.SeqPages)*w.SeqPage + float64(pages.RandPages)*w.RandPage
-	total += float64(m.LiveCacheOps()) * w.CacheAccess
-	total += float64(m.ScanRows+m.ProbeRows) * w.PerRecord
+	total := m.OwnCost(w)
 	for _, c := range m.Children {
 		total += c.ActualCost(w)
 	}

@@ -12,8 +12,8 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/reopt"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
@@ -77,18 +77,13 @@ type DiskLayoutPoint struct {
 	LSMScanPages  int64 `json:"lsm_scan_pages"`
 }
 
-// DiskCalibration is the cold-trace calibration round: constants
-// regressed from EXPLAIN ANALYZE runs over cold disk-backed stores,
-// with the per-operator predicted-vs-actual error of the defaults and
-// the regressed set on held-out runs (same methodology as the -reopt
-// calibration, see ReoptCalibration).
+// DiskCalibration is the cold-trace calibration round: the held-out
+// record (the -reopt calibration's methodology, see HeldOut) of
+// EXPLAIN ANALYZE runs over cold disk-backed stores, next to the
+// default constants it regressed.
 type DiskCalibration struct {
-	Samples       int64              `json:"samples"`
-	Defaults      map[string]float64 `json:"default_constants"`
-	Constants     map[string]float64 `json:"constants"`
-	DefaultErr    float64            `json:"default_rel_err"`
-	CalibratedErr float64            `json:"calibrated_rel_err"`
-	Improved      bool               `json:"improved"`
+	HeldOut
+	Defaults map[string]float64 `json:"default_constants"`
 }
 
 // DiskBench is the BENCH_disk.json artifact.
@@ -603,45 +598,16 @@ func DiskCalibrationRound(quick bool) (*DiskCalibration, error) {
 		return a, nil
 	}
 
-	cal := &reopt.Calibration{}
-	for _, s := range shapes {
-		a, err := run(s, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		cal.Observe(a.Root)
+	h, err := heldOut(len(shapes), func(i int, w *exec.CostWeights) (*core.Analysis, error) {
+		return run(shapes[i], core.Options{Params: w})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("disk calibration: %w", err)
 	}
-	k, ok := cal.Constants()
-	if !ok {
-		return nil, fmt.Errorf("disk calibration underdetermined after %d samples", cal.Samples())
-	}
-
-	// Held-out round: fresh cold runs, both constant sets priced
-	// against the same traces.
-	defaults := core.DefaultCostParams()
-	var defPred, defAct, calPred, calAct []float64
-	for _, s := range shapes {
-		a, err := run(s, core.Options{Calibration: cal})
-		if err != nil {
-			return nil, err
-		}
-		nodeFit(a.Root, defaults, &defPred, &defAct)
-		nodeFit(a.Root, a.Params, &calPred, &calAct)
-	}
-
-	out := &DiskCalibration{
-		Samples:   k.Samples,
-		Constants: k.Map(),
-		Defaults: map[string]float64{
-			"rand_page":    defaults.RandPage,
-			"per_record":   defaults.PerRecord,
-			"cache_access": defaults.CacheAccess,
-		},
-		DefaultErr:    scaledRelErr(defPred, defAct),
-		CalibratedErr: scaledRelErr(calPred, calAct),
-	}
-	out.Improved = out.CalibratedErr < out.DefaultErr
-	return out, nil
+	d := exec.DefaultCostWeights()
+	return &DiskCalibration{HeldOut: h, Defaults: map[string]float64{
+		"rand_page": d.RandPage, "per_record": d.PerRecord, "cache_access": d.CacheAccess,
+	}}, nil
 }
 
 // DiskBenchmark runs the full -disk artifact.

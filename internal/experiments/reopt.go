@@ -63,21 +63,28 @@ type ReoptCalibrationPoint struct {
 	CalActualNs           int64   `json:"calibrated_actual_ns"`
 }
 
-// ReoptCalibration is the self-calibration record: constants regressed
-// from the round-1 EXPLAIN ANALYZE traces and the predicted-vs-actual
-// error of each constant set. Errors are per-operator — each metrics
-// node's counters priced by the round's constants against its measured
-// exclusive time — as the mean relative deviation after fitting the
-// best global ns-per-unit scale to each set, so the comparison
-// measures how well the *relative* constants price the work each
-// operator did, not absolute clock speed or cardinality estimation.
+// HeldOut is a held-out calibration record (heldOut): constants
+// regressed from the round-1 EXPLAIN ANALYZE traces and the
+// predicted-vs-actual error of each constant set on round 2. Errors are
+// per-operator — each metrics node's counters priced by the round's
+// constants against its measured exclusive time — as the mean relative
+// deviation after fitting the best global ns-per-unit scale to each
+// set, so the comparison measures how well the *relative* constants
+// price the work each operator did, not absolute clock speed or
+// cardinality estimation.
+type HeldOut struct {
+	Samples       int64              `json:"samples"`
+	Constants     map[string]float64 `json:"constants"`
+	DefaultErr    float64            `json:"default_rel_err"`
+	CalibratedErr float64            `json:"calibrated_rel_err"`
+	Improved      bool               `json:"improved"`
+}
+
+// ReoptCalibration is the self-calibration record over E1–E8, with each
+// experiment's root estimate and wall time in both rounds.
 type ReoptCalibration struct {
-	Samples       int64                   `json:"samples"`
-	Constants     map[string]float64      `json:"constants"`
-	DefaultErr    float64                 `json:"default_rel_err"`
-	CalibratedErr float64                 `json:"calibrated_rel_err"`
-	Improved      bool                    `json:"improved"`
-	Points        []ReoptCalibrationPoint `json:"points"`
+	HeldOut
+	Points []ReoptCalibrationPoint `json:"points"`
 }
 
 // ReoptBench is the BENCH_reopt.json artifact.
@@ -308,10 +315,9 @@ func reoptSweepOne(n int64, reps int) (*ReoptSkewPoint, error) {
 }
 
 // ReoptCalibrationRound runs every experiment's representative query
-// twice: once under the default cost constants, feeding each trace
-// into a fresh reopt.Calibration, then again with the regressed
-// constants supplied through Options.Calibration. It reports the
-// predicted-vs-actual error of both rounds.
+// through the held-out calibration loop (heldOut): once under the
+// default cost constants, then again under the regressed ones. It
+// reports the predicted-vs-actual error of both constant sets.
 func ReoptCalibrationRound(quick bool) (*ReoptCalibration, error) {
 	ids := make([]string, 0, len(setups))
 	for id := range setups {
@@ -319,13 +325,14 @@ func ReoptCalibrationRound(quick bool) (*ReoptCalibration, error) {
 	}
 	sort.Strings(ids)
 
-	cal := &reopt.Calibration{}
-	run := func(id string, opts seqproc.Options) (*seqproc.Analysis, error) {
+	out := &ReoptCalibration{Points: make([]ReoptCalibrationPoint, len(ids))}
+	h, err := heldOut(len(ids), func(i int, w *exec.CostWeights) (*core.Analysis, error) {
+		id := ids[i]
 		db, query, span, err := setups[id](quick)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}
-		db.SetOptions(opts)
+		db.SetOptions(seqproc.Options{Params: w})
 		q, err := db.Query(query)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
@@ -334,70 +341,71 @@ func ReoptCalibrationRound(quick bool) (*ReoptCalibration, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}
+		p := &out.Points[i]
+		p.Experiment = id
+		if w == nil {
+			p.DefaultPredictedUnits, p.DefaultActualNs = a.Predicted.Stream, a.Elapsed.Nanoseconds()
+		} else {
+			p.CalPredictedUnits, p.CalActualNs = a.Predicted.Stream, a.Elapsed.Nanoseconds()
+		}
 		return a, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	out := &ReoptCalibration{}
-	for _, id := range ids {
-		a, err := run(id, seqproc.Options{})
-		if err != nil {
-			return nil, err
-		}
-		cal.Observe(a.Root)
-		out.Points = append(out.Points, ReoptCalibrationPoint{
-			Experiment:            id,
-			DefaultPredictedUnits: a.Predicted.Stream,
-			DefaultActualNs:       a.Elapsed.Nanoseconds(),
-		})
-	}
-	k, ok := cal.Constants()
-	if !ok {
-		return nil, fmt.Errorf("calibration failed to derive constants from %d samples", cal.Samples())
-	}
-	out.Samples = k.Samples
-	out.Constants = k.Map()
-	// Round 2 is the held-out test set: fresh runs under the calibrated
-	// constants. Both constant sets are priced against the SAME round-2
-	// traces — the counters and exclusive times per node are identical
-	// for both, only the weights differ — so wall-time jitter cancels
-	// out of the comparison and the margin reflects the constants alone.
-	var defPred, defAct, calPred, calAct []float64
-	defaults := core.DefaultCostParams()
-	for i, id := range ids {
-		a, err := run(id, seqproc.Options{Calibration: cal})
-		if err != nil {
-			return nil, err
-		}
-		nodeFit(a.Root, defaults, &defPred, &defAct)
-		nodeFit(a.Root, a.Params, &calPred, &calAct)
-		out.Points[i].CalPredictedUnits = a.Predicted.Stream
-		out.Points[i].CalActualNs = a.Elapsed.Nanoseconds()
-	}
-
-	out.DefaultErr = scaledRelErr(defPred, defAct)
-	out.CalibratedErr = scaledRelErr(calPred, calAct)
-	out.Improved = out.CalibratedErr < out.DefaultErr
+	out.HeldOut = h
 	return out, nil
 }
 
+// heldOut is the held-out calibration methodology of the reopt and disk
+// rounds. run(i, w) runs case i of n under the weights w (nil selects
+// the defaults). Round 1 runs every case under the defaults and feeds
+// each trace into a fresh reopt.Calibration; round 2, the held-out set,
+// runs every case again under the fitted weights. Both constant sets
+// are priced against the SAME round-2 traces — the counters and
+// exclusive times per node are identical for both, only the weights
+// differ — so wall-time jitter cancels out of the comparison and the
+// margin reflects the constants alone.
+func heldOut(n int, run func(i int, w *exec.CostWeights) (*core.Analysis, error)) (HeldOut, error) {
+	var cal reopt.Calibration
+	for i := 0; i < n; i++ {
+		a, err := run(i, nil)
+		if err != nil {
+			return HeldOut{}, err
+		}
+		cal.Observe(a.Root)
+	}
+	k, ok := cal.Constants()
+	if !ok {
+		return HeldOut{}, fmt.Errorf("calibration underdetermined after %d samples", cal.Samples())
+	}
+	fitted, defaults := k.Weights(), exec.DefaultCostWeights()
+	var defPred, defAct, calPred, calAct []float64
+	for i := 0; i < n; i++ {
+		a, err := run(i, &fitted)
+		if err != nil {
+			return HeldOut{}, err
+		}
+		nodeFit(a.Root, defaults, &defPred, &defAct)
+		nodeFit(a.Root, fitted, &calPred, &calAct)
+	}
+	h := HeldOut{Samples: k.Samples, Constants: k.Map(),
+		DefaultErr: scaledRelErr(defPred, defAct), CalibratedErr: scaledRelErr(calPred, calAct)}
+	h.Improved = h.CalibratedErr < h.DefaultErr
+	return h, nil
+}
+
 // nodeFit prices each metrics node's exclusive counters with the
-// round's cost constants and appends (predicted units, actual
-// exclusive ns) pairs — the per-operator predicted-vs-actual data the
-// calibration error compares.
-func nodeFit(root *exec.NodeMetrics, p core.CostParams, pred, act *[]float64) {
+// round's weights and appends (predicted units, actual exclusive ns)
+// pairs — the per-operator predicted-vs-actual data the calibration
+// error compares.
+func nodeFit(root *exec.NodeMetrics, w exec.CostWeights, pred, act *[]float64) {
 	root.Walk(func(n *exec.NodeMetrics, _ int) {
-		seqP := float64(n.Pages.SeqPages)
-		randP := float64(n.Pages.RandPages)
-		rows := float64(n.ScanRows + n.ProbeRows)
-		cacheOps := float64(n.CachePuts)
-		if seqP == 0 && randP == 0 && rows == 0 && cacheOps == 0 {
-			return
-		}
+		units := n.OwnCost(w)
 		ns := float64(n.ExclusiveTime().Nanoseconds())
-		if ns <= 0 {
+		if units == 0 || ns <= 0 {
 			return
 		}
-		units := p.SeqPage*seqP + p.RandPage*randP + p.PerRecord*rows + p.CacheAccess*cacheOps
 		*pred = append(*pred, units)
 		*act = append(*act, ns)
 	})

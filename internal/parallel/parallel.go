@@ -46,23 +46,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Params weight the parallelism term of the cost model, in the same
-// sequential-page units as the rest of §4.1.
-type Params struct {
-	// Startup is the fixed per-worker overhead: goroutine launch, plan
-	// cloning, result merging.
-	Startup float64
-	// MinSpanPerWorker floors the partition length; spans shorter than
-	// 2× this never split.
-	MinSpanPerWorker int64
-}
-
-// DefaultParams returns the standard parallelism weights. Startup is
-// deliberately conservative: small interactive spans should never pay
-// cloning and merging overhead for a few pages of work.
-func DefaultParams() Params {
-	return Params{Startup: 12.0, MinSpanPerWorker: 512}
-}
+// minSpanPerWorker floors the partition length; spans shorter than 2×
+// this never split.
+const minSpanPerWorker = 512
 
 // Scope is the partitionability verdict for a plan: whether contiguous
 // span partitions are worth considering, the composed effective-scope
@@ -168,9 +154,8 @@ func (s *Scope) valueOffset(in exec.Plan, offset int64, acc algebra.Window) alge
 		win = algebra.Range(0, est)
 	}
 	// The history walk probes ~|l|/density positions per boundary; a
-	// probe costs roughly a random page (4 sequential-page units, the
-	// classical gap the cost model uses).
-	s.HaloCost += float64(need) / density * 4.0
+	// probe costs roughly a random page at the default weight.
+	s.HaloCost += float64(need) / density * exec.DefaultCostWeights().RandPage
 	return acc.Add(win)
 }
 
@@ -256,9 +241,10 @@ func (d *Decision) String() string {
 //
 //	cost(K) = serial/K + K·startup + (K-1)·halo
 //
-// over K in [1, maxWorkers]. maxWorkers <= 0 selects GOMAXPROCS. The
-// returned decision always explains a serial outcome.
-func Plan(p exec.Plan, node func(exec.Plan) *algebra.Node, span seq.Span, serialCost float64, maxWorkers int, params Params) *Decision {
+// over K in [1, maxWorkers], with the startup term w.ParallelStartup.
+// maxWorkers <= 0 selects GOMAXPROCS. The returned decision always
+// explains a serial outcome.
+func Plan(p exec.Plan, node func(exec.Plan) *algebra.Node, span seq.Span, serialCost float64, maxWorkers int, w exec.CostWeights) *Decision {
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -277,18 +263,15 @@ func Plan(p exec.Plan, node func(exec.Plan) *algebra.Node, span seq.Span, serial
 		d.Reason = "parallelism disabled (max workers 1)"
 		return d
 	}
-	if params.MinSpanPerWorker <= 0 {
-		params.MinSpanPerWorker = DefaultParams().MinSpanPerWorker
-	}
 	halo := sc.HaloCost
 	d.HaloCost = halo
 	kMax := maxWorkers
-	if byLen := span.Len() / params.MinSpanPerWorker; byLen < int64(kMax) {
+	if byLen := span.Len() / minSpanPerWorker; byLen < int64(kMax) {
 		kMax = int(byLen)
 	}
 	bestK, bestCost := 1, serialCost
 	for k := 2; k <= kMax; k++ {
-		c := serialCost/float64(k) + float64(k)*params.Startup + float64(k-1)*halo
+		c := serialCost/float64(k) + float64(k)*w.ParallelStartup + float64(k-1)*halo
 		if c < bestCost {
 			bestK, bestCost = k, c
 		}

@@ -232,13 +232,13 @@ func TestPlanCostModel(t *testing.T) {
 	span := seq.NewSpan(1, n)
 
 	t.Run("cheap-stays-serial", func(t *testing.T) {
-		d := Plan(p, node, span, 20.0, 8, DefaultParams())
+		d := Plan(p, node, span, 20.0, 8, exec.DefaultCostWeights())
 		if d.Parallel() || d.Reason != "cost model prefers serial" {
 			t.Fatalf("cheap query: %s", d)
 		}
 	})
 	t.Run("expensive-splits", func(t *testing.T) {
-		d := Plan(p, node, span, 1000.0, 4, DefaultParams())
+		d := Plan(p, node, span, 1000.0, 4, exec.DefaultCostWeights())
 		if d.K != 4 {
 			t.Fatalf("want K=4, got %s", d)
 		}
@@ -251,27 +251,27 @@ func TestPlanCostModel(t *testing.T) {
 	})
 	t.Run("halo-overhead-caps-k", func(t *testing.T) {
 		// A huge per-boundary overhead makes extra workers net-negative.
-		params := DefaultParams()
-		params.Startup = 400
-		d := Plan(p, node, span, 1000.0, 8, params)
+		w := exec.DefaultCostWeights()
+		w.ParallelStartup = 400
+		d := Plan(p, node, span, 1000.0, 8, w)
 		if d.K > 1 {
 			t.Fatalf("want serial under extreme startup, got %s", d)
 		}
 	})
 	t.Run("short-span-stays-serial", func(t *testing.T) {
-		d := Plan(p, node, seq.NewSpan(1, 600), 1000.0, 8, DefaultParams())
+		d := Plan(p, node, seq.NewSpan(1, 600), 1000.0, 8, exec.DefaultCostWeights())
 		if d.Parallel() {
 			t.Fatalf("600-position span must not split: %s", d)
 		}
 	})
 	t.Run("disabled", func(t *testing.T) {
-		d := Plan(p, node, span, 1000.0, 1, DefaultParams())
+		d := Plan(p, node, span, 1000.0, 1, exec.DefaultCostWeights())
 		if d.Parallel() || d.Reason != "parallelism disabled (max workers 1)" {
 			t.Fatalf("disabled: %s", d)
 		}
 	})
 	t.Run("unbounded-span", func(t *testing.T) {
-		if d := Plan(p, node, seq.AllSpan, 1000.0, 8, DefaultParams()); d.Parallel() {
+		if d := Plan(p, node, seq.AllSpan, 1000.0, 8, exec.DefaultCostWeights()); d.Parallel() {
 			t.Fatalf("unbounded span: %s", d)
 		}
 	})
@@ -280,7 +280,7 @@ func TestPlanCostModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := Plan(m, node, span, 1000.0, 8, DefaultParams())
+		d := Plan(m, node, span, 1000.0, 8, exec.DefaultCostWeights())
 		if d.Parallel() || d.Reason == "" {
 			t.Fatalf("serial-only plan: %s", d)
 		}
@@ -344,7 +344,7 @@ func TestRunFallsBackOnSerialDecision(t *testing.T) {
 	n := int64(2048)
 	p, node := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	d := Plan(p, node, span, 1.0, 8, DefaultParams()) // cost model says serial
+	d := Plan(p, node, span, 1.0, 8, exec.DefaultCostWeights()) // cost model says serial
 	got, _, _, err := Run(p, span, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -10,22 +10,6 @@ import (
 	"repro/internal/storage"
 )
 
-// CloneWorkers deep-copies the plan once per partition. Every copy has
-// private operator caches and materialization state; the invariant
-// verifier checks the copies share no mutable cache with each other or
-// with the original.
-func CloneWorkers(p exec.Plan, k int) ([]exec.Plan, error) {
-	clones := make([]exec.Plan, k)
-	for i := range clones {
-		c, err := exec.ClonePlan(p)
-		if err != nil {
-			return nil, err
-		}
-		clones[i] = c
-	}
-	return clones, nil
-}
-
 // PartitionMetrics is the execution record of one partition worker of
 // a partitioned run.
 type PartitionMetrics struct {

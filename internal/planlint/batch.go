@@ -142,17 +142,14 @@ func (c *checker) checkBatchEntries(p exec.Plan, got, want []seq.Entry) {
 	}
 }
 
-// checkInternIsolation partitions the span in two, evaluates plan clones
-// under forked batch contexts, and checks table identity plus the
+// checkInternIsolation partitions the span in two, evaluates a copy of
+// the plan per partition (exec.Instrument, as the parallel runner copies
+// it) under forked batch contexts, and checks table identity plus the
 // concatenated decoded output against the serial batch rows.
 func (c *checker) checkInternIsolation(p exec.Plan, span seq.Span, serial []seq.Entry) {
 	parts := parallel.SplitSpan(span, 2)
 	if len(parts) < 2 {
 		return // single-position span: nothing to partition
-	}
-	clones, err := parallel.CloneWorkers(p, len(parts))
-	if err != nil {
-		return // unclonable plans are outside the parallel batch path
 	}
 	root := seq.NewBatchCtx()
 	var merged []seq.Entry
@@ -165,7 +162,11 @@ func (c *checker) checkInternIsolation(p exec.Plan, span seq.Span, serial []seq.
 			return
 		}
 		seen[fork.Intern] = true
-		entries, err := exec.CollectBatchesIn(exec.BatchScanOf(clones[i], part, fork), fork, part)
+		worker, _, err := exec.Instrument(p, nil)
+		if err != nil {
+			return // unclonable plans are outside the parallel batch path
+		}
+		entries, err := exec.CollectBatchesIn(exec.BatchScanOf(worker, part, fork), fork, part)
 		if err != nil {
 			c.reportPlan("batch/intern-isolation", "Thm. 3.1", p,
 				"partition %d batch scan failed under a forked context: %v", i, err)

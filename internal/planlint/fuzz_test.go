@@ -10,6 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/matview"
 	"repro/internal/parallel"
 	"repro/internal/planlint"
@@ -38,6 +39,7 @@ func TestDifferentialFuzz(t *testing.T) {
 		{DisableSlidingAggregates: true},
 	}
 	verified, partitioned, substituted := 0, 0, 0
+	permSubs, permParts := 0, 0
 	respliced, reoptTails := 0, 0
 	var batched, batchParts int64
 	for seed := int64(1); verified < *fuzzPlans; seed++ {
@@ -201,43 +203,35 @@ func TestDifferentialFuzz(t *testing.T) {
 		// sub-block of the rewritten tree as a view, re-optimize with the
 		// registry (verify mode re-checks the matview/* invariants), and
 		// the answer must match the no-view evaluation record for record.
+		// A windowed block is registered a second time, stored under a
+		// column permutation, so its plan scans the view under a restoring
+		// projection: the partition halo of that plan must not charge the
+		// block's window on the edge to the view scan, whose rows are
+		// computed already, so it goes through the partition verifier.
 		if node, nspan, ok := randomSubBlock(rng, res); ok {
-			entries, evalErr := algebra.EvalRange(node, nspan)
-			if evalErr == nil {
-				kept := entries[:0]
-				for _, e := range entries {
-					if !e.Rec.IsNull() {
-						kept = append(kept, e)
-					}
-				}
-				data, err := seq.NewMaterialized(node.Schema, kept)
-				if err != nil {
-					t.Fatalf("seed %d: materialize sub-block: %v\n%s", seed, err, node)
-				}
-				reg := matview.New()
-				if _, err := reg.RegisterAt(fmt.Sprintf("fuzz-%d", seed), node, data, nspan, 1); err != nil {
-					t.Fatalf("seed %d: register sub-block view: %v\n%s", seed, err, node)
-				}
-				opts.Views = reg
-				vres, err := core.Optimize(q, span, opts)
-				if err != nil {
-					t.Fatalf("seed %d: optimize with view (verify mode): %v\nquery:\n%s", seed, err, q)
-				}
-				vgot, err := vres.Run()
-				if err != nil {
-					t.Fatalf("seed %d: view-backed run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, vres.Explain())
-				}
-				if !testgen.EntriesApproxEqual(vgot.Entries(), want) {
-					t.Fatalf("seed %d: view-backed evaluation disagrees with the no-view reference\nquery:\n%s\nview block:\n%s\nplan:\n%s",
-						seed, q, node, vres.Explain())
-				}
+			if vres := viewDifferential(t, seed, q, span, opts, node, node, nspan, want); vres != nil {
 				substituted += len(vres.Substitutions)
+			}
+			var vres *core.Result
+			if node.NonUnitScope() { // only a windowed block has a window to misplace
+				vres = viewDifferential(t, seed, q, span, opts, node, permuted(t, node), nspan, want)
+			}
+			if vres != nil && len(vres.Substitutions) > 0 {
+				permSubs += len(vres.Substitutions)
+				if dec, err := parallel.ForceK(vres.Plan, vres.Node, vres.RunSpan, 2); err == nil {
+					if issues := planlint.VerifyPartitions(vres.Plan, dec); len(issues) != 0 {
+						t.Fatalf("seed %d: view-backed K=2 partition verification:\n%v\nplan:\n%s",
+							seed, planlint.Error(issues), vres.Explain())
+					}
+					permParts++
+				}
 			}
 		}
 		verified++
 	}
 	t.Logf("verified %d random plans differentially (%d partitioned cross-checks, %d view substitutions, %d reopt splices, %d reopt parallel tails, %d batches consumed, %d partitioned-batch batches)",
 		verified, partitioned, substituted, respliced, reoptTails, batched, batchParts)
+	t.Logf("permuted views: %d substitutions, %d partitioned view-backed plans", permSubs, permParts)
 	if partitioned == 0 {
 		t.Fatalf("no plan ever took the partitioned evaluation path; the parallel differential harness is dead")
 	}
@@ -250,12 +244,78 @@ func TestDifferentialFuzz(t *testing.T) {
 	if substituted == 0 {
 		t.Fatalf("no plan ever substituted a pre-materialized view; the matview differential harness is dead")
 	}
+	if permParts == 0 {
+		t.Fatalf("no permuted view ever answered a partitionable plan; the view-halo harness is dead")
+	}
 	if respliced == 0 {
 		t.Fatalf("no run ever spliced a replanned segment; the reopt differential harness is dead")
 	}
 	if reoptTails == 0 {
 		t.Fatalf("no replanned tail ever ran span-partitioned; the reopt TailK harness is dead")
 	}
+}
+
+// viewDifferential registers the rows of view over nspan as a view,
+// optimizes q with it in verify mode, and fails unless the view-backed
+// run reproduces want. It returns nil when the reference interpreter
+// cannot evaluate the view.
+func viewDifferential(t *testing.T, seed int64, q *algebra.Node, span seq.Span, opts core.Options,
+	block, view *algebra.Node, nspan seq.Span, want []seq.Entry) *core.Result {
+	t.Helper()
+	entries, err := algebra.EvalRange(view, nspan)
+	if err != nil {
+		return nil
+	}
+	kept := entries[:0]
+	for _, e := range entries {
+		if !e.Rec.IsNull() {
+			kept = append(kept, e)
+		}
+	}
+	data, err := seq.NewMaterialized(view.Schema, kept)
+	if err != nil {
+		t.Fatalf("seed %d: materialize sub-block: %v\n%s", seed, err, view)
+	}
+	reg := matview.New()
+	if _, err := reg.RegisterAt(fmt.Sprintf("fuzz-%d", seed), view, data, nspan, 1); err != nil {
+		t.Fatalf("seed %d: register sub-block view: %v\n%s", seed, err, view)
+	}
+	opts.Views = reg
+	vres, err := core.Optimize(q, span, opts)
+	if err != nil {
+		t.Fatalf("seed %d: optimize with view (verify mode): %v\nquery:\n%s", seed, err, q)
+	}
+	vgot, err := vres.Run()
+	if err != nil {
+		t.Fatalf("seed %d: view-backed run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, vres.Explain())
+	}
+	if !testgen.EntriesApproxEqual(vgot.Entries(), want) {
+		t.Fatalf("seed %d: view-backed evaluation disagrees with the no-view reference\nquery:\n%s\nview block:\n%s\nview:\n%s\nplan:\n%s",
+			seed, q, block, view, vres.Explain())
+	}
+	return vres
+}
+
+// permuted wraps n in a projection rotating its columns by one and
+// renaming each, so a view stored as its rows matches n only through a
+// column permutation (and a restoring projection in the plan).
+func permuted(t *testing.T, n *algebra.Node) *algebra.Node {
+	t.Helper()
+	k := n.Schema.NumFields()
+	items := make([]algebra.ProjItem, k)
+	for i := range items {
+		j := (i + 1) % k
+		c, err := expr.ColAt(n.Schema, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = algebra.ProjItem{Expr: c, Name: "perm." + n.Schema.Field(j).Name}
+	}
+	p, err := algebra.Project(n, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // randomSubBlock picks a random non-leaf node of the rewritten tree

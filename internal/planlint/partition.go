@@ -176,15 +176,19 @@ func scopeThroughValueOffset(in exec.Plan, offset int64, acc algebra.Window) (al
 	return partitionScope(in, sumWindows(acc, w))
 }
 
-// checkCacheIsolation clones the plan the way the parallel runner does
-// and verifies no mutable operator cache is reachable from two different
-// plans (clone/clone or clone/original).
+// checkCacheIsolation copies the plan for two workers the way the
+// parallel runner does (exec.Instrument) and verifies no mutable
+// operator cache is reachable from two different plans (copy/copy or
+// copy/original).
 func (c *checker) checkCacheIsolation(p exec.Plan, d *parallel.Decision) {
-	clones, err := parallel.CloneWorkers(p, 2)
-	if err != nil {
-		c.reportPlan("partition/cache-isolation", "Thm. 3.1", p,
-			"plan in a K=%d decision is not clonable: %v", d.K, err)
-		return
+	clones := make([]exec.Plan, 2)
+	for i := range clones {
+		var err error
+		if clones[i], _, err = exec.Instrument(p, nil); err != nil {
+			c.reportPlan("partition/cache-isolation", "Thm. 3.1", p,
+				"plan in a K=%d decision is not clonable: %v", d.K, err)
+			return
+		}
 	}
 	seen := make(map[*cache.FIFO]string)
 	record := func(root exec.Plan, who string) {

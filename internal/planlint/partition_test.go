@@ -65,7 +65,7 @@ func TestVerifyPartitionsCleanDecisions(t *testing.T) {
 	if issues := planlint.VerifyPartitions(p, forced); len(issues) != 0 {
 		t.Errorf("forced K=3 decision raised %v", issues)
 	}
-	costed := parallel.Plan(p, node, span, 5000, 4, parallel.DefaultParams())
+	costed := parallel.Plan(p, node, span, 5000, 4, exec.DefaultCostWeights())
 	if !costed.Parallel() {
 		t.Fatalf("expected a cost-model split, got %s", costed)
 	}
@@ -76,7 +76,7 @@ func TestVerifyPartitionsCleanDecisions(t *testing.T) {
 	if issues := planlint.VerifyPartitions(p, nil); issues != nil {
 		t.Errorf("nil decision raised %v", issues)
 	}
-	serial := parallel.Plan(p, node, span, 1, 4, parallel.DefaultParams())
+	serial := parallel.Plan(p, node, span, 1, 4, exec.DefaultCostWeights())
 	if issues := planlint.VerifyPartitions(p, serial); issues != nil {
 		t.Errorf("serial decision raised %v", issues)
 	}

@@ -12,6 +12,10 @@ import (
 // EXPLAIN ANALYZE layer attributes.
 const nFeatures = 4
 
+// features are the regression's unit weights: a node priced with
+// features[i] (exec.NodeMetrics.OwnCost) is its i-th counter.
+var features = [nFeatures]exec.CostWeights{{SeqPage: 1}, {RandPage: 1}, {PerRecord: 1}, {CacheAccess: 1}}
+
 // minSamples is the observation count below which Constants refuses to
 // derive anything (the normal equations are too ill-conditioned to
 // trust).
@@ -22,22 +26,15 @@ const minSamples = 8
 // on well-conditioned fits for stability under collinear counters.
 const ridgeLambda = 1e-2
 
-// priorConstants are the §4 default cost constants — SeqPage 1,
-// RandPage 4, PerRecord 0.005, CacheAccess 0.002 — used as the ridge
-// prior: directions of the feature space the traces do not identify
-// (collinear or unobserved counters) shrink toward the defaults scaled
-// to the data, not toward zero, so a thin or degenerate sample leaves
-// the cost model where it started instead of blowing it up.
-var priorConstants = [nFeatures]float64{1, 4.0, 0.005, 0.002}
-
 // Calibration regresses the cost-model constants from completed runs'
 // EXPLAIN ANALYZE traces: each finalized metrics node contributes one
 // observation "exclusive wall time ≈ a·seqPages + b·randPages +
 // c·records + d·cacheOps", accumulated as normal equations so the store
 // is O(1) in space no matter how many runs feed it. The derived
 // constants are relative to the sequential-page unit (SeqPage stays 1,
-// the paper's §4 convention), so they slot directly into CostParams;
-// NsPerUnit converts predicted cost units back to nanoseconds.
+// the paper's §4 convention), and Constants.Weights turns them into the
+// planner's exec.CostWeights; NsPerUnit converts predicted cost units
+// back to nanoseconds.
 //
 // All methods are safe for concurrent use: runs observe and queries
 // derive under one mutex.
@@ -65,6 +62,15 @@ type Constants struct {
 	Samples int64
 }
 
+// Weights returns the §4 default weights with the fitted constants in
+// place: SeqPage stays the unit, and the weights without a counterpart
+// in the observed counters (Pred, ParallelStartup) keep their defaults.
+func (k Constants) Weights() exec.CostWeights {
+	w := exec.DefaultCostWeights()
+	w.RandPage, w.PerRecord, w.CacheAccess = k.RandPage, k.PerRecord, k.CacheAccess
+	return w
+}
+
 // Map returns the constants keyed by name, the form the planlint
 // reopt/calibration-finite invariant checks.
 func (k Constants) Map() map[string]float64 {
@@ -86,13 +92,11 @@ func (c *Calibration) Observe(root *exec.NodeMetrics) {
 	}
 	var rows []row
 	root.Walk(func(n *exec.NodeMetrics, _ int) {
-		x := [nFeatures]float64{
-			float64(n.Pages.SeqPages),
-			float64(n.Pages.RandPages),
-			float64(n.ScanRows + n.ProbeRows),
-			float64(n.CachePuts),
+		var x [nFeatures]float64
+		for i, w := range features {
+			x[i] = n.OwnCost(w)
 		}
-		if x[0] == 0 && x[1] == 0 && x[2] == 0 && x[3] == 0 {
+		if x == ([nFeatures]float64{}) {
 			return
 		}
 		rows = append(rows, row{x: x, y: float64(n.ExclusiveTime().Nanoseconds())})
@@ -143,14 +147,21 @@ func (c *Calibration) Constants() (Constants, bool) {
 	if maxDiag <= 0 {
 		return Constants{}, false
 	}
-	// Anchor the prior to the data's clock: the best global ns-per-unit
-	// scale s for the default constants (a one-dimensional least-squares
-	// fit computable from the accumulated normal equations alone).
+	// The ridge prior is the §4 defaults: directions of the feature space
+	// the traces do not identify (collinear or unobserved counters) shrink
+	// toward the defaults scaled to the data, not toward zero, so a thin
+	// or degenerate sample leaves the cost model where it started instead
+	// of blowing it up. Anchor it to the data's clock: the best global
+	// ns-per-unit scale s for the defaults (a one-dimensional
+	// least-squares fit computable from the accumulated normal equations
+	// alone).
+	d := exec.DefaultCostWeights()
+	prior := [nFeatures]float64{d.SeqPage, d.RandPage, d.PerRecord, d.CacheAccess}
 	var xmY, xmXm float64
 	for i := 0; i < nFeatures; i++ {
-		xmY += priorConstants[i] * xty[i]
+		xmY += prior[i] * xty[i]
 		for j := 0; j < nFeatures; j++ {
-			xmXm += priorConstants[i] * xtx[i][j] * priorConstants[j]
+			xmXm += prior[i] * xtx[i][j] * prior[j]
 		}
 	}
 	if xmXm <= 0 {
@@ -173,7 +184,7 @@ func (c *Calibration) Constants() (Constants, bool) {
 			lam = ridgeLambda * maxDiag
 		}
 		a[i][i] += lam
-		b[i] += lam * s * priorConstants[i]
+		b[i] += lam * s * prior[i]
 	}
 	beta, ok := solve(a, b)
 	if !ok {
@@ -191,7 +202,7 @@ func (c *Calibration) Constants() (Constants, bool) {
 	floor := 1e-9 * maxBeta
 	for i := range beta {
 		if !(beta[i] > floor) { // also catches NaN
-			beta[i] = s * priorConstants[i]
+			beta[i] = s * prior[i]
 		}
 	}
 	k := Constants{

@@ -77,6 +77,38 @@ func TestCalibrationTooFewSamples(t *testing.T) {
 	}
 }
 
+// TestConstantsWeights: an unready calibration derives no constants, so
+// its users keep the §4 defaults; a fit becomes weights that differ
+// from the defaults only in RandPage, PerRecord and CacheAccess.
+func TestConstantsWeights(t *testing.T) {
+	def := exec.DefaultCostWeights()
+	c := &Calibration{}
+	rng := rand.New(rand.NewSource(3))
+	for c.Samples() < minSamples-1 {
+		c.Observe(syntheticMetrics(rng, 1000, 9000, 20, 5))
+	}
+	if k, ok := c.Constants(); ok {
+		t.Fatalf("unready calibration (%d samples) derived %+v", c.Samples(), k)
+	}
+	for i := 0; i < 200; i++ {
+		c.Observe(syntheticMetrics(rng, 1000, 9000, 20, 5))
+	}
+	k, ok := c.Constants()
+	if !ok {
+		t.Fatal("constants not derivable")
+	}
+	w := k.Weights()
+	if w.RandPage != k.RandPage || w.PerRecord != k.PerRecord || w.CacheAccess != k.CacheAccess {
+		t.Errorf("fitted constants not applied: weights %+v, constants %+v", w, k)
+	}
+	if w.RandPage == def.RandPage {
+		t.Errorf("RandPage stayed at the default %g despite 9x ground truth", def.RandPage)
+	}
+	if w.SeqPage != def.SeqPage || w.Pred != def.Pred || w.ParallelStartup != def.ParallelStartup {
+		t.Errorf("the fit touched weights it does not regress: %+v", w)
+	}
+}
+
 // TestCalibrationConcurrent hammers one Calibration from concurrent
 // runs — observers folding traces while readers derive constants. Run
 // under -race in CI.

@@ -55,8 +55,8 @@ type planEntry struct {
 
 // planCache is the server's bounded cache of optimized SEQL reads.
 // Planning is a pure function of the text, the span, the planner
-// options, the snapshots and views valid at the epoch, and the shared
-// calibration; the key covers the shape of the text, the span and the
+// options, the snapshots and views valid at the epoch, and the server's
+// calibration fit; the key covers the shape of the text, the span and the
 // options, an entry's slot values the rest of the text, and its (epoch,
 // gen) the rest. A read whose slot values differ from the entry's is
 // served the entry's plan with its own literals substituted (a rebound

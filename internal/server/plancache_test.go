@@ -70,7 +70,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 	cached := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
 	fresh := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
 	fresh.plans = newPlanCache(0, 0)
-	fresh.cfg.Options.Calibration = cached.cfg.Options.Calibration
+	fresh.calib = cached.calib
 	cs, fs := cached.NewSession("cached"), fresh.NewSession("fresh")
 
 	both := func(step string, f func(srv *Server, sess *Session) error) {

@@ -49,6 +49,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/matview"
 	"repro/internal/meta"
@@ -78,8 +79,9 @@ type Config struct {
 	// explicitly via GCOnce).
 	GCInterval time.Duration
 	// Options seeds each new session's planner options and plans the
-	// writes' halos. Views and Calibration are overwritten per request
-	// with the server's shared state. Verify runs the full planlint rule
+	// writes' halos. Views is overwritten per request with the server's
+	// registry, and a nil Params plans with the server's calibration
+	// (Session.Analyze). Verify runs the full planlint rule
 	// verifier on every optimization, and no session can turn it off;
 	// the snapshot/* family is checked on every read regardless.
 	Options core.Options
@@ -143,7 +145,6 @@ func (ss *serverSeq) at(epoch int64) (storage.Store, bool) {
 //seqvet:lockorder server.Server.wmu < storage.Versioned.mu
 //seqvet:lockorder server.Server.wmu < matview.Registry.mu
 //seqvet:lockorder server.Server.wmu < disk.DB.wmu
-//seqvet:lockorder server.Server.wmu < reopt.Calibration.mu
 //seqvet:lockorder server.Server.mu < storage.Versioned.mu
 //seqvet:lockorder leaf server.Server.connMu
 //seqvet:lockorder leaf server.Server.listenMu
@@ -176,6 +177,9 @@ type Server struct {
 
 	sem chan struct{} // worker pool; len(sem) = executing requests
 
+	// calib is the cost-model calibration every Analyze feeds.
+	calib *calibration
+
 	// plans caches SEQL reads' plans, shared by sessions with equal
 	// planner options. planGen is the plan generation: every
 	// change that can alter a plan without advancing the epoch (sequence
@@ -201,6 +205,35 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
+// calibration regresses the cost constants from every Analyze
+// (reopt.Calibration) and publishes each fit's weights, which reads and
+// writes load without the regression's lock. Concurrent Analyzes may
+// publish out of order; the next one publishes the fit over all
+// observations again.
+type calibration struct {
+	reopt.Calibration
+	fit atomic.Pointer[exec.CostWeights] // nil until the regression is ready
+}
+
+// observe folds an analyzed run into the regression and publishes the
+// fit.
+func (c *calibration) observe(root *exec.NodeMetrics) {
+	c.Observe(root)
+	if k, ok := c.Constants(); ok {
+		w := k.Weights()
+		c.fit.Store(&w)
+	}
+}
+
+// calibrated returns opts planning with the calibration's latest fit
+// when they name no weights of their own.
+func (s *Server) calibrated(opts core.Options) core.Options {
+	if opts.Params == nil {
+		opts.Params = s.calib.fit.Load()
+	}
+	return opts
+}
+
 // New creates an empty server.
 func New(cfg Config) *Server {
 	if cfg.Name == "" {
@@ -212,7 +245,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = wire.DefaultMaxFrame
 	}
-	cfg.Options.Calibration = &reopt.Calibration{} // shared; writes plan with cfg.Options
 	return &Server{
 		cfg:    cfg,
 		name:   cfg.Name,
@@ -221,6 +253,7 @@ func New(cfg Config) *Server {
 		views:  matview.New(),
 		subs:   make(map[uint64]*subscription),
 		sem:    make(chan struct{}, cfg.Workers),
+		calib:  &calibration{},
 		plans:  newPlanCache(planProbation, planProtected),
 		stopGC: make(chan struct{}),
 	}
@@ -313,11 +346,11 @@ func (s *Server) write(base string, delta seq.Span, apply func(v versionedSeq, e
 	if err := apply(ss.v, epoch); err != nil {
 		return 0, &Error{Code: wire.CodeAppend, Err: err}
 	}
-	lookup := s.sequenceAt(epoch)
+	lookup, opts := s.sequenceAt(epoch), s.calibrated(s.cfg.Options)
 	if s.noIVM.Load() {
 		s.views.InvalidateBaseFrom(base, epoch)
 	} else {
-		reports, _ := core.MaintainViews(s.views, base, delta, epoch, lookup, s.cfg.Options)
+		reports, _ := core.MaintainViews(s.views, base, delta, epoch, lookup, opts)
 		s.maintReports = append(s.maintReports, reports...)
 		if over := len(s.maintReports) - maxMaintReports; over > 0 {
 			s.maintReports = s.maintReports[over:]
@@ -327,7 +360,7 @@ func (s *Server) write(base string, delta seq.Span, apply func(v versionedSeq, e
 		if !matview.ReadsBase(sub.node, base) {
 			continue
 		}
-		h, err := core.PlanHalo(sub.node, sub.span, base, delta, lookup, s.cfg.Options)
+		h, err := core.PlanHalo(sub.node, sub.span, base, delta, lookup, opts)
 		if err == nil && h.Plan == nil {
 			continue // the halo misses the subscription span
 		}
@@ -608,12 +641,12 @@ type Session struct {
 // NewSession opens a session with the server's base options.
 func (s *Server) NewSession(client string) *Session {
 	opts := s.cfg.Options
-	opts.Views, opts.Calibration = nil, nil
+	opts.Views = nil
 	return s.NewSessionWith(client, opts)
 }
 
-// NewSessionWith opens a session planning with opts. A registry or a
-// calibration opts names replaces the server's own.
+// NewSessionWith opens a session planning with opts. A registry or cost
+// weights (Params) opts names replace the server's own.
 func (s *Server) NewSessionWith(client string, opts core.Options) *Session {
 	opts.Verify = opts.Verify || s.cfg.Options.Verify
 	sess := &Session{srv: s, opts: opts, useViews: opts.Views == nil, client: client}
@@ -623,12 +656,11 @@ func (s *Server) NewSessionWith(client string, opts core.Options) *Session {
 	return sess
 }
 
-// unsettable clears the options SetOption sets, and the registry and
-// calibration a request overwrites, leaving the options two sessions
-// must share to share plans.
+// unsettable clears the options SetOption sets, and the registry a
+// request overwrites, leaving the options two sessions must share to
+// share plans.
 func unsettable(opts core.Options) core.Options {
-	opts.Parallelism, opts.Reopt, opts.Verify = 0, reopt.Config{}, false
-	opts.Views, opts.Calibration = nil, nil
+	opts.Parallelism, opts.Reopt, opts.Verify, opts.Views = 0, reopt.Config{}, false, nil
 	return opts
 }
 
@@ -717,11 +749,11 @@ func parseOnOff(v string) (bool, error) {
 // it binds (the shape against the epoch's catalog, or a root bound
 // earlier rebound to the epoch's snapshots) and optimizes with the
 // session's options and the views valid at the epoch, and a SEQL read
-// caches the verified plan. A session planning against a registry or a
-// calibration of its own bypasses the cache, whose generation does not
-// track them. A queued request holds no pin. The slot and the pin are
-// released when read returns, before any response is written; queue is
-// the time spent waiting for the slot.
+// caches the verified plan. A session planning against a registry of its
+// own bypasses the cache, whose generation does not track it. A queued
+// request holds no pin. The slot and the pin are released when read
+// returns, before any response is written; queue is the time spent
+// waiting for the slot.
 func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail func(res *core.Result, epoch int64, queue time.Duration) error) error {
 	srv := sess.srv
 	queue := srv.acquire()
@@ -741,7 +773,7 @@ func (sess *Session) read(seql string, root *algebra.Node, span seq.Span, tail f
 			return &Error{Code: wire.CodeParse, Err: err}
 		}
 	}
-	cacheable := shape != nil && sess.opts.Views == nil && sess.opts.Calibration == nil
+	cacheable := shape != nil && sess.opts.Views == nil
 	if cacheable {
 		key = planKey{opts: sess.planOptions(), shape: shape.Key, span: span}
 		var rebound bool
@@ -785,12 +817,9 @@ func (sess *Session) optimize(shape *parser.Shape, root *algebra.Node, span seq.
 	} else if root, err = srv.rebindAt(epoch, root); err != nil {
 		return nil, err
 	}
-	opts := sess.opts
+	opts := srv.calibrated(sess.opts)
 	if sess.useViews {
 		opts.Views = srv.views.At(epoch)
-	}
-	if opts.Calibration == nil {
-		opts.Calibration = srv.cfg.Options.Calibration
 	}
 	res, err := core.Optimize(root, span, opts)
 	if err != nil {
@@ -859,16 +888,16 @@ func (sess *Session) Explain(seql string, span seq.Span) (string, int64, error) 
 	return text, epoch, err
 }
 
-// Analyze executes with per-operator instrumentation, feeds the shared
-// cost-model calibration, and appends the server counter block (see
-// docs/OPERATIONS.md, "Server counters").
+// Analyze executes with per-operator instrumentation, feeds the server's
+// cost-model calibration (which retires cached plans), and appends the
+// server counter block (see docs/OPERATIONS.md, "Server counters").
 func (sess *Session) Analyze(seql string, span seq.Span) (string, int64, error) {
 	var text string
 	var epoch int64
 	err := sess.read(seql, nil, span, func(res *core.Result, e int64, queue time.Duration) error {
 		a, err := sess.srv.run(res.RunAnalyze)
 		if err == nil {
-			sess.srv.cfg.Options.Calibration.Observe(a.Root)
+			sess.srv.calib.observe(a.Root)
 			sess.srv.planGen.Add(1)
 			text, epoch = a.Render()+"\n"+sess.srv.counterBlock(e, queue), e
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/matview"
 	"repro/internal/rewrite"
 	"repro/internal/seq"
@@ -809,5 +810,103 @@ func TestMaintenanceReportsBounded(t *testing.T) {
 	}
 	if n := len(srv.TakeMaintenanceReports()); n != 0 {
 		t.Fatalf("second drain returned %d reports, want 0", n)
+	}
+}
+
+// TestCalibrationReachesReadsAndWrites: once Analyze requests have made
+// the server's calibration ready, reads plan with the fitted weights,
+// a write's view maintenance prices its stitch with them, and a session
+// opened with weights of its own keeps those. Concurrent Analyzes and
+// appends exercise the published fit under the race detector.
+func TestCalibrationReachesReadsAndWrites(t *testing.T) {
+	srv := testServer(t, Config{Options: core.Options{Verify: true}}, 100)
+	sess := srv.NewSession("test")
+	span := seq.NewSpan(1, 200)
+	params := func(sess *Session) exec.CostWeights {
+		t.Helper()
+		var w exec.CostWeights
+		if err := sess.read("select(s, v > 50)", nil, span, func(res *core.Result, _ int64, _ time.Duration) error {
+			w = res.Params
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	defaults := exec.DefaultCostWeights()
+	if got := params(sess); got != defaults {
+		t.Fatalf("read before any Analyze planned with %+v, want the defaults %+v", got, defaults)
+	}
+	for i := 0; srv.calib.fit.Load() == nil; i++ {
+		if i == 50 {
+			t.Fatalf("no fit after %d Analyze requests (%d samples)", i, srv.calib.Samples())
+		}
+		for _, q := range []string{"select(s, v > 50)", "sum(s, v, 3)"} {
+			if _, _, err := sess.Analyze(q, span); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if _, _, err := srv.NewSession("concurrent").Analyze("select(s, v > 50)", span); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := srv.Append("s", seq.Pos(101+i), seq.Record{seq.Int(int64(101 + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+
+	fitted := *srv.calib.fit.Load()
+	if fitted == defaults {
+		t.Fatalf("the fit kept every default weight: %+v", fitted)
+	}
+	if got := params(sess); got != fitted {
+		t.Errorf("read planned with %+v, want the fitted %+v", got, fitted)
+	}
+
+	// The write's stitch cost is the one its halo plan has under the
+	// fitted weights, not under the defaults.
+	if _, _, err := sess.Materialize("wide", "sum(s, v, 3)", span); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Append("s", 106, seq.Record{seq.Int(106)}); err != nil {
+		t.Fatal(err)
+	}
+	reports := srv.TakeMaintenanceReports()
+	if len(reports) != 1 || reports[0].Action != matview.MaintainStitch {
+		t.Fatalf("maintenance reports = %v, want one stitch", reports)
+	}
+	rep := reports[0]
+	v, ok := srv.views.Get("wide")
+	if !ok {
+		t.Fatal("view wide is gone")
+	}
+	stitchCost := func(w exec.CostWeights) float64 {
+		t.Helper()
+		h, err := core.PlanHalo(v.Node, rep.OldSpan, rep.Base, rep.Delta, srv.sequenceAt(rep.Epoch),
+			core.Options{Verify: true, Params: &w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Plan.Cost.Stream
+	}
+	if want, def := stitchCost(fitted), stitchCost(defaults); rep.StitchCost != want || want == def {
+		t.Errorf("stitch cost %g; %g under the fitted weights, %g under the defaults", rep.StitchCost, want, def)
+	}
+
+	own := exec.DefaultCostWeights()
+	own.RandPage = 42
+	if got := params(srv.NewSessionWith("own", core.Options{Params: &own})); got != own {
+		t.Errorf("a session with its own weights planned with %+v, want %+v", got, own)
 	}
 }

@@ -50,7 +50,7 @@ func (s *Server) subscribe(c *conn, seql string, span seq.Span) error {
 		return errf(wire.CodePlan,
 			"standing query is universe-sensitive: its content outside a write's halo could change, so deltas cannot be incremental")
 	}
-	h, err := core.PlanHalo(root, span, "", seq.EmptySpan, s.sequenceAt(epoch), s.cfg.Options)
+	h, err := core.PlanHalo(root, span, "", seq.EmptySpan, s.sequenceAt(epoch), s.calibrated(s.cfg.Options))
 	if err != nil {
 		return &Error{Code: wire.CodePlan, Err: err}
 	}
